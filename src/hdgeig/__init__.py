@@ -18,7 +18,6 @@ from .assembly import (
 from .basis import (
     QuadratureRule,
     edge_quadrature,
-    eval_rt_basis,
     eval_scalar_basis,
     triangle_quadrature,
 )
@@ -29,7 +28,6 @@ from .eigensolve import (
     oracle_full_eig,
     solve_condensed_nonlinear,
     solve_linear_surrogate,
-    sym_gen_eig_lowest,
 )
 from .errors import (
     ConfigError,
@@ -41,11 +39,9 @@ from .errors import (
     UnsupportedModeError,
 )
 from .localsolve import (
-    LocalLift,
     MaterialSpec,
     SpaceConfig,
     TauSpec,
-    apply_uw_inverse,
     element_lift,
 )
 from .mesh import Mesh, build_lshape_mesh, build_square_mesh, dump_mesh, refine

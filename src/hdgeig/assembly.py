@@ -15,7 +15,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import NumericalError
-from .localsolve import ElementOps, LocalLift, MaterialSpec, reference_tables
+from .localsolve import ElementOps, MaterialSpec, reference_tables
 
 __all__ = [
     "TraceDofMap",
@@ -73,6 +73,11 @@ class CondensedSystem:
         self._splu = None
 
     @property
+    def class_groups(self):
+        """Pairs (ElementOps, member element indices), one per class."""
+        return zip(self.classes, self._class_members)
+
+    @property
     def ndof(self):
         return self.dofmap.ndof
 
@@ -83,12 +88,6 @@ class CondensedSystem:
     @property
     def n_v(self):
         return self.ref.n_v
-
-    def lift(self, element):
-        ops = self.classes[self.elem_class[element]]
-        tri = self.mesh.triangles[element]
-        flips = [tri[l] > tri[(l + 1) % 3] for l in range(3)]
-        return LocalLift(element, ops, flips)
 
     def local_trace(self, eta):
         """Gather a global trace vector into signed element-local blocks."""
@@ -135,10 +134,7 @@ class CondensedSystem:
     def class_cores(self, core_fn):
         """Per-class (d, d) blocks -> assembled sparse symmetric matrix."""
         rows, cols, vals = [], [], []
-        for ci, ops in enumerate(self.classes):
-            members = self._class_members[ci]
-            if members.size == 0:
-                continue
+        for ops, members in self.class_groups:
             core = core_fn(ops)
             signs = self.elem_signs[members]
             dofs = self.elem_dofs[members]
@@ -168,24 +164,20 @@ def assemble_condensed(mesh, spaces, tau, mat=None):
     p0 = verts[tris[:, 0]]
     bmats = np.stack([verts[tris[:, 1]] - p0, verts[tris[:, 2]] - p0], axis=2)
 
-    tau_vals = np.array(
-        [tau.face_value(h=mesh.spacing, h_k=mesh.h_K[t]) for t in range(num_t)]
-    )
+    tau_vals = np.broadcast_to(tau.face_value(h=mesh.spacing, h_k=mesh.h_K), num_t)
 
-    # congruence classes: same Jacobian (to 12 digits) and same tau
-    classes = []
-    keys = {}
-    elem_class = np.empty(num_t, dtype=np.int64)
-    for t in range(num_t):
-        key = (np.round(bmats[t], 12).tobytes(), round(tau_vals[t], 12))
-        ci = keys.get(key)
-        if ci is None:
-            ci = len(classes)
-            keys[key] = ci
-            classes.append(
-                ElementOps(bmats[t], np.full(3, tau_vals[t]), mat, ref, element_hint=t)
-            )
-        elem_class[t] = ci
+    # congruence classes: same Jacobian (to 12 digits) and same tau, keyed
+    # by the bytes of the rounded values (so -0.0 and 0.0 differ) and
+    # numbered by first occurrence
+    keys = np.column_stack([np.round(bmats, 12).reshape(num_t, 4), np.round(tau_vals, 12)])
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    elem_class = np.argsort(by_first)[inverse]
+    classes = [
+        ElementOps(bmats[t], np.full(3, tau_vals[t]), mat, ref, element_hint=t)
+        for t in first[by_first]
+    ]
 
     n_m = ref.n_m
     parity = ref.parity
@@ -237,10 +229,8 @@ def assemble_source_rhs(sys, f):
     """
     fmom = load_moments(sys, f)
     local = np.empty_like(sys.elem_signs)
-    for ci, ops in enumerate(sys.classes):
-        members = sys._class_members[ci]
-        if members.size:
-            local[members] = fmom[members] @ ops.umat
+    for ops, members in sys.class_groups:
+        local[members] = fmom[members] @ ops.umat
     return sys.scatter_trace(local)
 
 
@@ -250,15 +240,8 @@ def solve_source(sys, f):
     Returns (eta, u, q): the global trace vector, per-element scalar
     coefficients (T, n_w), and per-element flux coefficients (T, n_v).
     """
-    fmom = load_moments(sys, f)
-    local = np.empty_like(sys.elem_signs)
-    for ci, ops in enumerate(sys.classes):
-        members = sys._class_members[ci]
-        if members.size:
-            local[members] = fmom[members] @ ops.umat
-    b = sys.scatter_trace(local)
-    eta = sys.factorized().solve(b)
-    u, q = recover_source_fields(sys, eta, fmom)
+    eta = sys.factorized().solve(assemble_source_rhs(sys, f))
+    u, q = recover_source_fields(sys, eta, load_moments(sys, f))
     return eta, u, q
 
 
@@ -267,10 +250,7 @@ def recover_source_fields(sys, eta, fmom):
     eta_loc = sys.local_trace(eta)
     u = np.empty((len(sys.mesh.triangles), sys.n_w))
     q = np.empty((len(sys.mesh.triangles), sys.n_v))
-    for ci, ops in enumerate(sys.classes):
-        members = sys._class_members[ci]
-        if members.size == 0:
-            continue
+    for ops, members in sys.class_groups:
         loc = eta_loc[members]
         u[members] = loc @ ops.umat.T + fmom[members] @ ops.uwmat.T
         q[members] = loc @ ops.qmat.T + fmom[members] @ ops.qwmat.T

@@ -88,15 +88,6 @@ def triangle_quadrature(order):
     return QuadratureRule(pts, wts, order)
 
 
-def physical_quadrature(rule, vertices):
-    """Map a reference-triangle rule to the triangle with the given vertices."""
-    verts = np.asarray(vertices, dtype=float)
-    b = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    pts = verts[0] + rule.points @ b.T
-    return pts, rule.weights * det
-
-
 def _tri_exponents(k):
     return [(d - j, j) for d in range(k + 1) for j in range(d + 1)]
 
@@ -201,67 +192,6 @@ class EdgeBasis:
         return mono @ self._coeffs.T
 
 
-class VectorBasis:
-    """Basis of P_k(K)^2: the scalar basis times each unit vector.
-
-    Ordering is component-major: functions [0, sdim) point along x and
-    [sdim, 2 sdim) along y.
-    """
-
-    def __init__(self, k):
-        self.scalar = scalar_basis(k)
-        self.k = self.scalar.k
-        self.dim = 2 * self.scalar.dim
-
-    def tabulate(self, pts):
-        """Values (n, dim, 2) and divergences (n, dim) at reference points."""
-        sval, sgrad = self.scalar.tabulate(pts)
-        n, sdim = sval.shape
-        vals = np.zeros((n, self.dim, 2))
-        vals[:, :sdim, 0] = sval
-        vals[:, sdim:, 1] = sval
-        divs = np.concatenate([sgrad[:, :, 0], sgrad[:, :, 1]], axis=1)
-        return vals, divs
-
-
-class RTBasis:
-    """Raviart-Thomas-type space [P_k]^2 + x P_k on the reference triangle.
-
-    The x-part uses only the homogeneous degree-k monomials; lower-degree
-    products are already contained in [P_k]^2.  Dimension (k+1)(k+3).
-    """
-
-    def __init__(self, k):
-        if not 0 <= k <= MAX_RT_DEGREE:
-            raise ValueError("RT-type basis degree %r unsupported" % (k,))
-        self.k = int(k)
-        self.scalar = scalar_basis(self.k)
-        self.homogeneous = [(self.k - j, j) for j in range(self.k + 1)]
-        self.dim = (self.k + 1) * (self.k + 3)
-        assert self.dim == 2 * self.scalar.dim + len(self.homogeneous)
-
-    def tabulate(self, pts):
-        """Vector values (n, dim, 2) and divergences (n, dim)."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        sval, sgrad = self.scalar.tabulate(pts)
-        n, sdim = sval.shape
-        vals = np.zeros((n, self.dim, 2))
-        divs = np.zeros((n, self.dim))
-        vals[:, :sdim, 0] = sval
-        vals[:, sdim : 2 * sdim, 1] = sval
-        divs[:, :sdim] = sgrad[:, :, 0]
-        divs[:, sdim : 2 * sdim] = sgrad[:, :, 1]
-        x, y = pts[:, 0], pts[:, 1]
-        for j, (a, b) in enumerate(self.homogeneous):
-            m = x**a * y**b
-            col = 2 * sdim + j
-            vals[:, col, 0] = x * m
-            vals[:, col, 1] = y * m
-            # div(x m) = 2 m + x . grad m = (k + 2) m by Euler's identity
-            divs[:, col] = (self.k + 2) * m
-        return vals, divs
-
-
 @lru_cache(maxsize=None)
 def scalar_basis(k):
     return ScalarBasis(k)
@@ -272,23 +202,8 @@ def edge_basis(k):
     return EdgeBasis(k)
 
 
-@lru_cache(maxsize=None)
-def vector_basis(k):
-    return VectorBasis(k)
-
-
-@lru_cache(maxsize=None)
-def rt_basis(k):
-    return RTBasis(k)
-
-
 def eval_scalar_basis(k, pts):
     """Values and gradients of the orthonormal P_k triangle basis."""
     if not 0 <= int(k) <= MAX_SCALAR_DEGREE:
         raise ValueError("scalar degree %r outside supported range 0..4" % (k,))
     return scalar_basis(int(k)).tabulate(pts)
-
-
-def eval_rt_basis(k, pts):
-    """Vector values and divergences of the RT-type basis of degree k."""
-    return rt_basis(int(k)).tabulate(pts)

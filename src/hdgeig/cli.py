@@ -202,12 +202,16 @@ def _solve_table(rows, fmt, with_post):
     return "\n".join(out) + "\n"
 
 
+def _check_modes(args):
+    if args.modes < 1:
+        raise ConfigError("--modes must be >= 1")
+
+
 def cmd_solve(args):
     spaces = SpaceConfig(args.k, args.case)
     tau = parse_tau(args.tau)
     spaces.validate_tau(tau)
-    if args.modes < 1:
-        raise ConfigError("--modes must be >= 1")
+    _check_modes(args)
     mesh = build_domain_mesh(args.domain, args.level)
     sys = assemble_condensed(mesh, spaces, tau, MaterialSpec.identity())
     surrogates = solve_linear_surrogate(sys, args.modes)
@@ -247,8 +251,7 @@ def cmd_study(args):
         config,
         progress=lambda level, dt: log.info("level %d done in %.2fs", level, dt),
     )
-    fmt = {"markdown": "markdown"}.get(args.format, args.format)
-    _write_output(emit_table(report, fmt), args)
+    _write_output(emit_table(report, args.format), args)
     return EXIT_OK
 
 
@@ -261,6 +264,7 @@ def cmd_oracle_check(args):
     spaces = SpaceConfig(args.k, args.case)
     tau = parse_tau(args.tau)
     spaces.validate_tau(tau)
+    _check_modes(args)
     mesh = build_domain_mesh(args.domain, args.level)
     sys = assemble_condensed(mesh, spaces, tau, MaterialSpec.identity())
     surrogates = solve_linear_surrogate(sys, args.modes)

@@ -34,7 +34,6 @@ __all__ = [
     "SurrogatePair",
     "EigenPair",
     "OracleSpectrum",
-    "sym_gen_eig_lowest",
     "solve_linear_surrogate",
     "solve_condensed_nonlinear",
     "oracle_full_eig",
@@ -83,51 +82,6 @@ def _deterministic_start(n):
 
 def _as_dense(mat):
     return mat.toarray() if scipy.sparse.issparse(mat) else np.asarray(mat)
-
-
-def sym_gen_eig_lowest(a, b, m):
-    """Lowest m eigenpairs of the symmetric pencil (a, b), b positive definite.
-
-    Returns ascending eigenvalues and b-orthonormal eigenvectors; each
-    residual is verified against the pencil before returning.
-    """
-    n = a.shape[0]
-    m = int(m)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise EigenSolveError("matrix shapes do not match")
-    if not 1 <= m <= n:
-        raise EigenSolveError("cannot compute %d modes of an n=%d pencil" % (m, n))
-    if n <= _DENSE_CUTOFF:
-        try:
-            vals, vecs = scipy.linalg.eigh(
-                _as_dense(a), _as_dense(b), subset_by_index=[0, m - 1], driver="gvx"
-            )
-        except np.linalg.LinAlgError as exc:
-            raise EigenSolveError("right-hand matrix is not positive definite: %s" % exc)
-    else:
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                scipy.sparse.csc_matrix(a), k=m, M=scipy.sparse.csc_matrix(b),
-                sigma=0.0, which="LM", mode="normal", v0=_deterministic_start(n),
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise EigenSolveError("sparse eigensolver did not converge: %s" % exc)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    _check_pencil_residuals(a, b, vals, vecs)
-    return vals, vecs
-
-
-def _check_pencil_residuals(a, b, vals, vecs, tol=1e-10):
-    av = a @ vecs
-    bv = b @ vecs
-    for i, lam in enumerate(vals):
-        res = np.linalg.norm(av[:, i] - lam * bv[:, i])
-        scale = max(np.linalg.norm(av[:, i]), 1e-300)
-        if res > tol * max(scale, abs(lam) * np.linalg.norm(bv[:, i])):
-            raise EigenSolveError(
-                "eigenpair %d residual %.2e exceeds tolerance" % (i, res)
-            )
 
 
 def _stiffness_inverse_operator(sys):

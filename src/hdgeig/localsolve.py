@@ -96,7 +96,8 @@ class TauSpec:
         return not (self.variant == "zero" or (self.variant == "constant" and self.value == 0.0))
 
     def face_value(self, h=None, h_k=None):
-        """Branch value used on every face of one element."""
+        """Branch value used on every face of an element; ``h_k`` may be
+        an array of element diameters, giving one value per element."""
         if self.variant == "constant":
             return self.value
         if self.variant == "zero":
@@ -124,7 +125,7 @@ class TauSpec:
 def _need(value, what):
     if value is None:
         raise ConfigError("tau variant requires the %s" % what)
-    return float(value)
+    return np.asarray(value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -275,16 +276,9 @@ class ReferenceTables:
 
         # pieces for the flux postprocessing space [P_k]^2 + x P_k
         self.qsbasis = basis.scalar_basis(k)
-        self.qs_vals = self.qsbasis.tabulate(pts)[0]
-        self.qs_face = [self.qsbasis.tabulate(fp)[0] for fp in self.face_ref_pts]
         self.rt_homog = [(k - j, j) for j in range(k + 1)]
         self.n_rt = (k + 1) * (k + 3)
-        if k >= 1:
-            self.ibasis = basis.scalar_basis(k - 1)
-            self.i_vals = self.ibasis.tabulate(pts)[0]
-        else:
-            self.ibasis = None
-            self.i_vals = None
+        self.i_vals = basis.scalar_basis(k - 1).tabulate(pts)[0] if k >= 1 else None
 
         #: dof signs for a face whose global parametrization is reversed
         self.parity = (-1.0) ** np.arange(self.n_m)
@@ -337,7 +331,6 @@ class ElementOps:
         self.v_vals[:, :n_v1, 0] = sv
         self.v_vals[:, n_v1:, 1] = sv
         self.v_divs = np.concatenate([sg[:, :, 0], sg[:, :, 1]], axis=1)
-        self.v_grads_blocks = sg  # gradients of the scalar factors
 
         self.w_face = [ref.w_face[l] / scale for l in range(3)]
         self.v_normal = []
@@ -404,7 +397,6 @@ class ElementOps:
         self.g_loc = self.umat.T @ self.umat
 
         self.w_means = np.einsum("q,qi->i", self.wq, self.w_vals)
-        self.acc = acc
 
     def resolvent(self, lam, rhs):
         """Solve (I - lam * Uw) x = rhs on this element class."""
@@ -444,6 +436,24 @@ class ElementOps:
             "face": p_face,
         }
 
+    def rt_tabulate(self, ref_pts):
+        """Values (n, n_rt, 2) of the flux postprocessing space [P_k]^2 + x P_k
+        at reference points.  The x-part is centred at the centroid and
+        scaled by h_K, using only the homogeneous degree-k monomials (lower
+        degrees are already in [P_k]^2)."""
+        ref = self.ref
+        qs_vals = ref.qsbasis.tabulate(ref_pts)[0] / np.sqrt(self.det)
+        n_qs = ref.qsbasis.dim
+        vals = np.zeros((ref_pts.shape[0], ref.n_rt, 2))
+        vals[:, :n_qs, 0] = qs_vals
+        vals[:, n_qs : 2 * n_qs, 1] = qs_vals
+        d = (ref_pts - np.array([1.0 / 3.0, 1.0 / 3.0])) @ self.bmat.T
+        ds = d / self.h_k
+        for j, (a, b) in enumerate(ref.rt_homog):
+            m = ds[:, 0] ** a * ds[:, 1] ** b
+            vals[:, 2 * n_qs + j] = d * m[:, None]
+        return vals
+
     @cached_property
     def rt_ops(self):
         """Local square system defining the conforming flux reconstruction."""
@@ -452,42 +462,21 @@ class ElementOps:
         if k > basis.MAX_RT_DEGREE:
             raise ConfigError("flux postprocessing supports k <= %d" % basis.MAX_RT_DEGREE)
         scale = np.sqrt(self.det)
-        n_qs = ref.qsbasis.dim
-        n_rt = ref.n_rt
-        centroid = np.array([1.0 / 3.0, 1.0 / 3.0])
-
-        def rt_tabulate(ref_pts, qs_vals):
-            # [P_k]^2 block from the mapped scalar basis, then the x-part
-            npts = ref_pts.shape[0]
-            vals = np.zeros((npts, n_rt, 2))
-            vals[:, :n_qs, 0] = qs_vals / scale
-            vals[:, n_qs : 2 * n_qs, 1] = qs_vals / scale
-            d = (ref_pts - centroid) @ self.bmat.T  # offset from centroid
-            ds = d / self.h_k
-            for j, (a, b) in enumerate(ref.rt_homog):
-                m = ds[:, 0] ** a * ds[:, 1] ** b
-                col = 2 * n_qs + j
-                vals[:, col, 0] = d[:, 0] * m
-                vals[:, col, 1] = d[:, 1] * m
-            return vals
-
-        vol_vals = rt_tabulate(ref.vol.points, ref.qs_vals)
-        face_normal = []
-        for l in range(3):
-            fv = rt_tabulate(ref.face_ref_pts[l], ref.qs_face[l])
-            face_normal.append(np.einsum("eid,d->ei", fv, self.normals[l]))
+        vol_vals = self.rt_tabulate(ref.vol.points)
+        face_normal = [
+            np.einsum("eid,d->ei", self.rt_tabulate(ref.face_ref_pts[l]), self.normals[l])
+            for l in range(3)
+        ]
 
         rows = []
         for l in range(3):
             fw = self.face_wq[l]
             rows.append(np.einsum("e,em,ei->mi", fw, self.t_face[l], face_normal[l]))
+        ivals = None
         if k >= 1:
             ivals = ref.i_vals / scale
             rows.append(np.einsum("q,qi,qj->ij", self.wq, ivals, vol_vals[:, :, 0]))
             rows.append(np.einsum("q,qi,qj->ij", self.wq, ivals, vol_vals[:, :, 1]))
-            i_vals_phys = ivals
-        else:
-            i_vals_phys = None
         system = np.vstack(rows)
         cond = np.linalg.cond(system)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -497,59 +486,13 @@ class ElementOps:
             "lu": lu,
             "vol_vals": vol_vals,
             "face_normal": face_normal,
-            "i_vals": i_vals_phys,
+            "i_vals": ivals,
         }
 
 
-class LocalLift:
-    """Per-element view of the local solution operators.
-
-    The dense matrices live on the shared congruence-class object; this
-    wrapper adds the element index and the per-face parity signs that
-    translate between the element-local and the global edge
-    parametrizations.
-    """
-
-    def __init__(self, element, ops, flips):
-        self.element = int(element)
-        self.ops = ops
-        self.flips = np.asarray(flips, dtype=bool)
-        parity = ops.ref.parity
-        self.signs = np.concatenate(
-            [parity if f else np.ones(ops.n_m) for f in self.flips]
-        )
-
-    @property
-    def qmat(self):
-        return self.ops.qmat
-
-    @property
-    def umat(self):
-        return self.ops.umat
-
-    @property
-    def qwmat(self):
-        return self.ops.qwmat
-
-    @property
-    def uwmat(self):
-        return self.ops.uwmat
-
-    @property
-    def mass_w(self):
-        return np.eye(self.ops.n_w)
-
-    @property
-    def a_loc(self):
-        return self.ops.a_loc
-
-    @property
-    def g_loc(self):
-        return self.ops.g_loc
-
-
 def element_lift(vertices, spaces, tau, mat=None, mesh_h=None, element=0):
-    """Local solution operators for a single free-standing element.
+    """Local solution operators (an ElementOps) for a single free-standing
+    element.
 
     ``vertices`` is a (3, 2) counterclockwise triangle.  ``mesh_h`` is only
     needed for the mesh-size tau variants.  Face l joins vertices l and
@@ -568,11 +511,4 @@ def element_lift(vertices, spaces, tau, mat=None, mesh_h=None, element=0):
         np.linalg.norm(verts[0] - verts[2]),
     )
     tau_val = tau.face_value(h=mesh_h, h_k=h_k)
-    ops = ElementOps(bmat, np.full(3, tau_val), mat, ref, element_hint=element)
-    return LocalLift(element, ops, flips=[False, False, False])
-
-
-def apply_uw_inverse(lift, lam, w):
-    """Apply (I - lam * Uw)^{-1} to a local scalar coefficient vector."""
-    w = np.asarray(w, dtype=float)
-    return lift.ops.resolvent(float(lam), w)
+    return ElementOps(bmat, np.full(3, tau_val), mat, ref, element_hint=element)

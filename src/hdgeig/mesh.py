@@ -9,6 +9,8 @@ mesh size halves per level and element shapes never degrade.
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "Mesh",
     "build_square_mesh",
@@ -28,7 +30,6 @@ class Mesh:
     edges : (E, 2) int array, each row sorted, rows in lexicographic order
     elem_edges : (T, 3) int array; local edge l of a triangle joins its
         local vertices l and (l+1) % 3
-    edge_to_elements : list of [(element, local_edge), ...] per edge
     boundary : (E,) bool array
     h_K : (T,) per-element diameter (longest edge)
     h : global mesh size, max of h_K
@@ -63,11 +64,6 @@ class Mesh:
         if counts.max() > 2 or counts.min() < 1:
             raise ValueError("mesh is not conforming")
         self.boundary = counts == 1
-
-        self.edge_to_elements = [[] for _ in range(len(self.edges))]
-        for t in range(len(self.triangles)):
-            for l in range(3):
-                self.edge_to_elements[self.elem_edges[t, l]].append((t, l))
 
         lengths = np.linalg.norm(
             self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]], axis=1
@@ -194,7 +190,7 @@ def build_lshape_mesh(level):
 def _check_level(level):
     level = int(level)
     if level < 0:
-        raise ValueError("refinement level must be nonnegative")
+        raise ConfigError("refinement level must be nonnegative")
     return level
 
 

@@ -79,10 +79,7 @@ def recover_fields(sys, pair):
     num_t = len(sys.mesh.triangles)
     u = np.empty((num_t, sys.n_w))
     q = np.empty((num_t, sys.n_v))
-    for ci, ops in enumerate(sys.classes):
-        members = sys._class_members[ci]
-        if members.size == 0:
-            continue
+    for ops, members in sys.class_groups:
         loc = eta_loc[members]
         ueta = ops.resolvent(lam, ops.umat @ loc.T).T
         u[members] = ueta
@@ -117,10 +114,7 @@ def postprocess_u(sys, fields):
     n_p = sys.ref.n_p
     c = sys.mat.c
     out = np.empty((num_t, n_p))
-    for ci, ops in enumerate(sys.classes):
-        members = sys._class_members[ci]
-        if members.size == 0:
-            continue
+    for ops, members in sys.class_groups:
         pops = ops.p_ops
         qvals = np.einsum("qid,ei->eqd", ops.v_vals, fields.q[members])
         cq = qvals @ c.T
@@ -153,10 +147,7 @@ def postprocess_q(sys, fields):
     n_m = ref.n_m
     eta_loc = sys.local_trace(fields.eta)
     out = np.empty((num_t, ref.n_rt))
-    for ci, ops in enumerate(sys.classes):
-        members = sys._class_members[ci]
-        if members.size == 0:
-            continue
+    for ops, members in sys.class_groups:
         rt = ops.rt_ops
         rows = []
         for l in range(3):
@@ -185,10 +176,7 @@ def rayleigh_eigenvalue(sys, u_star, q_star):
     alpha = sys.mat.alpha
     num = 0.0
     den = 0.0
-    for ci, ops in enumerate(sys.classes):
-        members = sys._class_members[ci]
-        if members.size == 0:
-            continue
+    for ops, members in sys.class_groups:
         pops = ops.p_ops
         rt = ops.rt_ops
         grads = np.einsum("qja,ej->eqa", pops["grads"], u_star[members])
@@ -233,10 +221,7 @@ def _system_residuals(sys, eta_loc, u, q, rhs_mom):
     cont = np.zeros((mesh.num_edges, n_m))
     cont_mag = np.zeros((mesh.num_edges, n_m))
 
-    for ci, ops in enumerate(sys.classes):
-        members = sys._class_members[ci]
-        if members.size == 0:
-            continue
+    for ops, members in sys.class_groups:
         qvals = np.einsum("qid,ei->eqd", ops.v_vals, q[members])
         uvals = np.einsum("qi,ei->eq", ops.w_vals, u[members])
         rhsvals = np.einsum("qi,ei->eq", ops.w_vals, rhs_mom[members])
@@ -299,10 +284,7 @@ def qstar_normal_jumps(sys, q_star):
     n_m = sys.ref.n_m
     jumps = np.zeros((mesh.num_edges, n_m))
     mags = np.zeros((mesh.num_edges, n_m))
-    for ci, ops in enumerate(sys.classes):
-        members = sys._class_members[ci]
-        if members.size == 0:
-            continue
+    for ops, members in sys.class_groups:
         rt = ops.rt_ops
         for l in range(3):
             qn = np.einsum("ei,gi->eg", q_star[members], rt["face_normal"][l])

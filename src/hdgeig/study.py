@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .assembly import assemble_condensed
-from .basis import triangle_quadrature
 from .eigensolve import solve_condensed_nonlinear, solve_linear_surrogate
 from .errors import ConfigError, HdgError, UnsupportedModeError
 from .localsolve import MaterialSpec, SpaceConfig, TauSpec
@@ -456,21 +455,3 @@ def _emit_csv(report):
                 ]
         writer.writerow(row)
     return buf.getvalue()
-
-
-def l2_norm_on_square(func, level=4, order=12):
-    """Quadrature L2 norm of a function on the square domain (test helper)."""
-    mesh = build_square_mesh(level)
-    rule = triangle_quadrature(order)
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    b = np.stack(
-        [
-            mesh.vertices[mesh.triangles[:, 1]] - p0,
-            mesh.vertices[mesh.triangles[:, 2]] - p0,
-        ],
-        axis=2,
-    )
-    pts = p0[:, None, :] + np.einsum("eab,qb->eqa", b, rule.points)
-    wq = np.linalg.det(b)[:, None] * rule.weights[None, :]
-    vals = func(pts[:, :, 0], pts[:, :, 1])
-    return float(np.sqrt(np.sum(wq * vals**2)))

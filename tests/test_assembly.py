@@ -10,7 +10,7 @@ from hdgeig.assembly import (
     solve_source,
 )
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
-from hdgeig.mesh import Mesh
+from hdgeig.mesh import Mesh, build_square_mesh
 from hdgeig.recovery import source_residuals
 
 
@@ -152,6 +152,42 @@ class TestSolveSource:
             errors.append(np.sqrt(np.sum(wq * (vals - exact) ** 2)))
         rates = np.log2(np.array(errors[:-1]) / errors[1:])
         assert all(abs(r - 3.0) < 0.25 for r in rates)
+
+
+_CLASS_TAUS = {"one": TauSpec.one(), "h": TauSpec.global_h(), "local_h": TauSpec.local_h()}
+
+
+class TestCongruenceClasses:
+    @pytest.mark.parametrize("tau", sorted(_CLASS_TAUS))
+    @pytest.mark.parametrize("level", range(4))
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_class_map(self, meshes, domain, level, tau):
+        mesh = meshes(domain, level)
+        spec = _CLASS_TAUS[tau]
+        sys = assemble_condensed(mesh, SpaceConfig(0), spec)
+        tau_el = np.array([spec.face_value(h=mesh.spacing, h_k=h) for h in mesh.h_K])
+        count = np.zeros(mesh.num_triangles, dtype=int)
+        for ops, members in sys.class_groups:
+            count[members] += 1
+            assert np.abs(sys.bmats[members] - ops.bmat).max() <= 1e-12
+            assert np.abs(tau_el[members, None] - ops.tau).max() <= 1e-12
+        assert (count == 1).all()
+        for i, a in enumerate(sys.classes):
+            for b in sys.classes[i + 1:]:
+                assert max(np.abs(a.bmat - b.bmat).max(), np.abs(a.tau - b.tau).max()) > 1e-12
+        # reference: a per-element loop keyed by the rounded Jacobian bytes
+        # and tau, numbering classes by first occurrence
+        keys = {}
+        for t in range(mesh.num_triangles):
+            key = (np.round(sys.bmats[t], 12).tobytes(), round(tau_el[t], 12))
+            keys.setdefault(key, len(keys))
+            assert sys.elem_class[t] == keys[key]
+        assert len(sys.classes) == level + 2
+
+    def test_class_count_level6(self):
+        sys = assemble_condensed(build_square_mesh(6), SpaceConfig(0), TauSpec.one())
+        assert len(sys.classes) == 6
+        assert sum(members.size for _, members in sys.class_groups) == 131072
 
 
 def _signed_permutation(mesh, permuted, vperm):

@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from hdgeig import basis
+from hdgeig.errors import ConfigError
+from hdgeig.localsolve import SpaceConfig, TauSpec, element_lift
+
+REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+AFFINE = np.array([[0.2, -0.1], [1.7, 0.3], [0.4, 2.2]])
 
 
 def exact_tri_monomial(a, b):
@@ -45,15 +50,15 @@ class TestTriangleQuadrature:
         with pytest.raises(ValueError):
             basis.triangle_quadrature(-1)
 
-    def test_mapped_rule_area(self):
-        rule = basis.triangle_quadrature(4)
-        verts = np.array([[0.2, -0.1], [1.7, 0.3], [0.4, 2.2]])
-        _, wts = basis.physical_quadrature(rule, verts)
-        area = 0.5 * abs(
-            (verts[1] - verts[0])[0] * (verts[2] - verts[0])[1]
-            - (verts[1] - verts[0])[1] * (verts[2] - verts[0])[0]
-        )
-        assert np.isclose(wts.sum(), area, rtol=1e-12)
+    def test_mapped_rule_area(self, systems):
+        # the mapped volume weights sum to the element areas
+        e1, e2 = AFFINE[1] - AFFINE[0], AFFINE[2] - AFFINE[0]
+        area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
+        ops = element_lift(AFFINE, SpaceConfig(1), TauSpec.one())
+        assert np.isclose(ops.wq.sum(), area, rtol=1e-12)
+        sys = systems("lshape", 1, 1)
+        assert np.allclose(sys.volume_weights().sum(axis=1), sys.mesh.areas,
+                           rtol=1e-12, atol=0)
 
 
 class TestEdgeQuadrature:
@@ -126,80 +131,101 @@ class TestScalarBasis:
             basis.eval_scalar_basis(5, np.array([[0.1, 0.1]]))
 
 
+def random_affine_triangle(rng):
+    """Counterclockwise triangle with a Jacobian determinant of at least 0.2."""
+    while True:
+        verts = rng.uniform(-1.0, 1.0, size=(3, 2))
+        e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
+        det = e1[0] * e2[1] - e1[1] * e2[0]
+        if abs(det) >= 0.2:
+            return verts if det > 0 else verts[[0, 2, 1]]
+
+
 class TestVectorBasis:
+    """The flux tabulation of ElementOps: [P_k]^2, component-major."""
+
     @pytest.mark.parametrize("k", range(4))
     def test_dimension(self, k):
-        vb = basis.vector_basis(k)
-        assert vb.dim == (k + 1) * (k + 2)
+        ops = element_lift(AFFINE, SpaceConfig(k), TauSpec.one())
+        n_v = (k + 1) * (k + 2)
+        assert ops.n_v == n_v
+        assert ops.v_vals.shape[1:] == (n_v, 2)
+        assert ops.v_divs.shape[1] == n_v
+        assert all(vn.shape[1] == n_v for vn in ops.v_normal)
 
     def test_divergence_consistency(self):
-        vb = basis.vector_basis(2)
+        # element Green identity (div v, w) + (v, grad w) = <v.n, w> for every
+        # flux member v and scalar member w, on random affine elements
         rng = np.random.default_rng(5)
-        pts = rng.uniform(0.05, 0.4, size=(6, 2))
-        vals, divs = vb.tabulate(pts)
-        step = 1e-6
-        fd = np.zeros_like(divs)
-        for d in range(2):
-            shift = np.zeros(2)
-            shift[d] = step
-            vp, _ = vb.tabulate(pts + shift)
-            vm, _ = vb.tabulate(pts - shift)
-            fd += (vp[:, :, d] - vm[:, :, d]) / (2 * step)
-        assert np.abs(fd - divs).max() < 1e-6
+        for k in range(5):
+            for _ in range(3):
+                ops = element_lift(random_affine_triangle(rng), SpaceConfig(k),
+                                   TauSpec.one())
+                vol = np.einsum("q,qi,qj->ij", ops.wq, ops.v_divs, ops.w_vals)
+                vol += np.einsum("q,qid,qjd->ij", ops.wq, ops.v_vals, ops.w_grads)
+                bnd = sum(
+                    np.einsum("g,gi,gj->ij", ops.face_wq[l], ops.v_normal[l], ops.w_face[l])
+                    for l in range(3)
+                )
+                assert np.abs(vol - bnd).max() < 1e-11 * max(1.0, np.abs(bnd).max())
 
 
 class TestRTBasis:
+    """The flux postprocessing space [P_k]^2 + x P_k of ElementOps.rt_ops."""
+
     def test_dimensions(self):
-        assert basis.rt_basis(0).dim == 3
-        assert basis.rt_basis(1).dim == 8
-        assert basis.rt_basis(2).dim == 15
-        assert basis.rt_basis(3).dim == 24
+        for k in range(4):
+            rt = element_lift(AFFINE, SpaceConfig(k), TauSpec.one()).rt_ops
+            n_rt = (k + 1) * (k + 3)
+            assert rt["vol_vals"].shape[1:] == (n_rt, 2)
+            assert all(fn.shape[1] == n_rt for fn in rt["face_normal"])
+            assert rt["lu"][0].shape == (n_rt, n_rt)
 
     def test_unsupported_degree(self):
-        with pytest.raises(ValueError):
-            basis.rt_basis(4)
+        with pytest.raises(ConfigError):
+            element_lift(REF, SpaceConfig(4), TauSpec.one()).rt_ops
 
     @pytest.mark.parametrize("k", range(4))
     def test_divergence_against_finite_differences(self, k):
+        # [P_k]^2 members take their divergence from the scalar gradients;
+        # the x-part d m(d / h_K), m homogeneous of degree k, has divergence
+        # (k + 2) m by Euler's identity
+        ops = element_lift(AFFINE, SpaceConfig(k), TauSpec.one())
+        ref = ops.ref
         rng = np.random.default_rng(11)
         pts = rng.uniform(0.05, 0.4, size=(10, 2))
-        _, divs = basis.eval_rt_basis(k, pts)
+        n_qs = ref.qsbasis.dim
+        sgrad = np.einsum("qib,ba->qia", ref.qsbasis.tabulate(pts)[1], ops.binv)
+        sgrad /= np.sqrt(ops.det)
+        want = np.zeros((len(pts), ref.n_rt))
+        want[:, :n_qs] = sgrad[:, :, 0]
+        want[:, n_qs : 2 * n_qs] = sgrad[:, :, 1]
+        ds = (pts - 1.0 / 3.0) @ ops.bmat.T / ops.h_k
+        for j, (a, b) in enumerate(ref.rt_homog):
+            want[:, 2 * n_qs + j] = (k + 2) * ds[:, 0] ** a * ds[:, 1] ** b
         step = 1e-6
-        fd = np.zeros_like(divs)
+        fd = np.zeros_like(want)
         for d in range(2):
-            shift = np.zeros(2)
-            shift[d] = step
-            vp, _ = basis.eval_rt_basis(k, pts + shift)
-            vm, _ = basis.eval_rt_basis(k, pts - shift)
+            shift = step * ops.binv[:, d]  # reference image of a physical step
+            vp = ops.rt_tabulate(pts + shift)
+            vm = ops.rt_tabulate(pts - shift)
             fd += (vp[:, :, d] - vm[:, :, d]) / (2 * step)
-        assert np.abs(fd - divs).max() < 1e-7
+        assert np.abs(fd - want).max() < 1e-7 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("k", range(4))
     def test_reference_gram_full_rank(self, k):
-        rt = basis.rt_basis(k)
-        rule = basis.triangle_quadrature(2 * (k + 1))
-        vals, _ = rt.tabulate(rule.points)
-        gram = np.einsum("q,qid,qjd->ij", rule.weights, vals, vals)
-        assert np.linalg.matrix_rank(gram, tol=1e-10) == rt.dim
+        ops = element_lift(REF, SpaceConfig(k), TauSpec.one())
+        vals = ops.rt_ops["vol_vals"]
+        gram = np.einsum("q,qid,qjd->ij", ops.wq, vals, vals)
+        assert np.linalg.matrix_rank(gram, tol=1e-10) == ops.ref.n_rt
 
     @pytest.mark.parametrize("k", range(4))
     def test_edge_normal_trace_in_pk(self, k):
-        # v . n restricted to each reference edge must be a polynomial of
-        # degree k in the edge parameter: least-squares residual ~ 0
-        rt = basis.rt_basis(k)
-        s = np.linspace(0.0, 1.0, k + 7)[:, None]
-        edges = [
-            (np.hstack([s, 0 * s]), np.array([0.0, -1.0])),
-            (np.hstack([1 - s, s]), np.array([1.0, 1.0]) / np.sqrt(2)),
-            (np.hstack([0 * s, 1 - s]), np.array([-1.0, 0.0])),
-        ]
-        vander = np.vander(s.ravel(), k + 1, increasing=True)
-        for pts, normal in edges:
-            vals, _ = rt.tabulate(pts)
-            vn = vals @ normal
-            _, residues, _, _ = np.linalg.lstsq(vander, vn, rcond=None)
-            if residues.size:
-                assert np.sqrt(residues.max()) < 1e-10
-            else:
-                fit = vander @ np.linalg.lstsq(vander, vn, rcond=None)[0]
-                assert np.abs(fit - vn).max() < 1e-10
+        # v . n restricted to each face is a polynomial of degree k in the
+        # face parameter: the least-squares fit at the k + 3 face quadrature
+        # points leaves no residual
+        ops = element_lift(AFFINE, SpaceConfig(k), TauSpec.one())
+        vander = np.vander(ops.ref.face_s, k + 1, increasing=True)
+        for vn in ops.rt_ops["face_normal"]:
+            coef = np.linalg.lstsq(vander, vn, rcond=None)[0]
+            assert np.abs(vander @ coef - vn).max() < 1e-10 * max(1.0, np.abs(vn).max())

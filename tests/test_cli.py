@@ -57,6 +57,14 @@ class TestSolveCommand:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_negative_level_exits_2(self, capsys):
+        assert main(["solve", "--level", "-1"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_zero_modes_exits_2(self, capsys):
+        assert main(["solve", "--modes", "0"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_lshape_first_mode(self, capsys):
         code = main(["solve", "--domain", "lshape", "--level", "1", "--k", "2",
                      "--modes", "1", "--format", "json", "--no-postprocess"])
@@ -110,6 +118,14 @@ class TestOracleCommand:
 
     def test_level_guard_exits_2(self):
         assert main(["oracle-check", "--level", "4"]) == 2
+
+    def test_negative_level_exits_2(self, capsys):
+        assert main(["oracle-check", "--level", "-1"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_zero_modes_exits_2(self, capsys):
+        assert main(["oracle-check", "--level", "0", "--modes", "0"]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_tau_h_level1(self):
         assert main(["oracle-check", "--level", "1", "--k", "1", "--tau", "h",

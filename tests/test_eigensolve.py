@@ -6,44 +6,10 @@ from hdgeig.eigensolve import (
     oracle_full_eig,
     solve_condensed_nonlinear,
     solve_linear_surrogate,
-    sym_gen_eig_lowest,
 )
 from hdgeig.errors import EigenSolveError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
 from hdgeig.mesh import Mesh, build_square_mesh
-
-
-class TestSymGenEig:
-    def test_diagonal(self):
-        vals, vecs = sym_gen_eig_lowest(np.diag([1.0, 2.0, 3.0]), np.eye(3), 2)
-        assert np.allclose(vals, [1.0, 2.0])
-        assert np.allclose(np.abs(vecs), np.eye(3)[:, :2])
-
-    def test_diagonal_weighted(self):
-        vals, _ = sym_gen_eig_lowest(np.diag([2.0, 2.0]), np.diag([1.0, 2.0]), 2)
-        assert np.allclose(sorted(vals), [1.0, 2.0])
-
-    def test_random_spd_pair(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((50, 50))
-        a = x + x.T
-        y = rng.standard_normal((50, 50))
-        b = y @ y.T + 50 * np.eye(50)
-        vals, vecs = sym_gen_eig_lowest(a, b, 5)
-        assert np.all(np.diff(vals) >= -1e-12)
-        for i in range(5):
-            res = np.linalg.norm(a @ vecs[:, i] - vals[i] * (b @ vecs[:, i]))
-            assert res <= 1e-10 * max(np.linalg.norm(a @ vecs[:, i]), 1e-10)
-        ortho = vecs.T @ b @ vecs
-        assert np.abs(ortho - np.eye(5)).max() < 1e-10
-
-    def test_rejects_indefinite_b(self):
-        with pytest.raises(EigenSolveError):
-            sym_gen_eig_lowest(np.eye(3), np.diag([1.0, -1.0, 1.0]), 1)
-
-    def test_rejects_bad_count(self):
-        with pytest.raises(EigenSolveError):
-            sym_gen_eig_lowest(np.eye(3), np.eye(3), 4)
 
 
 class TestLinearSurrogate:

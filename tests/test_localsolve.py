@@ -6,7 +6,6 @@ from hdgeig.localsolve import (
     MaterialSpec,
     SpaceConfig,
     TauSpec,
-    apply_uw_inverse,
     element_lift,
 )
 from hdgeig.mesh import build_square_mesh
@@ -14,10 +13,9 @@ from hdgeig.mesh import build_square_mesh
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def lift_equation_residuals(lift, mu, mat):
+def lift_equation_residuals(ops, mu, mat):
     """Assemble both defining equations of the trace lift by a fresh
     quadrature loop and return their max residuals over all test funcs."""
-    ops = lift.ops
     q = ops.qmat @ mu
     u = ops.umat @ mu
     c = mat.c
@@ -36,9 +34,8 @@ def lift_equation_residuals(lift, mu, mat):
     return max(np.abs(res_a).max(), np.abs(res_b).max())
 
 
-def load_lift_residuals(lift, f, mat):
+def load_lift_residuals(ops, f, mat):
     """Same check for the load lift with f given by local coefficients."""
-    ops = lift.ops
     q = ops.qwmat @ f
     u = ops.uwmat @ f
     c = mat.c
@@ -106,11 +103,11 @@ class TestElementLift:
         rng = np.random.default_rng(42 + k)
         spaces = SpaceConfig(k, case)
         mat = MaterialSpec(2.0, 0.3, 1.5)
-        lift = element_lift(REF * 1.3 + 0.2, spaces, TauSpec.one(), mat)
+        ops = element_lift(REF * 1.3 + 0.2, spaces, TauSpec.one(), mat)
         mu = rng.standard_normal(spaces.n_trace)
-        assert lift_equation_residuals(lift, mu, mat) < 1e-11
-        f = rng.standard_normal(lift.ops.n_w)
-        assert load_lift_residuals(lift, f, mat) < 1e-11
+        assert lift_equation_residuals(ops, mu, mat) < 1e-11
+        f = rng.standard_normal(ops.n_w)
+        assert load_lift_residuals(ops, f, mat) < 1e-11
 
     def test_lift_equations_every_element_level0(self):
         mesh = build_square_mesh(0)
@@ -120,20 +117,19 @@ class TestElementLift:
             spaces = SpaceConfig(k)
             mu = rng.standard_normal(spaces.n_trace)
             for t in range(mesh.num_triangles):
-                lift = element_lift(
+                ops = element_lift(
                     mesh.vertices[mesh.triangles[t]], spaces, TauSpec.one(), mat,
                     element=t,
                 )
-                assert lift_equation_residuals(lift, mu, mat) < 1e-11
+                assert lift_equation_residuals(ops, mu, mat) < 1e-11
 
     def test_uw_self_adjoint(self):
-        lift = element_lift(REF, SpaceConfig(2), TauSpec.one())
-        uw = lift.mass_w @ lift.uwmat
+        # the local bases are orthonormal, so the mass matrix is I
+        uw = element_lift(REF, SpaceConfig(2), TauSpec.one()).uwmat
         assert np.abs(uw - uw.T).max() < 1e-12 * np.abs(uw).max()
 
     def test_constants_reproduce_k0(self):
-        lift = element_lift(REF * 0.7, SpaceConfig(0), TauSpec.one())
-        ops = lift.ops
+        ops = element_lift(REF * 0.7, SpaceConfig(0), TauSpec.one())
         const = 3.7
         mu = np.concatenate(
             [const * np.sqrt(ops.edge_lens[l]) * np.ones(1) for l in range(3)]
@@ -170,35 +166,37 @@ class TestElementLift:
         rhos = []
         for scale in (1.0, 0.5):
             h_k = np.sqrt(2) * scale
-            lift = element_lift(REF * scale, spaces, TauSpec.constant(1.0 / h_k))
-            rhos.append(np.abs(np.linalg.eigvalsh(lift.uwmat)).max())
+            ops = element_lift(REF * scale, spaces, TauSpec.constant(1.0 / h_k))
+            rhos.append(np.abs(np.linalg.eigvalsh(ops.uwmat)).max())
         assert 3.5 < rhos[0] / rhos[1] < 4.5
 
 
 class TestUwInverse:
+    """ElementOps.resolvent applies (I - lam * Uw)^{-1}."""
+
     def test_identity_at_zero(self):
-        lift = element_lift(REF, SpaceConfig(1), TauSpec.one())
-        w = np.arange(1.0, lift.ops.n_w + 1)
-        assert np.array_equal(apply_uw_inverse(lift, 0.0, w), w)
+        ops = element_lift(REF, SpaceConfig(1), TauSpec.one())
+        w = np.arange(1.0, ops.n_w + 1)
+        assert np.array_equal(ops.resolvent(0.0, w), w)
 
     def test_round_trip(self):
-        lift = element_lift(REF, SpaceConfig(1), TauSpec.one())
+        ops = element_lift(REF, SpaceConfig(1), TauSpec.one())
         rng = np.random.default_rng(9)
-        w = rng.standard_normal(lift.ops.n_w)
-        x = apply_uw_inverse(lift, 1.0, w)
-        back = (np.eye(lift.ops.n_w) - 1.0 * lift.uwmat) @ x
+        w = rng.standard_normal(ops.n_w)
+        x = ops.resolvent(1.0, w)
+        back = (np.eye(ops.n_w) - 1.0 * ops.uwmat) @ x
         assert np.abs(back - w).max() < 1e-12 * max(1.0, np.abs(w).max())
 
     def test_against_dense_inverse(self):
-        lift = element_lift(REF, SpaceConfig(2), TauSpec.one())
+        ops = element_lift(REF, SpaceConfig(2), TauSpec.one())
         rng = np.random.default_rng(10)
-        w = rng.standard_normal(lift.ops.n_w)
-        x = apply_uw_inverse(lift, 2.0, w)
-        dense = np.linalg.inv(np.eye(lift.ops.n_w) - 2.0 * lift.uwmat) @ w
+        w = rng.standard_normal(ops.n_w)
+        x = ops.resolvent(2.0, w)
+        dense = np.linalg.inv(np.eye(ops.n_w) - 2.0 * ops.uwmat) @ w
         assert np.abs(x - dense).max() < 1e-11
 
     def test_error_beyond_invertibility(self):
-        lift = element_lift(REF, SpaceConfig(1), TauSpec.one())
-        rho = np.abs(np.linalg.eigvalsh(lift.uwmat)).max()
+        ops = element_lift(REF, SpaceConfig(1), TauSpec.one())
+        rho = np.abs(np.linalg.eigvalsh(ops.uwmat)).max()
         with pytest.raises(LocalSolveError):
-            apply_uw_inverse(lift, 1.0 / rho, np.ones(lift.ops.n_w))
+            ops.resolvent(1.0 / rho, np.ones(ops.n_w))

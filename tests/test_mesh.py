@@ -125,13 +125,14 @@ class TestMeshInvariants:
         with pytest.raises(ValueError):
             Mesh(verts, np.array([[0, 1, 2]]))
 
-    def test_edge_to_elements_inverse_of_elem_edges(self):
+    def test_elem_edges_incidence(self):
+        # local edge l of every triangle is the global edge joining its
+        # vertices l and l+1; boundary edges have one element, others two
         m = build_lshape_mesh(1)
-        for t in range(m.num_triangles):
-            for l in range(3):
-                assert (t, l) in m.edge_to_elements[m.elem_edges[t, l]]
-        for e, incident in enumerate(m.edge_to_elements):
-            assert len(incident) == (1 if m.boundary[e] else 2)
+        local = m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2)
+        assert np.array_equal(m.edges[m.elem_edges], np.sort(local, axis=2))
+        counts = np.bincount(m.elem_edges.ravel(), minlength=m.num_edges)
+        assert np.array_equal(counts, np.where(m.boundary, 1, 2))
 
     def test_h_k_is_longest_edge(self):
         m = build_square_mesh(0)

@@ -82,8 +82,7 @@ class TestPostprocessU:
         # represent q = -grad p in the flux basis per class (identity
         # coefficient extraction via L2 projection, exact since the flux
         # space contains grad P_{k+1})
-        for ci, ops in enumerate(sys.classes):
-            members = sys._class_members[ci]
+        for ops, members in sys.class_groups:
             pops = ops.p_ops
             grads = np.einsum("qja,j->qa", pops["grads"], p_coef)
             proj = np.einsum("q,qa,qia->i", ops.wq, -grads, ops.v_vals)
@@ -96,10 +95,7 @@ class TestPostprocessU:
     def test_mean_preservation(self, recovered):
         sys, fields = recovered()
         out = postprocess_u(sys, fields)
-        for ci, ops in enumerate(sys.classes):
-            members = sys._class_members[ci]
-            if members.size == 0:
-                continue
+        for ops, members in sys.class_groups:
             pops = ops.p_ops
             mean_star = out[members] @ pops["means"]
             mean_u = fields.u[members] @ ops.w_means
@@ -143,16 +139,14 @@ class TestPostprocessQ:
         fields.eta = np.zeros(sys.ndof)
         qfun = lambda x, y: np.stack([2 * x - y + 1, x + 3 * y], axis=-1)
         pts = sys.volume_points()
-        for ci, ops in enumerate(sys.classes):
-            members = sys._class_members[ci]
+        for ops, members in sys.class_groups:
             vals = qfun(pts[members][:, :, 0], pts[members][:, :, 1])
             fields.q[members] = np.einsum(
                 "q,eqd,qid->ei", ops.wq, vals, ops.v_vals
             )
         q_star = postprocess_q(sys, fields)
         # compare pointwise values of both fields at the volume points
-        for ci, ops in enumerate(sys.classes):
-            members = sys._class_members[ci]
+        for ops, members in sys.class_groups:
             rt = ops.rt_ops
             got = np.einsum("qid,ei->eqd", rt["vol_vals"], q_star[members])
             want = np.einsum("qid,ei->eqd", ops.v_vals, fields.q[members])
@@ -172,8 +166,7 @@ class TestRayleighEigenvalue:
         pts = sys.volume_points()
         ufun = lambda x, y: np.sin(x) * np.sin(y)
         gfun = lambda x, y: np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)], axis=-1)
-        for ci, ops in enumerate(sys.classes):
-            members = sys._class_members[ci]
+        for ops, members in sys.class_groups:
             pops = ops.p_ops
             rt = ops.rt_ops
             uvals = ufun(pts[members][:, :, 0], pts[members][:, :, 1])
@@ -186,8 +179,7 @@ class TestRayleighEigenvalue:
         # independent evaluation: lambda = [energy + boundary pairing] / mass
         num = 0.0
         den = 0.0
-        for ci, ops in enumerate(sys.classes):
-            members = sys._class_members[ci]
+        for ops, members in sys.class_groups:
             pops = ops.p_ops
             grads = np.einsum("qja,ej->eqa", pops["grads"], u_star[members])
             num += np.einsum("q,eqa,eqa->", ops.wq, grads, grads)

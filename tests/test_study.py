@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from hdgeig.basis import triangle_quadrature
 from hdgeig.errors import ConfigError, UnsupportedModeError
 from hdgeig.localsolve import TauSpec
+from hdgeig.mesh import build_square_mesh
 from hdgeig.study import (
     ConvergenceReport,
     StudyConfig,
@@ -13,8 +15,25 @@ from hdgeig.study import (
     estimate_order,
     exact_lshape_values,
     exact_square_spectrum,
-    l2_norm_on_square,
 )
+
+
+def l2_norm_on_square(func, level=4, order=12):
+    """Quadrature L2 norm of a function on the square domain."""
+    mesh = build_square_mesh(level)
+    rule = triangle_quadrature(order)
+    p0 = mesh.vertices[mesh.triangles[:, 0]]
+    b = np.stack(
+        [
+            mesh.vertices[mesh.triangles[:, 1]] - p0,
+            mesh.vertices[mesh.triangles[:, 2]] - p0,
+        ],
+        axis=2,
+    )
+    pts = p0[:, None, :] + np.einsum("eab,qb->eqa", b, rule.points)
+    wq = np.linalg.det(b)[:, None] * rule.weights[None, :]
+    vals = func(pts[:, :, 0], pts[:, :, 1])
+    return float(np.sqrt(np.sum(wq * vals**2)))
 
 
 class TestExactReferences:
@@ -59,8 +78,7 @@ class TestEigenfunctionError:
         )
         coeffs = np.zeros((len(sys.mesh.triangles), sys.ref.n_p))
         pts = sys.volume_points()
-        for ci, ops in enumerate(sys.classes):
-            members = sys._class_members[ci]
+        for ops, members in sys.class_groups:
             vals = fake.evaluator(pts[members][:, :, 0], pts[members][:, :, 1])
             coeffs[members] = np.einsum(
                 "q,eq,qi->ei", ops.wq, vals, ops.p_ops["vals"]
@@ -78,8 +96,7 @@ class TestEigenfunctionError:
         mode = exact_square_spectrum(1)[0]
         coeffs = np.zeros((len(sys.mesh.triangles), sys.ref.n_w))
         pts = sys.volume_points()
-        for ci, ops in enumerate(sys.classes):
-            members = sys._class_members[ci]
+        for ops, members in sys.class_groups:
             vals = mode.evaluator(pts[members][:, :, 0], pts[members][:, :, 1])
             coeffs[members] = np.einsum("q,eq,qi->ei", ops.wq, vals, ops.w_vals)
         err = eigenfunction_error(sys, coeffs, mode)
