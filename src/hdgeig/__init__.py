@@ -3,8 +3,9 @@
 A hybridized discontinuous Galerkin discretization of the Dirichlet
 eigenproblem for -div(alpha grad u): element-interior unknowns are
 eliminated through local lifts, the remaining trace unknowns satisfy a
-nonlinear eigenproblem that a linear surrogate seeds, and local
-postprocessing upgrades both eigenfunctions and eigenvalues.
+nonlinear eigenproblem, solved for all modes by one Lanczos run on the
+discrete source-solution operator, and local postprocessing upgrades
+both eigenfunctions and eigenvalues.
 """
 
 from .assembly import (
@@ -28,6 +29,7 @@ from .eigensolve import (
     oracle_full_eig,
     solve_condensed_nonlinear,
     solve_linear_surrogate,
+    solve_modes,
 )
 from .errors import (
     ConfigError,

@@ -23,6 +23,7 @@ __all__ = [
     "assemble_condensed",
     "assemble_m_of_lambda",
     "assemble_source_rhs",
+    "moment_rhs",
     "solve_source",
 ]
 
@@ -124,9 +125,14 @@ class CondensedSystem:
         return np.sqrt(np.linalg.det(self.bmats))
 
     def factorized(self):
+        """Cached sparse LU of A.  A is SPD: a symmetric ordering with
+        diagonal pivots is stable and fills in far less than COLAMD."""
         if self._splu is None:
             try:
-                self._splu = scipy.sparse.linalg.splu(self.A.tocsc())
+                self._splu = scipy.sparse.linalg.splu(
+                    self.A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                    options={"SymmetricMode": True},
+                )
             except RuntimeError as exc:
                 raise NumericalError("condensed matrix factorization failed: %s" % exc)
         return self._splu
@@ -227,7 +233,11 @@ def assemble_source_rhs(sys, f):
 
     ``f`` must accept numpy arrays (vectorized) of x and y coordinates.
     """
-    fmom = load_moments(sys, f)
+    return moment_rhs(sys, load_moments(sys, f))
+
+
+def moment_rhs(sys, fmom):
+    """Condensed right-hand side sum_K (f_K, U_K mu) for load moments (T, n_w)."""
     local = np.empty_like(sys.elem_signs)
     for ops, members in sys.class_groups:
         local[members] = fmom[members] @ ops.umat

@@ -7,13 +7,13 @@ Exit codes form a stable contract for CI: 0 success, 1 check failure,
 import argparse
 import json
 import logging
-import os
 import sys as _sys
 
 import numpy as np
 
 from .assembly import assemble_condensed
 from .eigensolve import oracle_full_eig, solve_condensed_nonlinear, solve_linear_surrogate
+from .eigensolve import solve_modes
 from .errors import ConfigError, HdgError, NumericalError
 from .localsolve import MaterialSpec, SpaceConfig, TauSpec
 from .recovery import postprocess, recover_fields
@@ -33,7 +33,7 @@ EXIT_NUMERICAL = 3
 
 _CONFIG_KEYS = {
     "domain", "level", "levels", "k", "case", "tau", "modes", "postprocess",
-    "format", "output", "threads", "rel_tol", "max_iter", "verbose",
+    "format", "output", "rel_tol", "max_iter", "verbose",
 }
 
 
@@ -116,11 +116,6 @@ def _build_parser():
         p.add_argument("--format", choices=["markdown", "csv", "json"],
                        default="markdown")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("HDG_EIG_THREADS", "1")),
-                       help="cap on worker threads (env HDG_EIG_THREADS)")
-        p.add_argument("--rel-tol", type=float, default=1e-12)
-        p.add_argument("--max-iter", type=int, default=50)
         p.add_argument("-v", "--verbose", action="store_true")
 
     p_solve = sub.add_parser("solve", help="eigenvalues on a single mesh")
@@ -146,6 +141,8 @@ def _build_parser():
     p_oracle.add_argument("--level", type=int, default=0)
     p_oracle.add_argument("--modes", type=int, default=6)
     p_oracle.add_argument("--tol", type=float, default=1e-9)
+    p_oracle.add_argument("--rel-tol", type=float, default=1e-12, help="secant tolerance")
+    p_oracle.add_argument("--max-iter", type=int, default=50, help="secant iteration cap")
     return parser
 
 
@@ -159,7 +156,7 @@ def _apply_config_file(parser, argv):
     values = read_config_file(known.config)
     converted = {}
     for key, val in values.items():
-        if key in ("k", "level", "threads", "max_iter"):
+        if key in ("k", "level", "max_iter"):
             converted[key] = int(val)
         elif key == "rel_tol":
             converted[key] = float(val)
@@ -215,22 +212,16 @@ def cmd_solve(args):
     mesh = build_domain_mesh(args.domain, args.level)
     sys = assemble_condensed(mesh, spaces, tau, MaterialSpec.identity())
     surrogates = solve_linear_surrogate(sys, args.modes)
-    pairs = [
-        solve_condensed_nonlinear(sys, s, rel_tol=args.rel_tol, max_iter=args.max_iter)
-        for s in surrogates
-    ]
-    order = np.argsort([p.value for p in pairs], kind="stable")
     rows = []
-    for i in range(args.modes):
-        pair = pairs[order[i]]
+    for i, pair in enumerate(solve_modes(sys, args.modes)):
         row = [i + 1, pair.value, surrogates[i].value]
         if args.postprocess:
             fields = recover_fields(sys, pair)
             row.append(postprocess(sys, fields).value_star)
         row.append(pair.iterations)
         rows.append(row)
-        log.info("mode %d: lambda=%.12g (%d iterations)", i + 1, pair.value,
-                 pair.iterations)
+        log.info("mode %d: lambda=%.12g (%d operator applications, residual %.1e)",
+                 i + 1, pair.value, pair.iterations, pair.defect)
     _write_output(_solve_table(rows, args.format, args.postprocess), args)
     return EXIT_OK
 
@@ -244,8 +235,6 @@ def cmd_study(args):
         levels=parse_levels(args.levels),
         modes=parse_modes(args.modes),
         postprocess=args.postprocess,
-        rel_tol=args.rel_tol,
-        max_iter=args.max_iter,
     )
     report = run_convergence_study(
         config,
@@ -256,27 +245,18 @@ def cmd_study(args):
 
 
 def cmd_oracle_check(args):
-    if args.level > 1:
-        raise ConfigError(
-            "oracle-check is limited to levels 0 and 1 (the dense solution "
-            "operator grows with the fourth power of the level)"
-        )
+    """The paper's secant route against the solution operator's Lanczos run."""
     spaces = SpaceConfig(args.k, args.case)
     tau = parse_tau(args.tau)
     spaces.validate_tau(tau)
     _check_modes(args)
     mesh = build_domain_mesh(args.domain, args.level)
     sys = assemble_condensed(mesh, spaces, tau, MaterialSpec.identity())
-    surrogates = solve_linear_surrogate(sys, args.modes)
-    pairs = [
-        solve_condensed_nonlinear(sys, s, rel_tol=args.rel_tol, max_iter=args.max_iter)
-        for s in surrogates
-    ]
-    condensed = np.sort([p.value for p in pairs])
-    oracle = oracle_full_eig(
-        mesh, spaces, tau, MaterialSpec.identity(), m=args.modes,
-        threads=max(args.threads, 1),
-    ).values
+    condensed = np.sort([
+        solve_condensed_nonlinear(sys, s, rel_tol=args.rel_tol, max_iter=args.max_iter).value
+        for s in solve_linear_surrogate(sys, args.modes)
+    ])
+    oracle = oracle_full_eig(mesh, spaces, tau, MaterialSpec.identity(), m=args.modes).values
     rel = np.abs(condensed - oracle) / np.abs(oracle)
     lines = ["| mode | condensed | oracle | rel diff |", "|---|---|---|---|"]
     for i in range(args.modes):

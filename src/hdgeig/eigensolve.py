@@ -1,32 +1,29 @@
-"""Trace eigenproblem solvers and the full-problem oracle.
+"""Trace eigenproblem solvers.
 
-Three routes to the spectrum:
+Every discrete eigenvalue is 1/mu for an eigenvalue mu of the symmetric
+positive definite source-solution operator T (load f to scalar solution
+u).  ``solve_modes``, the entry point of the command line, the study and
+the tests, finds the lowest modes with one Lanczos run on T, applied
+matrix-free with one solve of the cached stiffness factorization.
 
-* the linear surrogate pencil (stiffness vs. scalar-lift Gram), a plain
-  symmetric generalized eigenproblem whose lowest eigenvalues seed
-* the condensed nonlinear eigenproblem.  Freezing the resolvent Gram
-  matrix at a trial value kappa and taking the matching pencil
-  eigenvalue theta_i(kappa) defines a scalar residual
-  F(kappa) = theta_i(kappa) - kappa that is strictly decreasing (the
-  frozen Gram matrix grows with kappa), so each eigenvalue is the unique
-  root of F.  The solver runs a bracketed secant iteration on F, which
-  reduces to the plain frozen-operator fixed point when that contracts
-  and stays convergent on coarse meshes where it does not; and
-* a brute-force oracle that assembles the matrix of the discrete source
-  solution operator column by column and diagonalizes it, feasible on
-  coarse meshes and used to validate the condensed route.
-
-The surrogate Gram matrix may have a nontrivial kernel (it does for
-k = 0); all pencils are therefore solved in inverted form with the
-positive definite stiffness matrix on the right-hand side.
+The paper's route stays as the reference: a linear surrogate pencil
+(stiffness vs. scalar-lift Gram) seeds the condensed nonlinear problem,
+whose eigenvalues are the roots of the strictly decreasing
+F(kappa) = theta_i(kappa) - kappa (theta_i: i-th eigenvalue with the
+resolvent Gram matrix frozen at kappa), found by a bracketed secant.
+The Gram matrices may have a kernel (they do for k = 0), so pencils are
+solved in inverted form with the positive definite stiffness on the right.
 """
+
+import collections
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .assembly import assemble_condensed, assemble_m_of_lambda, recover_source_fields
+from .assembly import assemble_condensed, assemble_m_of_lambda, moment_rhs
+from .assembly import recover_source_fields
 from .errors import ConvergenceError, EigenSolveError
 from .localsolve import MaterialSpec
 
@@ -36,6 +33,7 @@ __all__ = [
     "OracleSpectrum",
     "solve_linear_surrogate",
     "solve_condensed_nonlinear",
+    "solve_modes",
     "oracle_full_eig",
 ]
 
@@ -58,9 +56,15 @@ class SurrogatePair:
 
 
 class EigenPair:
-    """Converged eigenpair of the condensed nonlinear problem."""
+    """Converged eigenpair of the condensed nonlinear problem.
 
-    def __init__(self, value, vector, iterations, defect, history):
+    From ``solve_modes``: ``iterations`` counts solution-operator
+    applications in the Lanczos run, ``defect`` is the relative residual
+    |A eta - lam M(lam) eta| / |A eta|.  From the secant: its iteration
+    count, last relative update and iterates (``history``).
+    """
+
+    def __init__(self, value, vector, iterations, defect, history=()):
         self.value = float(value)
         self.vector = np.asarray(vector, dtype=float)
         self.iterations = int(iterations)
@@ -68,12 +72,9 @@ class EigenPair:
         self.history = list(history)
 
 
-class OracleSpectrum:
-    """Ascending eigenvalues of the full problem via the solution operator."""
-
-    def __init__(self, values, t_matrix):
-        self.values = np.asarray(values, dtype=float)
-        self.t_matrix = t_matrix
+#: ascending eigenvalues of the full problem and the solution operator
+#: (a matrix-free LinearOperator) they come from
+OracleSpectrum = collections.namedtuple("OracleSpectrum", "values t_matrix")
 
 
 def _deterministic_start(n):
@@ -185,6 +186,22 @@ def _resolvent_limit(sys):
     return np.inf if rho == 0.0 else 1.0 / rho
 
 
+def _wall_cap(sys):
+    """Largest representable eigenvalue: just inside the resolvent wall."""
+    return (1.0 - 1e-3) * _resolvent_limit(sys)
+
+
+def _checked_defect(sys, lam, vec):
+    """Relative residual |A v - lam M(lam) v| / |A v|, checked against the tolerance."""
+    av = sys.A @ vec
+    res = np.linalg.norm(av - lam * (assemble_m_of_lambda(sys, lam) @ vec))
+    defect = res / np.linalg.norm(av)
+    if defect > _RESIDUAL_TOL:
+        raise EigenSolveError("eigenpair at %.6g fails the nonlinear residual check "
+                              "(relative %.2e vs %.2e)" % (lam, defect, _RESIDUAL_TOL))
+    return defect
+
+
 def solve_condensed_nonlinear(sys, seed, rel_tol=1e-12, max_iter=50):
     """Refine a surrogate eigenpair into a condensed nonlinear eigenpair.
 
@@ -202,9 +219,7 @@ def solve_condensed_nonlinear(sys, seed, rel_tol=1e-12, max_iter=50):
         raise EigenSolveError("seed eigenvalue must be positive")
     vec = getattr(seed, "vector", None)
     index = getattr(seed, "index", None)
-    # stay strictly inside the first resonance-free interval of the
-    # resolvent; eigenvalues beyond the wall are not representable here
-    lam_cap = (1.0 - 1e-3) * _resolvent_limit(sys)
+    lam_cap = _wall_cap(sys)
     kappa = min(lam, lam_cap)
     ainv = _stiffness_inverse_operator(sys) if sys.ndof > _DENSE_CUTOFF else None
     lo, hi = 0.0, None  # F(0) = surrogate value > 0
@@ -229,16 +244,8 @@ def solve_condensed_nonlinear(sys, seed, rel_tol=1e-12, max_iter=50):
         defect = abs(resid) / abs(theta)
         history.append(theta)
         if defect <= rel_tol:
-            lam = theta
-            anorm = np.linalg.norm(sys.A @ vec)
-            mres = assemble_m_of_lambda(sys, lam)
-            res = np.linalg.norm(sys.A @ vec - lam * (mres @ vec))
-            if res > _RESIDUAL_TOL * anorm:
-                raise EigenSolveError(
-                    "converged pair fails the nonlinear residual check "
-                    "(%.2e vs %.2e)" % (res, _RESIDUAL_TOL * anorm)
-                )
-            return EigenPair(lam, vec, iteration, defect, history)
+            _checked_defect(sys, theta, vec)
+            return EigenPair(theta, vec, iteration, defect, history)
 
         # bracket update: F decreasing, so F > 0 puts the root above kappa
         if resid > 0:
@@ -271,56 +278,60 @@ def solve_condensed_nonlinear(sys, seed, rel_tol=1e-12, max_iter=50):
     )
 
 
-def oracle_full_eig(mesh, spaces, tau, mat=None, m=6, size_guard=2000, threads=1):
-    """Spectrum of the full problem via the discrete solution operator.
-
-    Builds the operator's matrix in the broken scalar basis by solving
-    one condensed source problem per basis function, then diagonalizes
-    it.  Intended for coarse meshes; guarded by ``size_guard`` on the
-    scalar-space dimension.
-    """
-    mat = mat or MaterialSpec.identity()
-    sys = assemble_condensed(mesh, spaces, tau, mat)
-    num_t = len(mesh.triangles)
-    n_w = sys.n_w
-    n_total = num_t * n_w
-    if n_total > size_guard:
-        raise EigenSolveError(
-            "oracle dimension %d exceeds the size guard %d; use a coarser "
-            "mesh level" % (n_total, size_guard)
-        )
+def _source_operator(sys):
+    """The solution operator T f = U eta(f) + Uw f, eta(f) = A^{-1} B f,
+    on the per-element scalar coefficients (orthonormal local bases, so
+    T is a symmetric matrix).  ``applications`` counts its matvecs."""
     lu = sys.factorized()
+    shape = (len(sys.mesh.triangles), sys.n_w)
 
-    def column(col):
-        elem, i = divmod(col, n_w)
-        fmom = np.zeros((num_t, n_w))
-        fmom[elem, i] = 1.0
-        b_loc = sys.elem_signs[elem] * sys.classes[sys.elem_class[elem]].umat[i, :]
-        b = np.zeros(sys.ndof)
-        mask = sys.elem_dofs[elem] >= 0
-        np.add.at(b, sys.elem_dofs[elem][mask], b_loc[mask])
-        eta = lu.solve(b)
-        u, _ = recover_source_fields(sys, eta, fmom)
-        return u.ravel()
+    def matvec(f):
+        op.applications += 1
+        fmom = np.reshape(f, shape)
+        return recover_source_fields(sys, lu.solve(moment_rhs(sys, fmom)), fmom)[0].ravel()
 
-    tmat = np.empty((n_total, n_total))
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    op = scipy.sparse.linalg.LinearOperator((shape[0] * shape[1],) * 2, matvec=matvec,
+                                            dtype=float)
+    op.applications = 0
+    return op
 
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            for col, data in enumerate(pool.map(column, range(n_total))):
-                tmat[:, col] = data
-    else:
-        for col in range(n_total):
-            tmat[:, col] = column(col)
 
-    sym_defect = np.abs(tmat - tmat.T).max() / max(np.abs(tmat).max(), 1e-300)
-    if sym_defect > 1e-10:
-        raise EigenSolveError(
-            "solution operator matrix not symmetric (defect %.2e)" % sym_defect
-        )
-    mu = scipy.linalg.eigvalsh(0.5 * (tmat + tmat.T))
-    if mu.min() <= 0:
-        raise EigenSolveError("solution operator is not positive definite")
-    values = np.sort(1.0 / mu)[: int(m)]
-    return OracleSpectrum(values, tmat)
+def solve_modes(sys, m):
+    """Lowest m eigenpairs, ascending, from one Lanczos run on T.
+
+    The largest eigenvalues mu of T give lam = 1/mu.  An eigenvector u of
+    T is a scalar field with source lam u, so its trace is A^{-1} B u up
+    to scale.  A pair at or beyond the resolvent wall, or failing the
+    nonlinear residual check, raises ``EigenSolveError``.
+    """
+    m, op = int(m), _source_operator(sys)
+    n = op.shape[0]
+    if not 1 <= m < n:
+        raise EigenSolveError("requested %d modes of a dimension-%d scalar space" % (m, n))
+    try:
+        mu, vecs = scipy.sparse.linalg.eigsh(op, k=m, which="LA", v0=_deterministic_start(n))
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise EigenSolveError("Lanczos run on the solution operator did not converge: %s" % exc)
+    order = np.argsort(mu)[::-1]
+    shape = (len(sys.mesh.triangles), sys.n_w)
+    rhs = [moment_rhs(sys, np.reshape(vecs[:, i], shape)) for i in order]
+    etas = sys.factorized().solve(np.column_stack(rhs))
+    lam_cap = _wall_cap(sys)
+    pairs = []
+    for eta, mu_i in zip(etas.T, mu[order]):
+        lam = 1.0 / mu_i if mu_i > 0 else -np.inf
+        if not 0.0 < lam < lam_cap:
+            raise EigenSolveError(
+                "eigenvalue %d (%.6g) is not inside (0, %.6g), the resonance-free "
+                "interval of the resolvent on this mesh" % (len(pairs) + 1, lam, lam_cap)
+            )
+        pairs.append(EigenPair(lam, eta, op.applications, _checked_defect(sys, lam, eta)))
+    return pairs
+
+
+def oracle_full_eig(mesh, spaces, tau, mat=None, m=6):
+    """Lowest m eigenvalues of the full problem via the solution operator,
+    from ``solve_modes`` on a condensed system assembled here."""
+    sys = assemble_condensed(mesh, spaces, tau, mat or MaterialSpec.identity())
+    values = np.array([p.value for p in solve_modes(sys, m)])
+    return OracleSpectrum(values, _source_operator(sys))

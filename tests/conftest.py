@@ -1,10 +1,9 @@
 """Shared solver caches so expensive meshes/systems are built once."""
 
-import numpy as np
 import pytest
 
 from hdgeig.assembly import assemble_condensed
-from hdgeig.eigensolve import solve_condensed_nonlinear, solve_linear_surrogate
+from hdgeig.eigensolve import solve_linear_surrogate, solve_modes
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
 from hdgeig.mesh import build_lshape_mesh, build_square_mesh
 from hdgeig.study import StudyConfig, run_convergence_study
@@ -52,7 +51,7 @@ def systems(meshes):
 
 @pytest.fixture(scope="session")
 def eigenpairs(systems):
-    """Cache of (surrogates, sorted nonlinear pairs) per configuration."""
+    """Cache of (surrogates, ascending eigenpairs) per configuration."""
     cache = {}
 
     def get(domain="square", level=1, k=1, tau="one", case="equal", m=1):
@@ -60,10 +59,7 @@ def eigenpairs(systems):
         have = cache.get(key)
         if have is None or len(have[0]) < m:
             sys = systems(domain, level, k, tau, case)
-            surr = solve_linear_surrogate(sys, m)
-            pairs = [solve_condensed_nonlinear(sys, s) for s in surr]
-            order = np.argsort([p.value for p in pairs], kind="stable")
-            cache[key] = (surr, [pairs[i] for i in order])
+            cache[key] = (solve_linear_surrogate(sys, m), solve_modes(sys, m))
         surr, pairs = cache[key]
         return surr[:m], pairs[:m]
 

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,8 +120,10 @@ class TestOracleCommand:
         assert main(["oracle-check", "--level", "0", "--k", "0", "--modes", "6"]) == 0
         assert "rel diff" in capsys.readouterr().out
 
-    def test_level_guard_exits_2(self):
-        assert main(["oracle-check", "--level", "4"]) == 2
+    def test_level2_k1_passes(self, capsys):
+        # any level: the oracle applies the solution operator matrix-free
+        assert main(["oracle-check", "--level", "2", "--k", "1"]) == 0
+        assert "rel diff" in capsys.readouterr().out
 
     def test_negative_level_exits_2(self, capsys):
         assert main(["oracle-check", "--level", "-1"]) == 2
@@ -149,7 +155,32 @@ class TestConfigFile:
         cfg.write_text("flux_capacitor = 1\n")
         assert main(["--config", str(cfg), "solve"]) == 2
 
-    def test_threads_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("HDG_EIG_THREADS", "2")
-        code = main(["oracle-check", "--level", "0", "--k", "0", "--modes", "2"])
-        assert code == 0
+
+class TestBenchHooks:
+    def test_traced_cli_runs(self):
+        # perfbench/spans.py wraps hdgeig functions by name in the modules
+        # that call them; a rename there must fail here, not in the bench
+        root = Path(__file__).resolve().parents[1]
+        script = textwrap.dedent("""
+            import json, sys
+            sys.path[:0] = [%r, %r]
+            import spans
+            import hdgeig.cli
+            tracer = spans.Tracer()
+            spans.instrument(tracer)
+            codes = [hdgeig.cli.main(argv) for argv in (
+                ["study", "--k", "1", "--levels", "0:0"],
+                ["oracle-check", "--level", "0"],
+            )]
+            print(json.dumps({"codes": codes, "layers": tracer.metrics(0)}))
+        """ % (str(root / "src"), str(root / "perfbench")))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout.splitlines()[-1])
+        assert out["codes"] == [0, 0]
+        layers = out["layers"]
+        assert all(layers[name + ".failed"] == 0 for name in
+                   ("mesh", "assembly", "eigensolve", "recovery", "study", "cli"))
+        assert layers["eigensolve.oracle_columns"] > 0
+        assert layers["eigensolve.nonlinear_iters"] > 0

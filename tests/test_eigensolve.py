@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from hdgeig.assembly import assemble_condensed
 from hdgeig.eigensolve import (
     oracle_full_eig,
     solve_condensed_nonlinear,
     solve_linear_surrogate,
+    solve_modes,
 )
 from hdgeig.errors import EigenSolveError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
 from hdgeig.mesh import Mesh, build_square_mesh
+from hdgeig.recovery import eig_residuals, recover_fields
+
+
+def secant_values(sys, m):
+    """The paper's route: surrogate seeds refined by the secant, ascending."""
+    return np.sort([solve_condensed_nonlinear(sys, s).value
+                    for s in solve_linear_surrogate(sys, m)])
 
 
 class TestLinearSurrogate:
@@ -62,12 +71,12 @@ class TestCondensedNonlinear:
         err = abs(pairs[0].value - 2.0)
         assert 0.8 * 4.53e-6 < err < 1.2 * 4.53e-6
 
-    def test_rerun_on_converged_output(self, systems, eigenpairs):
+    def test_rerun_on_converged_output(self, systems):
         sys = systems("square", 1, 1)
-        _, pairs = eigenpairs("square", 1, 1, m=1)
-        again = solve_condensed_nonlinear(sys, pairs[0])
+        pair = solve_condensed_nonlinear(sys, solve_linear_surrogate(sys, 1)[0])
+        again = solve_condensed_nonlinear(sys, pair)
         assert again.iterations <= 2
-        assert abs(again.value - pairs[0].value) <= 1e-12 * pairs[0].value
+        assert abs(again.value - pair.value) <= 1e-12 * pair.value
 
     def test_nonlinear_residual_invariant(self, systems, eigenpairs):
         from hdgeig.assembly import assemble_m_of_lambda
@@ -90,40 +99,100 @@ class TestCondensedNonlinear:
         with pytest.raises(EigenSolveError):
             solve_condensed_nonlinear(sys, Seed())
 
-    def test_iteration_history_recorded(self, eigenpairs):
-        _, pairs = eigenpairs("square", 1, 1, m=1)
-        assert len(pairs[0].history) == pairs[0].iterations + 1
-        assert pairs[0].defect <= 1e-12
+    def test_iteration_history_recorded(self, systems):
+        sys = systems("square", 1, 1)
+        pair = solve_condensed_nonlinear(sys, solve_linear_surrogate(sys, 1)[0])
+        assert len(pair.history) == pair.iterations + 1
+        assert pair.defect <= 1e-12
 
 
 class TestOracle:
-    def test_matches_condensed_at_level0(self, eigenpairs):
-        _, pairs = eigenpairs("square", 0, 0, m=6)
-        lams = np.array([p.value for p in pairs])
+    def test_matches_condensed_at_level0(self, systems):
+        lams = secant_values(systems("square", 0, 0), 6)
         oracle = oracle_full_eig(
             build_square_mesh(0), SpaceConfig(0), TauSpec.one(), m=6
         )
         assert np.abs(lams - oracle.values).max() <= 1e-9 * oracle.values.max()
 
     def test_operator_matrix_symmetric(self, meshes):
-        orc = oracle_full_eig(meshes("square", 0), SpaceConfig(1), TauSpec.one(), m=4)
-        defect = np.abs(orc.t_matrix - orc.t_matrix.T).max()
-        assert defect <= 1e-10 * np.abs(orc.t_matrix).max()
+        orc = oracle_full_eig(meshes("square", 1), SpaceConfig(1), TauSpec.one(), m=4)
+        t = orc.t_matrix
+        x, y = np.random.default_rng(5).standard_normal((2, t.shape[0]))
+        tx, ty = t @ x, t @ y
+        assert abs(x @ ty - y @ tx) <= 1e-12 * np.linalg.norm(tx) * np.linalg.norm(y)
+        assert x @ tx > 0 and y @ ty > 0
 
     def test_all_eigenvalues_positive(self, meshes):
         orc = oracle_full_eig(meshes("square", 0), SpaceConfig(0), TauSpec.one(), m=6)
         assert orc.values.min() > 0
 
-    def test_size_guard(self, meshes):
-        with pytest.raises(EigenSolveError):
-            oracle_full_eig(meshes("square", 2), SpaceConfig(2), TauSpec.one(), m=2)
 
-    def test_threads_match_serial(self, meshes):
-        serial = oracle_full_eig(meshes("square", 0), SpaceConfig(0), TauSpec.one(), m=4)
-        threaded = oracle_full_eig(
-            meshes("square", 0), SpaceConfig(0), TauSpec.one(), m=4, threads=4
-        )
-        assert np.allclose(serial.values, threaded.values, rtol=1e-12)
+
+ROUTE_GRID = [
+    (domain, level, k, tau)
+    for domain in ("square", "lshape") for level in (0, 1, 2)
+    for k in (0, 1, 2) for tau in ("one", "h")
+]
+
+
+class TestSolveModes:
+    @pytest.mark.parametrize("domain,level,k,tau", ROUTE_GRID)
+    def test_matches_secant(self, systems, eigenpairs, domain, level, k, tau):
+        _, pairs = eigenpairs(domain, level, k, tau, m=6)
+        lams = np.array([p.value for p in pairs])
+        secant = secant_values(systems(domain, level, k, tau), 6)
+        assert np.all(np.diff(lams) >= 0)
+        assert np.abs(lams - secant).max() <= 1e-10 * secant.max()
+
+    @pytest.mark.parametrize("domain,level,k,tau", ROUTE_GRID)
+    def test_three_field_residuals(self, systems, eigenpairs, domain, level, k, tau):
+        # eig_residuals re-integrates the discrete equations without the
+        # lifts that both eigensolver routes share
+        sys = systems(domain, level, k, tau)
+        _, pairs = eigenpairs(domain, level, k, tau, m=6)
+        for pair in pairs:
+            assert max(eig_residuals(sys, recover_fields(sys, pair)).values()) <= 1e-10
+
+    def test_too_many_modes(self, systems):
+        sys = systems("square", 0, 1)
+        dim = len(sys.mesh.triangles) * sys.n_w
+        for m in (dim, dim + 1):
+            with pytest.raises(EigenSolveError):
+                solve_modes(sys, m)
+
+    def test_arpack_no_convergence(self, systems, monkeypatch):
+        def stalled(op, k, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.ones(0),
+                                                          np.ones((op.shape[0], 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        with pytest.raises(EigenSolveError, match="did not converge"):
+            solve_modes(systems("square", 0, 1), 2)
+
+
+class TestTauSweep:
+    """k = 1, level 2: as tau shrinks, spurious modes of the degenerating
+    equal-degree method sink onto the resolvent wall (at 6.96e-7 and
+    6.96e-3 below); both routes must then refuse with a typed error."""
+
+    @pytest.mark.parametrize("tau", [1e-8, 1e-4])
+    def test_small_tau_is_typed_error(self, systems, tau, capsys):
+        from hdgeig.cli import main
+
+        sys = systems("square", 2, 1, tau)
+        with pytest.raises(EigenSolveError):
+            solve_modes(sys, 6)
+        with pytest.raises(EigenSolveError):
+            secant_values(sys, 6)
+        assert main(["solve", "--level", "2", "--k", "1", "--tau", "const:%g" % tau]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["one", 1e4])
+    def test_moderate_tau_is_accurate(self, systems, eigenpairs, tau):
+        _, pairs = eigenpairs("square", 2, 1, tau, m=6)
+        secant = secant_values(systems("square", 2, 1, tau), 6)
+        for lam in (pairs[0].value, secant[0]):
+            assert abs(lam - 2.0) <= 0.02 * 2.0
 
 
 class TestSpectrumProperties:
