@@ -33,8 +33,11 @@ EXIT_NUMERICAL = 3
 
 _CONFIG_KEYS = {
     "domain", "level", "levels", "k", "case", "tau", "modes", "postprocess",
-    "format", "output", "rel_tol", "max_iter", "verbose",
+    "format", "output", "verbose",
 }
+
+#: largest relative secant/oracle disagreement that oracle-check passes
+_ORACLE_TOL = 1e-9
 
 
 def parse_tau(text):
@@ -140,9 +143,6 @@ def _build_parser():
     common(p_oracle)
     p_oracle.add_argument("--level", type=int, default=0)
     p_oracle.add_argument("--modes", type=int, default=6)
-    p_oracle.add_argument("--tol", type=float, default=1e-9)
-    p_oracle.add_argument("--rel-tol", type=float, default=1e-12, help="secant tolerance")
-    p_oracle.add_argument("--max-iter", type=int, default=50, help="secant iteration cap")
     return parser
 
 
@@ -156,10 +156,8 @@ def _apply_config_file(parser, argv):
     values = read_config_file(known.config)
     converted = {}
     for key, val in values.items():
-        if key in ("k", "level", "max_iter"):
+        if key in ("k", "level"):
             converted[key] = int(val)
-        elif key == "rel_tol":
-            converted[key] = float(val)
         elif key in ("postprocess", "verbose"):
             converted[key] = val.lower() in ("1", "true", "yes", "on")
         else:
@@ -252,10 +250,8 @@ def cmd_oracle_check(args):
     _check_modes(args)
     mesh = build_domain_mesh(args.domain, args.level)
     sys = assemble_condensed(mesh, spaces, tau, MaterialSpec.identity())
-    condensed = np.sort([
-        solve_condensed_nonlinear(sys, s, rel_tol=args.rel_tol, max_iter=args.max_iter).value
-        for s in solve_linear_surrogate(sys, args.modes)
-    ])
+    condensed = np.sort([solve_condensed_nonlinear(sys, s).value
+                         for s in solve_linear_surrogate(sys, args.modes)])
     oracle = oracle_full_eig(mesh, spaces, tau, MaterialSpec.identity(), m=args.modes).values
     rel = np.abs(condensed - oracle) / np.abs(oracle)
     lines = ["| mode | condensed | oracle | rel diff |", "|---|---|---|---|"]
@@ -264,8 +260,8 @@ def cmd_oracle_check(args):
             "| %d | %.12g | %.12g | %.2e |" % (i + 1, condensed[i], oracle[i], rel[i])
         )
     _write_output("\n".join(lines) + "\n", args)
-    if rel.max() >= args.tol:
-        log.error("oracle disagreement: max rel diff %.2e >= %.1e", rel.max(), args.tol)
+    if rel.max() >= _ORACLE_TOL:
+        log.error("oracle disagreement: max rel diff %.2e >= %.1e", rel.max(), _ORACLE_TOL)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 

@@ -11,15 +11,16 @@ The paper's route stays as the reference: a linear surrogate pencil
 whose eigenvalues are the roots of the strictly decreasing
 F(kappa) = theta_i(kappa) - kappa (theta_i: i-th eigenvalue with the
 resolvent Gram matrix frozen at kappa), found by a bracketed secant.
-The Gram matrices may have a kernel (they do for k = 0), so pencils are
-solved in inverted form with the positive definite stiffness on the right.
+The surrogate is the frozen pencil at kappa = 0.  The Gram matrices may
+have a kernel (they do for k = 0), so both pencils are solved in
+inverted form with the positive definite stiffness on the right.  All
+three eigensolves are ARPACK Lanczos runs that apply the stiffness
+inverse through the cached factorization.
 """
 
 import collections
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .assembly import assemble_condensed, assemble_m_of_lambda, moment_rhs
@@ -37,9 +38,10 @@ __all__ = [
     "oracle_full_eig",
 ]
 
-_DENSE_CUTOFF = 900
 _RESIDUAL_TOL = 1e-9
 _KERNEL_FLOOR = 1e-12
+_SECANT_TOL = 1e-12
+_SECANT_MAX_ITER = 50
 
 
 class SurrogatePair:
@@ -81,36 +83,50 @@ def _deterministic_start(n):
     return np.random.default_rng(20240814).standard_normal(n)
 
 
-def _as_dense(mat):
-    return mat.toarray() if scipy.sparse.issparse(mat) else np.asarray(mat)
+def _scalar_dim(sys):
+    """dim W_h: the number of per-element scalar coefficients."""
+    return len(sys.mesh.triangles) * sys.n_w
 
 
-def _stiffness_inverse_operator(sys):
-    """LinearOperator applying the cached stiffness factorization."""
-    lu = sys.factorized()
-    n = sys.ndof
-    return scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve)
+def _eigsh(op, k, what, **kwargs):
+    """Largest-algebraic Lanczos run; the one ARPACK call site.  Looked
+    up in ``scipy.sparse.linalg`` at call time so it can be replaced."""
+    try:
+        return scipy.sparse.linalg.eigsh(op, k=k, which="LA", **kwargs)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise EigenSolveError("%s did not converge: %s" % (what, exc))
 
 
-def _inverted_pencil_largest(p, q, m, v0=None, qinv=None):
-    """Largest m eigenvalues of p x = mu q x with q positive definite.
+def _pencil_lowest(sys, gram, count, v0=None):
+    """Lowest ``count`` eigenpairs of A x = theta gram x, ascending.
 
-    Used with the possibly singular Gram matrix on the left so that its
-    kernel maps harmlessly to mu = 0.  ``qinv`` may supply a reusable
-    factorization of q.
+    ``gram`` is G = U^T U or the frozen M(kappa) = U^T (I - kappa Uw)^-1 U,
+    so its rank is at most dim W_h.  The pencil is solved inverted,
+    gram x = (1/theta) A x, so that kernel maps harmlessly to 0.
     """
-    n = p.shape[0]
-    if n <= _DENSE_CUTOFF or m >= n - 1:
-        vals, vecs = scipy.linalg.eigh(_as_dense(p), _as_dense(q))
-        sel = np.argsort(vals)[::-1][:m]
-    else:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            scipy.sparse.csc_matrix(p), k=m, M=scipy.sparse.csc_matrix(q),
-            which="LM", v0=v0 if v0 is not None else _deterministic_start(n),
-            Minv=qinv,
+    n, dim_w = sys.ndof, _scalar_dim(sys)
+    if count > dim_w:
+        raise EigenSolveError(
+            "mode %d lies in the kernel of the lift Gram matrix, whose rank is at "
+            "most dim W_h = %d; this flags a space configuration that cannot "
+            "resolve that many modes" % (count, dim_w)
         )
-        sel = np.argsort(vals)[::-1]
-    return vals[sel], vecs[:, sel]
+    if not 1 <= count < n:
+        raise EigenSolveError("requested %d modes of an n=%d trace pencil; at most "
+                              "n - 1 can be computed" % (count, n))
+    lu = sys.factorized()
+    ainv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve)
+    w, vecs = _eigsh(gram, count, "pencil Lanczos run", M=sys.A, Minv=ainv,
+                     v0=v0 if v0 is not None else _deterministic_start(n))
+    pos = np.flatnonzero(w > _KERNEL_FLOOR * np.abs(w).max())
+    if pos.size < count:
+        raise EigenSolveError(
+            "the lift Gram matrix has only %d positive modes of the %d requested "
+            "(the rest lie in its kernel)" % (pos.size, count)
+        )
+    # largest w correspond to the smallest theta = 1/w
+    pos = pos[np.argsort(w[pos])[::-1]]
+    return 1.0 / w[pos], vecs[:, pos]
 
 
 def solve_linear_surrogate(sys, m):
@@ -121,21 +137,9 @@ def solve_linear_surrogate(sys, m):
     cannot resolve them and an error is raised.
     """
     m = int(m)
-    if not 1 <= m <= sys.ndof:
-        raise EigenSolveError("requested %d modes of an n=%d system" % (m, sys.ndof))
-    qinv = _stiffness_inverse_operator(sys) if sys.ndof > _DENSE_CUTOFF else None
-    mu, vecs = _inverted_pencil_largest(sys.G, sys.A, m, qinv=qinv)
-    if mu[0] <= 0:
-        raise EigenSolveError("surrogate Gram matrix is numerically zero")
-    if mu[-1] <= _KERNEL_FLOOR * mu[0]:
-        raise EigenSolveError(
-            "surrogate Gram matrix is singular at the requested mode count "
-            "(mode %d lies in its kernel); this flags a space configuration "
-            "that cannot resolve that many modes" % m
-        )
+    lams, vecs = _pencil_lowest(sys, sys.G, m)
     pairs = []
-    for i in range(m):
-        lam = 1.0 / mu[i]
+    for i, lam in enumerate(lams):
         vec = vecs[:, i]
         gnorm = vec @ (sys.G @ vec)
         vec = vec / np.sqrt(gnorm)
@@ -144,36 +148,6 @@ def solve_linear_surrogate(sys, m):
             raise EigenSolveError("surrogate eigenpair %d residual too large" % (i + 1))
         pairs.append(SurrogatePair(lam, vec, index=i + 1))
     return pairs
-
-
-def _pencil_positive_modes(amat, mmat, count, v0=None, ainv=None):
-    """Lowest ``count`` positive eigenvalues theta of a x = theta m x.
-
-    Solved as the inverted pencil m x = (1/theta) a x so that a singular
-    m only contributes harmless zero eigenvalues.
-    """
-    n = amat.shape[0]
-    if n <= _DENSE_CUTOFF:
-        w, vecs = scipy.linalg.eigh(_as_dense(mmat), _as_dense(amat))
-    else:
-        k = min(max(count + 2, 6), n - 1)
-        try:
-            w, vecs = scipy.sparse.linalg.eigsh(
-                scipy.sparse.csc_matrix(mmat), k=k, M=scipy.sparse.csc_matrix(amat),
-                which="LA", v0=v0 if v0 is not None else _deterministic_start(n),
-                Minv=ainv,
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise EigenSolveError("sparse pencil eigensolver did not converge: %s" % exc)
-    floor = _KERNEL_FLOOR * np.abs(w).max()
-    pos = np.flatnonzero(w > floor)
-    if pos.size < count:
-        raise EigenSolveError(
-            "frozen pencil has only %d positive modes, need %d" % (pos.size, count)
-        )
-    # largest w correspond to the smallest theta = 1/w
-    pos = pos[np.argsort(w[pos])[::-1][:count]]
-    return 1.0 / w[pos], vecs[:, pos]
 
 
 def _resolvent_limit(sys):
@@ -202,7 +176,7 @@ def _checked_defect(sys, lam, vec):
     return defect
 
 
-def solve_condensed_nonlinear(sys, seed, rel_tol=1e-12, max_iter=50):
+def solve_condensed_nonlinear(sys, seed):
     """Refine a surrogate eigenpair into a condensed nonlinear eigenpair.
 
     Each iteration freezes the resolvent Gram matrix at the current
@@ -221,29 +195,28 @@ def solve_condensed_nonlinear(sys, seed, rel_tol=1e-12, max_iter=50):
     index = getattr(seed, "index", None)
     lam_cap = _wall_cap(sys)
     kappa = min(lam, lam_cap)
-    ainv = _stiffness_inverse_operator(sys) if sys.ndof > _DENSE_CUTOFF else None
     lo, hi = 0.0, None  # F(0) = surrogate value > 0
     prev = None
     history = [kappa]
 
-    for iteration in range(1, int(max_iter) + 1):
+    for iteration in range(1, _SECANT_MAX_ITER + 1):
         mmat = assemble_m_of_lambda(sys, kappa)
         if index is None:
             # index-less seed: lock onto the positive mode closest to it
-            count = min(8, sys.ndof)
-            thetas, vecs = _pencil_positive_modes(sys.A, mmat, count, v0=vec, ainv=ainv)
-            if thetas[-1] < kappa and count < sys.ndof:
-                count = min(2 * count, sys.ndof)
-                thetas, vecs = _pencil_positive_modes(sys.A, mmat, count, v0=vec, ainv=ainv)
+            cap = min(sys.ndof - 1, _scalar_dim(sys))
+            count = min(8, cap)
+            thetas, vecs = _pencil_lowest(sys, mmat, count, v0=vec)
+            if thetas[-1] < kappa and count < cap:
+                count = min(2 * count, cap)
+                thetas, vecs = _pencil_lowest(sys, mmat, count, v0=vec)
             index = int(np.argmin(np.abs(thetas - kappa))) + 1
-            theta, vec = thetas[index - 1], vecs[:, index - 1]
         else:
-            thetas, vecs = _pencil_positive_modes(sys.A, mmat, index, v0=vec, ainv=ainv)
-            theta, vec = thetas[index - 1], vecs[:, index - 1]
+            thetas, vecs = _pencil_lowest(sys, mmat, index, v0=vec)
+        theta, vec = thetas[index - 1], vecs[:, index - 1]
         resid = theta - kappa
         defect = abs(resid) / abs(theta)
         history.append(theta)
-        if defect <= rel_tol:
+        if defect <= _SECANT_TOL:
             _checked_defect(sys, theta, vec)
             return EigenPair(theta, vec, iteration, defect, history)
 
@@ -272,8 +245,8 @@ def solve_condensed_nonlinear(sys, seed, rel_tol=1e-12, max_iter=50):
         kappa = min(nxt, lam_cap)
 
     raise ConvergenceError(
-        "nonlinear eigenvalue iteration did not reach rel_tol=%.1e within "
-        "%d iterations" % (rel_tol, max_iter),
+        "nonlinear eigenvalue iteration did not reach a relative update of "
+        "%.1e within %d iterations" % (_SECANT_TOL, _SECANT_MAX_ITER),
         history=history,
     )
 
@@ -308,10 +281,8 @@ def solve_modes(sys, m):
     n = op.shape[0]
     if not 1 <= m < n:
         raise EigenSolveError("requested %d modes of a dimension-%d scalar space" % (m, n))
-    try:
-        mu, vecs = scipy.sparse.linalg.eigsh(op, k=m, which="LA", v0=_deterministic_start(n))
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise EigenSolveError("Lanczos run on the solution operator did not converge: %s" % exc)
+    mu, vecs = _eigsh(op, m, "Lanczos run on the solution operator",
+                      v0=_deterministic_start(n))
     order = np.argsort(mu)[::-1]
     shape = (len(sys.mesh.triangles), sys.n_w)
     rhs = [moment_rhs(sys, np.reshape(vecs[:, i], shape)) for i in order]

@@ -151,9 +151,16 @@ class TestConfigFile:
         assert code == 0 and len(rows) == 1  # flag wins
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
+        # rel_tol was an oracle-check key; the secant tolerance is fixed now
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("flux_capacitor = 1\n")
-        assert main(["--config", str(cfg), "solve"]) == 2
+        for line in ("flux_capacitor = 1", "rel_tol = 1e-10"):
+            cfg.write_text(line + "\n")
+            assert main(["--config", str(cfg), "solve"]) == 2
+
+    def test_removed_secant_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", "--rel-tol", "1e-10"])
+        assert exc.value.code == 2
 
 
 class TestBenchHooks:
@@ -184,3 +191,4 @@ class TestBenchHooks:
                    ("mesh", "assembly", "eigensolve", "recovery", "study", "cli"))
         assert layers["eigensolve.oracle_columns"] > 0
         assert layers["eigensolve.nonlinear_iters"] > 0
+        assert layers["eigensolve.eigh_calls"] == 0

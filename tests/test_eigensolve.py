@@ -72,11 +72,17 @@ class TestCondensedNonlinear:
         assert 0.8 * 4.53e-6 < err < 1.2 * 4.53e-6
 
     def test_rerun_on_converged_output(self, systems):
-        sys = systems("square", 1, 1)
-        pair = solve_condensed_nonlinear(sys, solve_linear_surrogate(sys, 1)[0])
-        again = solve_condensed_nonlinear(sys, pair)
-        assert again.iterations <= 2
-        assert abs(again.value - pair.value) <= 1e-12 * pair.value
+        # an EigenPair has no spectral index: the rerun locks onto the
+        # closest frozen-pencil mode.  Mode 10 of L-shape k = 0 level 0
+        # (ndof 28) lies above the 8 lowest, so the rerun doubles its
+        # mode count to 16, which must stay below ndof
+        for case, mode in ((("square", 1, 1), 1), (("lshape", 0, 0), 10)):
+            sys = systems(*case)
+            seed = solve_linear_surrogate(sys, mode)[mode - 1]
+            pair = solve_condensed_nonlinear(sys, seed)
+            again = solve_condensed_nonlinear(sys, pair)
+            assert again.iterations <= 2
+            assert abs(again.value - pair.value) <= 1e-12 * pair.value
 
     def test_nonlinear_residual_invariant(self, systems, eigenpairs):
         from hdgeig.assembly import assemble_m_of_lambda
@@ -154,20 +160,34 @@ class TestSolveModes:
             assert max(eig_residuals(sys, recover_fields(sys, pair)).values()) <= 1e-10
 
     def test_too_many_modes(self, systems):
+        # Lanczos on T serves fewer than dim W_h modes, the surrogate pencil
+        # fewer than ndof (here dim W_h = 96 > ndof = 80, so no kernel)
         sys = systems("square", 0, 1)
         dim = len(sys.mesh.triangles) * sys.n_w
-        for m in (dim, dim + 1):
-            with pytest.raises(EigenSolveError):
-                solve_modes(sys, m)
+        for solve, m in ((solve_modes, dim), (solve_modes, dim + 1),
+                         (solve_linear_surrogate, sys.ndof),
+                         (solve_linear_surrogate, sys.ndof + 1)):
+            with pytest.raises(EigenSolveError, match="modes of"):
+                solve(sys, m)
 
-    def test_arpack_no_convergence(self, systems, monkeypatch):
+    @pytest.mark.parametrize("route", ["solve_modes", "surrogate", "secant"])
+    def test_arpack_no_convergence(self, systems, monkeypatch, capsys, route):
+        from hdgeig.cli import main
+
         def stalled(op, k, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.ones(0),
                                                           np.ones((op.shape[0], 0)))
 
+        sys = systems("square", 0, 1)
+        seed = solve_linear_surrogate(sys, 2)[1]
+        run = {"solve_modes": lambda: solve_modes(sys, 2),
+               "surrogate": lambda: solve_linear_surrogate(sys, 2),
+               "secant": lambda: solve_condensed_nonlinear(sys, seed)}[route]
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
         with pytest.raises(EigenSolveError, match="did not converge"):
-            solve_modes(systems("square", 0, 1), 2)
+            run()
+        assert main(["solve", "--level", "0", "--modes", "2"]) == 3
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestTauSweep:
