@@ -25,7 +25,6 @@ from .basis import (
 from .eigensolve import (
     EigenPair,
     OracleSpectrum,
-    SurrogatePair,
     oracle_full_eig,
     solve_condensed_nonlinear,
     solve_linear_surrogate,

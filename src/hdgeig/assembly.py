@@ -24,6 +24,7 @@ __all__ = [
     "assemble_m_of_lambda",
     "assemble_source_rhs",
     "moment_rhs",
+    "resolvent_lift",
     "solve_source",
 ]
 
@@ -216,6 +217,18 @@ def assemble_m_of_lambda(sys, lam):
         return ops.umat.T @ resolved
 
     return sys.class_cores(core)
+
+
+def resolvent_lift(sys, lam, eta):
+    """Per-element scalar field (I - lam Uw)^-1 U eta, shape (T, n_w).
+
+    ``moment_rhs`` of it is M(lam) eta without assembling M(lam).
+    """
+    eta_loc = sys.local_trace(eta)
+    u = np.empty((len(sys.mesh.triangles), sys.n_w))
+    for ops, members in sys.class_groups:
+        u[members] = ops.resolvent(lam, ops.umat @ eta_loc[members].T).T
+    return u
 
 
 def load_moments(sys, f):

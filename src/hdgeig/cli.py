@@ -39,6 +39,9 @@ _CONFIG_KEYS = {
 #: largest relative secant/oracle disagreement that oracle-check passes
 _ORACLE_TOL = 1e-9
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
 
 def parse_tau(text):
     """Parse the tau spelling: one|h|invh|zero|const:<x>."""
@@ -88,7 +91,11 @@ def parse_modes(text):
 def read_config_file(path):
     """Read `key = value` lines; '#' starts a comment."""
     values = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc.strerror))
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -157,9 +164,16 @@ def _apply_config_file(parser, argv):
     converted = {}
     for key, val in values.items():
         if key in ("k", "level"):
-            converted[key] = int(val)
+            try:
+                converted[key] = int(val)
+            except ValueError:
+                raise ConfigError("%s: %s must be an integer, not %r"
+                                  % (known.config, key, val))
         elif key in ("postprocess", "verbose"):
-            converted[key] = val.lower() in ("1", "true", "yes", "on")
+            if val.lower() not in _BOOLEANS:
+                raise ConfigError("%s: %s must be one of %s, not %r"
+                                  % (known.config, key, "/".join(_BOOLEANS), val))
+            converted[key] = _BOOLEANS[val.lower()]
         else:
             converted[key] = val
     parser.set_defaults(**converted)
@@ -176,11 +190,8 @@ def _write_output(text, args):
         _sys.stdout.write(text)
 
 
-def _solve_table(rows, fmt, with_post):
-    header = ["mode", "lambda", "lambda_tilde"]
-    if with_post:
-        header.append("lambda_star")
-    header.append("iterations")
+def _table(header, rows, fmt):
+    """Rows as a JSON list of objects, CSV, or a padded markdown table."""
     if fmt == "json":
         return json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n"
     if fmt == "csv":
@@ -197,30 +208,35 @@ def _solve_table(rows, fmt, with_post):
     return "\n".join(out) + "\n"
 
 
-def _check_modes(args):
-    if args.modes < 1:
-        raise ConfigError("--modes must be >= 1")
-
-
-def cmd_solve(args):
+def _assemble(args):
+    """The condensed system that solve and oracle-check work on."""
     spaces = SpaceConfig(args.k, args.case)
     tau = parse_tau(args.tau)
     spaces.validate_tau(tau)
-    _check_modes(args)
+    if args.modes < 1:
+        raise ConfigError("--modes must be >= 1")
     mesh = build_domain_mesh(args.domain, args.level)
-    sys = assemble_condensed(mesh, spaces, tau, MaterialSpec.identity())
+    return assemble_condensed(mesh, spaces, tau, MaterialSpec.identity())
+
+
+def cmd_solve(args):
+    sys = _assemble(args)
     surrogates = solve_linear_surrogate(sys, args.modes)
+    header = ["mode", "lambda", "lambda_tilde"]
+    if args.postprocess:
+        header.append("lambda_star")
+    header.append("iterations")
     rows = []
-    for i, pair in enumerate(solve_modes(sys, args.modes)):
-        row = [i + 1, pair.value, surrogates[i].value]
+    for pair, surrogate in zip(solve_modes(sys, args.modes), surrogates):
+        row = [pair.index, pair.value, surrogate.value]
         if args.postprocess:
             fields = recover_fields(sys, pair)
             row.append(postprocess(sys, fields).value_star)
         row.append(pair.iterations)
         rows.append(row)
         log.info("mode %d: lambda=%.12g (%d operator applications, residual %.1e)",
-                 i + 1, pair.value, pair.iterations, pair.defect)
-    _write_output(_solve_table(rows, args.format, args.postprocess), args)
+                 pair.index, pair.value, pair.iterations, pair.defect)
+    _write_output(_table(header, rows, args.format), args)
     return EXIT_OK
 
 
@@ -244,22 +260,15 @@ def cmd_study(args):
 
 def cmd_oracle_check(args):
     """The paper's secant route against the solution operator's Lanczos run."""
-    spaces = SpaceConfig(args.k, args.case)
-    tau = parse_tau(args.tau)
-    spaces.validate_tau(tau)
-    _check_modes(args)
-    mesh = build_domain_mesh(args.domain, args.level)
-    sys = assemble_condensed(mesh, spaces, tau, MaterialSpec.identity())
+    sys = _assemble(args)
     condensed = np.sort([solve_condensed_nonlinear(sys, s).value
                          for s in solve_linear_surrogate(sys, args.modes)])
-    oracle = oracle_full_eig(mesh, spaces, tau, MaterialSpec.identity(), m=args.modes).values
+    oracle = oracle_full_eig(sys, m=args.modes).values
     rel = np.abs(condensed - oracle) / np.abs(oracle)
-    lines = ["| mode | condensed | oracle | rel diff |", "|---|---|---|---|"]
-    for i in range(args.modes):
-        lines.append(
-            "| %d | %.12g | %.12g | %.2e |" % (i + 1, condensed[i], oracle[i], rel[i])
-        )
-    _write_output("\n".join(lines) + "\n", args)
+    rows = [[i + 1, *vals] for i, vals in
+            enumerate(zip(condensed.tolist(), oracle.tolist(), rel.tolist()))]
+    _write_output(_table(["mode", "condensed", "oracle", "rel diff"], rows, args.format),
+                  args)
     if rel.max() >= _ORACLE_TOL:
         log.error("oracle disagreement: max rel diff %.2e >= %.1e", rel.max(), _ORACLE_TOL)
         return EXIT_CHECK_FAILED

@@ -16,6 +16,12 @@ have a kernel (they do for k = 0), so both pencils are solved in
 inverted form with the positive definite stiffness on the right.  All
 three eigensolves are ARPACK Lanczos runs that apply the stiffness
 inverse through the cached factorization.
+
+Every pair carries its spectral index: M(kappa) grows with kappa, so the
+i-th eigenvalue is the fixed point of theta_i(kappa) = kappa, and the
+secant started from any pair refines the mode at that index.  Residual
+checks apply M(lam) through the resolvent lift; only the secant's
+frozen pencil assembles it.
 """
 
 import collections
@@ -23,13 +29,13 @@ import collections
 import numpy as np
 import scipy.sparse.linalg
 
-from .assembly import assemble_condensed, assemble_m_of_lambda, moment_rhs
-from .assembly import recover_source_fields
+from .assembly import assemble_m_of_lambda, moment_rhs, recover_source_fields
+from .assembly import resolvent_lift
+# not called here; perfbench/spans.py still wraps it under this name
+from .assembly import assemble_condensed  # noqa: F401
 from .errors import ConvergenceError, EigenSolveError
-from .localsolve import MaterialSpec
 
 __all__ = [
-    "SurrogatePair",
     "EigenPair",
     "OracleSpectrum",
     "solve_linear_surrogate",
@@ -44,31 +50,22 @@ _SECANT_TOL = 1e-12
 _SECANT_MAX_ITER = 50
 
 
-class SurrogatePair:
-    """Eigenpair of the linear surrogate pencil, Gram-normalized.
-
-    ``index`` is the 1-based position in the ascending surrogate
-    spectrum; the nonlinear solver locks onto the same position.
-    """
-
-    def __init__(self, value, vector, index=None):
-        self.value = float(value)
-        self.vector = np.asarray(vector, dtype=float)
-        self.index = index
-
-
 class EigenPair:
-    """Converged eigenpair of the condensed nonlinear problem.
+    """Trace eigenpair; ``index`` is its 1-based position in the ascending
+    spectrum.
 
     From ``solve_modes``: ``iterations`` counts solution-operator
     applications in the Lanczos run, ``defect`` is the relative residual
-    |A eta - lam M(lam) eta| / |A eta|.  From the secant: its iteration
-    count, last relative update and iterates (``history``).
+    |A eta - lam M(lam) eta| / |A eta|.  From the surrogate: a
+    Gram-normalized vector, no iterations and ``defect`` |A v - theta G v|
+    / |A v|.  From the secant: its iteration count, last relative update
+    and iterates (``history``).
     """
 
-    def __init__(self, value, vector, iterations, defect, history=()):
+    def __init__(self, value, vector, index, iterations=0, defect=0.0, history=()):
         self.value = float(value)
         self.vector = np.asarray(vector, dtype=float)
+        self.index = int(index)
         self.iterations = int(iterations)
         self.defect = float(defect)
         self.history = list(history)
@@ -81,11 +78,6 @@ OracleSpectrum = collections.namedtuple("OracleSpectrum", "values t_matrix")
 
 def _deterministic_start(n):
     return np.random.default_rng(20240814).standard_normal(n)
-
-
-def _scalar_dim(sys):
-    """dim W_h: the number of per-element scalar coefficients."""
-    return len(sys.mesh.triangles) * sys.n_w
 
 
 def _eigsh(op, k, what, **kwargs):
@@ -104,7 +96,7 @@ def _pencil_lowest(sys, gram, count, v0=None):
     so its rank is at most dim W_h.  The pencil is solved inverted,
     gram x = (1/theta) A x, so that kernel maps harmlessly to 0.
     """
-    n, dim_w = sys.ndof, _scalar_dim(sys)
+    n, dim_w = sys.ndof, len(sys.mesh.triangles) * sys.n_w  # dim W_h
     if count > dim_w:
         raise EigenSolveError(
             "mode %d lies in the kernel of the lift Gram matrix, whose rank is at "
@@ -143,10 +135,11 @@ def solve_linear_surrogate(sys, m):
         vec = vecs[:, i]
         gnorm = vec @ (sys.G @ vec)
         vec = vec / np.sqrt(gnorm)
-        res = np.linalg.norm(sys.A @ vec - lam * (sys.G @ vec))
-        if res > _RESIDUAL_TOL * np.linalg.norm(sys.A @ vec):
+        av = sys.A @ vec
+        defect = np.linalg.norm(av - lam * (sys.G @ vec)) / np.linalg.norm(av)
+        if defect > _RESIDUAL_TOL:
             raise EigenSolveError("surrogate eigenpair %d residual too large" % (i + 1))
-        pairs.append(SurrogatePair(lam, vec, index=i + 1))
+        pairs.append(EigenPair(lam, vec, i + 1, defect=defect))
     return pairs
 
 
@@ -168,7 +161,7 @@ def _wall_cap(sys):
 def _checked_defect(sys, lam, vec):
     """Relative residual |A v - lam M(lam) v| / |A v|, checked against the tolerance."""
     av = sys.A @ vec
-    res = np.linalg.norm(av - lam * (assemble_m_of_lambda(sys, lam) @ vec))
+    res = np.linalg.norm(av - lam * moment_rhs(sys, resolvent_lift(sys, lam, vec)))
     defect = res / np.linalg.norm(av)
     if defect > _RESIDUAL_TOL:
         raise EigenSolveError("eigenpair at %.6g fails the nonlinear residual check "
@@ -177,22 +170,23 @@ def _checked_defect(sys, lam, vec):
 
 
 def solve_condensed_nonlinear(sys, seed):
-    """Refine a surrogate eigenpair into a condensed nonlinear eigenpair.
+    """Refine an eigenpair into a condensed nonlinear eigenpair.
 
-    Each iteration freezes the resolvent Gram matrix at the current
-    iterate kappa and solves the resulting linear pencil for the
-    eigenvalue theta at the seed's spectral index.  The first update is
-    the plain fixed-point step kappa <- theta; afterwards a secant step
-    on F(kappa) = theta(kappa) - kappa is used, kept inside the bracket
-    that the sign of F provides (F is strictly decreasing).  On fine
-    meshes the fixed point contracts and the secant just accelerates it;
-    on coarse meshes it keeps the iteration from oscillating.
+    The seed is any ``EigenPair``; its value starts the iteration, its
+    vector starts each Lanczos run.  Each iteration freezes the resolvent
+    Gram matrix at the current iterate kappa and solves the resulting
+    linear pencil for the eigenvalue theta at the seed's spectral index.
+    The first update is the plain fixed-point step kappa <- theta;
+    afterwards a secant step on F(kappa) = theta(kappa) - kappa is used,
+    kept inside the bracket that the sign of F provides (F is strictly
+    decreasing).  On fine meshes the fixed point contracts and the secant
+    just accelerates it; on coarse meshes it keeps the iteration from
+    oscillating.
     """
     lam = float(seed.value)
     if lam <= 0:
         raise EigenSolveError("seed eigenvalue must be positive")
-    vec = getattr(seed, "vector", None)
-    index = getattr(seed, "index", None)
+    vec, index = seed.vector, seed.index
     lam_cap = _wall_cap(sys)
     kappa = min(lam, lam_cap)
     lo, hi = 0.0, None  # F(0) = surrogate value > 0
@@ -200,25 +194,14 @@ def solve_condensed_nonlinear(sys, seed):
     history = [kappa]
 
     for iteration in range(1, _SECANT_MAX_ITER + 1):
-        mmat = assemble_m_of_lambda(sys, kappa)
-        if index is None:
-            # index-less seed: lock onto the positive mode closest to it
-            cap = min(sys.ndof - 1, _scalar_dim(sys))
-            count = min(8, cap)
-            thetas, vecs = _pencil_lowest(sys, mmat, count, v0=vec)
-            if thetas[-1] < kappa and count < cap:
-                count = min(2 * count, cap)
-                thetas, vecs = _pencil_lowest(sys, mmat, count, v0=vec)
-            index = int(np.argmin(np.abs(thetas - kappa))) + 1
-        else:
-            thetas, vecs = _pencil_lowest(sys, mmat, index, v0=vec)
+        thetas, vecs = _pencil_lowest(sys, assemble_m_of_lambda(sys, kappa), index, v0=vec)
         theta, vec = thetas[index - 1], vecs[:, index - 1]
         resid = theta - kappa
         defect = abs(resid) / abs(theta)
         history.append(theta)
         if defect <= _SECANT_TOL:
             _checked_defect(sys, theta, vec)
-            return EigenPair(theta, vec, iteration, defect, history)
+            return EigenPair(theta, vec, index, iteration, defect, history)
 
         # bracket update: F decreasing, so F > 0 puts the root above kappa
         if resid > 0:
@@ -289,20 +272,20 @@ def solve_modes(sys, m):
     etas = sys.factorized().solve(np.column_stack(rhs))
     lam_cap = _wall_cap(sys)
     pairs = []
-    for eta, mu_i in zip(etas.T, mu[order]):
+    for index, (eta, mu_i) in enumerate(zip(etas.T, mu[order]), 1):
         lam = 1.0 / mu_i if mu_i > 0 else -np.inf
         if not 0.0 < lam < lam_cap:
             raise EigenSolveError(
                 "eigenvalue %d (%.6g) is not inside (0, %.6g), the resonance-free "
-                "interval of the resolvent on this mesh" % (len(pairs) + 1, lam, lam_cap)
+                "interval of the resolvent on this mesh" % (index, lam, lam_cap)
             )
-        pairs.append(EigenPair(lam, eta, op.applications, _checked_defect(sys, lam, eta)))
+        pairs.append(EigenPair(lam, eta, index, op.applications,
+                               _checked_defect(sys, lam, eta)))
     return pairs
 
 
-def oracle_full_eig(mesh, spaces, tau, mat=None, m=6):
-    """Lowest m eigenvalues of the full problem via the solution operator,
-    from ``solve_modes`` on a condensed system assembled here."""
-    sys = assemble_condensed(mesh, spaces, tau, mat or MaterialSpec.identity())
+def oracle_full_eig(sys, m=6):
+    """Lowest m eigenvalues of the full problem via the solution operator
+    of the condensed system ``sys``, from ``solve_modes``."""
     values = np.array([p.value for p in solve_modes(sys, m)])
     return OracleSpectrum(values, _source_operator(sys))

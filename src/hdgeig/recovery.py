@@ -21,7 +21,7 @@ dimensions.
 import numpy as np
 import scipy.linalg
 
-from .assembly import load_moments
+from .assembly import load_moments, recover_source_fields, resolvent_lift
 from .errors import EigenSolveError, NumericalError
 
 __all__ = [
@@ -75,15 +75,8 @@ def recover_fields(sys, pair):
     the domain's anchor point.
     """
     lam = pair.value
-    eta_loc = sys.local_trace(pair.vector)
-    num_t = len(sys.mesh.triangles)
-    u = np.empty((num_t, sys.n_w))
-    q = np.empty((num_t, sys.n_v))
-    for ops, members in sys.class_groups:
-        loc = eta_loc[members]
-        ueta = ops.resolvent(lam, ops.umat @ loc.T).T
-        u[members] = ueta
-        q[members] = loc @ ops.qmat.T + lam * (ueta @ ops.qwmat.T)
+    u = resolvent_lift(sys, lam, pair.vector)
+    q = recover_source_fields(sys, pair.vector, lam * u)[1]
 
     norm = np.sqrt(np.sum(u**2))
     if norm < 1e-300:

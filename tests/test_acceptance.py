@@ -69,9 +69,7 @@ def test_criterion_01_oracle_equivalence(meshes):
                         lams = np.sort(
                             [solve_condensed_nonlinear(sys, s).value for s in seeds]
                         )
-                        oracle = oracle_full_eig(
-                            meshes(domain, level), SpaceConfig(k), tau, m=6
-                        ).values
+                        oracle = oracle_full_eig(sys, m=6).values
                         rel = np.abs(lams - oracle) / oracle
                         assert rel.max() < 1e-9, (domain, level, k, tau.label())
         elapsed = time.perf_counter() - start

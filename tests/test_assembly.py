@@ -7,6 +7,8 @@ from hdgeig.assembly import (
     assemble_m_of_lambda,
     assemble_source_rhs,
     load_moments,
+    moment_rhs,
+    resolvent_lift,
     solve_source,
 )
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
@@ -55,6 +57,14 @@ class TestGlobalMatrices:
         sys = systems("square", 1, 1)
         m = assemble_m_of_lambda(sys, 2.0)
         assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    def test_m_applied_by_resolvent_lift(self, systems, lam):
+        sys = systems("square", 1, 1)
+        v = np.random.default_rng(7).standard_normal(sys.ndof)
+        ref = assemble_m_of_lambda(sys, lam) @ v
+        got = moment_rhs(sys, resolvent_lift(sys, lam, v))
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_m_small_lambda_perturbation(self, systems):
         sys = systems("square", 0, 0)

@@ -125,6 +125,15 @@ class TestOracleCommand:
         assert main(["oracle-check", "--level", "2", "--k", "1"]) == 0
         assert "rel diff" in capsys.readouterr().out
 
+    def test_csv_and_json_formats(self, capsys):
+        assert main(["oracle-check", "--level", "0", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 6
+        assert all(r["condensed"] == pytest.approx(r["oracle"], rel=1e-9) for r in rows)
+        assert main(["oracle-check", "--level", "0", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["mode", "condensed", "oracle", "rel diff"] and len(rows) == 7
+
     def test_negative_level_exits_2(self, capsys):
         assert main(["oracle-check", "--level", "-1"]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -151,11 +160,15 @@ class TestConfigFile:
         assert code == 0 and len(rows) == 1  # flag wins
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        # rel_tol was an oracle-check key; the secant tolerance is fixed now
+        # rel_tol was an oracle-check key; the secant tolerance is fixed now.
+        # Bad values and a missing file are configuration errors as well
         cfg = tmp_path / "bad.cfg"
-        for line in ("flux_capacitor = 1", "rel_tol = 1e-10"):
+        for line in ("flux_capacitor = 1", "rel_tol = 1e-10", "k = two",
+                     "postprocess = maybe"):
             cfg.write_text(line + "\n")
             assert main(["--config", str(cfg), "solve"]) == 2
+        assert main(["--config", str(tmp_path / "missing.cfg"), "solve"]) == 2
+        assert capsys.readouterr().err.count("configuration error") == 5
 
     def test_removed_secant_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -192,3 +205,5 @@ class TestBenchHooks:
         assert layers["eigensolve.oracle_columns"] > 0
         assert layers["eigensolve.nonlinear_iters"] > 0
         assert layers["eigensolve.eigh_calls"] == 0
+        # one factorization per command: oracle-check reuses its system
+        assert layers["assembly.factorizations"] == 2

@@ -11,7 +11,7 @@ from hdgeig.eigensolve import (
 )
 from hdgeig.errors import EigenSolveError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
-from hdgeig.mesh import Mesh, build_square_mesh
+from hdgeig.mesh import Mesh
 from hdgeig.recovery import eig_residuals, recover_fields
 
 
@@ -39,6 +39,7 @@ class TestLinearSurrogate:
             assert pair.vector @ (sys.G @ pair.vector) == pytest.approx(1.0, rel=1e-10)
             res = np.linalg.norm(sys.A @ pair.vector - pair.value * (sys.G @ pair.vector))
             assert res <= 1e-9 * np.linalg.norm(sys.A @ pair.vector)
+            assert pair.defect <= 1e-9
 
     def test_scaling_by_coefficients(self, meshes):
         mesh = meshes("square", 0)
@@ -71,18 +72,21 @@ class TestCondensedNonlinear:
         err = abs(pairs[0].value - 2.0)
         assert 0.8 * 4.53e-6 < err < 1.2 * 4.53e-6
 
-    def test_rerun_on_converged_output(self, systems):
-        # an EigenPair has no spectral index: the rerun locks onto the
-        # closest frozen-pencil mode.  Mode 10 of L-shape k = 0 level 0
-        # (ndof 28) lies above the 8 lowest, so the rerun doubles its
-        # mode count to 16, which must stay below ndof
-        for case, mode in ((("square", 1, 1), 1), (("lshape", 0, 0), 10)):
+    def test_rerun_on_converged_output(self, systems, eigenpairs):
+        # every pair carries its spectral index, so a converged pair from
+        # the secant or from solve_modes seeds the secant at its own
+        # position, which it confirms at once.  Square k = 1 modes 2-3 and
+        # 5-6 are close pairs; L-shape k = 0 mode 10 (ndof 28) lies far up
+        for case, modes in ((("square", 1, 1), range(1, 7)), (("lshape", 0, 0), (10,))):
             sys = systems(*case)
-            seed = solve_linear_surrogate(sys, mode)[mode - 1]
-            pair = solve_condensed_nonlinear(sys, seed)
-            again = solve_condensed_nonlinear(sys, pair)
-            assert again.iterations <= 2
-            assert abs(again.value - pair.value) <= 1e-12 * pair.value
+            seeds, pairs = eigenpairs(*case, m=max(modes))
+            for mode in modes:
+                converged = solve_condensed_nonlinear(sys, seeds[mode - 1])
+                for pair in (converged, pairs[mode - 1]):
+                    again = solve_condensed_nonlinear(sys, pair)
+                    assert again.index == pair.index == mode
+                    assert again.iterations <= 2
+                    assert abs(again.value - pair.value) <= 1e-12 * pair.value
 
     def test_nonlinear_residual_invariant(self, systems, eigenpairs):
         from hdgeig.assembly import assemble_m_of_lambda
@@ -115,21 +119,19 @@ class TestCondensedNonlinear:
 class TestOracle:
     def test_matches_condensed_at_level0(self, systems):
         lams = secant_values(systems("square", 0, 0), 6)
-        oracle = oracle_full_eig(
-            build_square_mesh(0), SpaceConfig(0), TauSpec.one(), m=6
-        )
+        oracle = oracle_full_eig(systems("square", 0, 0), m=6)
         assert np.abs(lams - oracle.values).max() <= 1e-9 * oracle.values.max()
 
-    def test_operator_matrix_symmetric(self, meshes):
-        orc = oracle_full_eig(meshes("square", 1), SpaceConfig(1), TauSpec.one(), m=4)
+    def test_operator_matrix_symmetric(self, systems):
+        orc = oracle_full_eig(systems("square", 1, 1), m=4)
         t = orc.t_matrix
         x, y = np.random.default_rng(5).standard_normal((2, t.shape[0]))
         tx, ty = t @ x, t @ y
         assert abs(x @ ty - y @ tx) <= 1e-12 * np.linalg.norm(tx) * np.linalg.norm(y)
         assert x @ tx > 0 and y @ ty > 0
 
-    def test_all_eigenvalues_positive(self, meshes):
-        orc = oracle_full_eig(meshes("square", 0), SpaceConfig(0), TauSpec.one(), m=6)
+    def test_all_eigenvalues_positive(self, systems):
+        orc = oracle_full_eig(systems("square", 0, 0), m=6)
         assert orc.values.min() > 0
 
 
