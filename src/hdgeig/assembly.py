@@ -9,6 +9,8 @@ remains, which reconciles the element-local edge parametrization with
 the global one fixed by ascending vertex index.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -106,23 +108,22 @@ class CondensedSystem:
         np.add.at(out, self.elem_dofs[mask], vals[mask])
         return out
 
-    def volume_points(self, rule_points=None):
-        pts = self.ref.vol.points if rule_points is None else rule_points
-        return self.p0[:, None, :] + np.einsum("eab,qb->eqa", self.bmats, pts)
+    def volume_points(self, rule=None):
+        """Physical points (T, n_q, 2) of a reference rule (default: the
+        volume rule), mapped once per congruence class."""
+        pts = (self.ref.vol if rule is None else rule).points
+        offsets = np.stack([pts @ ops.bmat.T for ops in self.classes])
+        return self.p0[:, None, :] + offsets[self.elem_class]
 
-    def volume_weights(self):
-        det = np.linalg.det(self.bmats)
-        return det[:, None] * self.ref.vol.weights[None, :]
-
-    def error_points(self):
-        return self.volume_points(self.ref.err.points)
-
-    def error_weights(self):
-        det = np.linalg.det(self.bmats)
-        return det[:, None] * self.ref.err.weights[None, :]
+    @cached_property
+    def error_rule(self):
+        """Physical points (T, n_q, 2) and weights (T, n_q) of the
+        high-order rule for errors against closed-form functions."""
+        det = np.array([ops.det for ops in self.classes])[self.elem_class]
+        return self.volume_points(self.ref.err), det[:, None] * self.ref.err.weights
 
     def w_scale(self):
-        """Per-element 1/sqrt(det B): physical basis = reference / scale."""
+        """Per-element sqrt(det B): physical basis = reference / scale."""
         return np.sqrt(np.linalg.det(self.bmats))
 
     def factorized(self):
@@ -236,9 +237,10 @@ def load_moments(sys, f):
     scalar space (the load enters the lifts only through these)."""
     pts = sys.volume_points()
     vals = np.asarray(f(pts[:, :, 0], pts[:, :, 1]), dtype=float)
-    wq = sys.volume_weights()
-    scale = sys.w_scale()
-    return np.einsum("eq,qi->ei", wq * vals, sys.ref.w_vals) / scale[:, None]
+    out = np.empty((len(vals), sys.n_w))
+    for ops, members in sys.class_groups:
+        out[members] = (vals[members] * ops.wq) @ ops.w_vals
+    return out
 
 
 def assemble_source_rhs(sys, f):

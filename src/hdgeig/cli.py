@@ -41,6 +41,8 @@ _ORACLE_TOL = 1e-9
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
+#: boolean config keys and the flag that turns each away from its default
+_SWITCHES = {"postprocess": "--no-postprocess", "verbose": "--verbose"}
 
 
 def parse_tau(text):
@@ -109,8 +111,8 @@ def read_config_file(path):
     return values
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
+def _build_parser(parser_class=argparse.ArgumentParser):
+    parser = parser_class(
         prog="hdg-eig",
         description="Condensed-trace eigenvalue solver for the Dirichlet "
         "diffusion operator on the square and L-shaped benchmark domains.",
@@ -153,33 +155,42 @@ def _build_parser():
     return parser
 
 
-def _apply_config_file(parser, argv):
-    # peek at --config before the real parse so file values become defaults
+class _ConfigFileParser(argparse.ArgumentParser):
+    """Checks config-file entries: a bad one is a ConfigError, not an exit."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _with_config_file(argv):
+    """argv with the --config file's entries as flags right after the
+    subcommand, so argparse checks their types and choices and explicit
+    flags, which come later, win.  Keys the subcommand lacks are skipped."""
     peek = argparse.ArgumentParser(add_help=False)
     peek.add_argument("--config")
-    known, _ = peek.parse_known_args(argv)
-    if not known.config:
-        return
-    values = read_config_file(known.config)
-    converted = {}
-    for key, val in values.items():
-        if key in ("k", "level"):
-            try:
-                converted[key] = int(val)
-            except ValueError:
-                raise ConfigError("%s: %s must be an integer, not %r"
-                                  % (known.config, key, val))
-        elif key in ("postprocess", "verbose"):
-            if val.lower() not in _BOOLEANS:
-                raise ConfigError("%s: %s must be one of %s, not %r"
-                                  % (known.config, key, "/".join(_BOOLEANS), val))
-            converted[key] = _BOOLEANS[val.lower()]
-        else:
-            converted[key] = val
-    parser.set_defaults(**converted)
-    for action in parser._subparsers._group_actions[0].choices.values():
-        action.set_defaults(**{k: v for k, v in converted.items()
-                               if k in {a.dest for a in action._actions}})
+    path = peek.parse_known_args(argv)[0].config
+    at = 0
+    while at < len(argv) and argv[at].startswith("-"):
+        at += 2 if argv[at] == "--config" else 1
+    if not path or at == len(argv):
+        return argv
+    values = read_config_file(path)
+    check = _build_parser(_ConfigFileParser)
+    defaults = vars(check.parse_args(argv[at : at + 1]))
+    tokens = []
+    try:
+        for key, val in values.items():
+            if key in _SWITCHES:
+                if val.lower() not in _BOOLEANS:
+                    raise ConfigError("%s must be one of %s, not %r"
+                                      % (key, "/".join(_BOOLEANS), val))
+                val = _BOOLEANS[val.lower()]
+            if key in defaults and val != defaults[key]:
+                tokens.append(_SWITCHES.get(key, "--%s=%s" % (key, val)))
+        check.parse_args(argv[at : at + 1] + tokens)
+    except ConfigError as exc:
+        raise ConfigError("%s: %s" % (path, exc))
+    return argv[: at + 1] + tokens + argv[at + 1 :]
 
 
 def _write_output(text, args):
@@ -279,8 +290,7 @@ def main(argv=None):
     argv = list(_sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config_file(argv))
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=_sys.stderr)
         return EXIT_CONFIG

@@ -3,9 +3,9 @@
 For each element the two local lift families share one saddle-point
 matrix: the trace lift maps polynomial data on the element boundary to a
 local (flux, scalar) pair, and the load lift maps an interior load to
-such a pair.  Everything downstream (condensed stiffness form, surrogate
-Gram form, eigen-iteration resolvents, recovery of eigenfunctions) is
-built from the four dense matrices computed here.
+such a pair.  Everything downstream (condensed forms, resolvents,
+recovery of eigenfunctions) is built from the four dense matrices
+computed here, and the postprocessing from the per-class maps below.
 
 Bases on the physical element are the mapped reference bases scaled by
 the inverse square root of the Jacobian determinant, so local mass
@@ -346,19 +346,20 @@ class ElementOps:
         self.n_m = ref.n_m
         self.n_trace = 3 * ref.n_m
 
-        # saddle matrix shared by both lift families
+        # saddle matrix shared by both lift families; cmat and emat hold the
+        # trace-basis face moments of q.n and of tau u
         c = mat.c
         acc = np.kron(c, np.eye(n_v1))
         bdiv = np.einsum("q,qi,qj->ij", self.wq, self.w_vals, self.v_divs)
         dtau = np.zeros((self.n_w, self.n_w))
-        cmat = np.zeros((self.n_v, self.n_trace))
-        emat = np.zeros((self.n_w, self.n_trace))
+        self.cmat = np.zeros((self.n_v, self.n_trace))
+        self.emat = np.zeros((self.n_w, self.n_trace))
         for l in range(3):
             fw = self.face_wq[l]
             dtau += self.tau[l] * np.einsum("e,ei,ej->ij", fw, self.w_face[l], self.w_face[l])
             cols = slice(l * self.n_m, (l + 1) * self.n_m)
-            cmat[:, cols] = np.einsum("e,ei,em->im", fw, self.v_normal[l], self.t_face[l])
-            emat[:, cols] = self.tau[l] * np.einsum(
+            self.cmat[:, cols] = np.einsum("e,ei,em->im", fw, self.v_normal[l], self.t_face[l])
+            self.emat[:, cols] = self.tau[l] * np.einsum(
                 "e,ei,em->im", fw, self.w_face[l], self.t_face[l]
             )
 
@@ -373,7 +374,7 @@ class ElementOps:
             )
         self._lhs_lu = scipy.linalg.lu_factor(lhs)
 
-        rhs_tr = np.vstack([-cmat, emat])
+        rhs_tr = np.vstack([-self.cmat, self.emat])
         sol = scipy.linalg.lu_solve(self._lhs_lu, rhs_tr)
         self.qmat = sol[: self.n_v]
         self.umat = sol[self.n_v :]
@@ -410,30 +411,19 @@ class ElementOps:
             )
         return np.linalg.solve(mat, rhs)
 
-    # --- postprocessing operators (built on first use) ---
+    # --- post-solve maps (built on first use, once per class) ---
 
     @cached_property
     def p_ops(self):
-        """Stiffness of the degree-(k+1) space plus mean constraint."""
+        """Physical tabulations of the degree-(k+1) reconstruction space."""
         ref = self.ref
         scale = np.sqrt(self.det)
         p_vals = ref.p_vals / scale
-        p_grads = np.einsum("qib,ba->qia", ref.p_grads, self.binv) / scale
-        stiff = np.einsum("q,qia,qja->ij", self.wq, p_grads, p_grads)
-        means = np.einsum("q,qi->i", self.wq, p_vals)
-        n = ref.n_p
-        bord = np.zeros((n + 1, n + 1))
-        bord[:n, :n] = stiff
-        bord[:n, n] = means
-        bord[n, :n] = means
-        lu = scipy.linalg.lu_factor(bord)
-        p_face = [ref.p_face[l] / scale for l in range(3)]
         return {
             "vals": p_vals,
-            "grads": p_grads,
-            "lu": lu,
-            "means": means,
-            "face": p_face,
+            "grads": np.einsum("qib,ba->qia", ref.p_grads, self.binv) / scale,
+            "means": self.wq @ p_vals,
+            "face": [ref.p_face[l] / scale for l in range(3)],
         }
 
     def rt_tabulate(self, ref_pts):
@@ -456,38 +446,74 @@ class ElementOps:
 
     @cached_property
     def rt_ops(self):
-        """Local square system defining the conforming flux reconstruction."""
+        """Volume values and face normal components of the flux
+        postprocessing space."""
         ref = self.ref
-        k = ref.spaces.k
-        if k > basis.MAX_RT_DEGREE:
+        if ref.spaces.k > basis.MAX_RT_DEGREE:
             raise ConfigError("flux postprocessing supports k <= %d" % basis.MAX_RT_DEGREE)
-        scale = np.sqrt(self.det)
-        vol_vals = self.rt_tabulate(ref.vol.points)
-        face_normal = [
-            np.einsum("eid,d->ei", self.rt_tabulate(ref.face_ref_pts[l]), self.normals[l])
-            for l in range(3)
-        ]
+        return {
+            "vol_vals": self.rt_tabulate(ref.vol.points),
+            "face_normal": [self.rt_tabulate(ref.face_ref_pts[l]) @ self.normals[l]
+                            for l in range(3)],
+        }
 
-        rows = []
-        for l in range(3):
-            fw = self.face_wq[l]
-            rows.append(np.einsum("e,em,ei->mi", fw, self.t_face[l], face_normal[l]))
-        ivals = None
-        if k >= 1:
-            ivals = ref.i_vals / scale
-            rows.append(np.einsum("q,qi,qj->ij", self.wq, ivals, vol_vals[:, :, 0]))
-            rows.append(np.einsum("q,qi,qj->ij", self.wq, ivals, vol_vals[:, :, 1]))
-        system = np.vstack(rows)
+    def _face_moments(self, l, vals):
+        """Trace-basis moments (n, n_m) on face l of values (n_g, n)."""
+        return vals.T @ (self.face_wq[l][:, None] * self.t_face[l])
+
+    @cached_property
+    def rt_moments(self):
+        """(n_rt, n_trace): face moments of the normal component of each
+        flux postprocessing member."""
+        normal = self.rt_ops["face_normal"]
+        return np.hstack([self._face_moments(l, normal[l]) for l in range(3)])
+
+    @cached_property
+    def post_u(self):
+        """(n_v + n_w, n_p) map of [q | u] to the degree-(k+1) scalar u*, the
+        solution of the local Neumann problem (grad u*, grad p) = -(c q, grad p)
+        whose element mean, imposed through a border, is that of u."""
+        p, n_p = self.p_ops, self.ref.n_p
+        bord = np.zeros((n_p + 1, n_p + 1))
+        bord[:n_p, :n_p] = np.einsum("q,qia,qja->ij", self.wq, p["grads"], p["grads"])
+        bord[:n_p, n_p] = bord[n_p, :n_p] = p["means"]
+        data = np.zeros((self.n_v + self.n_w, n_p + 1))
+        data[: self.n_v, :n_p] = np.einsum(
+            "q,qid,ad,qja->ij", -self.wq, self.v_vals, self.mat.c, p["grads"])
+        data[self.n_v :, n_p] = self.w_means
+        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(bord), data.T).T[:, :n_p]
+
+    @cached_property
+    def post_q(self):
+        """(n_trace + n_w + n_v, n_rt) map of [eta_loc | u | q] to the
+        normal-continuous flux q*: the face moments of q*.n are those of the
+        numerical flux q.n + tau (u - eta) and, for k >= 1, the moments of
+        q* against [P_{k-1}]^2 are those of q."""
+        eta = scipy.linalg.block_diag(
+            *(-self.tau[l] * self._face_moments(l, self.t_face[l]) for l in range(3)))
+        system, data = [self.rt_moments.T], [np.vstack([eta, self.emat, self.cmat])]
+        if self.ref.spaces.k >= 1:
+            ivals = self.wq[:, None] * self.ref.i_vals / np.sqrt(self.det)
+            zeros = np.zeros((self.n_trace + self.n_w, ivals.shape[1]))
+            for d in range(2):
+                system.append(ivals.T @ self.rt_ops["vol_vals"][:, :, d])
+                data.append(np.vstack([zeros, self.v_vals[:, :, d].T @ ivals]))
+        system = np.vstack(system)
         cond = np.linalg.cond(system)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise LocalSolveError("flux reconstruction system singular (cond %.1e)" % cond)
-        lu = scipy.linalg.lu_factor(system)
-        return {
-            "lu": lu,
-            "vol_vals": vol_vals,
-            "face_normal": face_normal,
-            "i_vals": ivals,
-        }
+        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(system), np.hstack(data).T).T
+
+    @cached_property
+    def rayleigh_forms(self):
+        """(S, M, F): the postprocessed eigenvalue is (u*.S u* + q*.F u*) /
+        u*.M u*, with S the alpha-weighted stiffness and M the mass of the
+        degree-(k+1) space, and F pairing q*.n with u* on the boundary."""
+        p, normal = self.p_ops, self.rt_ops["face_normal"]
+        stiff = np.einsum("q,qia,ab,qjb->ij", self.wq, p["grads"], self.mat.alpha, p["grads"])
+        mass = (self.wq[:, None] * p["vals"]).T @ p["vals"]
+        pairing = sum(normal[l].T @ (self.face_wq[l][:, None] * p["face"][l]) for l in range(3))
+        return stiff, mass, pairing
 
 
 def element_lift(vertices, spaces, tau, mat=None, mesh_h=None, element=0):

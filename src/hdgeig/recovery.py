@@ -9,17 +9,19 @@ reconstruction in the Raviart-Thomas-type space whose edge data is the
 numerical flux.  A Rayleigh-quotient-like formula combines both into a
 superconvergent eigenvalue.
 
+Each step is linear (the eigenvalue: quadratic) in the per-element
+coefficients, so it is compiled into matrices built once per congruence
+class by ``ElementOps``: ``post_u`` maps [q | u] to u*, ``post_q`` maps
+[eta_loc | u | q] to q*, and ``rayleigh_forms`` holds the stiffness,
+mass and boundary-pairing forms of the quotient.  Every class loop here
+is one matrix product with them.
+
 The module also provides residual diagnostics that re-integrate the
 discretized equations against the full test bases, independently of the
 lift matrices used to compute the fields.
-
-Index convention in contractions: e = element, q = volume quadrature
-point, g = edge quadrature point, i/j/m = basis members, d/a/b = space
-dimensions.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import load_moments, recover_source_fields, resolvent_lift
 from .errors import EigenSolveError, NumericalError
@@ -103,19 +105,10 @@ def postprocess_u(sys, fields):
     recovered flux and keeps the element mean of the recovered scalar;
     the mean constraint closes the local Neumann problem.
     """
-    num_t = len(sys.mesh.triangles)
-    n_p = sys.ref.n_p
-    c = sys.mat.c
-    out = np.empty((num_t, n_p))
+    data = np.hstack([fields.q, fields.u])
+    out = np.empty((len(data), sys.ref.n_p))
     for ops, members in sys.class_groups:
-        pops = ops.p_ops
-        qvals = np.einsum("qid,ei->eqd", ops.v_vals, fields.q[members])
-        cq = qvals @ c.T
-        rhs_grad = -np.einsum("q,eqd,qjd->ej", ops.wq, cq, pops["grads"])
-        means = fields.u[members] @ ops.w_means
-        rhs = np.concatenate([rhs_grad, means[:, None]], axis=1)
-        sol = scipy.linalg.lu_solve(pops["lu"], rhs.T).T
-        out[members] = sol[:, :n_p]
+        out[members] = data[members] @ ops.post_u
     return out
 
 
@@ -135,27 +128,10 @@ def postprocess_q(sys, fields):
     interior moments match the recovered flux against degree-(k-1)
     vector polynomials.
     """
-    num_t = len(sys.mesh.triangles)
-    ref = sys.ref
-    n_m = ref.n_m
-    eta_loc = sys.local_trace(fields.eta)
-    out = np.empty((num_t, ref.n_rt))
+    data = np.hstack([sys.local_trace(fields.eta), fields.u, fields.q])
+    out = np.empty((len(data), sys.ref.n_rt))
     for ops, members in sys.class_groups:
-        rt = ops.rt_ops
-        rows = []
-        for l in range(3):
-            eta_face = eta_loc[members][:, l * n_m : (l + 1) * n_m]
-            qhat = _numerical_flux_trace(ops, eta_face, fields.u[members],
-                                         fields.q[members], l)
-            rows.append(np.einsum("g,eg,gm->em", ops.face_wq[l], qhat, ops.t_face[l]))
-        if ref.spaces.k >= 1:
-            ivals = rt["i_vals"]
-            qvals = np.einsum("qid,ei->eqd", ops.v_vals, fields.q[members])
-            rows.append(np.einsum("q,eq,qi->ei", ops.wq, qvals[:, :, 0], ivals))
-            rows.append(np.einsum("q,eq,qi->ei", ops.wq, qvals[:, :, 1], ivals))
-        rhs = np.concatenate(rows, axis=1)
-        sol = scipy.linalg.lu_solve(rt["lu"], rhs.T).T
-        out[members] = sol
+        out[members] = data[members] @ ops.post_q
     return out
 
 
@@ -166,20 +142,13 @@ def rayleigh_eigenvalue(sys, u_star, q_star):
     element-boundary pairing of the reconstructed normal flux with the
     scalar branch values; denominator: L2 norm of the reconstruction.
     """
-    alpha = sys.mat.alpha
     num = 0.0
     den = 0.0
     for ops, members in sys.class_groups:
-        pops = ops.p_ops
-        rt = ops.rt_ops
-        grads = np.einsum("qja,ej->eqa", pops["grads"], u_star[members])
-        num += np.einsum("q,eqa,ab,eqb->", ops.wq, grads, alpha, grads)
-        vals = np.einsum("qj,ej->eq", pops["vals"], u_star[members])
-        den += np.einsum("q,eq,eq->", ops.wq, vals, vals)
-        for l in range(3):
-            qn = np.einsum("ei,gi->eg", q_star[members], rt["face_normal"][l])
-            uv = np.einsum("ej,gj->eg", u_star[members], pops["face"][l])
-            num += np.einsum("g,eg->", ops.face_wq[l], qn * uv)
+        stiff, mass, pairing = ops.rayleigh_forms
+        us = u_star[members]
+        num += np.sum((us @ stiff + q_star[members] @ pairing) * us)
+        den += np.sum((us @ mass) * us)
     if den <= 0:
         raise NumericalError("postprocessed field has zero norm")
     return num / den
@@ -278,13 +247,9 @@ def qstar_normal_jumps(sys, q_star):
     jumps = np.zeros((mesh.num_edges, n_m))
     mags = np.zeros((mesh.num_edges, n_m))
     for ops, members in sys.class_groups:
-        rt = ops.rt_ops
-        for l in range(3):
-            qn = np.einsum("ei,gi->eg", q_star[members], rt["face_normal"][l])
-            moments = np.einsum("g,eg,gm->em", ops.face_wq[l], qn, ops.t_face[l])
-            signs = sys.elem_signs[members][:, l * n_m : (l + 1) * n_m]
-            edges = mesh.elem_edges[members, l]
-            np.add.at(jumps, edges, moments * signs)
-            np.add.at(mags, edges, np.abs(moments))
+        moments = (q_star[members] @ ops.rt_moments * sys.elem_signs[members]).reshape(-1, n_m)
+        edges = mesh.elem_edges[members].ravel()
+        np.add.at(jumps, edges, moments)
+        np.add.at(mags, edges, np.abs(moments))
     interior = ~mesh.boundary
     return float(np.abs(jumps[interior]).max() / max(mags[interior].max(), 1e-300))

@@ -38,9 +38,6 @@ __all__ = [
     "emit_table",
 ]
 
-#: L2 norm of sin(m x) sin(n y) on the square domain, any m, n
-SQUARE_MODE_NORM = np.pi / 2
-
 #: reference eigenvalues on the L-shaped domain: the first (singular)
 #: mode from Betcke & Trefethen's benchmark computation, the third known
 #: in closed form
@@ -112,13 +109,13 @@ def domain_modes(domain, count):
     raise ConfigError("unknown domain %r" % (domain,))
 
 
-def eigenfunction_error(sys, coeffs, mode):
-    """L2 distance between unit-normalized discrete and exact eigenfunctions.
+def eigenfunction_error(sys, mode, *fields):
+    """L2 distances between unit-normalized discrete and exact eigenfunctions.
 
-    ``coeffs`` holds per-element coefficients of either the recovered
-    scalar field or its degree-(k+1) reconstruction (recognized by the
-    column count).  The sign is chosen to minimize the error.  Raises for
-    modes without a usable closed-form eigenfunction.
+    One distance per field, each with the sign that minimizes it.  A field
+    holds per-element coefficients of the recovered scalar or of its
+    degree-(k+1) reconstruction (told apart by the column count).  Raises
+    for modes without a usable closed-form eigenfunction.
     """
     evaluator = mode.evaluator
     if evaluator is None:
@@ -126,26 +123,26 @@ def eigenfunction_error(sys, coeffs, mode):
             "mode %d of domain %r has no usable closed-form eigenfunction "
             "(multiplicity %d)" % (mode.index, mode.domain, mode.multiplicity)
         )
-    coeffs = np.asarray(coeffs, dtype=float)
-    ref = sys.ref
-    if coeffs.shape[1] == ref.n_w:
-        tabs = ref.w_err
-    elif coeffs.shape[1] == ref.n_p:
-        tabs = ref.p_err
-    else:
-        raise ValueError("unrecognized field dimension %d" % coeffs.shape[1])
-    pts = sys.error_points()
-    wq = sys.error_weights()
-    vals = np.einsum("qi,ei->eq", tabs, coeffs) / sys.w_scale()[:, None]
-    nrm = np.sqrt(np.sum(wq * vals**2))
-    if nrm == 0.0:
-        raise ValueError("discrete field is identically zero")
-    vals /= nrm
+    tabs = {sys.ref.n_w: sys.ref.w_err, sys.ref.n_p: sys.ref.p_err}
+    pts, wq = sys.error_rule
+    norm2 = lambda f: np.einsum("eq,eq,eq->", wq, f, f)
     exact = evaluator(pts[:, :, 0], pts[:, :, 1])
-    exact = exact / np.sqrt(np.sum(wq * exact**2))
-    plus = np.sqrt(np.sum(wq * (vals - exact) ** 2))
-    minus = np.sqrt(np.sum(wq * (vals + exact) ** 2))
-    return float(min(plus, minus))
+    exact /= np.sqrt(norm2(exact))
+    scale = sys.w_scale()[:, None]
+    errors = []
+    for coeffs in map(np.asarray, fields):
+        if coeffs.shape[1] not in tabs:
+            raise ValueError("unrecognized field dimension %d" % coeffs.shape[1])
+        vals = coeffs @ tabs[coeffs.shape[1]].T
+        vals /= scale
+        nrm = np.sqrt(norm2(vals))
+        if nrm == 0.0:
+            raise ValueError("discrete field is identically zero")
+        vals /= nrm
+        plus = norm2(vals - exact)
+        minus = norm2(np.add(vals, exact, out=vals))
+        errors.append(float(np.sqrt(min(plus, minus))))
+    return errors
 
 
 def estimate_order(errors):
@@ -353,15 +350,15 @@ def _run_level(config, spaces, mesh, level, modes_ref, report):
         except HdgError as exc:
             cell.note = str(exc)
             continue
-        if exact.evaluator is not None:
-            cell.err_u = eigenfunction_error(sys, fields.u, exact)
+        scalars = [fields.u]
         if config.postprocess:
             post = postprocess(sys, fields)
             cell.lam_star = post.value_star
             if exact.value is not None:
                 cell.err_lam_star = abs(post.value_star - exact.value)
-            if exact.evaluator is not None:
-                cell.err_u_star = eigenfunction_error(sys, post.u_star, exact)
+            scalars.append(post.u_star)
+        if exact.evaluator is not None:
+            cell.err_u, cell.err_u_star = (eigenfunction_error(sys, exact, *scalars) + [None])[:2]
 
 
 # --- table rendering -------------------------------------------------------

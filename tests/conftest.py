@@ -1,12 +1,19 @@
-"""Shared solver caches so expensive meshes/systems are built once."""
+"""Shared solver caches, so expensive meshes/systems are built once, and the
+hypothesis settings profile of the property tests."""
 
 import pytest
+from hypothesis import settings
 
 from hdgeig.assembly import assemble_condensed
 from hdgeig.eigensolve import solve_linear_surrogate, solve_modes
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
 from hdgeig.mesh import build_lshape_mesh, build_square_mesh
 from hdgeig.study import StudyConfig, run_convergence_study
+
+# property tests draw the same examples on every run and stay cheap
+settings.register_profile("hdgeig", derandomize=True, deadline=None, max_examples=40,
+                          database=None)
+settings.load_profile("hdgeig")
 
 
 def _tau_from_key(key):

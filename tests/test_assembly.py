@@ -11,9 +11,10 @@ from hdgeig.assembly import (
     resolvent_lift,
     solve_source,
 )
+from hdgeig.eigensolve import solve_modes
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
 from hdgeig.mesh import Mesh, build_square_mesh
-from hdgeig.recovery import source_residuals
+from hdgeig.recovery import postprocess, recover_fields, source_residuals
 
 
 class TestDofMap:
@@ -155,8 +156,7 @@ class TestSolveSource:
         for level in (1, 2, 3):
             sys = systems("square", level, 2)
             _, u, _ = solve_source(sys, f)
-            pts = sys.error_points()
-            wq = sys.error_weights()
+            pts, wq = sys.error_rule
             vals = np.einsum("qi,ei->eq", sys.ref.w_err, u) / sys.w_scale()[:, None]
             exact = np.sin(pts[:, :, 0]) * np.sin(pts[:, :, 1])
             errors.append(np.sqrt(np.sum(wq * (vals - exact) ** 2)))
@@ -221,15 +221,23 @@ def _signed_permutation(mesh, permuted, vperm):
     return perm, sign
 
 
+def _renumbered(mesh, seed=4):
+    """The mesh with randomly permuted vertex and triangle numbering and
+    rotated triangle vertex lists, and the vertex map used."""
+    rng = np.random.default_rng(seed)
+    vperm = rng.permutation(mesh.num_vertices)
+    tris = vperm[mesh.triangles]
+    tris = tris[rng.permutation(len(tris))]
+    tris = np.stack([np.roll(t, rng.integers(3)) for t in tris])
+    permuted = Mesh(mesh.vertices[np.argsort(vperm)], tris, level=mesh.level,
+                    domain=mesh.domain)
+    return permuted, vperm
+
+
 class TestInvariances:
     def test_renumbering_leaves_forms_invariant(self, meshes):
         mesh = meshes("square", 0)
-        rng = np.random.default_rng(4)
-        vperm = rng.permutation(mesh.num_vertices)
-        tris = vperm[mesh.triangles]
-        tris = tris[rng.permutation(len(tris))]
-        tris = np.stack([np.roll(t, rng.integers(3)) for t in tris])
-        permuted = Mesh(mesh.vertices[np.argsort(vperm)], tris, domain="square")
+        permuted, vperm = _renumbered(mesh)
 
         spaces = SpaceConfig(1)
         sys_a = assemble_condensed(mesh, spaces, TauSpec.one())
@@ -239,6 +247,19 @@ class TestInvariances:
             dense_a = (sign[:, None] * sign[None, :]) * mat_a.toarray()
             dense_b = mat_b.toarray()[np.ix_(perm, perm)]
             assert np.abs(dense_a - dense_b).max() <= 1e-10 * np.abs(dense_a).max()
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_renumbering_leaves_spectrum_invariant(self, meshes, k):
+        # the edge parity signs and the local trace gather feed the flux
+        # reconstruction, so lambda* checks them beyond the assembled forms
+        values = []
+        for mesh in (meshes("square", 2), _renumbered(meshes("square", 2))[0]):
+            sys = assemble_condensed(mesh, SpaceConfig(k), TauSpec.one())
+            pairs = solve_modes(sys, 6)
+            values.append([(p.value, postprocess(sys, recover_fields(sys, p)).value_star)
+                           for p in pairs])
+        base, permuted = np.array(values)
+        assert np.all(np.abs(permuted - base) <= 1e-10 * base)
 
     def test_coefficient_scaling_law(self, meshes):
         # scaling (alpha, tau) -> (s alpha, s tau) multiplies the

@@ -51,14 +51,17 @@ class TestTriangleQuadrature:
             basis.triangle_quadrature(-1)
 
     def test_mapped_rule_area(self, systems):
-        # the mapped volume weights sum to the element areas
+        # the mapped volume weights sum to the element areas, and the
+        # per-class mapping of the error rule matches each element's own map
         e1, e2 = AFFINE[1] - AFFINE[0], AFFINE[2] - AFFINE[0]
         area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
         ops = element_lift(AFFINE, SpaceConfig(1), TauSpec.one())
         assert np.isclose(ops.wq.sum(), area, rtol=1e-12)
         sys = systems("lshape", 1, 1)
-        assert np.allclose(sys.volume_weights().sum(axis=1), sys.mesh.areas,
-                           rtol=1e-12, atol=0)
+        pts, wts = sys.error_rule
+        assert np.allclose(wts.sum(axis=1), sys.mesh.areas, rtol=1e-12, atol=0)
+        want = sys.p0[:, None, :] + np.einsum("eab,qb->eqa", sys.bmats, sys.ref.err.points)
+        assert np.abs(pts - want).max() < 1e-12
 
 
 class TestEdgeQuadrature:
@@ -175,11 +178,12 @@ class TestRTBasis:
 
     def test_dimensions(self):
         for k in range(4):
-            rt = element_lift(AFFINE, SpaceConfig(k), TauSpec.one()).rt_ops
+            ops = element_lift(AFFINE, SpaceConfig(k), TauSpec.one())
+            rt = ops.rt_ops
             n_rt = (k + 1) * (k + 3)
             assert rt["vol_vals"].shape[1:] == (n_rt, 2)
             assert all(fn.shape[1] == n_rt for fn in rt["face_normal"])
-            assert rt["lu"][0].shape == (n_rt, n_rt)
+            assert ops.post_q.shape == (ops.n_trace + ops.n_w + ops.n_v, n_rt)
 
     def test_unsupported_degree(self):
         with pytest.raises(ConfigError):

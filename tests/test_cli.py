@@ -170,6 +170,24 @@ class TestConfigFile:
         assert main(["--config", str(tmp_path / "missing.cfg"), "solve"]) == 2
         assert capsys.readouterr().err.count("configuration error") == 5
 
+    def test_bad_choice_exits_2(self, tmp_path, capsys):
+        # argparse checks the file's values like flags: choices included
+        cfg = tmp_path / "xml.cfg"
+        cfg.write_text("format = xml\n")
+        for command in ("solve", "study", "oracle-check"):
+            assert main(["--config", str(cfg), command]) == 2
+        assert capsys.readouterr().err.count("invalid choice: 'xml'") == 3
+
+    def test_keys_a_command_lacks_are_skipped(self, tmp_path, capsys):
+        # one file serves every command: study has no --level, oracle-check
+        # no --no-postprocess
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("k = 0\nlevel = 0\nlevels = 0:0\nmodes = 1\n"
+                       "postprocess = off\nformat = json\n")
+        for command in ("solve", "study", "oracle-check"):
+            assert main(["--config", str(cfg), command]) == 0
+            assert json.loads(capsys.readouterr().out)
+
     def test_removed_secant_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["oracle-check", "--rel-tol", "1e-10"])

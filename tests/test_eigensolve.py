@@ -161,6 +161,13 @@ class TestSolveModes:
         for pair in pairs:
             assert max(eig_residuals(sys, recover_fields(sys, pair)).values()) <= 1e-10
 
+    def test_matches_secant_anisotropic(self, systems):
+        # a12 != 0: no closed-form spectrum, so the two routes check each other
+        sys = systems("square", 1, 1, mat=MaterialSpec(1.0, 0.4, 2.0))
+        lams = np.array([p.value for p in solve_modes(sys, 6)])
+        secant = secant_values(sys, 6)
+        assert np.abs(lams - secant).max() <= 1e-10 * secant.max()
+
     def test_too_many_modes(self, systems):
         # Lanczos on T serves fewer than dim W_h modes, the surrogate pencil
         # fewer than ndof (here dim W_h = 96 > ndof = 80, so no kernel)

@@ -1,7 +1,13 @@
+import types
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from hdgeig.errors import EigenSolveError
+from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec, element_lift
 from hdgeig.recovery import (
     eig_residuals,
     postprocess,
@@ -11,6 +17,96 @@ from hdgeig.recovery import (
     rayleigh_eigenvalue,
     recover_fields,
 )
+
+
+# --- reference implementations -------------------------------------------
+# The quadrature loops that postprocess_u, postprocess_q and
+# rayleigh_eigenvalue ran before they became products with the per-class
+# maps of ElementOps.  Each takes one class's operators and the member
+# elements' coefficient rows.
+
+
+def reference_u_star(ops, u, q):
+    pops = ops.p_ops
+    n_p = ops.ref.n_p
+    stiff = np.einsum("q,qia,qja->ij", ops.wq, pops["grads"], pops["grads"])
+    means = np.einsum("q,qi->i", ops.wq, pops["vals"])
+    bord = np.zeros((n_p + 1, n_p + 1))
+    bord[:n_p, :n_p] = stiff
+    bord[:n_p, n_p] = means
+    bord[n_p, :n_p] = means
+    qvals = np.einsum("qid,ei->eqd", ops.v_vals, q)
+    cq = qvals @ ops.mat.c.T
+    rhs_grad = -np.einsum("q,eqd,qjd->ej", ops.wq, cq, pops["grads"])
+    rhs = np.concatenate([rhs_grad, (u @ ops.w_means)[:, None]], axis=1)
+    sol = scipy.linalg.lu_solve(scipy.linalg.lu_factor(bord), rhs.T).T
+    return sol[:, :n_p]
+
+
+def reference_q_star(ops, eta_loc, u, q):
+    rt = ops.rt_ops
+    n_m = ops.n_m
+    rows, rhs = [], []
+    for l in range(3):
+        fw = ops.face_wq[l]
+        rows.append(np.einsum("e,em,ei->mi", fw, ops.t_face[l], rt["face_normal"][l]))
+        qn = np.einsum("ei,gi->eg", q, ops.v_normal[l])
+        uvals = np.einsum("ei,gi->eg", u, ops.w_face[l])
+        etav = np.einsum("em,gm->eg", eta_loc[:, l * n_m : (l + 1) * n_m], ops.t_face[l])
+        qhat = qn + ops.tau[l] * (uvals - etav)
+        rhs.append(np.einsum("g,eg,gm->em", fw, qhat, ops.t_face[l]))
+    if ops.ref.spaces.k >= 1:
+        ivals = ops.ref.i_vals / np.sqrt(ops.det)
+        qvals = np.einsum("qid,ei->eqd", ops.v_vals, q)
+        for d in range(2):
+            rows.append(np.einsum("q,qi,qj->ij", ops.wq, ivals, rt["vol_vals"][:, :, d]))
+            rhs.append(np.einsum("q,eq,qi->ei", ops.wq, qvals[:, :, d], ivals))
+    lu = scipy.linalg.lu_factor(np.vstack(rows))
+    return scipy.linalg.lu_solve(lu, np.concatenate(rhs, axis=1).T).T
+
+
+def reference_rayleigh_terms(ops, u_star, q_star):
+    """Energy and boundary-pairing terms of the numerator, and the
+    denominator, summed over the class's elements."""
+    pops = ops.p_ops
+    grads = np.einsum("qja,ej->eqa", pops["grads"], u_star)
+    energy = np.einsum("q,eqa,ab,eqb->", ops.wq, grads, ops.mat.alpha, grads)
+    vals = np.einsum("qj,ej->eq", pops["vals"], u_star)
+    mass = np.einsum("q,eq,eq->", ops.wq, vals, vals)
+    pairing = 0.0
+    for l in range(3):
+        qn = np.einsum("ei,gi->eg", q_star, ops.rt_ops["face_normal"][l])
+        uv = np.einsum("ej,gj->eg", u_star, pops["face"][l])
+        pairing += np.einsum("g,eg->", ops.face_wq[l], qn * uv)
+    return energy, pairing, mass
+
+
+def reference_postprocess(sys, fields):
+    """(u*, q*, lambda*) from the reference implementations."""
+    eta_loc = sys.local_trace(fields.eta)
+    num_t = len(fields.u)
+    u_star = np.empty((num_t, sys.ref.n_p))
+    q_star = np.empty((num_t, sys.ref.n_rt))
+    num = den = 0.0
+    for ops, members in sys.class_groups:
+        u, q = fields.u[members], fields.q[members]
+        u_star[members] = reference_u_star(ops, u, q)
+        q_star[members] = reference_q_star(ops, eta_loc[members], u, q)
+        energy, pairing, mass = reference_rayleigh_terms(ops, u_star[members], q_star[members])
+        num += energy + pairing
+        den += mass
+    return u_star, q_star, num / den
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    assert np.abs(np.asarray(got) - want).max() <= rtol * np.abs(want).max()
+
+
+def flux_values(ops, q_star):
+    """q* fields at the volume points.  The x P_k members are nearly
+    dependent on [P_k]^2 (the local system has cond ~1e4 at k = 3), so two
+    round-off-close fields can differ in their coefficients by ~1e-11."""
+    return np.einsum("qid,ei->eqd", ops.rt_ops["vol_vals"], q_star)
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +204,7 @@ class TestPostprocessU:
         sys, fields = recovered("square", 2, 1)
         out = postprocess_u(sys, fields)
         mode = exact_square_spectrum(1)[0]
-        err = eigenfunction_error(sys, out, mode)
+        err, = eigenfunction_error(sys, mode, out)
         assert 0.8 * 1.44e-4 < err < 1.2 * 1.44e-4
 
 
@@ -122,7 +218,7 @@ class TestPostprocessQ:
     def test_local_system_nonsingular(self, systems, k):
         sys = systems("square", 0, k)
         for ops in sys.classes:
-            ops.rt_ops  # factorization succeeds
+            assert np.isfinite(ops.post_q).all()  # the local system is solvable
 
     def test_conforming_input_reproduced(self, systems):
         # a globally linear flux with matching trace data has zero
@@ -208,3 +304,77 @@ class TestRayleighEigenvalue:
             rayleigh_eigenvalue(
                 sys, np.zeros((num_t, sys.ref.n_p)), np.zeros((num_t, sys.ref.n_rt))
             )
+
+
+class TestCompiledMaps:
+    """The per-class postprocessing maps against the reference loops."""
+
+    @pytest.mark.parametrize("domain,level,k,case,tau", [
+        ("square", 1, 0, "equal", "one"), ("square", 2, 1, "equal", "one"),
+        ("lshape", 1, 2, "equal", "h"), ("square", 1, 3, "equal", "invh"),
+        ("square", 1, 2, "case1", "one"), ("lshape", 0, 1, "case2", "h"),
+    ])
+    def test_postprocess_matches_reference(self, systems, eigenpairs,
+                                           domain, level, k, case, tau):
+        sys = systems(domain, level, k, tau, case)
+        _, pairs = eigenpairs(domain, level, k, tau, case, m=3)
+        for pair in pairs:
+            fields = recover_fields(sys, pair)
+            post = postprocess(sys, fields)
+            u_star, q_star, lam_star = reference_postprocess(sys, fields)
+            assert_rel_close(post.u_star, u_star)
+            for ops, members in sys.class_groups:
+                assert_rel_close(flux_values(ops, post.q_star[members]),
+                                 flux_values(ops, q_star[members]))
+            assert post.value_star == pytest.approx(lam_star, rel=1e-12)
+
+    @given(
+        corners=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        log_size=st.floats(-2.0, 1.0),
+        diag=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        corr=st.floats(-0.9, 0.9),
+        tau=st.floats(1e-6, 1e4),
+        k=st.integers(0, 3),
+        case=st.sampled_from(["equal", "case1", "case2"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_element(self, corners, log_size, diag, corr, tau, k, case, seed):
+        # random affine triangle (no sliver), SPD material, tau in (0, 1e4]
+        case = case if k >= 1 else "equal"
+        verts = np.array(corners).reshape(3, 2)
+        e1, e2, e3 = verts[1] - verts[0], verts[2] - verts[1], verts[0] - verts[2]
+        area = 0.5 * (e1[0] * -e3[1] - e1[1] * -e3[0])
+        # shape quality 4 sqrt(3) area / sum of squared edges: 1 when equilateral
+        assume(abs(area) > 0.05)
+        assume(4 * np.sqrt(3) * abs(area) > 0.2 * (e1 @ e1 + e2 @ e2 + e3 @ e3))
+        verts = 10.0**log_size * (verts if area > 0 else verts[[0, 2, 1]])
+        a11, a22 = diag
+        mat = MaterialSpec(a11, corr * np.sqrt(a11 * a22), a22)
+        ops = element_lift(verts, SpaceConfig(k, case), TauSpec.constant(tau), mat)
+
+        # local operator properties: a_loc symmetric PSD, Uw SPD
+        scale = np.abs(ops.a_loc).max()
+        assert np.abs(ops.a_loc - ops.a_loc.T).max() <= 1e-12 * scale
+        assert np.linalg.eigvalsh(ops.a_loc).min() >= -1e-12 * scale
+        uw = ops.uwmat
+        assert np.abs(uw - uw.T).max() <= 1e-12 * np.abs(uw).max()
+        assert np.linalg.eigvalsh(0.5 * (uw + uw.T)).min() > 0
+
+        # the compiled maps on a one-class "system" of four elements
+        rng = np.random.default_rng(seed)
+        eta_loc = rng.standard_normal((4, ops.n_trace))
+        fields = types.SimpleNamespace(
+            eta=None, u=rng.standard_normal((4, ops.n_w)), q=rng.standard_normal((4, ops.n_v))
+        )
+        sys = types.SimpleNamespace(
+            ref=ops.ref, class_groups=[(ops, np.arange(4))], local_trace=lambda eta: eta_loc
+        )
+        u_star, q_star = postprocess_u(sys, fields), postprocess_q(sys, fields)
+        assert_rel_close(u_star, reference_u_star(ops, fields.u, fields.q))
+        assert_rel_close(flux_values(ops, q_star),
+                         flux_values(ops, reference_q_star(ops, eta_loc, fields.u, fields.q)))
+        # random fields are no eigenpair: the two numerator terms can cancel,
+        # so lambda* is compared relative to their magnitudes
+        energy, pairing, mass = reference_rayleigh_terms(ops, u_star, q_star)
+        lam_star = rayleigh_eigenvalue(sys, u_star, q_star)
+        assert abs(lam_star - (energy + pairing) / mass) <= 1e-12 * (energy + abs(pairing)) / mass

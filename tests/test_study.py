@@ -5,7 +5,7 @@ import pytest
 
 from hdgeig.basis import triangle_quadrature
 from hdgeig.errors import ConfigError, UnsupportedModeError
-from hdgeig.localsolve import TauSpec
+from hdgeig.localsolve import MaterialSpec, TauSpec
 from hdgeig.mesh import build_square_mesh
 from hdgeig.study import (
     ConvergenceReport,
@@ -83,10 +83,10 @@ class TestEigenfunctionError:
             coeffs[members] = np.einsum(
                 "q,eq,qi->ei", ops.wq, vals, ops.p_ops["vals"]
             )
-        assert eigenfunction_error(sys, coeffs, fake) < 1e-10
+        assert eigenfunction_error(sys, fake, coeffs)[0] < 1e-10
         # sign flip leaves the error unchanged
-        assert eigenfunction_error(sys, -coeffs, fake) == pytest.approx(
-            eigenfunction_error(sys, coeffs, fake)
+        assert eigenfunction_error(sys, fake, -coeffs)[0] == pytest.approx(
+            eigenfunction_error(sys, fake, coeffs)[0]
         )
 
     def test_projection_of_exact_mode(self, systems):
@@ -99,7 +99,7 @@ class TestEigenfunctionError:
         for ops, members in sys.class_groups:
             vals = mode.evaluator(pts[members][:, :, 0], pts[members][:, :, 1])
             coeffs[members] = np.einsum("q,eq,qi->ei", ops.wq, vals, ops.w_vals)
-        err = eigenfunction_error(sys, coeffs, mode)
+        err, = eigenfunction_error(sys, mode, coeffs)
         assert 0 < err < 1e-3
 
     def test_unsupported_mode_raises(self, systems):
@@ -107,12 +107,28 @@ class TestEigenfunctionError:
         mode2 = exact_square_spectrum(2)[1]
         coeffs = np.ones((len(sys.mesh.triangles), sys.ref.n_w))
         with pytest.raises(UnsupportedModeError):
-            eigenfunction_error(sys, coeffs, mode2)
+            eigenfunction_error(sys, mode2, coeffs)
 
     def test_benchmark_value(self, studies):
         rep = studies(k=1, levels=(0, 1, 2), modes=(1,))
         err = rep.cell(1, 2).err_u
         assert 0.8 * 3.14e-3 < err < 1.2 * 3.14e-3
+
+
+class TestAnisotropicMaterial:
+    def test_rates_against_exact_values(self, studies):
+        # alpha = diag(1, 2) on (0, pi)^2: eigenvalues m^2 + 2 n^2, the
+        # first four (3, 6, 9, 11) simple; the first check of the
+        # postprocessing stiffness with alpha != I
+        exact = sorted(m * m + 2 * n * n for m in range(1, 5) for n in range(1, 5))[:4]
+        rep = studies(k=1, levels=(1, 2, 3), modes=(1, 2, 3, 4),
+                      material=MaterialSpec(1.0, 0.0, 2.0))
+        for mode, value in enumerate(exact, 1):
+            err = [abs(rep.cell(mode, l).lam - value) for l in rep.levels]
+            err_star = [abs(rep.cell(mode, l).lam_star - value) for l in rep.levels]
+            assert abs(estimate_order(err)[-1] - 3.0) <= 0.3  # 2k + 1
+            assert estimate_order(err_star)[-1] >= 3.7  # at least 2k + 2, up to 0.3
+            assert all(s < e for s, e in zip(err_star, err))
 
 
 class TestEstimateOrder:
