@@ -1,18 +1,18 @@
-"""Global trace-dof numbering and assembly of the condensed forms.
+"""Global trace-dof numbering and the compiled condensed operators.
 
-The condensed stiffness form, the surrogate Gram form, the
-eigenvalue-dependent resolvent form, and the condensed source right-hand
-side are all sums of per-element blocks built from the local lift
-matrices.  Elements are grouped into congruence classes (translated
-copies share every local matrix); per element only a diagonal of signs
-remains, which reconciles the element-local edge parametrization with
-the global one fixed by ascending vertex index.
+Elements are grouped into congruence classes (translated copies share
+every local matrix); per element only a diagonal of signs remains, which
+reconciles the element-local edge parametrization with the global one
+fixed by ascending vertex index.  From the per-class matrices each
+system compiles, once, sparse matrices: the condensed stiffness A, the
+scalar trace lift U (its transpose maps a load to the condensed
+right-hand side), the block-diagonal load lift W, and on request the
+resolvent (I - kappa W)^-p from one eigendecomposition of Uw per class.
 """
 
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -25,7 +25,7 @@ __all__ = [
     "assemble_condensed",
     "assemble_m_of_lambda",
     "assemble_source_rhs",
-    "moment_rhs",
+    "flux_field",
     "resolvent_lift",
     "solve_source",
 ]
@@ -56,7 +56,7 @@ class CondensedSystem:
     """Assembled condensed operators plus the per-element lift cache."""
 
     def __init__(self, mesh, spaces, tau, mat, ref, classes, elem_class,
-                 elem_signs, elem_dofs, dofmap, amat, gmat, bmats, p0):
+                 elem_signs, elem_dofs, dofmap, amat, bmats, p0):
         self.mesh = mesh
         self.spaces = spaces
         self.tau = tau
@@ -68,7 +68,6 @@ class CondensedSystem:
         self.elem_dofs = elem_dofs
         self.dofmap = dofmap
         self.A = amat
-        self.G = gmat
         self.bmats = bmats
         self.p0 = p0
         self._class_members = [
@@ -93,20 +92,17 @@ class CondensedSystem:
     def n_v(self):
         return self.ref.n_v
 
+    @property
+    def dim_w(self):
+        """Dimension of the scalar space W_h."""
+        return len(self.mesh.triangles) * self.n_w
+
     def local_trace(self, eta):
         """Gather a global trace vector into signed element-local blocks."""
         dofs = self.elem_dofs
         padded = np.concatenate([np.asarray(eta, dtype=float), [0.0]])
         local = padded[np.where(dofs >= 0, dofs, len(padded) - 1)]
         return local * self.elem_signs
-
-    def scatter_trace(self, local):
-        """Accumulate signed element-local blocks into a global vector."""
-        out = np.zeros(self.ndof)
-        vals = local * self.elem_signs
-        mask = self.elem_dofs >= 0
-        np.add.at(out, self.elem_dofs[mask], vals[mask])
-        return out
 
     def volume_points(self, rule=None):
         """Physical points (T, n_q, 2) of a reference rule (default: the
@@ -139,25 +135,58 @@ class CondensedSystem:
                 raise NumericalError("condensed matrix factorization failed: %s" % exc)
         return self._splu
 
-    def class_cores(self, core_fn):
-        """Per-class (d, d) blocks -> assembled sparse symmetric matrix."""
-        rows, cols, vals = [], [], []
-        for ops, members in self.class_groups:
-            core = core_fn(ops)
-            signs = self.elem_signs[members]
-            dofs = self.elem_dofs[members]
-            blocks = np.einsum("ij,ei,ej->eij", core, signs, signs)
-            valid = dofs >= 0
-            mask = valid[:, :, None] & valid[:, None, :]
-            d = dofs.shape[1]
-            rows.append(np.broadcast_to(dofs[:, :, None], (members.size, d, d))[mask])
-            cols.append(np.broadcast_to(dofs[:, None, :], (members.size, d, d))[mask])
-            vals.append(blocks[mask])
-        mat = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.ndof, self.ndof),
-        )
-        return mat.tocsr()
+    def _trace_map(self, blocks):
+        """Sparse (T r, ndof) map of a global trace vector through the
+        per-class (r, n_trace) matrices ``blocks``, with the face signs.
+        Row (t, i) holds the entries of element t on its interior faces."""
+        vals = np.stack(blocks)[self.elem_class] * self.elem_signs[:, None, :]
+        cols = np.broadcast_to(self.elem_dofs[:, None, :], vals.shape)
+        keep = cols >= 0
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=2).ravel())])
+        return scipy.sparse.csr_matrix((vals[keep], cols[keep], indptr),
+                                       shape=(indptr.size - 1, self.ndof))
+
+    def _block_diagonal(self, blocks):
+        """Sparse block-diagonal matrix with the per-class block of each element."""
+        data = np.stack(blocks)[self.elem_class]
+        num_t, r, c = data.shape
+        return scipy.sparse.bsr_matrix(
+            (data, np.arange(num_t), np.arange(num_t + 1)), shape=(num_t * r, num_t * c)
+        ).tocsr()
+
+    @cached_property
+    def lift(self):
+        """U: global trace to per-element scalar coefficients, (dim W_h, ndof)."""
+        return self._trace_map([ops.umat for ops in self.classes])
+
+    @property
+    def moments(self):
+        """U^T: per-element load coefficients to the condensed right-hand
+        side (a transposed view of ``lift``, sharing its arrays)."""
+        return self.lift.T
+
+    @cached_property
+    def load_lift(self):
+        """W: block-diagonal scalar load lift Uw, (dim W_h, dim W_h)."""
+        return self._block_diagonal([ops.uwmat for ops in self.classes])
+
+    @cached_property
+    def G(self):
+        """Surrogate lift Gram matrix U^T U."""
+        return (self.moments @ self.lift).tocsr()
+
+    @cached_property
+    def wall(self):
+        """First resolvent resonance, where I - kappa W becomes singular; the
+        condensed problem represents every eigenvalue strictly below it."""
+        rho = max(float(ops.uw_spectrum[0].max()) for ops in self.classes)
+        return np.inf if rho <= 0.0 else 1.0 / rho
+
+    def resolvent(self, kappa, power=1.0):
+        """Sparse block-diagonal (I - kappa W)^-power; raises
+        ``LocalSolveError`` at or beyond the wall."""
+        eye = np.eye(self.n_w)
+        return self._block_diagonal([ops.resolvent(kappa, eye, power) for ops in self.classes])
 
 
 def assemble_condensed(mesh, spaces, tau, mat=None):
@@ -199,37 +228,34 @@ def assemble_condensed(mesh, spaces, tau, mat=None):
 
     sys = CondensedSystem(
         mesh, spaces, tau, mat, ref, classes, elem_class, elem_signs,
-        elem_dofs, dofmap, None, None, bmats, p0,
+        elem_dofs, dofmap, None, bmats, p0,
     )
-    sys.A = sys.class_cores(lambda ops: ops.a_loc)
-    sys.G = sys.class_cores(lambda ops: ops.g_loc)
+    gather = sys._trace_map([np.eye(3 * n_m)] * len(classes))
+    sys.A = (gather.T @ sys._block_diagonal([ops.a_loc for ops in classes]) @ gather).tocsr()
     return sys
 
 
 def assemble_m_of_lambda(sys, lam):
-    """Gram form of the resolvent-corrected scalar lifts at eigenvalue lam.
-
-    At lam = 0 this reproduces the surrogate Gram matrix entrywise.
-    """
-    lam = float(lam)
-
-    def core(ops):
-        resolved = ops.resolvent(lam, ops.umat)
-        return ops.umat.T @ resolved
-
-    return sys.class_cores(core)
+    """Sparse resolvent Gram form M(lam) = U^T (I - lam W)^-1 U; M(0) = G."""
+    return (sys.moments @ sys.resolvent(lam) @ sys.lift).tocsr()
 
 
 def resolvent_lift(sys, lam, eta):
-    """Per-element scalar field (I - lam Uw)^-1 U eta, shape (T, n_w).
+    """Per-element scalar field (I - lam W)^-1 U eta, shape (T, n_w).
 
-    ``moment_rhs`` of it is M(lam) eta without assembling M(lam).
+    ``sys.moments`` of it is M(lam) eta without assembling M(lam).
     """
+    return (sys.resolvent(lam) @ (sys.lift @ eta)).reshape(-1, sys.n_w)
+
+
+def flux_field(sys, eta, load):
+    """Per-element flux coefficients Q eta + Qw load, shape (T, n_v), for
+    load moments (T, n_w)."""
     eta_loc = sys.local_trace(eta)
-    u = np.empty((len(sys.mesh.triangles), sys.n_w))
+    q = np.empty((len(eta_loc), sys.n_v))
     for ops, members in sys.class_groups:
-        u[members] = ops.resolvent(lam, ops.umat @ eta_loc[members].T).T
-    return u
+        q[members] = eta_loc[members] @ ops.qmat.T + load[members] @ ops.qwmat.T
+    return q
 
 
 def load_moments(sys, f):
@@ -248,15 +274,7 @@ def assemble_source_rhs(sys, f):
 
     ``f`` must accept numpy arrays (vectorized) of x and y coordinates.
     """
-    return moment_rhs(sys, load_moments(sys, f))
-
-
-def moment_rhs(sys, fmom):
-    """Condensed right-hand side sum_K (f_K, U_K mu) for load moments (T, n_w)."""
-    local = np.empty_like(sys.elem_signs)
-    for ops, members in sys.class_groups:
-        local[members] = fmom[members] @ ops.umat
-    return sys.scatter_trace(local)
+    return sys.moments @ load_moments(sys, f).ravel()
 
 
 def solve_source(sys, f):
@@ -265,18 +283,7 @@ def solve_source(sys, f):
     Returns (eta, u, q): the global trace vector, per-element scalar
     coefficients (T, n_w), and per-element flux coefficients (T, n_v).
     """
-    eta = sys.factorized().solve(assemble_source_rhs(sys, f))
-    u, q = recover_source_fields(sys, eta, load_moments(sys, f))
-    return eta, u, q
-
-
-def recover_source_fields(sys, eta, fmom):
-    """u = U eta + Uw f and q = Q eta + Qw f, element by element."""
-    eta_loc = sys.local_trace(eta)
-    u = np.empty((len(sys.mesh.triangles), sys.n_w))
-    q = np.empty((len(sys.mesh.triangles), sys.n_v))
-    for ops, members in sys.class_groups:
-        loc = eta_loc[members]
-        u[members] = loc @ ops.umat.T + fmom[members] @ ops.uwmat.T
-        q[members] = loc @ ops.qmat.T + fmom[members] @ ops.qwmat.T
-    return u, q
+    fmom = load_moments(sys, f)
+    eta = sys.factorized().solve(sys.moments @ fmom.ravel())
+    u = (sys.lift @ eta + sys.load_lift @ fmom.ravel()).reshape(fmom.shape)
+    return eta, u, flux_field(sys, eta, fmom)

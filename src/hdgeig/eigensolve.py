@@ -1,27 +1,29 @@
 """Trace eigenproblem solvers.
 
-Every discrete eigenvalue is 1/mu for an eigenvalue mu of the symmetric
-positive definite source-solution operator T (load f to scalar solution
-u).  ``solve_modes``, the entry point of the command line, the study and
-the tests, finds the lowest modes with one Lanczos run on T, applied
-matrix-free with one solve of the cached stiffness factorization.
+Static condensation leaves three maps on the scalar space W_h (per-element
+scalar coefficients, orthonormal local bases): the trace lift U, the
+moment map U^T and the stiffness inverse A^-1 (the cached factorization).
+``CondensedSystem`` compiles U and the block-diagonal load lift W into
+sparse matrices, and every eigensolve here is one standard-mode ARPACK
+Lanczos run, for the largest eigenvalues mu, on a member of the family
+D U A^-1 U^T D (+ W) of symmetric operators on W_h:
 
-The paper's route stays as the reference: a linear surrogate pencil
-(stiffness vs. scalar-lift Gram) seeds the condensed nonlinear problem,
-whose eigenvalues are the roots of the strictly decreasing
-F(kappa) = theta_i(kappa) - kappa (theta_i: i-th eigenvalue with the
-resolvent Gram matrix frozen at kappa), found by a bracketed secant.
-The surrogate is the frozen pencil at kappa = 0.  The Gram matrices may
-have a kernel (they do for k = 0), so both pencils are solved in
-inverted form with the positive definite stiffness on the right.  All
-three eigensolves are ARPACK Lanczos runs that apply the stiffness
-inverse through the cached factorization.
+* ``solve_modes`` (the entry point of the command line, the study and the
+  tests) on the source-solution operator T = U A^-1 U^T + W: lam = 1/mu;
+* the surrogate pencil A x = theta G x, G = U^T U, on T0 = U A^-1 U^T;
+* the secant's frozen pencil A x = theta M(kappa) x, M(kappa) = U^T R U
+  with R = (I - kappa W)^-1, on D T0 D with D = R^(1/2).  The surrogate is
+  the frozen pencil at kappa = 0; theta = 1/mu for both.
 
-Every pair carries its spectral index: M(kappa) grows with kappa, so the
-i-th eigenvalue is the fixed point of theta_i(kappa) = kappa, and the
-secant started from any pair refines the mode at that index.  Residual
-checks apply M(lam) through the resolvent lift; only the secant's
-frozen pencil assembles it.
+An eigenvector y gives the trace A^-1 U^T D y.  The kernel of G becomes
+zero eigenvalues of T0 (theta infinite), which never reach the lowest
+modes.  The secant is the paper's route, kept as the reference: its roots
+of the strictly decreasing F(kappa) = theta_i(kappa) - kappa are the
+condensed nonlinear eigenvalues.  Every pair carries its spectral index:
+M(kappa) grows with kappa, so the i-th eigenvalue is the fixed point of
+theta_i(kappa) = kappa, and the secant started from any pair refines the
+mode at that index.  Residual checks apply M(lam) through the resolvent
+lift.
 """
 
 import collections
@@ -29,10 +31,9 @@ import collections
 import numpy as np
 import scipy.sparse.linalg
 
-from .assembly import assemble_m_of_lambda, moment_rhs, recover_source_fields
 from .assembly import resolvent_lift
-# not called here; perfbench/spans.py still wraps it under this name
-from .assembly import assemble_condensed  # noqa: F401
+# not called here; perfbench/spans.py still wraps them under these names
+from .assembly import assemble_condensed, assemble_m_of_lambda  # noqa: F401
 from .errors import ConvergenceError, EigenSolveError
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-9
-_KERNEL_FLOOR = 1e-12
 _SECANT_TOL = 1e-12
 _SECANT_MAX_ITER = 50
 
@@ -89,79 +89,77 @@ def _eigsh(op, k, what, **kwargs):
         raise EigenSolveError("%s did not converge: %s" % (what, exc))
 
 
-def _pencil_lowest(sys, gram, count, v0=None):
-    """Lowest ``count`` eigenpairs of A x = theta gram x, ascending.
+def _operator(sys, root=None, load=None):
+    """y -> D U A^-1 U^T D y + W y on W_h for D = ``root`` (None: identity)
+    and W = ``load`` (None: zero); ``applications`` counts its matvecs."""
+    lu, lift, moments = sys.factorized(), sys.lift, sys.moments
 
-    ``gram`` is G = U^T U or the frozen M(kappa) = U^T (I - kappa Uw)^-1 U,
-    so its rank is at most dim W_h.  The pencil is solved inverted,
-    gram x = (1/theta) A x, so that kernel maps harmlessly to 0.
-    """
-    n, dim_w = sys.ndof, len(sys.mesh.triangles) * sys.n_w  # dim W_h
-    if count > dim_w:
-        raise EigenSolveError(
-            "mode %d lies in the kernel of the lift Gram matrix, whose rank is at "
-            "most dim W_h = %d; this flags a space configuration that cannot "
-            "resolve that many modes" % (count, dim_w)
-        )
+    def matvec(y):
+        op.applications += 1
+        x = y if root is None else root @ y
+        x = lift @ lu.solve(moments @ x)
+        if root is not None:
+            x = root @ x
+        return x if load is None else x + load @ y
+
+    op = scipy.sparse.linalg.LinearOperator((sys.dim_w,) * 2, matvec=matvec, dtype=float)
+    op.applications = 0
+    return op
+
+
+def _frozen_pencil(sys, kappa, count, start=None):
+    """Lowest ``count`` eigenpairs of A x = theta M(kappa) x: theta ascending
+    and the trace vectors as columns, from Lanczos on D T0 D (D fails with
+    ``LocalSolveError`` at or beyond the wall).  M(kappa) has rank at most
+    that of U, so modes beyond min(ndof, dim W_h) lie in its kernel.  The
+    run starts from D U ``start`` for a trace vector ``start``."""
+    n, rank = sys.dim_w, min(sys.ndof, sys.dim_w)
+    if count > rank:
+        raise EigenSolveError("mode %d lies in the kernel of the lift Gram matrix, whose "
+                              "rank is at most min(ndof, dim W_h) = %d" % (count, rank))
     if not 1 <= count < n:
-        raise EigenSolveError("requested %d modes of an n=%d trace pencil; at most "
-                              "n - 1 can be computed" % (count, n))
-    lu = sys.factorized()
-    ainv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve)
-    w, vecs = _eigsh(gram, count, "pencil Lanczos run", M=sys.A, Minv=ainv,
-                     v0=v0 if v0 is not None else _deterministic_start(n))
-    pos = np.flatnonzero(w > _KERNEL_FLOOR * np.abs(w).max())
-    if pos.size < count:
-        raise EigenSolveError(
-            "the lift Gram matrix has only %d positive modes of the %d requested "
-            "(the rest lie in its kernel)" % (pos.size, count)
-        )
-    # largest w correspond to the smallest theta = 1/w
-    pos = pos[np.argsort(w[pos])[::-1]]
-    return 1.0 / w[pos], vecs[:, pos]
+        raise EigenSolveError("requested %d modes of a dimension-%d scalar space" % (count, n))
+    root = sys.resolvent(kappa, 0.5) if kappa else None
+    v0 = _deterministic_start(n) if start is None else sys.lift @ start
+    if start is not None and root is not None:
+        v0 = root @ v0
+    mu, vecs = _eigsh(_operator(sys, root), count, "pencil Lanczos run", v0=v0)
+    order = np.argsort(mu)[::-1]
+    mu, vecs = mu[order], vecs[:, order]
+    if mu[-1] <= 0.0:
+        raise EigenSolveError("mode %d lies in the kernel of the lift Gram matrix"
+                              % (np.count_nonzero(mu > 0.0) + 1))
+    if root is not None:
+        vecs = root @ vecs
+    return 1.0 / mu, sys.factorized().solve(sys.moments @ vecs)
 
 
 def solve_linear_surrogate(sys, m):
-    """Lowest m eigenpairs of the surrogate pencil (stiffness, lift Gram).
-
-    The Gram matrix is only positive semidefinite; requested modes must
-    stay clear of its numerical kernel, otherwise the space configuration
-    cannot resolve them and an error is raised.
-    """
-    m = int(m)
-    lams, vecs = _pencil_lowest(sys, sys.G, m)
+    """Lowest m eigenpairs of the surrogate pencil (stiffness, lift Gram);
+    modes in the kernel of the Gram matrix raise ``EigenSolveError``."""
+    lams, vecs = _frozen_pencil(sys, 0.0, int(m))
     pairs = []
-    for i, lam in enumerate(lams):
-        vec = vecs[:, i]
-        gnorm = vec @ (sys.G @ vec)
-        vec = vec / np.sqrt(gnorm)
+    for i, (lam, vec) in enumerate(zip(lams, vecs.T), 1):
+        u = sys.lift @ vec
+        scale = np.linalg.norm(u)  # Gram norm: vec . G vec = |U vec|^2
+        vec, u = vec / scale, u / scale
         av = sys.A @ vec
-        defect = np.linalg.norm(av - lam * (sys.G @ vec)) / np.linalg.norm(av)
+        defect = np.linalg.norm(av - lam * (sys.moments @ u)) / np.linalg.norm(av)
         if defect > _RESIDUAL_TOL:
-            raise EigenSolveError("surrogate eigenpair %d residual too large" % (i + 1))
-        pairs.append(EigenPair(lam, vec, i + 1, defect=defect))
+            raise EigenSolveError("surrogate eigenpair %d residual too large" % i)
+        pairs.append(EigenPair(lam, vec, i, defect=defect))
     return pairs
-
-
-def _resolvent_limit(sys):
-    """First resolvent resonance: the smallest eigenvalue parameter at
-    which I - lam * Uw becomes singular on some element.  The condensed
-    problem represents every eigenvalue strictly below this wall."""
-    rho = 0.0
-    for ops in sys.classes:
-        rho = max(rho, float(np.linalg.eigvalsh(0.5 * (ops.uwmat + ops.uwmat.T)).max()))
-    return np.inf if rho == 0.0 else 1.0 / rho
 
 
 def _wall_cap(sys):
     """Largest representable eigenvalue: just inside the resolvent wall."""
-    return (1.0 - 1e-3) * _resolvent_limit(sys)
+    return (1.0 - 1e-3) * sys.wall
 
 
 def _checked_defect(sys, lam, vec):
     """Relative residual |A v - lam M(lam) v| / |A v|, checked against the tolerance."""
     av = sys.A @ vec
-    res = np.linalg.norm(av - lam * moment_rhs(sys, resolvent_lift(sys, lam, vec)))
+    res = np.linalg.norm(av - lam * (sys.moments @ resolvent_lift(sys, lam, vec).ravel()))
     defect = res / np.linalg.norm(av)
     if defect > _RESIDUAL_TOL:
         raise EigenSolveError("eigenpair at %.6g fails the nonlinear residual check "
@@ -194,7 +192,7 @@ def solve_condensed_nonlinear(sys, seed):
     history = [kappa]
 
     for iteration in range(1, _SECANT_MAX_ITER + 1):
-        thetas, vecs = _pencil_lowest(sys, assemble_m_of_lambda(sys, kappa), index, v0=vec)
+        thetas, vecs = _frozen_pencil(sys, kappa, index, start=vec)
         theta, vec = thetas[index - 1], vecs[:, index - 1]
         resid = theta - kappa
         defect = abs(resid) / abs(theta)
@@ -234,42 +232,22 @@ def solve_condensed_nonlinear(sys, seed):
     )
 
 
-def _source_operator(sys):
-    """The solution operator T f = U eta(f) + Uw f, eta(f) = A^{-1} B f,
-    on the per-element scalar coefficients (orthonormal local bases, so
-    T is a symmetric matrix).  ``applications`` counts its matvecs."""
-    lu = sys.factorized()
-    shape = (len(sys.mesh.triangles), sys.n_w)
-
-    def matvec(f):
-        op.applications += 1
-        fmom = np.reshape(f, shape)
-        return recover_source_fields(sys, lu.solve(moment_rhs(sys, fmom)), fmom)[0].ravel()
-
-    op = scipy.sparse.linalg.LinearOperator((shape[0] * shape[1],) * 2, matvec=matvec,
-                                            dtype=float)
-    op.applications = 0
-    return op
-
-
 def solve_modes(sys, m):
     """Lowest m eigenpairs, ascending, from one Lanczos run on T.
 
     The largest eigenvalues mu of T give lam = 1/mu.  An eigenvector u of
-    T is a scalar field with source lam u, so its trace is A^{-1} B u up
+    T is a scalar field with source lam u, so its trace is A^-1 U^T u up
     to scale.  A pair at or beyond the resolvent wall, or failing the
     nonlinear residual check, raises ``EigenSolveError``.
     """
-    m, op = int(m), _source_operator(sys)
+    m, op = int(m), _operator(sys, load=sys.load_lift)
     n = op.shape[0]
     if not 1 <= m < n:
         raise EigenSolveError("requested %d modes of a dimension-%d scalar space" % (m, n))
     mu, vecs = _eigsh(op, m, "Lanczos run on the solution operator",
                       v0=_deterministic_start(n))
     order = np.argsort(mu)[::-1]
-    shape = (len(sys.mesh.triangles), sys.n_w)
-    rhs = [moment_rhs(sys, np.reshape(vecs[:, i], shape)) for i in order]
-    etas = sys.factorized().solve(np.column_stack(rhs))
+    etas = sys.factorized().solve(sys.moments @ vecs[:, order])
     lam_cap = _wall_cap(sys)
     pairs = []
     for index, (eta, mu_i) in enumerate(zip(etas.T, mu[order]), 1):
@@ -288,4 +266,4 @@ def oracle_full_eig(sys, m=6):
     """Lowest m eigenvalues of the full problem via the solution operator
     of the condensed system ``sys``, from ``solve_modes``."""
     values = np.array([p.value for p in solve_modes(sys, m)])
-    return OracleSpectrum(values, _source_operator(sys))
+    return OracleSpectrum(values, _operator(sys, load=sys.load_lift))

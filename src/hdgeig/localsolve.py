@@ -384,7 +384,7 @@ class ElementOps:
         self.qwmat = sol[: self.n_v]
         self.uwmat = sol[self.n_v :]
 
-        # condensed stiffness block a(.,.) and surrogate Gram block (U., U.)
+        # condensed stiffness block a(.,.)
         a_loc = self.qmat.T @ acc @ self.qmat
         for l in range(3):
             fw = self.face_wq[l]
@@ -395,21 +395,24 @@ class ElementOps:
             diff = uvals - mvals
             a_loc += self.tau[l] * np.einsum("e,ei,ej->ij", fw, diff, diff)
         self.a_loc = a_loc
-        self.g_loc = self.umat.T @ self.umat
 
         self.w_means = np.einsum("q,qi->i", self.wq, self.w_vals)
 
-    def resolvent(self, lam, rhs):
-        """Solve (I - lam * Uw) x = rhs on this element class."""
-        mat = np.eye(self.n_w) - lam * self.uwmat
-        cond = np.linalg.cond(mat)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise LocalSolveError(
-                "local resolvent ill-conditioned (cond %.1e): the eigenvalue "
-                "%.6g is too large for this mesh size; refine the mesh or "
-                "request lower modes" % (cond, lam)
-            )
-        return np.linalg.solve(mat, rhs)
+    @cached_property
+    def uw_spectrum(self):
+        """Ascending eigenvalues and orthonormal eigenvectors of Uw, which is
+        symmetric positive definite (symmetrized against round-off)."""
+        return np.linalg.eigh(0.5 * (self.uwmat + self.uwmat.T))
+
+    def resolvent(self, lam, rhs, power=1.0):
+        """Apply (I - lam * Uw)^-power to rhs on this element class."""
+        mu, vecs = self.uw_spectrum
+        gap = 1.0 - lam * mu
+        if gap.min() <= 0.0 or gap.max() > _COND_LIMIT * gap.min():
+            raise LocalSolveError("eigenvalue %.6g is at or beyond the local resolvent "
+                                  "resonance %.6g; refine the mesh or request lower "
+                                  "modes" % (lam, 1.0 / mu.max()))
+        return (vecs * gap**-power) @ (vecs.T @ rhs)
 
     # --- post-solve maps (built on first use, once per class) ---
 

@@ -55,9 +55,11 @@ class Mesh:
             raise ValueError("all triangles must be counterclockwise")
         self.areas = 0.5 * cross
 
-        # unique sorted vertex pairs, in lexicographic order
-        raw = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        self.edges, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+        # unique sorted vertex pairs in lexicographic order, keyed lo * V + hi
+        a, b = self.triangles.ravel(), self.triangles[:, [1, 2, 0]].ravel()
+        num_v = len(self.vertices)
+        keys, inverse = np.unique(np.minimum(a, b) * num_v + np.maximum(a, b), return_inverse=True)
+        self.edges = np.column_stack(np.divmod(keys, num_v))
         self.elem_edges = inverse.reshape(-1, 3)
 
         counts = np.bincount(self.elem_edges.ravel(), minlength=len(self.edges))

@@ -23,7 +23,7 @@ lift matrices used to compute the fields.
 
 import numpy as np
 
-from .assembly import load_moments, recover_source_fields, resolvent_lift
+from .assembly import flux_field, load_moments, resolvent_lift
 from .errors import EigenSolveError, NumericalError
 
 __all__ = [
@@ -78,7 +78,7 @@ def recover_fields(sys, pair):
     """
     lam = pair.value
     u = resolvent_lift(sys, lam, pair.vector)
-    q = recover_source_fields(sys, pair.vector, lam * u)[1]
+    q = flux_field(sys, pair.vector, lam * u)
 
     norm = np.sqrt(np.sum(u**2))
     if norm < 1e-300:

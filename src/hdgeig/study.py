@@ -65,15 +65,16 @@ class ExactMode:
         return None
 
 
-def exact_square_spectrum(count):
-    """First ``count`` exact square-domain modes, ascending with multiplicity."""
+def exact_square_spectrum(count, a=1.0, b=1.0):
+    """First ``count`` exact square-domain modes for alpha = diag(a, b),
+    ascending with multiplicity: a m^2 + b n^2, sin(m x) sin(n y)."""
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    bound = int(math.isqrt(2 * count) + count) + 2
-    enumerated = sorted(
-        ((m * m + n * n, m, n) for m in range(1, bound) for n in range(1, bound))
-    )
+    # (1..count, 1) give count values up to a count^2 + b, and (1, 1..count)
+    # up to a + b count^2, so every value up to the count-th has m, n <= count
+    pairs = range(1, count + 1)
+    enumerated = sorted((a * m * m + b * n * n, m, n) for m in pairs for n in pairs)
     # multiplicities must come from the full enumeration, not the truncated
     # list, or a cluster cut at the requested count would look simple
     counts = {}
@@ -101,12 +102,19 @@ def _lshape_modes(count):
     ]
 
 
-def domain_modes(domain, count):
-    if domain == "square":
-        return exact_square_spectrum(count)
-    if domain == "lshape":
+def domain_modes(domain, count, material=None):
+    """Reference modes for a domain and material: closed forms on the
+    square for a diagonal alpha, the L-shape values for the identity, and
+    no reference value otherwise."""
+    material = material or MaterialSpec.identity()
+    if domain not in ("square", "lshape"):
+        raise ConfigError("unknown domain %r" % (domain,))
+    if domain == "square" and material.a12 == 0.0:
+        return exact_square_spectrum(count, material.a11, material.a22)
+    if domain == "lshape" and material == MaterialSpec.identity():
         return _lshape_modes(count)
-    raise ConfigError("unknown domain %r" % (domain,))
+    return [ExactMode(domain, i, None, note="no closed form for this material")
+            for i in range(1, count + 1)]
 
 
 def eigenfunction_error(sys, mode, *fields):
@@ -297,7 +305,7 @@ def run_convergence_study(config, progress=None):
     """
     spaces = config.spaces
     max_mode = max(config.modes)
-    modes_ref = domain_modes(config.domain, max_mode)
+    modes_ref = domain_modes(config.domain, max_mode, config.material)
     cells = [
         CellResult(mode=m, level=l) for m in config.modes for l in config.levels
     ]

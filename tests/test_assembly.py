@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from hdgeig.assembly import (
     TraceDofMap,
@@ -7,14 +10,69 @@ from hdgeig.assembly import (
     assemble_m_of_lambda,
     assemble_source_rhs,
     load_moments,
-    moment_rhs,
     resolvent_lift,
     solve_source,
 )
 from hdgeig.eigensolve import solve_modes
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
-from hdgeig.mesh import Mesh, build_square_mesh
+from hdgeig.mesh import Mesh, build_lshape_mesh, build_square_mesh
 from hdgeig.recovery import postprocess, recover_fields, source_residuals
+
+
+# --- class-loop references for the compiled sparse maps ---------------------
+
+
+def reference_moment_rhs(sys, fmom):
+    """sum_K (f_K, U_K mu) for load moments (T, n_w), element class by class."""
+    local = np.empty_like(sys.elem_signs)
+    for ops, members in sys.class_groups:
+        local[members] = fmom[members] @ ops.umat
+    out = np.zeros(sys.ndof)
+    mask = sys.elem_dofs >= 0
+    np.add.at(out, sys.elem_dofs[mask], (local * sys.elem_signs)[mask])
+    return out
+
+
+def reference_lift(sys, eta):
+    """Per-element scalar lift U eta (T, n_w), element class by class."""
+    eta_loc = sys.local_trace(eta)
+    u = np.empty((len(sys.mesh.triangles), sys.n_w))
+    for ops, members in sys.class_groups:
+        u[members] = eta_loc[members] @ ops.umat.T
+    return u
+
+
+def reference_class_cores(sys, core_fn):
+    """Per-class (d, d) blocks core_fn(ops), signed and summed into a
+    sparse (ndof, ndof) matrix, element class by element class."""
+    rows, cols, vals = [], [], []
+    for ops, members in sys.class_groups:
+        core = core_fn(ops)
+        signs = sys.elem_signs[members]
+        dofs = sys.elem_dofs[members]
+        blocks = np.einsum("ij,ei,ej->eij", core, signs, signs)
+        valid = dofs >= 0
+        mask = valid[:, :, None] & valid[:, None, :]
+        d = dofs.shape[1]
+        rows.append(np.broadcast_to(dofs[:, :, None], (members.size, d, d))[mask])
+        cols.append(np.broadcast_to(dofs[:, None, :], (members.size, d, d))[mask])
+        vals.append(blocks[mask])
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(sys.ndof, sys.ndof),
+    )
+
+
+def reference_m_of_lambda(sys, lam):
+    """M(lam) assembled from per-class blocks U^T (I - lam Uw)^-1 U, each
+    with a dense local solve."""
+    return reference_class_cores(sys, lambda ops: ops.umat.T @ np.linalg.solve(
+        np.eye(ops.n_w) - lam * ops.uwmat, ops.umat))
+
+
+def assert_rel_close(got, ref, rtol=1e-12):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
 
 
 class TestDofMap:
@@ -64,7 +122,7 @@ class TestGlobalMatrices:
         sys = systems("square", 1, 1)
         v = np.random.default_rng(7).standard_normal(sys.ndof)
         ref = assemble_m_of_lambda(sys, lam) @ v
-        got = moment_rhs(sys, resolvent_lift(sys, lam, v))
+        got = sys.moments @ resolvent_lift(sys, lam, v).ravel()
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_m_small_lambda_perturbation(self, systems):
@@ -273,3 +331,42 @@ class TestInvariances:
         )
         assert np.abs(scaled.A - s * base.A).max() <= 1e-10 * np.abs(base.A).max()
         assert np.abs(scaled.G - base.G).max() <= 1e-10 * np.abs(base.G).max()
+
+
+class TestCompiledOperators:
+    """The sparse lift, moment map and resolvent form against the class
+    loops, on affinely mapped, renumbered meshes."""
+
+    @given(
+        jac=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+        domain=st.sampled_from(["square", "lshape"]),
+        diag=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        corr=st.floats(-0.9, 0.9),
+        tau=st.floats(1e-3, 1e3),
+        k=st.integers(0, 3),
+        case=st.sampled_from(["equal", "case1", "case2"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_against_class_loops(self, jac, domain, diag, corr, tau, k, case, seed):
+        case = case if k >= 1 else "equal"
+        jac = np.eye(2) + np.reshape(jac, (2, 2))
+        assume(np.linalg.det(jac) > 0.25)
+        build = build_square_mesh if domain == "square" else build_lshape_mesh
+        renumbered, _ = _renumbered(build(0), seed)
+        mesh = Mesh(renumbered.vertices @ jac.T, renumbered.triangles, domain=domain)
+        a11, a22 = diag
+        mat = MaterialSpec(a11, corr * np.sqrt(a11 * a22), a22)
+        sys = assemble_condensed(mesh, SpaceConfig(k, case), TauSpec.constant(tau), mat)
+
+        rng = np.random.default_rng(seed)
+        fmom = rng.standard_normal((len(mesh.triangles), sys.n_w))
+        eta = rng.standard_normal(sys.ndof)
+        assert_rel_close(sys.moments @ fmom.ravel(), reference_moment_rhs(sys, fmom))
+        assert_rel_close((sys.lift @ eta).reshape(fmom.shape), reference_lift(sys, eta))
+        rho = max(np.linalg.eigvalsh(ops.uwmat).max() for ops in sys.classes)
+        assert sys.wall == pytest.approx(1.0 / rho, rel=1e-12)
+        for kappa in (0.0, 0.5 * sys.wall):
+            assert_rel_close(assemble_m_of_lambda(sys, kappa).toarray(),
+                             reference_m_of_lambda(sys, kappa).toarray())
+        reference_a = reference_class_cores(sys, lambda ops: ops.a_loc)
+        assert_rel_close(sys.A.toarray(), reference_a.toarray())

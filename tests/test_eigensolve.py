@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from hdgeig import eigensolve
 from hdgeig.assembly import assemble_condensed
 from hdgeig.eigensolve import (
     oracle_full_eig,
@@ -9,16 +10,66 @@ from hdgeig.eigensolve import (
     solve_linear_surrogate,
     solve_modes,
 )
-from hdgeig.errors import EigenSolveError
+from hdgeig.errors import EigenSolveError, HdgError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
 from hdgeig.mesh import Mesh
 from hdgeig.recovery import eig_residuals, recover_fields
+from test_assembly import reference_lift, reference_m_of_lambda, reference_moment_rhs
 
 
 def secant_values(sys, m):
     """The paper's route: surrogate seeds refined by the secant, ascending."""
     return np.sort([solve_condensed_nonlinear(sys, s).value
                     for s in solve_linear_surrogate(sys, m)])
+
+
+@pytest.fixture(scope="module")
+def secants(systems):
+    """Cache of the secant route's six lowest values per configuration."""
+    cache = {}
+
+    def get(*config):
+        if config not in cache:
+            cache[config] = secant_values(systems(*config), 6)
+        return cache[config]
+
+    return get
+
+
+def _start(n):
+    return np.random.default_rng(20240814).standard_normal(n)
+
+
+def reference_pencil(sys, kappa, count, start=None):
+    """The frozen pencil as it was solved before the operator family: a
+    generalized-mode Lanczos run on the assembled M(kappa) against A,
+    inverted through the factorization, with the Gram kernel filtered."""
+    n = sys.ndof
+    ainv = scipy.sparse.linalg.LinearOperator((n, n), matvec=sys.factorized().solve)
+    w, vecs = scipy.sparse.linalg.eigsh(
+        reference_m_of_lambda(sys, kappa), k=count, M=sys.A, Minv=ainv, which="LA",
+        v0=_start(n) if start is None else start)
+    pos = np.flatnonzero(w > 1e-12 * np.abs(w).max())
+    assert pos.size == count
+    pos = pos[np.argsort(w[pos])[::-1]]
+    return 1.0 / w[pos], vecs[:, pos]
+
+
+def reference_mode_values(sys, m):
+    """Lowest m eigenvalues from Lanczos on T applied with class loops."""
+    shape = (len(sys.mesh.triangles), sys.n_w)
+    lu = sys.factorized()
+
+    def matvec(f):
+        fmom = np.reshape(f, shape)
+        u = reference_lift(sys, lu.solve(reference_moment_rhs(sys, fmom)))
+        for ops, members in sys.class_groups:
+            u[members] += fmom[members] @ ops.uwmat.T
+        return u.ravel()
+
+    op = scipy.sparse.linalg.LinearOperator((sys.dim_w,) * 2, matvec=matvec, dtype=float)
+    return np.sort(1.0 / scipy.sparse.linalg.eigsh(op, k=m, which="LA",
+                                                   v0=_start(sys.dim_w))[0])
 
 
 class TestLinearSurrogate:
@@ -145,10 +196,10 @@ ROUTE_GRID = [
 
 class TestSolveModes:
     @pytest.mark.parametrize("domain,level,k,tau", ROUTE_GRID)
-    def test_matches_secant(self, systems, eigenpairs, domain, level, k, tau):
+    def test_matches_secant(self, secants, eigenpairs, domain, level, k, tau):
         _, pairs = eigenpairs(domain, level, k, tau, m=6)
         lams = np.array([p.value for p in pairs])
-        secant = secant_values(systems(domain, level, k, tau), 6)
+        secant = secants(domain, level, k, tau)
         assert np.all(np.diff(lams) >= 0)
         assert np.abs(lams - secant).max() <= 1e-10 * secant.max()
 
@@ -169,15 +220,40 @@ class TestSolveModes:
         assert np.abs(lams - secant).max() <= 1e-10 * secant.max()
 
     def test_too_many_modes(self, systems):
-        # Lanczos on T serves fewer than dim W_h modes, the surrogate pencil
-        # fewer than ndof (here dim W_h = 96 > ndof = 80, so no kernel)
+        # Lanczos on T serves fewer than dim W_h modes; the surrogate pencil
+        # at most rank G <= min(ndof, dim W_h) (here ndof = 80 < dim W_h = 96)
         sys = systems("square", 0, 1)
-        dim = len(sys.mesh.triangles) * sys.n_w
-        for solve, m in ((solve_modes, dim), (solve_modes, dim + 1),
-                         (solve_linear_surrogate, sys.ndof),
-                         (solve_linear_surrogate, sys.ndof + 1)):
-            with pytest.raises(EigenSolveError, match="modes of"):
+        for solve, m, match in ((solve_modes, sys.dim_w, "modes of"),
+                                (solve_modes, sys.dim_w + 1, "modes of"),
+                                (solve_linear_surrogate, sys.ndof + 1, "kernel")):
+            with pytest.raises(EigenSolveError, match=match):
                 solve(sys, m)
+
+    @pytest.mark.parametrize("domain,level,k,tau", ROUTE_GRID)
+    def test_matches_pre_change_routes(self, systems, eigenpairs, secants, monkeypatch,
+                                       domain, level, k, tau):
+        # the three eigensolves on the compiled operator family against the
+        # routes they replaced: class-loop T, and both pencils in generalized
+        # mode on the assembled Gram forms
+        sys = systems(domain, level, k, tau)
+        surrogates, pairs = eigenpairs(domain, level, k, tau, m=6)
+        new = {"surrogate": [p.value for p in surrogates], "secant": secants(domain, level, k, tau),
+               "modes": [p.value for p in pairs]}
+        monkeypatch.setattr(eigensolve, "_frozen_pencil", reference_pencil)
+        old = {"surrogate": [p.value for p in solve_linear_surrogate(sys, 6)],
+               "secant": secant_values(sys, 6), "modes": reference_mode_values(sys, 6)}
+        for route in new:
+            np.testing.assert_allclose(new[route], old[route], rtol=1e-12, err_msg=route)
+
+    @pytest.mark.parametrize("factor", [1.0, 1.5])
+    def test_frozen_pencil_at_wall_is_typed(self, systems, factor):
+        # D = (I - kappa W)^(-1/2) does not exist at or past the wall: a typed
+        # error, never NaN eigenvalues
+        sys = systems("square", 1, 1)
+        with pytest.raises(HdgError, match="resonance"):
+            eigensolve._frozen_pencil(sys, factor * sys.wall, 1)
+        thetas, _ = eigensolve._frozen_pencil(sys, 0.99 * sys.wall, 1)
+        assert np.isfinite(thetas).all()
 
     @pytest.mark.parametrize("route", ["solve_modes", "surrogate", "secant"])
     def test_arpack_no_convergence(self, systems, monkeypatch, capsys, route):

@@ -172,12 +172,13 @@ class TestElementLift:
 
 
 class TestUwInverse:
-    """ElementOps.resolvent applies (I - lam * Uw)^{-1}."""
+    """ElementOps.resolvent applies (I - lam * Uw)^-power through the
+    spectrum of Uw, so it is exact to round-off."""
 
     def test_identity_at_zero(self):
         ops = element_lift(REF, SpaceConfig(1), TauSpec.one())
         w = np.arange(1.0, ops.n_w + 1)
-        assert np.array_equal(ops.resolvent(0.0, w), w)
+        assert np.abs(ops.resolvent(0.0, w) - w).max() <= 1e-14 * np.abs(w).max()
 
     def test_round_trip(self):
         ops = element_lift(REF, SpaceConfig(1), TauSpec.one())
@@ -200,3 +201,20 @@ class TestUwInverse:
         rho = np.abs(np.linalg.eigvalsh(ops.uwmat)).max()
         with pytest.raises(LocalSolveError):
             ops.resolvent(1.0 / rho, np.ones(ops.n_w))
+
+    @pytest.mark.parametrize("factor", [1.5, 10.0])
+    def test_error_past_the_wall(self, factor):
+        # past the first resonance I - lam Uw is indefinite, with no real
+        # square root, however well conditioned it may be
+        ops = element_lift(REF, SpaceConfig(2), TauSpec.one())
+        rho = np.linalg.eigvalsh(ops.uwmat).max()
+        with pytest.raises(LocalSolveError):
+            ops.resolvent(factor / rho, np.ones(ops.n_w), 0.5)
+
+    def test_square_root(self):
+        ops = element_lift(REF, SpaceConfig(2), TauSpec.one())
+        lam = 0.5 / np.linalg.eigvalsh(ops.uwmat).max()
+        root = ops.resolvent(lam, np.eye(ops.n_w), 0.5)
+        full = np.linalg.inv(np.eye(ops.n_w) - lam * ops.uwmat)
+        assert np.abs(root - root.T).max() <= 1e-14 * np.abs(root).max()
+        assert np.abs(root @ root - full).max() <= 1e-12 * np.abs(full).max()

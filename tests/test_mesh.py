@@ -134,6 +134,16 @@ class TestMeshInvariants:
         counts = np.bincount(m.elem_edges.ravel(), minlength=m.num_edges)
         assert np.array_equal(counts, np.where(m.boundary, 1, 2))
 
+    @pytest.mark.parametrize("level", range(6))
+    @pytest.mark.parametrize("build", [build_square_mesh, build_lshape_mesh])
+    def test_edges_match_row_unique(self, build, level):
+        # the 1-D key lo * V + hi against a unique over sorted vertex-pair rows
+        m = build(level)
+        raw = np.sort(m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        edges, inverse = np.unique(raw, axis=0, return_inverse=True)
+        assert m.edges.dtype == edges.dtype and np.array_equal(m.edges, edges)
+        assert np.array_equal(m.elem_edges, inverse.reshape(-1, 3))
+
     def test_h_k_is_longest_edge(self):
         m = build_square_mesh(0)
         assert np.allclose(m.h_K, m.spacing * np.sqrt(2))

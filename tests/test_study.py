@@ -10,6 +10,7 @@ from hdgeig.mesh import build_square_mesh
 from hdgeig.study import (
     ConvergenceReport,
     StudyConfig,
+    domain_modes,
     eigenfunction_error,
     emit_table,
     estimate_order,
@@ -52,6 +53,28 @@ class TestExactReferences:
         assert [m.multiplicity for m in modes] == [1, 2, 2, 1, 2, 2]
         assert modes[3].evaluator is not None  # mode 4 is simple
         assert modes[1].evaluator is None  # clustered pair
+
+    def test_diagonal_material_values(self):
+        # alpha = diag(1, 2): m^2 + 2 n^2; 9 = 1 + 2*4 and 27 = 25 + 2 = 9 + 18
+        modes = domain_modes("square", 12, MaterialSpec(1.0, 0.0, 2.0))
+        assert [m.value for m in modes[:6]] == [3, 6, 9, 11, 12, 17]
+        assert [(m.mn, m.multiplicity) for m in modes if m.value == 27] == [
+            ((3, 3), 2), ((5, 1), 2)]
+        assert modes[0].evaluator(np.pi / 2, np.pi / 2) == pytest.approx(1.0)
+        assert modes[0].evaluator is not None and modes[-1].evaluator is None
+
+    def test_identity_material_is_default(self):
+        for domain in ("square", "lshape"):
+            assert domain_modes(domain, 6, MaterialSpec.identity()) == domain_modes(domain, 6)
+
+    @pytest.mark.parametrize("domain,mat", [
+        ("square", MaterialSpec(1.0, 0.4, 2.0)), ("lshape", MaterialSpec(1.0, 0.0, 2.0)),
+        ("lshape", MaterialSpec.isotropic(2.0)),
+    ])
+    def test_no_reference_without_closed_form(self, domain, mat):
+        modes = domain_modes(domain, 3, mat)
+        assert [m.index for m in modes] == [1, 2, 3]
+        assert all(m.value is None and m.evaluator is None for m in modes)
 
     def test_lshape_values(self):
         vals = exact_lshape_values()
@@ -119,16 +142,27 @@ class TestAnisotropicMaterial:
     def test_rates_against_exact_values(self, studies):
         # alpha = diag(1, 2) on (0, pi)^2: eigenvalues m^2 + 2 n^2, the
         # first four (3, 6, 9, 11) simple; the first check of the
-        # postprocessing stiffness with alpha != I
-        exact = sorted(m * m + 2 * n * n for m in range(1, 5) for n in range(1, 5))[:4]
-        rep = studies(k=1, levels=(1, 2, 3), modes=(1, 2, 3, 4),
-                      material=MaterialSpec(1.0, 0.0, 2.0))
-        for mode, value in enumerate(exact, 1):
-            err = [abs(rep.cell(mode, l).lam - value) for l in rep.levels]
-            err_star = [abs(rep.cell(mode, l).lam_star - value) for l in rep.levels]
+        # postprocessing stiffness with alpha != I.  The study scores
+        # against the material's own spectrum.
+        mat = MaterialSpec(1.0, 0.0, 2.0)
+        rep = studies(k=1, levels=(1, 2, 3), modes=(1, 2, 3, 4), material=mat)
+        for exact in domain_modes("square", 4, mat):
+            mode = exact.index
+            assert exact.multiplicity == 1
+            err = rep.errors("lam", mode)
+            err_star = rep.errors("lam_star", mode)
+            assert err[-1] == abs(rep.cell(mode, 3).lam - exact.value)
             assert abs(estimate_order(err)[-1] - 3.0) <= 0.3  # 2k + 1
             assert estimate_order(err_star)[-1] >= 3.7  # at least 2k + 2, up to 0.3
             assert all(s < e for s, e in zip(err_star, err))
+            # simple modes with a closed form: the eigenfunction converges too
+            assert estimate_order(rep.errors("u", mode))[-1] >= 1.7
+
+    def test_non_diagonal_material_has_no_reference(self, studies):
+        rep = studies(k=1, levels=(0, 1), modes=(1, 2), material=MaterialSpec(1.0, 0.4, 2.0))
+        for cell in rep.cells:
+            assert cell.lam > 0 and cell.lam_star > 0
+            assert cell.err_lam is cell.err_lam_star is cell.err_u is None
 
 
 class TestEstimateOrder:
