@@ -10,7 +10,6 @@ both eigenfunctions and eigenvalues.
 
 from .assembly import (
     CondensedSystem,
-    TraceDofMap,
     assemble_condensed,
     assemble_m_of_lambda,
     assemble_source_rhs,
@@ -45,7 +44,7 @@ from .localsolve import (
     TauSpec,
     element_lift,
 )
-from .mesh import Mesh, build_lshape_mesh, build_square_mesh, dump_mesh, refine
+from .mesh import Mesh, build_lshape_mesh, build_square_mesh, refine
 from .recovery import (
     PostprocessedFields,
     RecoveredFields,

@@ -1,9 +1,11 @@
-"""Global trace-dof numbering and the compiled condensed operators.
+"""The signed trace gather and the compiled condensed operators.
 
 Elements are grouped into congruence classes (translated copies share
-every local matrix); per element only a diagonal of signs remains, which
-reconciles the element-local edge parametrization with the global one
-fixed by ascending vertex index.  From the per-class matrices each
+every local matrix).  Interior edges carry k+1 trace unknowns each,
+numbered by edge; boundary edges carry none.  One signed gather maps a
+global trace vector to the element-local face slots: the sign reconciles
+each element's edge parametrization with the global one fixed by
+ascending vertex index.  From the per-class matrices and the gather each
 system compiles, once, sparse matrices: the condensed stiffness A, the
 scalar trace lift U (its transpose maps a load to the condensed
 right-hand side), the block-diagonal load lift W, and on request the
@@ -20,7 +22,6 @@ from .errors import NumericalError
 from .localsolve import ElementOps, MaterialSpec, reference_tables
 
 __all__ = [
-    "TraceDofMap",
     "CondensedSystem",
     "assemble_condensed",
     "assemble_m_of_lambda",
@@ -31,32 +32,11 @@ __all__ = [
 ]
 
 
-class TraceDofMap:
-    """Numbering of the trace unknowns: k+1 per interior edge, none on
-    boundary edges, contiguous and ordered by edge index."""
-
-    def __init__(self, mesh, k):
-        self.mesh = mesh
-        self.k = int(k)
-        self.n_m = self.k + 1
-        interior = ~mesh.boundary
-        self.edge_offset = -np.ones(mesh.num_edges, dtype=np.int64)
-        self.edge_offset[interior] = self.n_m * np.arange(int(interior.sum()))
-        self.ndof = self.n_m * int(interior.sum())
-
-    def element_dofs(self, mesh):
-        """(T, 3*(k+1)) global dof ids; -1 marks boundary-face slots."""
-        base = self.edge_offset[mesh.elem_edges]  # (T, 3)
-        dofs = base[:, :, None] + np.arange(self.n_m)[None, None, :]
-        dofs[base < 0] = -1
-        return dofs.reshape(len(mesh.triangles), 3 * self.n_m)
-
-
 class CondensedSystem:
-    """Assembled condensed operators plus the per-element lift cache."""
+    """Compiled condensed operators over two element maps: the congruence
+    classes and the signed trace gather."""
 
-    def __init__(self, mesh, spaces, tau, mat, ref, classes, elem_class,
-                 elem_signs, elem_dofs, dofmap, amat, bmats, p0):
+    def __init__(self, mesh, spaces, tau, mat, ref, classes, elem_class, gather):
         self.mesh = mesh
         self.spaces = spaces
         self.tau = tau
@@ -64,15 +44,14 @@ class CondensedSystem:
         self.ref = ref
         self.classes = classes
         self.elem_class = elem_class
-        self.elem_signs = elem_signs
-        self.elem_dofs = elem_dofs
-        self.dofmap = dofmap
-        self.A = amat
-        self.bmats = bmats
-        self.p0 = p0
+        #: P, (T 3(k+1), ndof): row (t, i) holds the sign of face slot i of
+        #: element t at its trace dof, and is empty on boundary faces
+        self.gather = gather
         self._class_members = [
             np.flatnonzero(elem_class == c) for c in range(len(classes))
         ]
+        self.A = (gather.T @ self._block_diagonal([ops.a_loc for ops in classes])
+                  @ gather).tocsr()
         self._splu = None
 
     @property
@@ -82,7 +61,7 @@ class CondensedSystem:
 
     @property
     def ndof(self):
-        return self.dofmap.ndof
+        return self.gather.shape[1]
 
     @property
     def n_w(self):
@@ -98,29 +77,15 @@ class CondensedSystem:
         return len(self.mesh.triangles) * self.n_w
 
     def local_trace(self, eta):
-        """Gather a global trace vector into signed element-local blocks."""
-        dofs = self.elem_dofs
-        padded = np.concatenate([np.asarray(eta, dtype=float), [0.0]])
-        local = padded[np.where(dofs >= 0, dofs, len(padded) - 1)]
-        return local * self.elem_signs
+        """Signed element-local face blocks (T, 3(k+1)) of a global trace."""
+        return (self.gather @ eta).reshape(len(self.mesh.triangles), -1)
 
-    def volume_points(self, rule=None):
-        """Physical points (T, n_q, 2) of a reference rule (default: the
-        volume rule), mapped once per congruence class."""
-        pts = (self.ref.vol if rule is None else rule).points
-        offsets = np.stack([pts @ ops.bmat.T for ops in self.classes])
-        return self.p0[:, None, :] + offsets[self.elem_class]
-
-    @cached_property
-    def error_rule(self):
-        """Physical points (T, n_q, 2) and weights (T, n_q) of the
-        high-order rule for errors against closed-form functions."""
-        det = np.array([ops.det for ops in self.classes])[self.elem_class]
-        return self.volume_points(self.ref.err), det[:, None] * self.ref.err.weights
-
-    def w_scale(self):
-        """Per-element sqrt(det B): physical basis = reference / scale."""
-        return np.sqrt(np.linalg.det(self.bmats))
+    def class_points(self, points):
+        """Per class: (ElementOps, members, physical points (n, n_q, 2)) of
+        reference ``points``, mapped through the class Jacobian."""
+        p0 = self.mesh.vertices[self.mesh.triangles[:, 0]]
+        for ops, members in self.class_groups:
+            yield ops, members, p0[members, None, :] + points @ ops.bmat.T
 
     def factorized(self):
         """Cached sparse LU of A.  A is SPD: a symmetric ordering with
@@ -135,17 +100,6 @@ class CondensedSystem:
                 raise NumericalError("condensed matrix factorization failed: %s" % exc)
         return self._splu
 
-    def _trace_map(self, blocks):
-        """Sparse (T r, ndof) map of a global trace vector through the
-        per-class (r, n_trace) matrices ``blocks``, with the face signs.
-        Row (t, i) holds the entries of element t on its interior faces."""
-        vals = np.stack(blocks)[self.elem_class] * self.elem_signs[:, None, :]
-        cols = np.broadcast_to(self.elem_dofs[:, None, :], vals.shape)
-        keep = cols >= 0
-        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=2).ravel())])
-        return scipy.sparse.csr_matrix((vals[keep], cols[keep], indptr),
-                                       shape=(indptr.size - 1, self.ndof))
-
     def _block_diagonal(self, blocks):
         """Sparse block-diagonal matrix with the per-class block of each element."""
         data = np.stack(blocks)[self.elem_class]
@@ -157,7 +111,7 @@ class CondensedSystem:
     @cached_property
     def lift(self):
         """U: global trace to per-element scalar coefficients, (dim W_h, ndof)."""
-        return self._trace_map([ops.umat for ops in self.classes])
+        return self._block_diagonal([ops.umat for ops in self.classes]) @ self.gather
 
     @property
     def moments(self):
@@ -216,23 +170,20 @@ def assemble_condensed(mesh, spaces, tau, mat=None):
         for t in first[by_first]
     ]
 
+    # the signed gather: k+1 dofs per interior edge in edge order; face
+    # mode m changes sign by (-1)^m where the element runs against the
+    # edge's ascending vertex order
     n_m = ref.n_m
-    parity = ref.parity
-    flip = tris[:, [0, 1, 2]] > tris[:, [1, 2, 0]]  # (T, 3)
-    elem_signs = np.where(flip[:, :, None], parity[None, None, :], 1.0).reshape(
-        num_t, 3 * n_m
+    interior = ~mesh.boundary
+    first_dof = n_m * (np.cumsum(interior) - 1)[mesh.elem_edges]  # (T, 3)
+    cols = first_dof[:, :, None] + np.arange(n_m)
+    signs = np.where((tris > tris[:, [1, 2, 0]])[:, :, None], ref.parity, 1.0)
+    live = np.repeat(interior[mesh.elem_edges].ravel(), n_m)
+    gather = scipy.sparse.csr_matrix(
+        (signs.ravel()[live], cols.ravel()[live], np.concatenate([[0], np.cumsum(live)])),
+        shape=(live.size, n_m * int(interior.sum())),
     )
-
-    dofmap = TraceDofMap(mesh, spaces.k)
-    elem_dofs = dofmap.element_dofs(mesh)
-
-    sys = CondensedSystem(
-        mesh, spaces, tau, mat, ref, classes, elem_class, elem_signs,
-        elem_dofs, dofmap, None, bmats, p0,
-    )
-    gather = sys._trace_map([np.eye(3 * n_m)] * len(classes))
-    sys.A = (gather.T @ sys._block_diagonal([ops.a_loc for ops in classes]) @ gather).tocsr()
-    return sys
+    return CondensedSystem(mesh, spaces, tau, mat, ref, classes, elem_class, gather)
 
 
 def assemble_m_of_lambda(sys, lam):
@@ -261,11 +212,10 @@ def flux_field(sys, eta, load):
 def load_moments(sys, f):
     """Per-element coefficients of the L2 projection of f onto the local
     scalar space (the load enters the lifts only through these)."""
-    pts = sys.volume_points()
-    vals = np.asarray(f(pts[:, :, 0], pts[:, :, 1]), dtype=float)
-    out = np.empty((len(vals), sys.n_w))
-    for ops, members in sys.class_groups:
-        out[members] = (vals[members] * ops.wq) @ ops.w_vals
+    out = np.empty((len(sys.mesh.triangles), sys.n_w))
+    for ops, members, pts in sys.class_points(sys.ref.vol.points):
+        vals = np.asarray(f(pts[:, :, 0], pts[:, :, 1]), dtype=float)
+        out[members] = (vals * ops.wq) @ ops.w_vals
     return out
 
 

@@ -16,7 +16,6 @@ __all__ = [
     "build_square_mesh",
     "build_lshape_mesh",
     "refine",
-    "dump_mesh",
 ]
 
 
@@ -212,14 +211,3 @@ def refine(mesh):
     children[3::4] = np.column_stack([m01, m12, m20])
     return Mesh(verts, children, level=mesh.level + 1, domain=mesh.domain)
 
-
-def dump_mesh(mesh):
-    """Plain-text dump: `v x y`, `t i j k`, and `e i j flag` lines."""
-    lines = []
-    for x, y in mesh.vertices:
-        lines.append("v %.17g %.17g" % (x, y))
-    for i, j, k in mesh.triangles:
-        lines.append("t %d %d %d" % (i, j, k))
-    for (i, j), flag in zip(mesh.edges, mesh.boundary):
-        lines.append("e %d %d %d" % (i, j, int(flag)))
-    return "\n".join(lines) + "\n"

@@ -172,7 +172,6 @@ def _system_residuals(sys, eta_loc, u, q, rhs_mom):
     and 'continuity' for single-valuedness of the numerical flux moments
     on interior edges.
     """
-    mesh = sys.mesh
     n_m = sys.ref.n_m
     c = sys.mat.c
 
@@ -180,8 +179,7 @@ def _system_residuals(sys, eta_loc, u, q, rhs_mom):
     res_b = []
     mag_a = np.zeros(3)
     mag_b = np.zeros(3)
-    cont = np.zeros((mesh.num_edges, n_m))
-    cont_mag = np.zeros((mesh.num_edges, n_m))
+    flux_moments = np.empty(eta_loc.shape)
 
     for ops, members in sys.class_groups:
         qvals = np.einsum("qid,ei->eqd", ops.v_vals, q[members])
@@ -203,11 +201,7 @@ def _system_residuals(sys, eta_loc, u, q, rhs_mom):
             t3 += np.einsum("g,eg,gi->ei", fw, etav, ops.v_normal[l])
             qhat = _numerical_flux_trace(ops, eta_face, u[members], q[members], l)
             t5 += np.einsum("g,eg,gi->ei", fw, qhat, ops.w_face[l])
-            moments = np.einsum("g,eg,gm->em", fw, qhat, ops.t_face[l])
-            signs = sys.elem_signs[members][:, sl]
-            edges = mesh.elem_edges[members, l]
-            np.add.at(cont, edges, moments * signs)
-            np.add.at(cont_mag, edges, np.abs(moments))
+            flux_moments[members, sl] = np.einsum("g,eg,gm->em", fw, qhat, ops.t_face[l])
         res_a.append(t1 - t2 + t3)
         res_b.append(-t4 + t5 - t6)
         mag_a += [np.linalg.norm(t1), np.linalg.norm(t2), np.linalg.norm(t3)]
@@ -215,13 +209,19 @@ def _system_residuals(sys, eta_loc, u, q, rhs_mom):
 
     scale_a = max(mag_a.max(), 1e-300)
     scale_b = max(mag_b.max(), 1e-300)
-    interior = ~mesh.boundary
-    scale_c = max(cont_mag[interior].max(), 1e-300)
     return {
         "flux": float(np.linalg.norm(np.concatenate(res_a, axis=None)) / scale_a),
         "balance": float(np.linalg.norm(np.concatenate(res_b, axis=None)) / scale_b),
-        "continuity": float(np.abs(cont[interior]).max() / scale_c),
+        "continuity": _edge_jump(sys, flux_moments),
     }
+
+
+def _edge_jump(sys, moments):
+    """Largest interior-edge sum of signed element face moments (T, 3(k+1)),
+    relative to the largest sum of their magnitudes."""
+    jumps = sys.gather.T @ moments.ravel()
+    mags = abs(sys.gather).T @ np.abs(moments).ravel()
+    return float(np.abs(jumps).max() / max(mags.max(), 1e-300))
 
 
 def eig_residuals(sys, fields):
@@ -242,14 +242,7 @@ def source_residuals(sys, eta, u, q, f):
 def qstar_normal_jumps(sys, q_star):
     """Largest interior-edge moment jump of the reconstructed normal flux,
     scaled by the overall moment magnitude."""
-    mesh = sys.mesh
-    n_m = sys.ref.n_m
-    jumps = np.zeros((mesh.num_edges, n_m))
-    mags = np.zeros((mesh.num_edges, n_m))
+    moments = np.empty((len(q_star), 3 * sys.ref.n_m))
     for ops, members in sys.class_groups:
-        moments = (q_star[members] @ ops.rt_moments * sys.elem_signs[members]).reshape(-1, n_m)
-        edges = mesh.elem_edges[members].ravel()
-        np.add.at(jumps, edges, moments)
-        np.add.at(mags, edges, np.abs(moments))
-    interior = ~mesh.boundary
-    return float(np.abs(jumps[interior]).max() / max(mags[interior].max(), 1e-300))
+        moments[members] = q_star[members] @ ops.rt_moments
+    return _edge_jump(sys, moments)

@@ -76,14 +76,16 @@ def exact_square_spectrum(count, a=1.0, b=1.0):
     pairs = range(1, count + 1)
     enumerated = sorted((a * m * m + b * n * n, m, n) for m in pairs for n in pairs)
     # multiplicities must come from the full enumeration, not the truncated
-    # list, or a cluster cut at the requested count would look simple
-    counts = {}
-    for v, _, _ in enumerated:
-        counts[v] = counts.get(v, 0) + 1
+    # list, or a cluster cut at the requested count would look simple;
+    # values that differ only by round-off (non-integer a, b) are one
+    # multiple eigenvalue
+    values = np.array([v for v, _, _ in enumerated])
+    cluster = np.cumsum(np.diff(values, prepend=-np.inf) > 1e-12 * values)
+    counts = np.bincount(cluster)[cluster]
     modes = []
     for i, (v, m, n) in enumerate(enumerated[:count]):
         modes.append(
-            ExactMode("square", i + 1, float(v), multiplicity=counts[v], mn=(m, n))
+            ExactMode("square", i + 1, float(v), multiplicity=int(counts[i]), mn=(m, n))
         )
     return modes
 
@@ -131,18 +133,21 @@ def eigenfunction_error(sys, mode, *fields):
             "mode %d of domain %r has no usable closed-form eigenfunction "
             "(multiplicity %d)" % (mode.index, mode.domain, mode.multiplicity)
         )
-    tabs = {sys.ref.n_w: sys.ref.w_err, sys.ref.n_p: sys.ref.p_err}
-    pts, wq = sys.error_rule
-    norm2 = lambda f: np.einsum("eq,eq,eq->", wq, f, f)
-    exact = evaluator(pts[:, :, 0], pts[:, :, 1])
+    ref = sys.ref
+    tabs = {ref.n_w: ref.w_err, ref.n_p: ref.p_err}
+    # the element basis is the reference one over sqrt(det B) and the
+    # weights are det B times the reference ones, so with the exact values
+    # scaled by sqrt(det B) every integral takes the reference weights
+    norm2 = lambda f: np.einsum("q,eq,eq->", ref.err.weights, f, f)
+    exact = np.empty((len(sys.mesh.triangles), len(ref.err)))
+    for ops, members, pts in sys.class_points(ref.err.points):
+        exact[members] = np.sqrt(ops.det) * evaluator(pts[:, :, 0], pts[:, :, 1])
     exact /= np.sqrt(norm2(exact))
-    scale = sys.w_scale()[:, None]
     errors = []
     for coeffs in map(np.asarray, fields):
         if coeffs.shape[1] not in tabs:
             raise ValueError("unrecognized field dimension %d" % coeffs.shape[1])
         vals = coeffs @ tabs[coeffs.shape[1]].T
-        vals /= scale
         nrm = np.sqrt(norm2(vals))
         if nrm == 0.0:
             raise ValueError("discrete field is identically zero")

@@ -5,7 +5,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hdgeig.assembly import (
-    TraceDofMap,
     assemble_condensed,
     assemble_m_of_lambda,
     assemble_source_rhs,
@@ -22,20 +21,52 @@ from hdgeig.recovery import postprocess, recover_fields, source_residuals
 # --- class-loop references for the compiled sparse maps ---------------------
 
 
+def reference_trace_dofs(mesh, k):
+    """Per-element trace dof ids (T, 3(k+1)), -1 on boundary faces, and face
+    signs, numbered element by element from the vertex lists alone: k+1
+    dofs per interior edge (an edge of two triangles), edges in ascending
+    order of their sorted vertex pairs, and mode m of a face negated by
+    (-1)^m where the element runs against the edge's ascending vertex order."""
+    n_m = k + 1
+    faces = [[(tri[l], tri[(l + 1) % 3]) for l in range(3)] for tri in mesh.triangles.tolist()]
+    count = {}
+    for a, b in (face for tri in faces for face in tri):
+        edge = (min(a, b), max(a, b))
+        count[edge] = count.get(edge, 0) + 1
+    interior = {edge: i for i, edge in enumerate(e for e in sorted(count) if count[e] == 2)}
+    dofs = -np.ones((len(faces), 3 * n_m), dtype=int)
+    signs = np.ones((len(faces), 3 * n_m))
+    for t, tri in enumerate(faces):
+        for l, (a, b) in enumerate(tri):
+            slots = slice(l * n_m, (l + 1) * n_m)
+            if (min(a, b), max(a, b)) in interior:
+                dofs[t, slots] = n_m * interior[min(a, b), max(a, b)] + np.arange(n_m)
+            if a > b:
+                signs[t, slots] = (-1.0) ** np.arange(n_m)
+    return dofs, signs
+
+
+def reference_local_trace(sys, eta):
+    """Signed element-local face blocks of a trace, element by element."""
+    dofs, signs = reference_trace_dofs(sys.mesh, sys.spaces.k)
+    return np.where(dofs >= 0, eta[dofs], 0.0) * signs
+
+
 def reference_moment_rhs(sys, fmom):
     """sum_K (f_K, U_K mu) for load moments (T, n_w), element class by class."""
-    local = np.empty_like(sys.elem_signs)
+    dofs, signs = reference_trace_dofs(sys.mesh, sys.spaces.k)
+    local = np.empty(dofs.shape)
     for ops, members in sys.class_groups:
         local[members] = fmom[members] @ ops.umat
     out = np.zeros(sys.ndof)
-    mask = sys.elem_dofs >= 0
-    np.add.at(out, sys.elem_dofs[mask], (local * sys.elem_signs)[mask])
+    mask = dofs >= 0
+    np.add.at(out, dofs[mask], (local * signs)[mask])
     return out
 
 
 def reference_lift(sys, eta):
     """Per-element scalar lift U eta (T, n_w), element class by class."""
-    eta_loc = sys.local_trace(eta)
+    eta_loc = reference_local_trace(sys, eta)
     u = np.empty((len(sys.mesh.triangles), sys.n_w))
     for ops, members in sys.class_groups:
         u[members] = eta_loc[members] @ ops.umat.T
@@ -45,11 +76,12 @@ def reference_lift(sys, eta):
 def reference_class_cores(sys, core_fn):
     """Per-class (d, d) blocks core_fn(ops), signed and summed into a
     sparse (ndof, ndof) matrix, element class by element class."""
+    elem_dofs, elem_signs = reference_trace_dofs(sys.mesh, sys.spaces.k)
     rows, cols, vals = [], [], []
     for ops, members in sys.class_groups:
         core = core_fn(ops)
-        signs = sys.elem_signs[members]
-        dofs = sys.elem_dofs[members]
+        signs = elem_signs[members]
+        dofs = elem_dofs[members]
         blocks = np.einsum("ij,ei,ej->eij", core, signs, signs)
         valid = dofs >= 0
         mask = valid[:, :, None] & valid[:, None, :]
@@ -83,12 +115,35 @@ class TestDofMap:
         # interior edges at level 1: (3*128 - 32) / 2 = 176, two dofs each
         assert systems("square", 1, 1).ndof == 352
 
-    def test_boundary_edges_carry_no_dofs(self, meshes):
-        mesh = meshes("square", 0)
-        dofmap = TraceDofMap(mesh, 2)
-        assert (dofmap.edge_offset[mesh.boundary] == -1).all()
-        offsets = dofmap.edge_offset[~mesh.boundary]
-        assert sorted(offsets) == list(range(0, dofmap.ndof, 3))
+    def test_boundary_edges_carry_no_dofs(self, systems):
+        # boundary-face rows of the gather are empty, every other row holds
+        # one +-1 entry
+        sys = systems("lshape", 1, 2)
+        n_m = sys.ref.n_m
+        on_boundary = np.repeat(sys.mesh.boundary[sys.mesh.elem_edges].ravel(), n_m)
+        per_row = np.diff(sys.gather.indptr)
+        assert (per_row[on_boundary] == 0).all() and (per_row[~on_boundary] == 1).all()
+        assert sys.ndof == n_m * sys.mesh.num_interior_edges
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_columns_pair_two_elements(self, systems, domain, k):
+        # every trace dof is one face mode shared by exactly two elements
+        gather = systems(domain, 1, k).gather.tocsc()
+        assert (np.diff(gather.indptr) == 2).all()
+        assert (np.abs(gather.data) == 1.0).all()
+        elements = (gather.indices // (3 * (k + 1))).reshape(-1, 2)
+        assert (elements[:, 0] != elements[:, 1]).all()
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("level", [0, 2])
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_gather_matches_element_loop(self, systems, domain, level, k):
+        sys = systems(domain, level, k)
+        eta = np.random.default_rng(level + k).standard_normal(sys.ndof)
+        assert np.array_equal(sys.local_trace(eta), reference_local_trace(sys, eta))
+        dofs, _ = reference_trace_dofs(sys.mesh, k)
+        assert sys.ndof == dofs.max() + 1
 
 
 class TestGlobalMatrices:
@@ -135,7 +190,7 @@ class TestGlobalMatrices:
         # nonzeros only couple dofs that share an element
         sys = systems("square", 1, 1)
         allowed = set()
-        for dofs in sys.elem_dofs:
+        for dofs in reference_trace_dofs(sys.mesh, 1)[0]:
             live = dofs[dofs >= 0]
             for i in live:
                 for j in live:
@@ -165,13 +220,14 @@ class TestSourceRhs:
         b = assemble_source_rhs(sys, lambda x, y: np.ones_like(x))
         expected = np.zeros(sys.ndof)
         fmom = load_moments(sys, lambda x, y: np.ones_like(x))
+        elem_dofs, elem_signs = reference_trace_dofs(mesh, 0)
         for t in range(mesh.num_triangles):
             ops = sys.classes[sys.elem_class[t]]
             local = fmom[t] @ ops.umat
-            for j in range(sys.elem_dofs.shape[1]):
-                dof = sys.elem_dofs[t, j]
+            for j in range(elem_dofs.shape[1]):
+                dof = elem_dofs[t, j]
                 if dof >= 0:
-                    expected[dof] += local[j] * sys.elem_signs[t, j]
+                    expected[dof] += local[j] * elem_signs[t, j]
         assert np.abs(b - expected).max() < 1e-12 * max(np.abs(b).max(), 1.0)
 
 
@@ -214,10 +270,12 @@ class TestSolveSource:
         for level in (1, 2, 3):
             sys = systems("square", level, 2)
             _, u, _ = solve_source(sys, f)
-            pts, wq = sys.error_rule
-            vals = np.einsum("qi,ei->eq", sys.ref.w_err, u) / sys.w_scale()[:, None]
-            exact = np.sin(pts[:, :, 0]) * np.sin(pts[:, :, 1])
-            errors.append(np.sqrt(np.sum(wq * (vals - exact) ** 2)))
+            err2 = 0.0
+            for ops, members, pts in sys.class_points(sys.ref.err.points):
+                vals = u[members] @ sys.ref.w_err.T / np.sqrt(ops.det)
+                exact = np.sin(pts[:, :, 0]) * np.sin(pts[:, :, 1])
+                err2 += ops.det * np.sum(sys.ref.err.weights * (vals - exact) ** 2)
+            errors.append(np.sqrt(err2))
         rates = np.log2(np.array(errors[:-1]) / errors[1:])
         assert all(abs(r - 3.0) < 0.25 for r in rates)
 
@@ -234,10 +292,12 @@ class TestCongruenceClasses:
         spec = _CLASS_TAUS[tau]
         sys = assemble_condensed(mesh, SpaceConfig(0), spec)
         tau_el = np.array([spec.face_value(h=mesh.spacing, h_k=h) for h in mesh.h_K])
+        bmats = np.stack([mesh.vertices[tri[1:]] - mesh.vertices[tri[0]] for tri in mesh.triangles])
+        bmats = bmats.transpose(0, 2, 1)
         count = np.zeros(mesh.num_triangles, dtype=int)
         for ops, members in sys.class_groups:
             count[members] += 1
-            assert np.abs(sys.bmats[members] - ops.bmat).max() <= 1e-12
+            assert np.abs(bmats[members] - ops.bmat).max() <= 1e-12
             assert np.abs(tau_el[members, None] - ops.tau).max() <= 1e-12
         assert (count == 1).all()
         for i, a in enumerate(sys.classes):
@@ -247,7 +307,7 @@ class TestCongruenceClasses:
         # and tau, numbering classes by first occurrence
         keys = {}
         for t in range(mesh.num_triangles):
-            key = (np.round(sys.bmats[t], 12).tobytes(), round(tau_el[t], 12))
+            key = (np.round(bmats[t], 12).tobytes(), round(tau_el[t], 12))
             keys.setdefault(key, len(keys))
             assert sys.elem_class[t] == keys[key]
         assert len(sys.classes) == level + 2
@@ -261,18 +321,18 @@ class TestCongruenceClasses:
 def _signed_permutation(mesh, permuted, vperm):
     """Map dofs of `mesh` onto dofs of `permuted` given the vertex map."""
     k = 1
-    dof_a = TraceDofMap(mesh, k)
-    dof_b = TraceDofMap(permuted, k)
+    offset_a = {e: (k + 1) * i for i, e in enumerate(np.flatnonzero(~mesh.boundary))}
+    offset_b = {e: (k + 1) * i for i, e in enumerate(np.flatnonzero(~permuted.boundary))}
     edge_ids = {tuple(e): i for i, e in enumerate(map(tuple, permuted.edges))}
-    perm = np.empty(dof_a.ndof, dtype=int)
-    sign = np.empty(dof_a.ndof)
-    for e in np.flatnonzero(~mesh.boundary):
+    perm = np.empty((k + 1) * len(offset_a), dtype=int)
+    sign = np.empty(perm.size)
+    for e in offset_a:
         a, b = mesh.edges[e]
         pa, pb = vperm[a], vperm[b]
         flip = pa > pb
         eb = edge_ids[(min(pa, pb), max(pa, pb))]
-        src = dof_a.edge_offset[e]
-        dst = dof_b.edge_offset[eb]
+        src = offset_a[e]
+        dst = offset_b[eb]
         for m in range(k + 1):
             perm[src + m] = dst + m
             sign[src + m] = (-1.0) ** m if flip else 1.0

@@ -58,10 +58,14 @@ class TestTriangleQuadrature:
         ops = element_lift(AFFINE, SpaceConfig(1), TauSpec.one())
         assert np.isclose(ops.wq.sum(), area, rtol=1e-12)
         sys = systems("lshape", 1, 1)
-        pts, wts = sys.error_rule
-        assert np.allclose(wts.sum(axis=1), sys.mesh.areas, rtol=1e-12, atol=0)
-        want = sys.p0[:, None, :] + np.einsum("eab,qb->eqa", sys.bmats, sys.ref.err.points)
-        assert np.abs(pts - want).max() < 1e-12
+        verts = sys.mesh.vertices[sys.mesh.triangles]
+        for ops, members, pts in sys.class_points(sys.ref.err.points):
+            assert np.allclose(ops.det * sys.ref.err.weights.sum(), sys.mesh.areas[members],
+                               rtol=1e-12, atol=0)
+            own = np.stack([verts[members, 1] - verts[members, 0],
+                            verts[members, 2] - verts[members, 0]], axis=2)
+            want = verts[members, None, 0] + np.einsum("eab,qb->eqa", own, sys.ref.err.points)
+            assert np.abs(pts - want).max() < 1e-12
 
 
 class TestEdgeQuadrature:

@@ -5,7 +5,6 @@ from hdgeig.mesh import (
     Mesh,
     build_lshape_mesh,
     build_square_mesh,
-    dump_mesh,
     refine,
 )
 
@@ -155,17 +154,3 @@ class TestMeshInvariants:
         with pytest.raises(ValueError):
             m.locate((-1.0, -1.0))
 
-
-class TestDump:
-    def test_format(self):
-        m = build_lshape_mesh(0)
-        text = dump_mesh(m)
-        lines = text.strip().split("\n")
-        assert len(lines) == m.num_vertices + m.num_triangles + m.num_edges
-        assert lines[0].startswith("v ")
-        kinds = [ln.split()[0] for ln in lines]
-        assert kinds.count("v") == m.num_vertices
-        assert kinds.count("t") == m.num_triangles
-        assert kinds.count("e") == m.num_edges
-        flags = [int(ln.split()[3]) for ln in lines if ln.startswith("e ")]
-        assert sum(flags) == m.num_boundary_edges

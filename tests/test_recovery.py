@@ -17,6 +17,7 @@ from hdgeig.recovery import (
     rayleigh_eigenvalue,
     recover_fields,
 )
+from test_assembly import reference_local_trace, reference_trace_dofs
 
 
 # --- reference implementations -------------------------------------------
@@ -83,7 +84,7 @@ def reference_rayleigh_terms(ops, u_star, q_star):
 
 def reference_postprocess(sys, fields):
     """(u*, q*, lambda*) from the reference implementations."""
-    eta_loc = sys.local_trace(fields.eta)
+    eta_loc = reference_local_trace(sys, fields.eta)
     num_t = len(fields.u)
     u_star = np.empty((num_t, sys.ref.n_p))
     q_star = np.empty((num_t, sys.ref.n_rt))
@@ -214,6 +215,22 @@ class TestPostprocessQ:
         q_star = postprocess_q(sys, fields)
         assert qstar_normal_jumps(sys, q_star) < 1e-10
 
+    @pytest.mark.parametrize("domain,k", [("square", 1), ("lshape", 2)])
+    def test_normal_jumps_match_edge_loop(self, recovered, domain, k):
+        # the jump through the gather against moments summed edge by edge
+        sys, fields = recovered(domain, 1, k)
+        q_star = postprocess_q(sys, fields)
+        dofs, signs = reference_trace_dofs(sys.mesh, k)
+        jumps = np.zeros(sys.ndof)
+        mags = np.zeros(sys.ndof)
+        for t in range(len(q_star)):
+            moments = q_star[t] @ sys.classes[sys.elem_class[t]].rt_moments
+            for j in np.flatnonzero(dofs[t] >= 0):
+                jumps[dofs[t, j]] += signs[t, j] * moments[j]
+                mags[dofs[t, j]] += abs(moments[j])
+        want = np.abs(jumps).max() / mags.max()
+        assert qstar_normal_jumps(sys, q_star) == pytest.approx(want, rel=1e-14)
+
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_local_system_nonsingular(self, systems, k):
         sys = systems("square", 0, k)
@@ -234,9 +251,8 @@ class TestPostprocessQ:
         fields.u = np.zeros((num_t, sys.ref.n_w))
         fields.eta = np.zeros(sys.ndof)
         qfun = lambda x, y: np.stack([2 * x - y + 1, x + 3 * y], axis=-1)
-        pts = sys.volume_points()
-        for ops, members in sys.class_groups:
-            vals = qfun(pts[members][:, :, 0], pts[members][:, :, 1])
+        for ops, members, pts in sys.class_points(sys.ref.vol.points):
+            vals = qfun(pts[:, :, 0], pts[:, :, 1])
             fields.q[members] = np.einsum(
                 "q,eqd,qid->ei", ops.wq, vals, ops.v_vals
             )
@@ -259,15 +275,14 @@ class TestRayleighEigenvalue:
         rng = np.random.default_rng(6)
         u_star = np.zeros((num_t, sys.ref.n_p))
         q_star = np.zeros((num_t, sys.ref.n_rt))
-        pts = sys.volume_points()
         ufun = lambda x, y: np.sin(x) * np.sin(y)
         gfun = lambda x, y: np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)], axis=-1)
-        for ops, members in sys.class_groups:
+        for ops, members, pts in sys.class_points(sys.ref.vol.points):
             pops = ops.p_ops
             rt = ops.rt_ops
-            uvals = ufun(pts[members][:, :, 0], pts[members][:, :, 1])
+            uvals = ufun(pts[:, :, 0], pts[:, :, 1])
             u_star[members] = np.einsum("q,eq,qj->ej", ops.wq, uvals, pops["vals"])
-            gvals = -gfun(pts[members][:, :, 0], pts[members][:, :, 1])
+            gvals = -gfun(pts[:, :, 0], pts[:, :, 1])
             gram = np.einsum("q,qid,qjd->ij", ops.wq, rt["vol_vals"], rt["vol_vals"])
             rhs = np.einsum("q,eqd,qid->ei", ops.wq, gvals, rt["vol_vals"])
             q_star[members] = np.linalg.solve(gram, rhs.T).T

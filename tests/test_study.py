@@ -1,4 +1,5 @@
 import json
+import types
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hdgeig.study import (
     exact_lshape_values,
     exact_square_spectrum,
 )
+from hdgeig.recovery import postprocess, recover_fields
 
 
 def l2_norm_on_square(func, level=4, order=12):
@@ -37,6 +39,29 @@ def l2_norm_on_square(func, level=4, order=12):
     return float(np.sqrt(np.sum(wq * vals**2)))
 
 
+def reference_eigenfunction_error(sys, mode, *fields):
+    """The error functional as it ran before the per-class mapping: the
+    error rule mapped over the whole mesh through each element's own
+    Jacobian, and the basis scaled element by element."""
+    mesh = sys.mesh
+    p0 = mesh.vertices[mesh.triangles[:, 0]]
+    bmats = np.stack([mesh.vertices[mesh.triangles[:, 1]] - p0,
+                      mesh.vertices[mesh.triangles[:, 2]] - p0], axis=2)
+    det = np.linalg.det(bmats)
+    pts = p0[:, None, :] + np.einsum("eab,qb->eqa", bmats, sys.ref.err.points)
+    wq = det[:, None] * sys.ref.err.weights
+    norm2 = lambda f: np.einsum("eq,eq,eq->", wq, f, f)
+    exact = mode.evaluator(pts[:, :, 0], pts[:, :, 1])
+    exact /= np.sqrt(norm2(exact))
+    tabs = {sys.ref.n_w: sys.ref.w_err, sys.ref.n_p: sys.ref.p_err}
+    errors = []
+    for coeffs in fields:
+        vals = coeffs @ tabs[coeffs.shape[1]].T / np.sqrt(det)[:, None]
+        vals /= np.sqrt(norm2(vals))
+        errors.append(np.sqrt(min(norm2(vals - exact), norm2(vals + exact))))
+    return errors
+
+
 class TestExactReferences:
     def test_first_six_square_values(self):
         assert [m.value for m in exact_square_spectrum(6)] == [2, 5, 5, 8, 10, 10]
@@ -53,6 +78,20 @@ class TestExactReferences:
         assert [m.multiplicity for m in modes] == [1, 2, 2, 1, 2, 2]
         assert modes[3].evaluator is not None  # mode 4 is simple
         assert modes[1].evaluator is None  # clustered pair
+
+    @pytest.mark.parametrize("a,b,double", [
+        (0.1, 0.2, (13,)), (0.7, 1.4, (13, 22, 29, 37)),
+    ])
+    def test_round_off_doubles(self, a, b, double):
+        # 0.1 * 5^2 + 0.2 * 2^2 and 0.1 * 1^2 + 0.2 * 4^2 are both 3.3 but
+        # differ in the last bit: still one double eigenvalue
+        modes = exact_square_spectrum(40, a, b)
+        for index in double:
+            mode = modes[index - 1]
+            assert mode.multiplicity == 2 and mode.evaluator is None
+            assert any(m.value == pytest.approx(mode.value, rel=1e-12)
+                       and m.mn != mode.mn for m in modes)
+        assert modes[0].multiplicity == 1
 
     def test_diagonal_material_values(self):
         # alpha = diag(1, 2): m^2 + 2 n^2; 9 = 1 + 2*4 and 27 = 25 + 2 = 9 + 18
@@ -100,9 +139,8 @@ class TestEigenfunctionError:
             evaluator=lambda x, y: 1.0 + 0.5 * x - 0.25 * y + 0.1 * x * y,
         )
         coeffs = np.zeros((len(sys.mesh.triangles), sys.ref.n_p))
-        pts = sys.volume_points()
-        for ops, members in sys.class_groups:
-            vals = fake.evaluator(pts[members][:, :, 0], pts[members][:, :, 1])
+        for ops, members, pts in sys.class_points(sys.ref.vol.points):
+            vals = fake.evaluator(pts[:, :, 0], pts[:, :, 1])
             coeffs[members] = np.einsum(
                 "q,eq,qi->ei", ops.wq, vals, ops.p_ops["vals"]
             )
@@ -118,12 +156,29 @@ class TestEigenfunctionError:
         sys = systems("square", 1, 2)
         mode = exact_square_spectrum(1)[0]
         coeffs = np.zeros((len(sys.mesh.triangles), sys.ref.n_w))
-        pts = sys.volume_points()
-        for ops, members in sys.class_groups:
-            vals = mode.evaluator(pts[members][:, :, 0], pts[members][:, :, 1])
+        for ops, members, pts in sys.class_points(sys.ref.vol.points):
+            vals = mode.evaluator(pts[:, :, 0], pts[:, :, 1])
             coeffs[members] = np.einsum("q,eq,qi->ei", ops.wq, vals, ops.w_vals)
         err, = eigenfunction_error(sys, mode, coeffs)
         assert 0 < err < 1e-3
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_matches_mesh_wide_reference(self, systems, eigenpairs, domain, k):
+        # square mode 1, sin x sin y; L-shape mode 3, sin(pi x) sin(pi y)
+        if domain == "square":
+            index, mode = 1, exact_square_spectrum(1)[0]
+        else:
+            index, mode = 3, types.SimpleNamespace(
+                evaluator=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        sys = systems(domain, 1, k)
+        _, pairs = eigenpairs(domain, 1, k, m=index)
+        fields = recover_fields(sys, pairs[index - 1])
+        scalars = (fields.u, postprocess(sys, fields).u_star)
+        got = eigenfunction_error(sys, mode, *scalars)
+        want = reference_eigenfunction_error(sys, mode, *scalars)
+        assert max(want) < 0.3  # the fields approximate this mode
+        np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_unsupported_mode_raises(self, systems):
         sys = systems("square", 1, 1)
