@@ -263,7 +263,8 @@ def cmd_study(args):
     )
     report = run_convergence_study(
         config,
-        progress=lambda level, dt: log.info("level %d done in %.2fs", level, dt),
+        progress=lambda level, dt, detail: log.info("level %d done in %.2fs: %s",
+                                                    level, dt, detail),
     )
     _write_output(emit_table(report, args.format), args)
     return EXIT_OK

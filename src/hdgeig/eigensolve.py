@@ -4,9 +4,10 @@ Static condensation leaves three maps on the scalar space W_h (per-element
 scalar coefficients, orthonormal local bases): the trace lift U, the
 moment map U^T and the stiffness inverse A^-1 (the cached factorization).
 ``CondensedSystem`` compiles U and the block-diagonal load lift W into
-sparse matrices, and every eigensolve here is one standard-mode ARPACK
-Lanczos run, for the largest eigenvalues mu, on a member of the family
-D U A^-1 U^T D (+ W) of symmetric operators on W_h:
+sparse matrices, and every eigensolve here finds the largest eigenvalues
+mu of a member of the family D U A^-1 U^T D (+ W) of symmetric operators
+on W_h, applied to a vector or, with one multi-right-hand-side solve, to
+the columns of a block:
 
 * ``solve_modes`` (the entry point of the command line, the study and the
   tests) on the source-solution operator T = U A^-1 U^T + W: lam = 1/mu;
@@ -14,6 +15,13 @@ D U A^-1 U^T D (+ W) of symmetric operators on W_h:
 * the secant's frozen pencil A x = theta M(kappa) x, M(kappa) = U^T R U
   with R = (I - kappa W)^-1, on D T0 D with D = R^(1/2).  The surrogate is
   the frozen pencil at kappa = 0; theta = 1/mu for both.
+
+Without a start block a run is a standard-mode ARPACK Lanczos run from a
+fixed vector.  Given a block of approximate eigenvectors (the study's
+nested levels provide one), it is a LOBPCG run from that block, which
+needs fewer multi-right-hand-side solves when the block is close.  From
+a random block LOBPCG is slower than Lanczos and stalls on clusters, so
+no cold run uses it.
 
 An eigenvector y gives the trace A^-1 U^T D y.  The kernel of G becomes
 zero eigenvalues of T0 (theta infinite), which never reach the lowest
@@ -48,6 +56,11 @@ __all__ = [
 _RESIDUAL_TOL = 1e-9
 _SECANT_TOL = 1e-12
 _SECANT_MAX_ITER = 50
+#: LOBPCG stops when every residual |T x - mu x| (unit x) is at most this
+#: times the operator's scale; looser values let the eigenvectors, and
+#: with them the eigenfunction errors, drift from the Lanczos run's
+_LOBPCG_RTOL = 1e-12
+_LOBPCG_MAX_ITER = 100
 
 
 class EigenPair:
@@ -55,11 +68,12 @@ class EigenPair:
     spectrum.
 
     From ``solve_modes``: ``iterations`` counts solution-operator
-    applications in the Lanczos run, ``defect`` is the relative residual
+    applications in the run (Lanczos matvecs, or LOBPCG block columns
+    from a start block), ``defect`` is the relative residual
     |A eta - lam M(lam) eta| / |A eta|.  From the surrogate: a
-    Gram-normalized vector, no iterations and ``defect`` |A v - theta G v|
-    / |A v|.  From the secant: its iteration count, last relative update
-    and iterates (``history``).
+    Gram-normalized vector, the run's operator applications and
+    ``defect`` |A v - theta G v| / |A v|.  From the secant: its iteration
+    count, last relative update and iterates (``history``).
     """
 
     def __init__(self, value, vector, index, iterations=0, defect=0.0, history=()):
@@ -86,58 +100,179 @@ def _eigsh(op, k, what, **kwargs):
     try:
         return scipy.sparse.linalg.eigsh(op, k=k, which="LA", **kwargs)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise EigenSolveError("%s did not converge: %s" % (what, exc))
+        raise EigenSolveError("Lanczos run on %s did not converge: %s" % (what, exc))
+
+
+def _orthonormal(v, against=()):
+    """Columns of ``v`` made orthonormal and orthogonal to the orthonormal
+    blocks in ``against``, in two passes of a block Gram-Schmidt step
+    against them and an eigendecomposition of the Gram matrix that drops
+    directions dependent to round-off."""
+    for _ in range(2):
+        if not v.shape[1]:
+            break
+        for q in against:
+            v -= q @ (q.T @ v)
+        gram = v.T @ v
+        d = 1.0 / np.sqrt(np.maximum(np.diag(gram), np.finfo(float).tiny))
+        w, u = np.linalg.eigh(d[:, None] * gram * d)
+        keep = w > 1e-12 * w[-1]
+        v = v @ (d[:, None] * u[:, keep] / np.sqrt(w[keep]))
+    return v
+
+
+def _combine(blocks, coeffs):
+    """sum_i blocks[i] @ coeffs[i], accumulated in place."""
+    out = blocks[0] @ coeffs[0]
+    for block, c in zip(blocks[1:], coeffs[1:]):
+        out += block @ c
+    return out
+
+
+def _lobpcg(op, block, what):
+    """Largest eigenpairs of ``op``, mu descending, by LOBPCG (Knyazev,
+    SISC 23 (2001)) from the columns of ``block``.
+
+    Each iteration applies ``op`` once, to the residuals R of the columns
+    not yet converged (one multi-right-hand-side solve), and takes the
+    Rayleigh-Ritz pairs on the orthonormal basis [X, R, P].  The new
+    directions P are the update's part outside the new X, orthonormalized
+    in the small Rayleigh-Ritz space (Hetmaniuk & Lehoucq, J. Comput.
+    Phys. 218 (2006)), so only R is orthonormalized against the big
+    blocks.  A column has converged when its residual |op x - mu x| is
+    at most ``_LOBPCG_RTOL`` times the operator's scale, the largest Ritz
+    value of the start block.  The run keeps X, R, P and their images:
+    ``scipy.sparse.linalg.lobpcg`` keeps about fourteen blocks, which
+    raised the study's peak memory by 15%.  No convergence within
+    ``_LOBPCG_MAX_ITER`` iterations raises ``EigenSolveError``.
+    """
+    x = _orthonormal(np.asarray(block, dtype=float))
+    if x.shape[1] < block.shape[1]:
+        raise EigenSolveError("the start block of the LOBPCG run on %s has dependent "
+                              "columns" % what)
+    ax = op.matmat(x)
+    h = x.T @ ax
+    theta, y = np.linalg.eigh(0.5 * (h + h.T))
+    theta, y = theta[::-1], y[:, ::-1]
+    x, ax = x @ y, ax @ y
+    tol = _LOBPCG_RTOL * abs(theta[0])
+    m = x.shape[1]
+    basis = [(x, ax)]
+    for _ in range(_LOBPCG_MAX_ITER):
+        r = x * theta
+        np.subtract(ax, r, out=r)
+        norms = np.linalg.norm(r, axis=0)
+        if norms.max() <= tol:
+            return theta, x
+        if norms.min() <= tol:
+            r = r[:, norms > tol]
+        r = _orthonormal(r, [v for v, _ in basis])
+        if not r.shape[1]:
+            break  # the residuals lie in span [X, P] to round-off: no progress left
+        basis.insert(1, (r, op.matmat(r)))
+        h = np.block([[v.T @ av for _, av in basis] for v, _ in basis])
+        w, y = np.linalg.eigh(0.5 * (h + h.T))
+        theta, y = w[::-1][:m], y[:, ::-1][:, :m]
+        z = y.copy()
+        z[:m] = 0.0
+        z = _orthonormal(z, [y])
+        rows = np.cumsum([v.shape[1] for v, _ in basis])[:-1]
+        ys, zs = np.split(y, rows), np.split(z, rows)
+        blocks, images = zip(*basis)
+        del basis, r, x, ax  # each old block goes once it is combined
+        x, p = _combine(blocks, ys), _combine(blocks, zs)
+        del blocks
+        ax, ap = _combine(images, ys), _combine(images, zs)
+        del images
+        basis = [(x, ax), (p, ap)]
+    raise EigenSolveError("LOBPCG run on %s did not converge within %d iterations "
+                          "(largest residual %.1e of the operator's scale)"
+                          % (what, _LOBPCG_MAX_ITER, norms.max() / abs(theta[0])))
+
+
+def _largest(op, count, what, start=None):
+    """Largest ``count`` eigenpairs of the symmetric ``op``, mu descending:
+    LOBPCG from the columns of a block ``start`` (n, count), otherwise a
+    Lanczos run from the vector ``start`` or from the deterministic one."""
+    if start is not None and start.ndim == 2:
+        return _lobpcg(op, start, what)
+    v0 = _deterministic_start(op.shape[0]) if start is None else start
+    mu, vecs = _eigsh(op, count, what, v0=v0)
+    order = np.argsort(mu)[::-1]
+    return mu[order], vecs[:, order]
 
 
 def _operator(sys, root=None, load=None):
     """y -> D U A^-1 U^T D y + W y on W_h for D = ``root`` (None: identity)
-    and W = ``load`` (None: zero); ``applications`` counts its matvecs."""
+    and W = ``load`` (None: zero), on a vector or the columns of a block
+    (one multi-right-hand-side solve); ``applications`` counts columns."""
     lu, lift, moments = sys.factorized(), sys.lift, sys.moments
 
-    def matvec(y):
-        op.applications += 1
+    def apply(y):
+        op.applications += 1 if y.ndim == 1 else y.shape[1]
         x = y if root is None else root @ y
         x = lift @ lu.solve(moments @ x)
         if root is not None:
             x = root @ x
-        return x if load is None else x + load @ y
+        if load is not None:
+            x += load @ y
+        return x
 
-    op = scipy.sparse.linalg.LinearOperator((sys.dim_w,) * 2, matvec=matvec, dtype=float)
+    op = scipy.sparse.linalg.LinearOperator((sys.dim_w,) * 2, matvec=apply, matmat=apply,
+                                            dtype=float)
     op.applications = 0
     return op
 
 
-def _frozen_pencil(sys, kappa, count, start=None):
-    """Lowest ``count`` eigenpairs of A x = theta M(kappa) x: theta ascending
-    and the trace vectors as columns, from Lanczos on D T0 D (D fails with
-    ``LocalSolveError`` at or beyond the wall).  M(kappa) has rank at most
-    that of U, so modes beyond min(ndof, dim W_h) lie in its kernel.  The
-    run starts from D U ``start`` for a trace vector ``start``."""
+def _check_count(sys, m):
+    """Both problems have at most rank U <= min(ndof, dim W_h) modes: the
+    further surrogate modes lie in the kernel of the lift Gram matrix, and
+    the further modes of T at or beyond the resolvent wall (each mode below
+    it has a nonzero trace A^-1 U^T u).  Lanczos also needs m < dim W_h."""
     n, rank = sys.dim_w, min(sys.ndof, sys.dim_w)
-    if count > rank:
-        raise EigenSolveError("mode %d lies in the kernel of the lift Gram matrix, whose "
-                              "rank is at most min(ndof, dim W_h) = %d" % (count, rank))
-    if not 1 <= count < n:
-        raise EigenSolveError("requested %d modes of a dimension-%d scalar space" % (count, n))
+    if m > rank:
+        raise EigenSolveError(
+            "requested %d modes of a level that represents at most min(ndof, dim W_h) = %d: "
+            "the further modes lie in the kernel of the lift Gram matrix or at the resolvent "
+            "wall" % (m, rank))
+    if not 1 <= m < n:
+        raise EigenSolveError("requested %d modes of a dimension-%d scalar space" % (m, n))
+
+
+def _frozen_pencil(sys, kappa, count, start=None):
+    """Lowest ``count`` eigenpairs of A x = theta M(kappa) x: theta ascending,
+    the trace vectors as columns and the operator applications, from the
+    largest eigenpairs of D T0 D (D fails with ``LocalSolveError`` at or
+    beyond the wall).  A trace vector ``start`` seeds the Lanczos run with
+    D U ``start``; a (dim W_h, count) block ``start`` of approximate
+    eigenvectors of D T0 D starts LOBPCG."""
+    _check_count(sys, count)
     root = sys.resolvent(kappa, 0.5) if kappa else None
-    v0 = _deterministic_start(n) if start is None else sys.lift @ start
-    if start is not None and root is not None:
-        v0 = root @ v0
-    mu, vecs = _eigsh(_operator(sys, root), count, "pencil Lanczos run", v0=v0)
-    order = np.argsort(mu)[::-1]
-    mu, vecs = mu[order], vecs[:, order]
+    if start is not None and start.ndim == 1:
+        start = sys.lift @ start
+        if root is not None:
+            start = root @ start
+    op = _operator(sys, root)
+    mu, vecs = _largest(op, count, "the frozen pencil", start)
     if mu[-1] <= 0.0:
         raise EigenSolveError("mode %d lies in the kernel of the lift Gram matrix"
                               % (np.count_nonzero(mu > 0.0) + 1))
     if root is not None:
         vecs = root @ vecs
-    return 1.0 / mu, sys.factorized().solve(sys.moments @ vecs)
+    return 1.0 / mu, sys.factorized().solve(sys.moments @ vecs), op.applications
 
 
-def solve_linear_surrogate(sys, m):
+def solve_linear_surrogate(sys, m, start=None):
     """Lowest m eigenpairs of the surrogate pencil (stiffness, lift Gram);
-    modes in the kernel of the Gram matrix raise ``EigenSolveError``."""
-    lams, vecs = _frozen_pencil(sys, 0.0, int(m))
+    modes in the kernel of the Gram matrix raise ``EigenSolveError``.
+
+    The largest eigenpairs of T0 come from a Lanczos run, or with a block
+    ``start`` (dim W_h, m) of approximate eigenfields, such as those of
+    ``solve_modes`` (the surrogate perturbs T by -W), from LOBPCG started
+    from its columns.  Each pair counts the operator applications (block
+    columns for LOBPCG) in ``iterations``.
+    """
+    lams, vecs, applications = _frozen_pencil(sys, 0.0, int(m), start)
     pairs = []
     for i, (lam, vec) in enumerate(zip(lams, vecs.T), 1):
         u = sys.lift @ vec
@@ -147,7 +282,7 @@ def solve_linear_surrogate(sys, m):
         defect = np.linalg.norm(av - lam * (sys.moments @ u)) / np.linalg.norm(av)
         if defect > _RESIDUAL_TOL:
             raise EigenSolveError("surrogate eigenpair %d residual too large" % i)
-        pairs.append(EigenPair(lam, vec, i, defect=defect))
+        pairs.append(EigenPair(lam, vec, i, applications, defect))
     return pairs
 
 
@@ -192,7 +327,7 @@ def solve_condensed_nonlinear(sys, seed):
     history = [kappa]
 
     for iteration in range(1, _SECANT_MAX_ITER + 1):
-        thetas, vecs = _frozen_pencil(sys, kappa, index, start=vec)
+        thetas, vecs, _ = _frozen_pencil(sys, kappa, index, start=vec)
         theta, vec = thetas[index - 1], vecs[:, index - 1]
         resid = theta - kappa
         defect = abs(resid) / abs(theta)
@@ -232,25 +367,26 @@ def solve_condensed_nonlinear(sys, seed):
     )
 
 
-def solve_modes(sys, m):
-    """Lowest m eigenpairs, ascending, from one Lanczos run on T.
+def solve_modes(sys, m, start=None):
+    """Lowest m eigenpairs, ascending, from the largest eigenpairs of T.
 
     The largest eigenvalues mu of T give lam = 1/mu.  An eigenvector u of
     T is a scalar field with source lam u, so its trace is A^-1 U^T u up
-    to scale.  A pair at or beyond the resolvent wall, or failing the
-    nonlinear residual check, raises ``EigenSolveError``.
+    to scale.  Without ``start`` one Lanczos run finds them; a block
+    ``start`` (dim W_h, m) of approximate eigenfields, such as the
+    previous level's injected into this one, starts LOBPCG instead, which
+    pays only when the block is close.  ``iterations`` counts the
+    operator applications (block columns for LOBPCG).  A pair at or
+    beyond the resolvent wall, or failing the nonlinear residual check,
+    raises ``EigenSolveError``.
     """
     m, op = int(m), _operator(sys, load=sys.load_lift)
-    n = op.shape[0]
-    if not 1 <= m < n:
-        raise EigenSolveError("requested %d modes of a dimension-%d scalar space" % (m, n))
-    mu, vecs = _eigsh(op, m, "Lanczos run on the solution operator",
-                      v0=_deterministic_start(n))
-    order = np.argsort(mu)[::-1]
-    etas = sys.factorized().solve(sys.moments @ vecs[:, order])
+    _check_count(sys, m)
+    mu, vecs = _largest(op, m, "the solution operator", start)
+    etas = sys.factorized().solve(sys.moments @ vecs)
     lam_cap = _wall_cap(sys)
     pairs = []
-    for index, (eta, mu_i) in enumerate(zip(etas.T, mu[order]), 1):
+    for index, (eta, mu_i) in enumerate(zip(etas.T, mu), 1):
         lam = 1.0 / mu_i if mu_i > 0 else -np.inf
         if not 0.0 < lam < lam_cap:
             raise EigenSolveError(

@@ -1,10 +1,17 @@
 """Convergence-study harness: exact references, errors, orders, tables.
 
 Reproduces the benchmark layout of the eigenvalue experiments: for each
-mesh level, solve the surrogate problem (for the surrogate gap) and the
-eigenproblem (``solve_modes``), recover and postprocess the fields, and
-tabulate errors with their observed orders (log2 of consecutive-level
-error ratios, valid because refinement halves the mesh size).
+mesh level, solve the eigenproblem (``solve_modes``) and then the
+surrogate problem (for the surrogate gap), recover and postprocess the
+fields, and tabulate errors with their observed orders (log2 of
+consecutive-level error ratios, valid because refinement halves the mesh
+size).
+
+The levels are nested, so each level's eigenfields inject exactly into
+the next one and start its modes run (LOBPCG); the first level, and a
+level after a failed one, runs Lanczos from the deterministic vector.
+The surrogate run starts from the level's own eigenfields.  Every level
+still solves its own discrete problem to the same tolerances.
 """
 
 import csv
@@ -16,13 +23,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_condensed
+from .assembly import assemble_condensed, resolvent_lift
 from .eigensolve import solve_linear_surrogate, solve_modes
 # the paper's secant route; perfbench/spans.py times it under this name
 from .eigensolve import solve_condensed_nonlinear  # noqa: F401
 from .errors import ConfigError, HdgError, UnsupportedModeError
 from .localsolve import MaterialSpec, SpaceConfig, TauSpec
-from .mesh import build_lshape_mesh, build_square_mesh, refine
+from .mesh import Mesh, build_lshape_mesh, build_square_mesh, refine
 from .recovery import postprocess, recover_fields
 
 __all__ = [
@@ -34,6 +41,7 @@ __all__ = [
     "exact_lshape_values",
     "eigenfunction_error",
     "estimate_order",
+    "inject_fields",
     "run_convergence_study",
     "emit_table",
 ]
@@ -158,6 +166,36 @@ def eigenfunction_error(sys, mode, *fields):
     return errors
 
 
+def _child_maps(ref):
+    """(4, n_w, n_w): the coefficients on child j of an element from the
+    parent's, in the order ``refine`` numbers the children.
+
+    The children's corners come from refining the reference triangle, so
+    child j sits at xi = c_j0 + C_j xi' in its parent's reference
+    coordinates.  With the element basis the reference one over
+    sqrt(det B), and det B four times smaller on a child, the map is
+    0.5 times the reference L2 product of the child basis with the parent
+    basis pulled back through that affine map.
+    """
+    children = refine(Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]]))
+    corners = children.vertices[children.triangles]
+    pts, weights = ref.vol.points, ref.vol.weights
+    child = ref.wbasis.tabulate(pts)[0] * weights[:, None]
+    maps = []
+    for c0, c1, c2 in corners:
+        parent = ref.wbasis.tabulate(c0 + pts @ np.column_stack([c1 - c0, c2 - c0]).T)[0]
+        maps.append(0.5 * child.T @ parent)
+    return np.stack(maps)
+
+
+def inject_fields(ref, block):
+    """Columns of ``block`` (T n_w, m), fields of W_h on a mesh, as fields
+    of W_h on ``refine`` of it: child j of element t is element 4t + j.
+    W_h is nested, so the injection is exact."""
+    coarse = block.reshape(-1, 1, ref.n_w, block.shape[1])
+    return (_child_maps(ref) @ coarse).reshape(-1, block.shape[1])
+
+
 def estimate_order(errors):
     """Observed orders log2(e_{l-1} / e_l); None where undefined."""
     errors = list(errors)
@@ -211,7 +249,9 @@ class CellResult:
     """Study results for one (mode, level) pair.
 
     ``iterations`` is the number of solution-operator applications in the
-    level's Lanczos run (shared by the level's modes).
+    level's modes run (shared by the level's modes): Lanczos matvecs on a
+    cold level, LOBPCG block columns on a level started from the previous
+    level's eigenfields.
     """
 
     mode: int
@@ -306,7 +346,10 @@ def run_convergence_study(config, progress=None):
     """Run the full pipeline for every requested level and mode.
 
     Failures at one level are recorded in the affected cells' notes and
-    do not abort the remaining cells.
+    do not abort the remaining cells; the level after a failed one starts
+    cold.  ``progress(level, seconds, detail)`` is called after each level,
+    ``detail`` naming the operator applications of its two eigensolves and
+    how each started.
     """
     spaces = config.spaces
     max_mode = max(config.modes)
@@ -325,7 +368,7 @@ def run_convergence_study(config, progress=None):
         timings=[],
     )
 
-    mesh = None
+    mesh = eigenfields = None
     for level in config.levels:
         start = time.perf_counter()
         if mesh is None:
@@ -333,20 +376,32 @@ def run_convergence_study(config, progress=None):
         else:
             mesh = refine(mesh)
         try:
-            _run_level(config, spaces, mesh, level, modes_ref, report)
+            eigenfields, detail = _run_level(config, spaces, mesh, level, modes_ref, report,
+                                             eigenfields)
         except HdgError as exc:
             for m in config.modes:
                 report.cell(m, level).note = str(exc)
+            eigenfields, detail = None, "failed"
         report.timings.append(time.perf_counter() - start)
         if progress is not None:
-            progress(level, report.timings[-1])
+            progress(level, report.timings[-1], detail)
     return report
 
 
-def _run_level(config, spaces, mesh, level, modes_ref, report):
+def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
+    """Fill the level's cells, starting the modes run from the previous
+    level's eigenfields ``coarse`` (or cold for None); returns this
+    level's eigenfields (dim W_h, m) and the progress detail."""
     sys = assemble_condensed(mesh, spaces, config.tau, config.material)
-    surrogates = solve_linear_surrogate(sys, max(config.modes))
-    pairs = solve_modes(sys, max(config.modes))
+    start = None if coarse is None else inject_fields(sys.ref, coarse)
+    pairs = solve_modes(sys, max(config.modes), start)
+    started = "cold" if start is None else "block start"
+    del start  # not needed past the modes run: free it before the surrogate's
+    eigenfields = np.column_stack([resolvent_lift(sys, p.value, p.vector).ravel()
+                                   for p in pairs])
+    surrogates = solve_linear_surrogate(sys, max(config.modes), eigenfields)
+    detail = "modes %d operator applications (%s), surrogate %d (block start)" % (
+        pairs[0].iterations, started, surrogates[0].iterations)
     for mode_idx in config.modes:
         cell = report.cell(mode_idx, level)
         pair = pairs[mode_idx - 1]
@@ -372,6 +427,7 @@ def _run_level(config, spaces, mesh, level, modes_ref, report):
             scalars.append(post.u_star)
         if exact.evaluator is not None:
             cell.err_u, cell.err_u_star = (eigenfunction_error(sys, exact, *scalars) + [None])[:2]
+    return eigenfields, detail
 
 
 # --- table rendering -------------------------------------------------------

@@ -102,6 +102,31 @@ def reference_m_of_lambda(sys, lam):
         np.eye(ops.n_w) - lam * ops.uwmat, ops.umat))
 
 
+# strategies of the property tests: a random affine map I + J of a
+# reference geometry, an SPD material, a stabilization and a space
+JACOBIAN = st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4)
+DOMAIN = st.sampled_from(["square", "lshape"])
+DIAGONAL = st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+CORRELATION = st.floats(-0.9, 0.9)
+TAU = st.floats(1e-3, 1e3)
+DEGREE = st.integers(0, 3)
+CASE = st.sampled_from(["equal", "case1", "case2"])
+SEED = st.integers(0, 2**32 - 1)
+
+
+def drawn_jacobian(jac):
+    """I + J for a drawn J; draws with det(I + J) <= 0.25 are rejected."""
+    jac = np.eye(2) + np.reshape(jac, (2, 2))
+    assume(np.linalg.det(jac) > 0.25)
+    return jac
+
+
+def drawn_material(diag, corr):
+    """SPD material with the drawn diagonal and correlation coefficient."""
+    a11, a22 = diag
+    return MaterialSpec(a11, corr * np.sqrt(a11 * a22), a22)
+
+
 def assert_rel_close(got, ref, rtol=1e-12):
     got, ref = np.asarray(got), np.asarray(ref)
     assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
@@ -397,26 +422,23 @@ class TestCompiledOperators:
     """The sparse lift, moment map and resolvent form against the class
     loops, on affinely mapped, renumbered meshes."""
 
-    @given(
-        jac=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
-        domain=st.sampled_from(["square", "lshape"]),
-        diag=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
-        corr=st.floats(-0.9, 0.9),
-        tau=st.floats(1e-3, 1e3),
-        k=st.integers(0, 3),
-        case=st.sampled_from(["equal", "case1", "case2"]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_against_class_loops(self, jac, domain, diag, corr, tau, k, case, seed):
+    @staticmethod
+    def mapped_system(jac, domain, diag, corr, tau, k, case, seed):
+        """Condensed system on the level-0 mesh renumbered by ``seed`` and
+        mapped by I + ``jac``."""
         case = case if k >= 1 else "equal"
-        jac = np.eye(2) + np.reshape(jac, (2, 2))
-        assume(np.linalg.det(jac) > 0.25)
         build = build_square_mesh if domain == "square" else build_lshape_mesh
         renumbered, _ = _renumbered(build(0), seed)
-        mesh = Mesh(renumbered.vertices @ jac.T, renumbered.triangles, domain=domain)
-        a11, a22 = diag
-        mat = MaterialSpec(a11, corr * np.sqrt(a11 * a22), a22)
-        sys = assemble_condensed(mesh, SpaceConfig(k, case), TauSpec.constant(tau), mat)
+        mesh = Mesh(renumbered.vertices @ drawn_jacobian(jac).T, renumbered.triangles,
+                    domain=domain)
+        return assemble_condensed(mesh, SpaceConfig(k, case), TauSpec.constant(tau),
+                                  drawn_material(diag, corr))
+
+    @given(jac=JACOBIAN, domain=DOMAIN, diag=DIAGONAL, corr=CORRELATION, tau=TAU,
+           k=DEGREE, case=CASE, seed=SEED)
+    def test_against_class_loops(self, jac, domain, diag, corr, tau, k, case, seed):
+        sys = self.mapped_system(jac, domain, diag, corr, tau, k, case, seed)
+        mesh = sys.mesh
 
         rng = np.random.default_rng(seed)
         fmom = rng.standard_normal((len(mesh.triangles), sys.n_w))
@@ -430,3 +452,18 @@ class TestCompiledOperators:
                              reference_m_of_lambda(sys, kappa).toarray())
         reference_a = reference_class_cores(sys, lambda ops: ops.a_loc)
         assert_rel_close(sys.A.toarray(), reference_a.toarray())
+
+    @given(jac=JACOBIAN, domain=DOMAIN, diag=DIAGONAL, corr=CORRELATION, tau=TAU,
+           k=DEGREE, case=CASE, seed=SEED)
+    def test_resolvent_form_grows_below_the_wall(self, jac, domain, diag, corr, tau, k,
+                                                 case, seed):
+        # dM/dkappa = U^T R W R U with R = (I - kappa W)^-1 and W SPD, so
+        # x . M(kappa) x grows with kappa; the frozen pencil's theta_i(kappa)
+        # and the secant's bracket rest on that
+        sys = self.mapped_system(jac, domain, diag, corr, tau, k, case, seed)
+        x = np.random.default_rng(seed).standard_normal(sys.ndof)
+        grid = np.linspace(0.0, 0.9 * sys.wall, 12)
+        forms = np.array([x @ (sys.moments @ resolvent_lift(sys, kappa, x).ravel())
+                          for kappa in grid])
+        assert forms[0] > 0
+        assert np.all(np.diff(forms) >= -1e-13 * forms.max())

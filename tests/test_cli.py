@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -104,6 +105,15 @@ class TestStudyCommand:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0][:3] == ["domain", "case", "tau"]
         assert rows[1][1] == "case1"
+
+    def test_verbose_study_names_each_eigensolve(self, capsys, caplog):
+        caplog.set_level("INFO", logger="hdgeig")
+        assert main(["study", "--k", "1", "--levels", "0:1", "--modes", "1,2", "-v"]) == 0
+        lines = [r.getMessage() for r in caplog.records if "done in" in r.getMessage()]
+        assert len(lines) == 2
+        detail = r"modes \d+ operator applications \((%s)\), surrogate \d+ \(block start\)$"
+        assert re.search(detail % "cold", lines[0])
+        assert re.search(detail % "block start", lines[1])
 
     def test_csv_study_parses(self, capsys):
         code = main(["study", "--k", "1", "--levels", "0:1", "--modes", "1,2",

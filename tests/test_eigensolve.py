@@ -52,7 +52,7 @@ def reference_pencil(sys, kappa, count, start=None):
     pos = np.flatnonzero(w > 1e-12 * np.abs(w).max())
     assert pos.size == count
     pos = pos[np.argsort(w[pos])[::-1]]
-    return 1.0 / w[pos], vecs[:, pos]
+    return 1.0 / w[pos], vecs[:, pos], 0  # applications are not counted here
 
 
 def reference_mode_values(sys, m):
@@ -229,6 +229,15 @@ class TestSolveModes:
             with pytest.raises(EigenSolveError, match=match):
                 solve(sys, m)
 
+    def test_block_start_on_a_small_space(self, systems):
+        # 3 m > dim W_h = 32: the LOBPCG basis [X, R, P] cannot stay
+        # independent, and the dependent directions are dropped
+        sys = systems("square", 0, 0)
+        start = np.random.default_rng(1).standard_normal((sys.dim_w, 12))
+        cold = [p.value for p in solve_modes(sys, 12)]
+        warm = [p.value for p in solve_modes(sys, 12, start)]
+        np.testing.assert_allclose(warm, cold, rtol=1e-12)
+
     @pytest.mark.parametrize("domain,level,k,tau", ROUTE_GRID)
     def test_matches_pre_change_routes(self, systems, eigenpairs, secants, monkeypatch,
                                        domain, level, k, tau):
@@ -252,7 +261,7 @@ class TestSolveModes:
         sys = systems("square", 1, 1)
         with pytest.raises(HdgError, match="resonance"):
             eigensolve._frozen_pencil(sys, factor * sys.wall, 1)
-        thetas, _ = eigensolve._frozen_pencil(sys, 0.99 * sys.wall, 1)
+        thetas = eigensolve._frozen_pencil(sys, 0.99 * sys.wall, 1)[0]
         assert np.isfinite(thetas).all()
 
     @pytest.mark.parametrize("route", ["solve_modes", "surrogate", "secant"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from hdgeig.errors import ConfigError, LocalSolveError
 from hdgeig.localsolve import (
@@ -9,45 +11,64 @@ from hdgeig.localsolve import (
     element_lift,
 )
 from hdgeig.mesh import build_square_mesh
+from test_assembly import CORRELATION, DIAGONAL, JACOBIAN, SEED, drawn_jacobian, drawn_material
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def lift_equation_residuals(ops, mu, mat):
-    """Assemble both defining equations of the trace lift by a fresh
-    quadrature loop and return their max residuals over all test funcs."""
-    q = ops.qmat @ mu
-    u = ops.umat @ mu
-    c = mat.c
-    qv = np.einsum("qid,i->qd", ops.v_vals, q)
-    uv = ops.w_vals @ u
-    res_a = np.einsum("q,qd,dc,qic->i", ops.wq, qv, c, ops.v_vals)
-    res_a -= np.einsum("q,q,qi->i", ops.wq, uv, ops.v_divs)
-    res_b = np.einsum("q,q,qi->i", ops.wq, ops.v_divs @ q, ops.w_vals)
+def lift_equation_terms(ops, mu, mat, part=lambda a: a):
+    """Both defining equations of the trace lift, assembled by a fresh
+    quadrature loop: per equation the list of its terms, vectors over the
+    test functions that sum to zero.  With ``part=np.abs`` every factor
+    is replaced by its absolute value, so the terms bound the round-off of
+    the sums."""
+    q = part(ops.qmat) @ part(mu)
+    u = part(ops.umat) @ part(mu)
+    qv = np.einsum("qid,i->qd", part(ops.v_vals), q)
+    uv = part(ops.w_vals) @ u
+    terms_a = [np.einsum("q,qd,dc,qic->i", ops.wq, qv, part(mat.c), part(ops.v_vals)),
+               -np.einsum("q,q,qi->i", ops.wq, uv, part(ops.v_divs))]
+    terms_b = [np.einsum("q,q,qi->i", ops.wq, part(ops.v_divs) @ q, part(ops.w_vals))]
     for l in range(3):
-        muv = ops.t_face[l] @ mu[l * ops.n_m : (l + 1) * ops.n_m]
-        res_a += np.einsum("g,g,gi->i", ops.face_wq[l], muv, ops.v_normal[l])
-        uvf = ops.w_face[l] @ u
-        res_b += ops.tau[l] * np.einsum(
-            "g,g,gi->i", ops.face_wq[l], uvf - muv, ops.w_face[l]
-        )
-    return max(np.abs(res_a).max(), np.abs(res_b).max())
+        muv = part(ops.t_face[l]) @ part(mu[l * ops.n_m : (l + 1) * ops.n_m])
+        terms_a.append(np.einsum("g,g,gi->i", ops.face_wq[l], muv, part(ops.v_normal[l])))
+        uvf = part(ops.w_face[l]) @ u
+        for sign, vals in ((1.0, uvf), (-1.0, muv)):
+            terms_b.append(sign * ops.tau[l] * np.einsum(
+                "g,g,gi->i", ops.face_wq[l], vals, part(ops.w_face[l])))
+    return terms_a, terms_b
+
+
+def load_lift_terms(ops, f, mat, part=lambda a: a):
+    """Same for the load lift with f given by local coefficients."""
+    q = part(ops.qwmat) @ part(f)
+    u = part(ops.uwmat) @ part(f)
+    qv = np.einsum("qid,i->qd", part(ops.v_vals), q)
+    terms_a = [np.einsum("q,qd,dc,qic->i", ops.wq, qv, part(mat.c), part(ops.v_vals)),
+               -np.einsum("q,q,qi->i", ops.wq, part(ops.w_vals) @ u, part(ops.v_divs))]
+    terms_b = [np.einsum("q,q,qi->i", ops.wq, part(ops.v_divs) @ q, part(ops.w_vals)),
+               -np.einsum("q,q,qi->i", ops.wq, part(ops.w_vals) @ part(f), part(ops.w_vals))]
+    for l in range(3):
+        uvf = part(ops.w_face[l]) @ u
+        terms_b.append(ops.tau[l] * np.einsum("g,g,gi->i", ops.face_wq[l], uvf,
+                                              part(ops.w_face[l])))
+    return terms_a, terms_b
+
+
+def lift_equation_residuals(ops, mu, mat):
+    """Max residual of the trace lift's equations over all test functions."""
+    return max(np.abs(sum(terms)).max() for terms in lift_equation_terms(ops, mu, mat))
 
 
 def load_lift_residuals(ops, f, mat):
-    """Same check for the load lift with f given by local coefficients."""
-    q = ops.qwmat @ f
-    u = ops.uwmat @ f
-    c = mat.c
-    qv = np.einsum("qid,i->qd", ops.v_vals, q)
-    res_a = np.einsum("q,qd,dc,qic->i", ops.wq, qv, c, ops.v_vals)
-    res_a -= np.einsum("q,q,qi->i", ops.wq, ops.w_vals @ u, ops.v_divs)
-    fv = ops.w_vals @ f
-    res_b = np.einsum("q,q,qi->i", ops.wq, ops.v_divs @ q - fv, ops.w_vals)
-    for l in range(3):
-        uvf = ops.w_face[l] @ u
-        res_b += ops.tau[l] * np.einsum("g,g,gi->i", ops.face_wq[l], uvf, ops.w_face[l])
-    return max(np.abs(res_a).max(), np.abs(res_b).max())
+    """Max residual of the load lift's equations over all test functions."""
+    return max(np.abs(sum(terms)).max() for terms in load_lift_terms(ops, f, mat))
+
+
+def assert_round_off(terms, bounds, rtol=1e-12):
+    """An equation's residual is round-off: at most ``rtol`` times the sum
+    its terms would have with every factor replaced by its absolute value."""
+    assert np.abs(sum(terms)).max() <= rtol * np.abs(bounds).sum(axis=0).max()
 
 
 class TestConfigTypes:
@@ -99,15 +120,27 @@ class TestElementLift:
         ("equal", 0), ("equal", 1), ("equal", 2), ("equal", 3),
         ("case1", 1), ("case1", 2), ("case2", 2),
     ])
-    def test_lift_equations_hold(self, case, k):
-        rng = np.random.default_rng(42 + k)
+    @given(jac=JACOBIAN, diag=DIAGONAL, corr=CORRELATION,
+           tau=st.floats(0.0, 1e4, exclude_min=True), seed=SEED)
+    def test_lift_equations_hold(self, case, k, jac, diag, corr, tau, seed):
+        # random affine element, SPD material, tau in (0, 1e4]: either the
+        # local saddle system is refused as singular (equal and case2
+        # spaces need tau > 0, and tiny tau is singular in floating point)
+        # or both lifts solve their equations to round-off
+        rng = np.random.default_rng(seed)
         spaces = SpaceConfig(k, case)
-        mat = MaterialSpec(2.0, 0.3, 1.5)
-        ops = element_lift(REF * 1.3 + 0.2, spaces, TauSpec.one(), mat)
+        mat = drawn_material(diag, corr)
+        try:
+            ops = element_lift(REF @ drawn_jacobian(jac).T + 0.2, spaces,
+                               TauSpec.constant(tau), mat)
+        except LocalSolveError:
+            assume(False)
         mu = rng.standard_normal(spaces.n_trace)
-        assert lift_equation_residuals(ops, mu, mat) < 1e-11
         f = rng.standard_normal(ops.n_w)
-        assert load_lift_residuals(ops, f, mat) < 1e-11
+        for equations in (lambda part: lift_equation_terms(ops, mu, mat, part),
+                          lambda part: load_lift_terms(ops, f, mat, part)):
+            for terms, bounds in zip(equations(lambda a: a), equations(np.abs)):
+                assert_round_off(terms, bounds)
 
     def test_lift_equations_every_element_level0(self):
         mesh = build_square_mesh(0)

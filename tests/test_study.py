@@ -4,10 +4,13 @@ import types
 import numpy as np
 import pytest
 
+from hdgeig import eigensolve
+from hdgeig.assembly import resolvent_lift
 from hdgeig.basis import triangle_quadrature
-from hdgeig.errors import ConfigError, UnsupportedModeError
-from hdgeig.localsolve import MaterialSpec, TauSpec
-from hdgeig.mesh import build_square_mesh
+from hdgeig.eigensolve import solve_linear_surrogate, solve_modes
+from hdgeig.errors import ConfigError, EigenSolveError, UnsupportedModeError
+from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec, reference_tables
+from hdgeig.mesh import build_square_mesh, refine
 from hdgeig.study import (
     ConvergenceReport,
     StudyConfig,
@@ -17,6 +20,8 @@ from hdgeig.study import (
     estimate_order,
     exact_lshape_values,
     exact_square_spectrum,
+    inject_fields,
+    run_convergence_study,
 )
 from hdgeig.recovery import postprocess, recover_fields
 
@@ -287,6 +292,109 @@ class TestRunStudy:
         b = run_convergence_study(cfg)
         for ca, cb in zip(a.cells, b.cells):
             assert ca.lam == cb.lam and ca.lam_star == cb.lam_star
+
+
+def element_values(corners, basis, coeffs, points):
+    """Values (N, n_q) of element coefficients (N, n_w) at reference points
+    (N, n_q, 2), for elements with the given corners (N, 3, 2): the element
+    basis is the reference one over sqrt(det B)."""
+    jac = np.stack([corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=2)
+    tabs = basis.tabulate(points.reshape(-1, 2))[0].reshape(*points.shape[:2], -1)
+    return np.einsum("tqi,ti->tq", tabs, coeffs) / np.sqrt(np.linalg.det(jac))[:, None]
+
+
+class TestWarmStarts:
+    """The study starts each level's modes run from the previous level's
+    eigenfields and the surrogate run from the level's own: same numbers
+    as cold runs, or a typed error."""
+
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_injection_is_exact(self, meshes, domain, k):
+        # random P_k fields on the parents, evaluated at each child's
+        # quadrature points through the parent's own affine map
+        coarse = meshes(domain, 1)
+        fine = refine(coarse)
+        ref = reference_tables(SpaceConfig(k))
+        fields = np.random.default_rng(k).standard_normal((len(coarse.triangles) * ref.n_w, 3))
+        injected = inject_fields(ref, fields)
+
+        children = fine.vertices[fine.triangles]
+        parent_of = np.arange(len(children)) // 4
+        parents = coarse.vertices[coarse.triangles][parent_of]
+        pts = np.broadcast_to(ref.vol.points, (len(children), len(ref.vol), 2))
+        phys = children[:, None, 0] + np.einsum(
+            "tdj,tqj->tqd", np.stack([children[:, 1] - children[:, 0],
+                                      children[:, 2] - children[:, 0]], axis=2), pts)
+        parent_jac = np.stack([parents[:, 1] - parents[:, 0], parents[:, 2] - parents[:, 0]],
+                              axis=2)
+        parent_pts = np.einsum("tjd,tqd->tqj", np.linalg.inv(parent_jac),
+                               phys - parents[:, None, 0])
+        for coarse_col, fine_col in zip(fields.T, injected.T):
+            want = element_values(parents, ref.wbasis,
+                                  coarse_col.reshape(-1, ref.n_w)[parent_of], parent_pts)
+            got = element_values(children, ref.wbasis, fine_col.reshape(-1, ref.n_w), pts)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_study_matches_cold_solves(self, studies, systems, eigenpairs, domain, k):
+        # modes 1-6 hold the square's double eigenvalues 5 and 10; the
+        # study's values against cold Lanczos runs on each level.  err_u is
+        # a distance between unit fields, moved by at most the eigenvector
+        # difference, so it is compared absolutely
+        modes = (1, 2, 3, 4, 5, 6)
+        rep = studies(domain=domain, k=k, levels=(0, 1, 2, 3), modes=modes)
+        exact = domain_modes(domain, len(modes))
+        for level in rep.levels:
+            sys = systems(domain, level, k, "one")
+            surrogates, pairs = eigenpairs(domain, level, k, "one", m=len(modes))
+            for pair, surrogate in zip(pairs, surrogates):
+                cell = rep.cell(pair.index, level)
+                fields = recover_fields(sys, pair)
+                assert cell.note == ""
+                assert cell.lam == pytest.approx(pair.value, rel=1e-12)
+                assert cell.lam_tilde == pytest.approx(surrogate.value, rel=1e-12)
+                assert cell.lam_star == pytest.approx(postprocess(sys, fields).value_star,
+                                                      rel=1e-12)
+                if exact[pair.index - 1].evaluator is not None:
+                    err_u = eigenfunction_error(sys, exact[pair.index - 1], fields.u)[0]
+                    assert abs(cell.err_u - err_u) <= 1e-12
+
+    def test_refinement_cap_is_typed(self, systems, monkeypatch):
+        coarse, sys = systems("square", 1, 1), systems("square", 2, 1)
+        eigenfields = np.column_stack([resolvent_lift(coarse, p.value, p.vector).ravel()
+                                       for p in solve_modes(coarse, 4)])
+        start = inject_fields(sys.ref, eigenfields)
+        monkeypatch.setattr(eigensolve, "_LOBPCG_MAX_ITER", 1)
+        with pytest.raises(EigenSolveError, match="LOBPCG .* did not converge"):
+            solve_modes(sys, 4, start)
+        with pytest.raises(EigenSolveError, match="LOBPCG .* did not converge"):
+            solve_linear_surrogate(sys, 4, start)
+        # in a study every level's surrogate run stalls: notes, no numbers
+        rep = run_convergence_study(StudyConfig(k=1, levels=(0, 1), modes=(1, 2)))
+        for cell in rep.cells:
+            assert cell.lam is None and "did not converge" in cell.note
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_spurious_clusters_never_change_a_number(self, studies, eigenpairs, k):
+        # the L-shape with tau = h has clusters of spurious values under the
+        # wall, which Lanczos returns; a warm LOBPCG run there either
+        # converges to the same values or stalls with a typed error, and
+        # the level after a stalled one starts cold
+        modes = (1, 2, 3, 4, 5, 6)
+        rep = studies(domain="lshape", k=k, tau=TauSpec.global_h(), levels=(0, 1, 2),
+                      modes=modes, postprocess=False)
+        assert any(cell.note for cell in rep.cells)
+        for level in rep.levels:
+            surrogates, pairs = eigenpairs("lshape", level, k, "h", m=len(modes))
+            for pair, surrogate in zip(pairs, surrogates):
+                cell = rep.cell(pair.index, level)
+                if cell.note:
+                    assert "LOBPCG" in cell.note and cell.lam is None
+                else:
+                    assert cell.lam == pytest.approx(pair.value, rel=1e-10)
+                    assert cell.lam_tilde == pytest.approx(surrogate.value, rel=1e-10)
 
 
 class TestEmitTable:
