@@ -1,8 +1,10 @@
 """The signed trace gather and the compiled condensed operators.
 
 Elements are grouped into congruence classes (translated copies share
-every local matrix).  Interior edges carry k+1 trace unknowns each,
-numbered by edge; boundary edges carry none.  One signed gather maps a
+every local matrix).  Interior edges carry k+1 consecutive trace
+unknowns each, numbered in nested-dissection order (``dissection_keys``)
+so that the sparse LU of the condensed stiffness fills in little;
+boundary edges carry none.  One signed gather maps a
 global trace vector to the element-local face slots: the sign reconciles
 each element's edge parametrization with the global one fixed by
 ascending vertex index.  From the per-class matrices and the gather each
@@ -26,6 +28,7 @@ __all__ = [
     "assemble_condensed",
     "assemble_m_of_lambda",
     "assemble_source_rhs",
+    "dissection_keys",
     "flux_field",
     "resolvent_lift",
     "solve_source",
@@ -88,12 +91,13 @@ class CondensedSystem:
             yield ops, members, p0[members, None, :] + points @ ops.bmat.T
 
     def factorized(self):
-        """Cached sparse LU of A.  A is SPD: a symmetric ordering with
-        diagonal pivots is stable and fills in far less than COLAMD."""
+        """Cached sparse LU of A.  A is SPD, so diagonal pivots are stable,
+        and its unknowns are already numbered in nested-dissection order:
+        SuperLU factors it in that order and computes none of its own."""
         if self._splu is None:
             try:
                 self._splu = scipy.sparse.linalg.splu(
-                    self.A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                    self.A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0,
                     options={"SymmetricMode": True},
                 )
             except RuntimeError as exc:
@@ -113,7 +117,7 @@ class CondensedSystem:
         """U: global trace to per-element scalar coefficients, (dim W_h, ndof)."""
         return self._block_diagonal([ops.umat for ops in self.classes]) @ self.gather
 
-    @property
+    @cached_property
     def moments(self):
         """U^T: per-element load coefficients to the condensed right-hand
         side (a transposed view of ``lift``, sharing its arrays)."""
@@ -170,20 +174,67 @@ def assemble_condensed(mesh, spaces, tau, mat=None):
         for t in first[by_first]
     ]
 
-    # the signed gather: k+1 dofs per interior edge in edge order; face
+    # the signed gather: k+1 consecutive dofs per interior edge, edges
+    # sorted by their nested-dissection keys (ties in edge order); face
     # mode m changes sign by (-1)^m where the element runs against the
     # edge's ascending vertex order
     n_m = ref.n_m
     interior = ~mesh.boundary
-    first_dof = n_m * (np.cumsum(interior) - 1)[mesh.elem_edges]  # (T, 3)
-    cols = first_dof[:, :, None] + np.arange(n_m)
+    depth, region = dissection_keys(mesh)
+    block = np.full(len(mesh.edges), -1)
+    block[np.flatnonzero(interior)[np.lexsort((region, depth))]] = np.arange(depth.size)
+    cols = (n_m * block[mesh.elem_edges])[:, :, None] + np.arange(n_m)
     signs = np.where((tris > tris[:, [1, 2, 0]])[:, :, None], ref.parity, 1.0)
     live = np.repeat(interior[mesh.elem_edges].ravel(), n_m)
     gather = scipy.sparse.csr_matrix(
         (signs.ravel()[live], cols.ravel()[live], np.concatenate([[0], np.cumsum(live)])),
-        shape=(live.size, n_m * int(interior.sum())),
+        shape=(live.size, n_m * depth.size),
     )
     return CondensedSystem(mesh, spaces, tau, mat, ref, classes, elem_class, gather)
+
+
+def _spread_bits(x):
+    """The low 26 bits of nonnegative int64 ``x`` moved to the even bit positions."""
+    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                        (1, 0x5555555555555555)):
+        x = (x | (x << shift)) & mask
+    return x
+
+
+def dissection_keys(mesh):
+    """Nested-dissection keys (depth, region) of the interior edges, in
+    edge order: a geometric dissection of the elements (George, SIAM J.
+    Numer. Anal. 10 (1973)) read off Morton codes, for any mesh.
+
+    Each element gets the Morton code of its centroid, 26 bits per axis on
+    the centroids' bounding box.  The codes that agree from bit ``d`` up
+    form a region, which bit d-1 splits in two halves.  An interior edge
+    between elements with codes a <= b, depth = bit_length(a ^ b), joins
+    the two halves of the region ``a >> depth``: it lies on that region's
+    separator.  A trace dof couples only to the edges of its two elements,
+    and each of those lies inside a half, on the same separator or on the
+    separator of an enclosing region, so numbering the edges in ascending
+    (depth, region) puts each separator after everything inside its region.
+    """
+    centroids = mesh.vertices[mesh.triangles].sum(axis=1) / 3.0
+    lo = centroids.min(axis=0)
+    span = centroids.max(axis=0) - lo
+    # 26 bits per axis keep the codes below 2^52: the xor of two converts
+    # to float64 exactly, and np.frexp gives its bit length
+    scale = (2 ** 26 - 1) / np.where(span > 0.0, span, 1.0)
+    grid = ((centroids - lo) * scale).astype(np.int64)
+    code = (_spread_bits(grid[:, 1]) << 1) | _spread_bits(grid[:, 0])
+
+    faces, codes = mesh.elem_edges.ravel(), np.repeat(code, 3)
+    a = np.full(len(mesh.edges), code.max())
+    b = np.zeros(len(mesh.edges), dtype=np.int64)
+    np.minimum.at(a, faces, codes)
+    np.maximum.at(b, faces, codes)
+    interior = ~mesh.boundary
+    a, b = a[interior], b[interior]
+    depth = np.frexp((a ^ b).astype(float))[1]
+    return depth, a >> depth
 
 
 def assemble_m_of_lambda(sys, lam):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -8,6 +10,7 @@ from hdgeig.assembly import (
     assemble_condensed,
     assemble_m_of_lambda,
     assemble_source_rhs,
+    dissection_keys,
     load_moments,
     resolvent_lift,
     solve_source,
@@ -21,29 +24,49 @@ from hdgeig.recovery import postprocess, recover_fields, source_residuals
 # --- class-loop references for the compiled sparse maps ---------------------
 
 
+_REFERENCE_EDGES = {}
+
+
+def reference_edges(mesh):
+    """The reference numbering of a mesh, from its vertex lists alone: the
+    trace block of each interior edge (an edge of two triangles), keyed by
+    its sorted vertex pair, and per face (T, 3) that block (-1 on boundary
+    faces) and whether the element runs against the edge's ascending
+    vertex order.  Blocks follow the edges' nested-dissection keys
+    (depth, region), ties in ascending order of the vertex pairs.
+
+    Computed once per mesh; the cache keeps the mesh alive, so its id is
+    not reused by another."""
+    if id(mesh) not in _REFERENCE_EDGES:
+        faces = [[(tri[l], tri[(l + 1) % 3]) for l in range(3)]
+                 for tri in mesh.triangles.tolist()]
+        count = {}
+        for a, b in (face for tri in faces for face in tri):
+            edge = (min(a, b), max(a, b))
+            count[edge] = count.get(edge, 0) + 1
+        interior = [edge for edge in sorted(count) if count[edge] == 2]
+        depth, region = dissection_keys(mesh)
+        rank = np.empty(len(interior), dtype=int)
+        rank[np.lexsort((region, depth))] = np.arange(len(interior))
+        blocks = dict(zip(interior, rank.tolist()))
+        face_blocks = np.array([[blocks.get((min(a, b), max(a, b)), -1) for a, b in tri]
+                                for tri in faces])
+        flipped = np.array([[a > b for a, b in tri] for tri in faces])
+        _REFERENCE_EDGES[id(mesh)] = (mesh, blocks, face_blocks, flipped)
+    return _REFERENCE_EDGES[id(mesh)][1:]
+
+
 def reference_trace_dofs(mesh, k):
     """Per-element trace dof ids (T, 3(k+1)), -1 on boundary faces, and face
-    signs, numbered element by element from the vertex lists alone: k+1
-    dofs per interior edge (an edge of two triangles), edges in ascending
-    order of their sorted vertex pairs, and mode m of a face negated by
-    (-1)^m where the element runs against the edge's ascending vertex order."""
-    n_m = k + 1
-    faces = [[(tri[l], tri[(l + 1) % 3]) for l in range(3)] for tri in mesh.triangles.tolist()]
-    count = {}
-    for a, b in (face for tri in faces for face in tri):
-        edge = (min(a, b), max(a, b))
-        count[edge] = count.get(edge, 0) + 1
-    interior = {edge: i for i, edge in enumerate(e for e in sorted(count) if count[e] == 2)}
-    dofs = -np.ones((len(faces), 3 * n_m), dtype=int)
-    signs = np.ones((len(faces), 3 * n_m))
-    for t, tri in enumerate(faces):
-        for l, (a, b) in enumerate(tri):
-            slots = slice(l * n_m, (l + 1) * n_m)
-            if (min(a, b), max(a, b)) in interior:
-                dofs[t, slots] = n_m * interior[min(a, b), max(a, b)] + np.arange(n_m)
-            if a > b:
-                signs[t, slots] = (-1.0) ** np.arange(n_m)
-    return dofs, signs
+    signs: k+1 consecutive dofs per edge block of ``reference_edges``, and
+    mode m of a face negated by (-1)^m where the element runs against the
+    edge's ascending vertex order."""
+    _, face_blocks, flipped = reference_edges(mesh)
+    modes = np.arange(k + 1)
+    dofs = np.where(face_blocks[:, :, None] >= 0,
+                    (k + 1) * face_blocks[:, :, None] + modes, -1)
+    signs = np.where(flipped[:, :, None], (-1.0) ** modes, 1.0)
+    return dofs.reshape(len(dofs), -1), signs.reshape(len(dofs), -1)
 
 
 def reference_local_trace(sys, eta):
@@ -346,18 +369,14 @@ class TestCongruenceClasses:
 def _signed_permutation(mesh, permuted, vperm):
     """Map dofs of `mesh` onto dofs of `permuted` given the vertex map."""
     k = 1
-    offset_a = {e: (k + 1) * i for i, e in enumerate(np.flatnonzero(~mesh.boundary))}
-    offset_b = {e: (k + 1) * i for i, e in enumerate(np.flatnonzero(~permuted.boundary))}
-    edge_ids = {tuple(e): i for i, e in enumerate(map(tuple, permuted.edges))}
-    perm = np.empty((k + 1) * len(offset_a), dtype=int)
+    blocks_a, blocks_b = reference_edges(mesh)[0], reference_edges(permuted)[0]
+    perm = np.empty((k + 1) * len(blocks_a), dtype=int)
     sign = np.empty(perm.size)
-    for e in offset_a:
-        a, b = mesh.edges[e]
+    for (a, b), block in blocks_a.items():
         pa, pb = vperm[a], vperm[b]
         flip = pa > pb
-        eb = edge_ids[(min(pa, pb), max(pa, pb))]
-        src = offset_a[e]
-        dst = offset_b[eb]
+        src = (k + 1) * block
+        dst = (k + 1) * blocks_b[min(pa, pb), max(pa, pb)]
         for m in range(k + 1):
             perm[src + m] = dst + m
             sign[src + m] = (-1.0) ** m if flip else 1.0
@@ -467,3 +486,50 @@ class TestCompiledOperators:
                           for kappa in grid])
         assert forms[0] > 0
         assert np.all(np.diff(forms) >= -1e-13 * forms.max())
+
+
+class TestDissectionOrder:
+    """The nested-dissection numbering of the trace unknowns, read off the
+    gather, on renumbered meshes and on affinely mapped ones."""
+
+    @staticmethod
+    def check_numbering(sys):
+        mesh, n_m = sys.mesh, sys.ref.n_m
+        depth, region = dissection_keys(mesh)
+        interior = np.flatnonzero(~mesh.boundary)
+        # mode m of each interior edge at the column of its gather rows
+        gather = sys.gather.tocoo()
+        face, mode = np.divmod(gather.row, n_m)
+        dofs = np.full((len(mesh.edges), n_m), -1)
+        dofs[mesh.elem_edges.ravel()[face], mode] = gather.col
+        dofs = dofs[interior]
+        # a permutation of 0..ndof-1 that keeps each edge's k+1 dofs
+        # together and in mode order, edges in ascending (depth, region)
+        # with ties in edge order
+        assert np.array_equal(dofs, dofs[:, :1] + np.arange(n_m))
+        assert np.array_equal(np.sort(dofs.ravel()), np.arange(sys.ndof))
+        assert np.array_equal(np.argsort(dofs[:, 0]), np.lexsort((region, depth)))
+        # on every element, the separator regions of its interior edges are
+        # nested, so the edges a separator splits apart share no element
+        position = np.full(len(mesh.edges), -1)
+        position[interior] = np.arange(interior.size)
+        local = position[mesh.elem_edges]
+        for l1, l2 in itertools.permutations(range(3), 2):
+            i, j = local[:, l1], local[:, l2]
+            both = (i >= 0) & (j >= 0)
+            i, j = i[both], j[both]
+            inner = depth[i] <= depth[j]
+            i, j = i[inner], j[inner]
+            assert np.array_equal(region[i] >> (depth[j] - depth[i]), region[j])
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_renumbered_meshes(self, meshes, domain, level, k):
+        mesh, _ = _renumbered(meshes(domain, level), seed=level)
+        self.check_numbering(assemble_condensed(mesh, SpaceConfig(k), TauSpec.one()))
+
+    @given(jac=JACOBIAN, domain=DOMAIN, k=DEGREE, seed=SEED)
+    def test_mapped_meshes(self, jac, domain, k, seed):
+        self.check_numbering(TestCompiledOperators.mapped_system(
+            jac, domain, (1.0, 1.0), 0.0, 1.0, k, "equal", seed))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -211,6 +213,21 @@ class TestSolveModes:
         _, pairs = eigenpairs(domain, level, k, tau, m=6)
         for pair in pairs:
             assert max(eig_residuals(sys, recover_fields(sys, pair)).values()) <= 1e-10
+
+    @pytest.mark.parametrize("domain,level,k,tau", ROUTE_GRID)
+    def test_matches_minimum_degree_ordering(self, systems, eigenpairs, domain, level, k,
+                                             tau):
+        # the factorization runs in the nested-dissection numbering of the
+        # trace unknowns; SuperLU's own minimum-degree ordering of A is the
+        # reference
+        sys = systems(domain, level, k, tau)
+        _, pairs = eigenpairs(domain, level, k, tau, m=6)
+        lu = scipy.sparse.linalg.splu(sys.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0, options={"SymmetricMode": True})
+        mmd = copy.copy(sys)
+        mmd.factorized = lambda: lu
+        ref = np.array([p.value for p in solve_modes(mmd, 6)])
+        assert np.all(np.abs(np.array([p.value for p in pairs]) - ref) <= 1e-12 * ref)
 
     def test_matches_secant_anisotropic(self, systems):
         # a12 != 0: no closed-form spectrum, so the two routes check each other
