@@ -36,7 +36,7 @@ _CONFIG_KEYS = {
     "format", "output", "verbose",
 }
 
-#: largest relative secant/oracle disagreement that oracle-check passes
+#: largest relative disagreement of the two routes that oracle-check passes
 _ORACLE_TOL = 1e-9
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -231,6 +231,8 @@ def _assemble(args):
 
 
 def cmd_solve(args):
+    if args.postprocess:
+        SpaceConfig(args.k, args.case).validate_postprocess()
     sys = _assemble(args)
     surrogates = solve_linear_surrogate(sys, args.modes)
     header = ["mode", "lambda", "lambda_tilde"]
@@ -271,7 +273,9 @@ def cmd_study(args):
 
 
 def cmd_oracle_check(args):
-    """The paper's secant route against the solution operator's Lanczos run."""
+    """The paper's route, surrogate-seeded, predictor plus safeguarded
+    Newton on the frozen-pencil fixed point, against the solution
+    operator's Lanczos run."""
     sys = _assemble(args)
     condensed = np.sort([solve_condensed_nonlinear(sys, s).value
                          for s in solve_linear_surrogate(sys, args.modes)])

@@ -219,6 +219,12 @@ class SpaceConfig:
                 % tau.label()
             )
 
+    def validate_postprocess(self):
+        """Check that the flux postprocessing space is tabulated for k."""
+        if self.k > basis.MAX_RT_DEGREE:
+            raise ConfigError("flux postprocessing supports k <= %d; got k=%d"
+                              % (basis.MAX_RT_DEGREE, self.k))
+
 
 @lru_cache(maxsize=None)
 def reference_tables(spaces):
@@ -452,8 +458,7 @@ class ElementOps:
         """Volume values and face normal components of the flux
         postprocessing space."""
         ref = self.ref
-        if ref.spaces.k > basis.MAX_RT_DEGREE:
-            raise ConfigError("flux postprocessing supports k <= %d" % basis.MAX_RT_DEGREE)
+        ref.spaces.validate_postprocess()
         return {
             "vol_vals": self.rt_tabulate(ref.vol.points),
             "face_normal": [self.rt_tabulate(ref.face_ref_pts[l]) @ self.normals[l]

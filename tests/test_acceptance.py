@@ -145,7 +145,9 @@ def test_criterion_05_surrogate_gap(studies, systems):
             assert all(cell.iterations is not None for cell in rep.cells)
 
         # the studies run the Lanczos route; the seeds must still carry the
-        # paper's secant to convergence within 10 iterations on every cell
+        # paper's route (predictor plus safeguarded Newton on the
+        # frozen-pencil fixed point) to convergence within 10 iterations on
+        # every cell
         for k in (0, 1, 2):
             for level in FULL_LEVELS:
                 sys = systems("square", level, k)

@@ -70,6 +70,20 @@ class TestSolveCommand:
         assert main(["solve", "--modes", "0"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_k4_postprocessing_refused_before_solving(self, capsys, monkeypatch):
+        # the flux postprocessing space stops at k = 3
+        monkeypatch.setattr("hdgeig.cli.assemble_condensed",
+                            lambda *args: pytest.fail("assembled before the check"))
+        assert main(["solve", "--k", "4", "--level", "0", "--modes", "1"]) == 2
+        assert "flux postprocessing supports k <= 3" in capsys.readouterr().err
+
+    def test_k4_without_postprocessing_runs(self, capsys):
+        code = main(["solve", "--k", "4", "--level", "0", "--modes", "2",
+                     "--no-postprocess", "--format", "json"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["mode"] for r in rows] == [1, 2] and "lambda_star" not in rows[0]
+
     def test_lshape_first_mode(self, capsys):
         code = main(["solve", "--domain", "lshape", "--level", "1", "--k", "2",
                      "--modes", "1", "--format", "json", "--no-postprocess"])
@@ -90,6 +104,19 @@ class TestSolveCommand:
 class TestStudyCommand:
     def test_invalid_range_exits_2(self, capsys):
         assert main(["study", "--levels", "2:1"]) == 2
+
+    def test_k4_postprocessing_refused_before_solving(self, capsys, monkeypatch):
+        monkeypatch.setattr("hdgeig.study.assemble_condensed",
+                            lambda *args: pytest.fail("assembled before the check"))
+        assert main(["study", "--k", "4", "--levels", "0:1", "--modes", "1"]) == 2
+        assert "flux postprocessing supports k <= 3" in capsys.readouterr().err
+
+    def test_k4_without_postprocessing_runs(self, capsys):
+        code = main(["study", "--k", "4", "--levels", "0:0", "--modes", "1",
+                     "--no-postprocess", "--format", "json"])
+        assert code == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["lam"] == pytest.approx(2.0, rel=1e-3) and not cell["note"]
 
     def test_small_study_markdown(self, capsys):
         code = main(["study", "--domain", "square", "--k", "1", "--tau", "one",
@@ -231,7 +258,9 @@ class TestBenchHooks:
         assert all(layers[name + ".failed"] == 0 for name in
                    ("mesh", "assembly", "eigensolve", "recovery", "study", "cli"))
         assert layers["eigensolve.oracle_columns"] > 0
-        assert layers["eigensolve.nonlinear_iters"] > 0
+        # the level-0 oracle-check: 20 Newton iterations (34 with the old
+        # secant update)
+        assert 0 < layers["eigensolve.nonlinear_iters"] <= 24
         assert layers["eigensolve.eigh_calls"] == 0
         # one factorization per command: oracle-check reuses its system
         assert layers["assembly.factorizations"] == 2

@@ -12,6 +12,7 @@ from hdgeig.errors import ConfigError, EigenSolveError, UnsupportedModeError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec, reference_tables
 from hdgeig.mesh import build_square_mesh, refine
 from hdgeig.study import (
+    CellResult,
     ConvergenceReport,
     StudyConfig,
     domain_modes,
@@ -244,6 +245,22 @@ class TestEstimateOrder:
             estimate_order([1.0])
 
 
+class TestRoundoffFloor:
+    def test_eigenvalue_orders_stop_at_roundoff(self):
+        # lam = 2: eigenvalue errors below 2e-11 give no order, while the
+        # cells, and with them the JSON, keep every error
+        errs = [4e-10, 2.5e-11, 1.6e-12]
+        cells = [CellResult(mode=1, level=l, lam=2.0, err_lam=e, err_lam_star=e, gap=e,
+                            err_u=e) for l, e in enumerate(errs)]
+        rep = ConvergenceReport("square", 2, "equal", "tau=1", [0, 1, 2], [1], cells,
+                                [0.0] * 3)
+        for metric in ("lam", "lam_star", "gap"):
+            assert rep.orders(metric, 1) == [None, pytest.approx(4.0), None]
+        assert rep.orders("u", 1) == estimate_order(errs)
+        assert "| 1.60e-12 | -- |" in emit_table(rep, "markdown")
+        assert [c["err_lam"] for c in json.loads(emit_table(rep, "json"))["cells"]] == errs
+
+
 class TestStudyConfig:
     def test_rejects_bad_levels(self):
         with pytest.raises(ConfigError):
@@ -261,6 +278,11 @@ class TestStudyConfig:
         with pytest.raises(ConfigError):
             StudyConfig(k=1, tau=TauSpec.zero())
         StudyConfig(k=1, case="case1", tau=TauSpec.zero())  # BDM is fine
+
+    def test_rejects_postprocessing_past_k3(self):
+        with pytest.raises(ConfigError, match="k <= 3"):
+            StudyConfig(k=4)
+        StudyConfig(k=4, postprocess=False)
 
 
 class TestRunStudy:
