@@ -104,6 +104,11 @@ class CondensedSystem:
                 raise NumericalError("condensed matrix factorization failed: %s" % exc)
         return self._splu
 
+    def release_factorization(self):
+        """Drop the cached LU, the largest object a system holds; a later
+        ``factorized`` call factors A again."""
+        self._splu = None
+
     def _block_diagonal(self, blocks):
         """Sparse block-diagonal matrix with the per-class block of each element."""
         data = np.stack(blocks)[self.elem_class]

@@ -7,6 +7,7 @@ Exit codes form a stable contract for CI: 0 success, 1 check failure,
 import argparse
 import json
 import logging
+import resource
 import sys as _sys
 
 import numpy as np
@@ -219,6 +220,11 @@ def _table(header, rows, fmt):
     return "\n".join(out) + "\n"
 
 
+def _peak_rss_mb():
+    """The process's peak resident set size so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _assemble(args):
     """The condensed system that solve and oracle-check work on."""
     spaces = SpaceConfig(args.k, args.case)
@@ -235,20 +241,23 @@ def cmd_solve(args):
         SpaceConfig(args.k, args.case).validate_postprocess()
     sys = _assemble(args)
     surrogates = solve_linear_surrogate(sys, args.modes)
+    pairs = solve_modes(sys, args.modes)
+    sys.release_factorization()  # recovery and postprocessing never solve with A
     header = ["mode", "lambda", "lambda_tilde"]
     if args.postprocess:
         header.append("lambda_star")
     header.append("iterations")
     rows = []
-    for pair, surrogate in zip(solve_modes(sys, args.modes), surrogates):
+    for pair, surrogate in zip(pairs, surrogates):
         row = [pair.index, pair.value, surrogate.value]
         if args.postprocess:
             fields = recover_fields(sys, pair)
             row.append(postprocess(sys, fields).value_star)
         row.append(pair.iterations)
         rows.append(row)
-        log.info("mode %d: lambda=%.12g (%d operator applications, residual %.1e)",
-                 pair.index, pair.value, pair.iterations, pair.defect)
+        log.info("mode %d: lambda=%.12g (%d operator applications, residual %.1e), "
+                 "peak RSS %.0f MB", pair.index, pair.value, pair.iterations, pair.defect,
+                 _peak_rss_mb())
     _write_output(_table(header, rows, args.format), args)
     return EXIT_OK
 
@@ -265,8 +274,8 @@ def cmd_study(args):
     )
     report = run_convergence_study(
         config,
-        progress=lambda level, dt, detail: log.info("level %d done in %.2fs: %s",
-                                                    level, dt, detail),
+        progress=lambda level, dt, detail: log.info(
+            "level %d done in %.2fs, peak RSS %.0f MB: %s", level, dt, _peak_rss_mb(), detail),
     )
     _write_output(emit_table(report, args.format), args)
     return EXIT_OK

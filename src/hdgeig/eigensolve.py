@@ -212,26 +212,33 @@ def _largest(op, count, what, start=None):
     return mu[order], vecs[:, order]
 
 
-def _operator(sys, root=None, load=None):
+class _Operator(scipy.sparse.linalg.LinearOperator):
     """y -> D U A^-1 U^T D y + W y on W_h for D = ``root`` (None: identity)
     and W = ``load`` (None: zero), on a vector or the columns of a block
-    (one multi-right-hand-side solve); ``applications`` counts columns."""
-    lu, lift, moments = sys.factorized(), sys.lift, sys.moments
+    (one multi-right-hand-side solve); ``applications`` counts columns.
 
-    def apply(y):
-        op.applications += 1 if y.ndim == 1 else y.shape[1]
-        x = y if root is None else root @ y
-        x = lift @ lu.solve(moments @ x)
-        if root is not None:
-            x = root @ x
-        if load is not None:
-            x += load @ y
+    A subclass rather than a closure that updates the operator's counter:
+    such a closure refers to its own operator, and the reference cycle
+    kept the LU alive after the run until the cyclic collector ran.
+    """
+
+    def __init__(self, sys, root=None, load=None):
+        super().__init__(float, (sys.dim_w,) * 2)
+        self.lu, self.lift, self.moments = sys.factorized(), sys.lift, sys.moments
+        self.root, self.load = root, load
+        self.applications = 0
+
+    def _matmat(self, y):
+        self.applications += 1 if y.ndim == 1 else y.shape[1]
+        x = y if self.root is None else self.root @ y
+        x = self.lift @ self.lu.solve(self.moments @ x)
+        if self.root is not None:
+            x = self.root @ x
+        if self.load is not None:
+            x += self.load @ y
         return x
 
-    op = scipy.sparse.linalg.LinearOperator((sys.dim_w,) * 2, matvec=apply, matmat=apply,
-                                            dtype=float)
-    op.applications = 0
-    return op
+    _matvec = _matmat
 
 
 def _check_count(sys, m):
@@ -268,7 +275,7 @@ def _frozen_pencil(sys, kappa, count, start=None):
         start = sys.lift @ start
         if root is not None:
             start = root @ start
-    op = _operator(sys, root)
+    op = _Operator(sys, root)
     mu, vecs = _largest(op, count, "the frozen pencil", start)
     if mu[-1] <= 0.0:
         raise EigenSolveError("mode %d lies in the kernel of the lift Gram matrix"
@@ -408,7 +415,7 @@ def solve_modes(sys, m, start=None):
     beyond the resolvent wall, or failing the nonlinear residual check,
     raises ``EigenSolveError``.
     """
-    m, op = int(m), _operator(sys, load=sys.load_lift)
+    m, op = int(m), _Operator(sys, load=sys.load_lift)
     _check_count(sys, m)
     mu, vecs = _largest(op, m, "the solution operator", start)
     etas = sys.factorized().solve(sys.moments @ vecs)
@@ -430,4 +437,4 @@ def oracle_full_eig(sys, m=6):
     """Lowest m eigenvalues of the full problem via the solution operator
     of the condensed system ``sys``, from ``solve_modes``."""
     values = np.array([p.value for p in solve_modes(sys, m)])
-    return OracleSpectrum(values, _operator(sys, load=sys.load_lift))
+    return OracleSpectrum(values, _Operator(sys, load=sys.load_lift))

@@ -98,10 +98,6 @@ class Mesh:
         return int(np.count_nonzero(self.boundary))
 
     @property
-    def total_area(self):
-        return float(self.areas.sum())
-
-    @property
     def spacing(self):
         """Structured grid spacing: the shortest edge length.
 

@@ -54,10 +54,6 @@ class RecoveredFields:
         self.anchor_element = int(anchor_element)
         self.sign = float(sign)
 
-    @property
-    def norm_u(self):
-        return float(np.sqrt(np.sum(self.u**2)))
-
 
 class PostprocessedFields:
     """Locally postprocessed scalar, flux, and eigenvalue."""

@@ -145,23 +145,33 @@ def eigenfunction_error(sys, mode, *fields):
     tabs = {ref.n_w: ref.w_err, ref.n_p: ref.p_err}
     # the element basis is the reference one over sqrt(det B) and the
     # weights are det B times the reference ones, so with the exact values
-    # scaled by sqrt(det B) every integral takes the reference weights
+    # scaled by sqrt(det B) every integral takes the reference weights.
+    # Every array here is one class's (members, n_q): no mesh-wide point
+    # or value array is formed
     norm2 = lambda f: np.einsum("q,eq,eq->", ref.err.weights, f, f)
-    exact = np.empty((len(sys.mesh.triangles), len(ref.err)))
-    for ops, members, pts in sys.class_points(ref.err.points):
-        exact[members] = np.sqrt(ops.det) * evaluator(pts[:, :, 0], pts[:, :, 1])
-    exact /= np.sqrt(norm2(exact))
+    p0 = sys.mesh.vertices[sys.mesh.triangles[:, 0]]
+    groups = list(sys.class_groups)
+    exact = []
+    for ops, members in groups:
+        offsets = ref.err.points @ ops.bmat.T
+        exact.append(np.sqrt(ops.det) * evaluator(p0[members, 0, None] + offsets[:, 0],
+                                                  p0[members, 1, None] + offsets[:, 1]))
+    scale = np.sqrt(sum(map(norm2, exact)))
+    for values in exact:
+        values /= scale
     errors = []
     for coeffs in map(np.asarray, fields):
         if coeffs.shape[1] not in tabs:
             raise ValueError("unrecognized field dimension %d" % coeffs.shape[1])
-        vals = coeffs @ tabs[coeffs.shape[1]].T
-        nrm = np.sqrt(norm2(vals))
+        tab = tabs[coeffs.shape[1]]
+        nrm = np.sqrt(sum(norm2(coeffs[members] @ tab.T) for _, members in groups))
         if nrm == 0.0:
             raise ValueError("discrete field is identically zero")
-        vals /= nrm
-        plus = norm2(vals - exact)
-        minus = norm2(np.add(vals, exact, out=vals))
+        plus = minus = 0.0
+        for (_, members), ref_vals in zip(groups, exact):
+            vals = coeffs[members] @ tab.T / nrm
+            plus += norm2(vals - ref_vals)
+            minus += norm2(np.add(vals, ref_vals, out=vals))
         errors.append(float(np.sqrt(min(plus, minus))))
     return errors
 
@@ -418,6 +428,7 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
     eigenfields = np.column_stack([resolvent_lift(sys, p.value, p.vector).ravel()
                                    for p in pairs])
     surrogates = solve_linear_surrogate(sys, max(config.modes), eigenfields)
+    sys.release_factorization()  # the last eigensolve: nothing below solves with A
     detail = "modes %d operator applications (%s), surrogate %d (block start)" % (
         pairs[0].iterations, started, surrogates[0].iterations)
     for mode_idx in config.modes:

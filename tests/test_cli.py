@@ -13,6 +13,7 @@ import pytest
 from hdgeig.cli import main, parse_levels, parse_modes, parse_tau
 from hdgeig.errors import ConfigError
 from hdgeig.localsolve import TauSpec
+from hdgeig.recovery import recover_fields
 
 
 class TestParsers:
@@ -50,6 +51,18 @@ class TestSolveCommand:
         lams = [r["lambda"] for r in rows]
         assert np.allclose(lams, [2, 5, 5, 8], atol=0.05)
         assert all(r["lambda_star"] is not None for r in rows)
+
+    def test_recovery_runs_without_the_factorization(self, capsys, monkeypatch):
+        recovered = []
+
+        def recover(sys, pair):
+            assert sys._splu is None
+            recovered.append(pair.index)
+            return recover_fields(sys, pair)
+
+        monkeypatch.setattr("hdgeig.cli.recover_fields", recover)
+        assert main(["solve", "--level", "1", "--modes", "3"]) == 0
+        assert recovered == [1, 2, 3]
 
     def test_solvability_violation_exits_2(self, capsys):
         code = main(["solve", "--k", "0", "--tau", "zero", "--case", "equal"])
@@ -141,6 +154,15 @@ class TestStudyCommand:
         detail = r"modes \d+ operator applications \((%s)\), surrogate \d+ \(block start\)$"
         assert re.search(detail % "cold", lines[0])
         assert re.search(detail % "block start", lines[1])
+
+    def test_verbose_lines_report_peak_rss(self, capsys, caplog):
+        caplog.set_level("INFO", logger="hdgeig")
+        assert main(["solve", "--level", "0", "--modes", "2", "-v"]) == 0
+        assert main(["study", "--levels", "0:0", "--modes", "1", "-v"]) == 0
+        peaks = [float(mb) for r in caplog.records
+                 for mb in re.findall(r"peak RSS (\d+) MB", r.getMessage())]
+        assert len(peaks) == 3  # two solve modes, one study level
+        assert 0 < peaks[0] <= peaks[1] <= peaks[2]
 
     def test_csv_study_parses(self, capsys):
         code = main(["study", "--k", "1", "--levels", "0:1", "--modes", "1,2",

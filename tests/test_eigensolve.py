@@ -1,11 +1,14 @@
 import copy
+import gc
+import weakref
+from sys import getrefcount
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 from hdgeig import eigensolve
-from hdgeig.assembly import assemble_condensed
+from hdgeig.assembly import assemble_condensed, resolvent_lift
 from hdgeig.eigensolve import (
     oracle_full_eig,
     solve_condensed_nonlinear,
@@ -359,6 +362,48 @@ class TestSolveModes:
             run()
         assert main(["solve", "--level", "0", "--modes", "2"]) == 3
         assert "did not converge" in capsys.readouterr().err
+
+
+class TestOperatorLifetime:
+    """An eigensolve gives back every reference it took to the cached LU
+    when it returns, with the cyclic collector off: no reference cycle
+    keeps the factorization alive after the run, so releasing it frees it."""
+
+    RUNS = {
+        "modes": lambda sys, block, pairs: solve_modes(sys, 4),
+        "modes_block": lambda sys, block, pairs: solve_modes(sys, 4, block),
+        "surrogate": lambda sys, block, pairs: solve_linear_surrogate(sys, 4),
+        "surrogate_block": lambda sys, block, pairs: solve_linear_surrogate(sys, 4, block),
+        "nonlinear": lambda sys, block, pairs: solve_condensed_nonlinear(sys, pairs[1]),
+        # the result, which holds an operator, is dropped at once
+        "oracle": lambda sys, block, pairs: oracle_full_eig(sys, 4),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_run_gives_back_the_factorization(self, systems, eigenpairs, run):
+        sys = systems("square", 1, 1)
+        _, pairs = eigenpairs("square", 1, 1, m=4)
+        block = np.column_stack([resolvent_lift(sys, p.value, p.vector).ravel()
+                                 for p in pairs])
+        gc.disable()
+        try:
+            before = getrefcount(sys.factorized())
+            self.RUNS[run](sys, block, pairs)
+            after = getrefcount(sys.factorized())  # outside the rewritten assert
+        finally:
+            gc.enable()
+        assert after == before
+
+    def test_operator_dies_with_its_last_reference(self, systems):
+        op = eigensolve._Operator(systems("square", 1, 1))
+        op.matvec(np.ones(op.shape[0]))
+        alive = weakref.ref(op)
+        gc.disable()
+        try:
+            del op
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestTauSweep:

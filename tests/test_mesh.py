@@ -9,6 +9,10 @@ from hdgeig.mesh import (
 )
 
 
+def total_area(mesh):
+    return float(mesh.areas.sum())
+
+
 class TestSquareMesh:
     def test_level0_counts(self):
         m = build_square_mesh(0)
@@ -23,7 +27,7 @@ class TestSquareMesh:
 
     def test_area(self):
         m = build_square_mesh(0)
-        assert abs(m.total_area - np.pi**2) < 1e-12 * np.pi**2
+        assert abs(total_area(m) - np.pi**2) < 1e-12 * np.pi**2
 
     def test_euler_relation(self):
         for level in range(3):
@@ -51,7 +55,7 @@ class TestLshapeMesh:
         assert build_lshape_mesh(1).num_triangles == 96
 
     def test_area(self):
-        assert abs(build_lshape_mesh(0).total_area - 3.0) < 1e-12 * 3.0
+        assert abs(total_area(build_lshape_mesh(0)) - 3.0) < 1e-12 * 3.0
 
     def test_reentrant_corner_present(self):
         for level in range(3):
