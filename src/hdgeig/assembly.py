@@ -24,6 +24,7 @@ from .errors import NumericalError
 from .localsolve import ElementOps, MaterialSpec, reference_tables
 
 __all__ = [
+    "RUN_LENGTH",
     "CondensedSystem",
     "assemble_condensed",
     "assemble_m_of_lambda",
@@ -33,6 +34,11 @@ __all__ = [
     "resolvent_lift",
     "solve_source",
 ]
+
+
+#: elements per run of ``CondensedSystem.class_runs``: per-point arrays of
+#: a pass over the mesh are (run, n_q), 0.8 MB at 49 points, not (T, n_q)
+RUN_LENGTH = 2048
 
 
 class CondensedSystem:
@@ -83,22 +89,39 @@ class CondensedSystem:
         """Signed element-local face blocks (T, 3(k+1)) of a global trace."""
         return (self.gather @ eta).reshape(len(self.mesh.triangles), -1)
 
-    def class_points(self, points):
-        """Per class: (ElementOps, members, physical points (n, n_q, 2)) of
-        reference ``points``, mapped through the class Jacobian."""
-        p0 = self.mesh.vertices[self.mesh.triangles[:, 0]]
+    @property
+    def class_runs(self):
+        """Pairs (ElementOps, member element indices) in runs of at most
+        ``RUN_LENGTH`` elements of one class."""
         for ops, members in self.class_groups:
-            yield ops, members, p0[members, None, :] + points @ ops.bmat.T
+            for start in range(0, len(members), RUN_LENGTH):
+                yield ops, members[start:start + RUN_LENGTH]
+
+    def class_points(self, points):
+        """Per run of ``class_runs``: (ElementOps, members, x, y), the
+        physical coordinates (n, n_q) of reference ``points`` mapped through
+        the class Jacobian, each contiguous.  A pass over the mesh holds one
+        run's points at a time."""
+        p0 = self.mesh.vertices[self.mesh.triangles[:, 0]]
+        for ops, members in self.class_runs:
+            offsets = points @ ops.bmat.T
+            yield (ops, members, p0[members, 0, None] + offsets[:, 0],
+                   p0[members, 1, None] + offsets[:, 1])
 
     def factorized(self):
         """Cached sparse LU of A.  A is SPD, so diagonal pivots are stable,
         and its unknowns are already numbered in nested-dissection order:
-        SuperLU factors it in that order and computes none of its own."""
+        SuperLU factors it in that order and computes none of its own.  A
+        is symmetric to the last bit, so its transpose is the CSC form
+        SuperLU takes, a view on A's own arrays: no CSC copy is made.
+        SuperLU's working arrays grow as ndof times the panel width; a
+        panel of 4 columns instead of its default 20 keeps them small
+        beside the factors, with the same fill, and factors faster."""
         if self._splu is None:
             try:
                 self._splu = scipy.sparse.linalg.splu(
-                    self.A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0,
-                    options={"SymmetricMode": True},
+                    self.A.T, permc_spec="NATURAL", diag_pivot_thresh=0,
+                    panel_size=4, options={"SymmetricMode": True},
                 )
             except RuntimeError as exc:
                 raise NumericalError("condensed matrix factorization failed: %s" % exc)
@@ -269,8 +292,8 @@ def load_moments(sys, f):
     """Per-element coefficients of the L2 projection of f onto the local
     scalar space (the load enters the lifts only through these)."""
     out = np.empty((len(sys.mesh.triangles), sys.n_w))
-    for ops, members, pts in sys.class_points(sys.ref.vol.points):
-        vals = np.asarray(f(pts[:, :, 0], pts[:, :, 1]), dtype=float)
+    for ops, members, x, y in sys.class_points(sys.ref.vol.points):
+        vals = np.asarray(f(x, y), dtype=float)
         out[members] = (vals * ops.wq) @ ops.w_vals
     return out
 

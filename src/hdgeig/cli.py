@@ -242,6 +242,7 @@ def cmd_solve(args):
     sys = _assemble(args)
     surrogates = solve_linear_surrogate(sys, args.modes)
     pairs = solve_modes(sys, args.modes)
+    lu_nnz = sys.factorized().nnz
     sys.release_factorization()  # recovery and postprocessing never solve with A
     header = ["mode", "lambda", "lambda_tilde"]
     if args.postprocess:
@@ -256,8 +257,8 @@ def cmd_solve(args):
         row.append(pair.iterations)
         rows.append(row)
         log.info("mode %d: lambda=%.12g (%d operator applications, residual %.1e), "
-                 "peak RSS %.0f MB", pair.index, pair.value, pair.iterations, pair.defect,
-                 _peak_rss_mb())
+                 "peak RSS %.0f MB, LU nnz %d", pair.index, pair.value, pair.iterations,
+                 pair.defect, _peak_rss_mb(), lu_nnz)
     _write_output(_table(header, rows, args.format), args)
     return EXIT_OK
 

@@ -145,10 +145,6 @@ class MaterialSpec:
     def identity():
         return MaterialSpec()
 
-    @staticmethod
-    def isotropic(value):
-        return MaterialSpec(float(value), 0.0, float(value))
-
     @property
     def alpha(self):
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
@@ -299,7 +295,8 @@ class ElementOps:
     """
 
     def __init__(self, bmat, tau_faces, mat, ref, element_hint=0):
-        self.bmat = np.asarray(bmat, dtype=float)
+        # a copy: a view would keep the mesh-wide Jacobian array alive
+        self.bmat = np.array(bmat, dtype=float)
         self.tau = np.asarray(tau_faces, dtype=float)
         self.mat = mat
         self.ref = ref
@@ -400,7 +397,9 @@ class ElementOps:
             mvals[:, cols] = self.t_face[l]
             diff = uvals - mvals
             a_loc += self.tau[l] * np.einsum("e,ei,ej->ij", fw, diff, diff)
-        self.a_loc = a_loc
+        # symmetric to the last bit, so that the assembled A is too (two
+        # elements at most add to an entry) and is its own transpose
+        self.a_loc = 0.5 * (a_loc + a_loc.T)
 
         self.w_means = np.einsum("q,qi->i", self.wq, self.w_vals)
 

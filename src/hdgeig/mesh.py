@@ -86,18 +86,6 @@ class Mesh:
         return len(self.triangles)
 
     @property
-    def num_edges(self):
-        return len(self.edges)
-
-    @property
-    def num_interior_edges(self):
-        return int(np.count_nonzero(~self.boundary))
-
-    @property
-    def num_boundary_edges(self):
-        return int(np.count_nonzero(self.boundary))
-
-    @property
     def spacing(self):
         """Structured grid spacing: the shortest edge length.
 

@@ -143,37 +143,37 @@ def eigenfunction_error(sys, mode, *fields):
         )
     ref = sys.ref
     tabs = {ref.n_w: ref.w_err, ref.n_p: ref.p_err}
+    fields = [np.asarray(coeffs) for coeffs in fields]
+    for coeffs in fields:
+        if coeffs.shape[1] not in tabs:
+            raise ValueError("unrecognized field dimension %d" % coeffs.shape[1])
+    tables = [tabs[coeffs.shape[1]] for coeffs in fields]
     # the element basis is the reference one over sqrt(det B) and the
     # weights are det B times the reference ones, so with the exact values
     # scaled by sqrt(det B) every integral takes the reference weights.
-    # Every array here is one class's (members, n_q): no mesh-wide point
-    # or value array is formed
+    # Two passes over the runs of ``class_points``, the second recomputing
+    # the exact values: every array here is one run's (n, n_q), and no
+    # mesh-wide point or value array is formed
     norm2 = lambda f: np.einsum("q,eq,eq->", ref.err.weights, f, f)
-    p0 = sys.mesh.vertices[sys.mesh.triangles[:, 0]]
-    groups = list(sys.class_groups)
-    exact = []
-    for ops, members in groups:
-        offsets = ref.err.points @ ops.bmat.T
-        exact.append(np.sqrt(ops.det) * evaluator(p0[members, 0, None] + offsets[:, 0],
-                                                  p0[members, 1, None] + offsets[:, 1]))
-    scale = np.sqrt(sum(map(norm2, exact)))
-    for values in exact:
-        values /= scale
-    errors = []
-    for coeffs in map(np.asarray, fields):
-        if coeffs.shape[1] not in tabs:
-            raise ValueError("unrecognized field dimension %d" % coeffs.shape[1])
-        tab = tabs[coeffs.shape[1]]
-        nrm = np.sqrt(sum(norm2(coeffs[members] @ tab.T) for _, members in groups))
-        if nrm == 0.0:
-            raise ValueError("discrete field is identically zero")
-        plus = minus = 0.0
-        for (_, members), ref_vals in zip(groups, exact):
+
+    def runs():
+        for ops, members, x, y in sys.class_points(ref.err.points):
+            yield members, np.sqrt(ops.det) * evaluator(x, y)
+
+    sums = np.zeros(1 + len(fields))
+    for members, exact in runs():
+        sums += [norm2(exact)] + [norm2(coeffs[members] @ tab.T)
+                                  for coeffs, tab in zip(fields, tables)]
+    scale, *norms = np.sqrt(sums)
+    if not all(norms):
+        raise ValueError("discrete field is identically zero")
+    distances = np.zeros((len(fields), 2))  # squared, to the exact mode and its negative
+    for members, exact in runs():
+        exact /= scale
+        for dist, coeffs, tab, nrm in zip(distances, fields, tables, norms):
             vals = coeffs[members] @ tab.T / nrm
-            plus += norm2(vals - ref_vals)
-            minus += norm2(np.add(vals, ref_vals, out=vals))
-        errors.append(float(np.sqrt(min(plus, minus))))
-    return errors
+            dist += norm2(vals - exact), norm2(np.add(vals, exact, out=vals))
+    return [float(np.sqrt(min(plus, minus))) for plus, minus in distances]
 
 
 def _child_maps(ref):
@@ -376,8 +376,8 @@ def run_convergence_study(config, progress=None):
     Failures at one level are recorded in the affected cells' notes and
     do not abort the remaining cells; the level after a failed one starts
     cold.  ``progress(level, seconds, detail)`` is called after each level,
-    ``detail`` naming the operator applications of its two eigensolves and
-    how each started.
+    ``detail`` naming the nonzeros of its LU factors, the operator
+    applications of its two eigensolves and how each started.
     """
     spaces = config.spaces
     max_mode = max(config.modes)
@@ -428,9 +428,10 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
     eigenfields = np.column_stack([resolvent_lift(sys, p.value, p.vector).ravel()
                                    for p in pairs])
     surrogates = solve_linear_surrogate(sys, max(config.modes), eigenfields)
+    lu_nnz = sys.factorized().nnz
     sys.release_factorization()  # the last eigensolve: nothing below solves with A
-    detail = "modes %d operator applications (%s), surrogate %d (block start)" % (
-        pairs[0].iterations, started, surrogates[0].iterations)
+    detail = "LU nnz %d, modes %d operator applications (%s), surrogate %d (block start)" % (
+        lu_nnz, pairs[0].iterations, started, surrogates[0].iterations)
     for mode_idx in config.modes:
         cell = report.cell(mode_idx, level)
         pair = pairs[mode_idx - 1]

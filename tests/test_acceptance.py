@@ -257,7 +257,7 @@ def test_criterion_10_property_suite(meshes, systems, eigenpairs):
         base = systems("square", 0, 1)
         scaled = assemble_condensed(
             meshes("square", 0), SpaceConfig(1),
-            TauSpec.constant(s), MaterialSpec.isotropic(s),
+            TauSpec.constant(s), MaterialSpec(s, 0.0, s),
         )
         v1 = np.sort([
             solve_condensed_nonlinear(base, sd).value

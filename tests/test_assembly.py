@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from hdgeig import assembly
 from hdgeig.assembly import (
     assemble_condensed,
     assemble_m_of_lambda,
@@ -171,7 +173,7 @@ class TestDofMap:
         on_boundary = np.repeat(sys.mesh.boundary[sys.mesh.elem_edges].ravel(), n_m)
         per_row = np.diff(sys.gather.indptr)
         assert (per_row[on_boundary] == 0).all() and (per_row[~on_boundary] == 1).all()
-        assert sys.ndof == n_m * sys.mesh.num_interior_edges
+        assert sys.ndof == n_m * np.count_nonzero(~sys.mesh.boundary)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     @pytest.mark.parametrize("domain", ["square", "lshape"])
@@ -196,9 +198,16 @@ class TestDofMap:
 
 class TestGlobalMatrices:
     def test_a_symmetric(self, systems):
-        sys = systems("lshape", 1, 2)
-        defect = np.abs(sys.A - sys.A.T).max()
-        assert defect <= 1e-12 * np.abs(sys.A).max()
+        # to the last bit: SuperLU factors A through its transpose
+        for domain, level, k, tau, mat in [
+            ("lshape", 1, 2, "one", MaterialSpec.identity()),
+            ("square", 2, 0, "one", MaterialSpec.identity()),
+            ("square", 2, 1, "h", MaterialSpec(1.0, 0.4, 2.0)),
+            ("lshape", 2, 2, "one", MaterialSpec(1.0, 0.4, 2.0)),
+            ("lshape", 2, 3, "h", MaterialSpec.identity()),
+        ]:
+            sys = systems(domain, level, k, tau, mat=mat)
+            assert (sys.A != sys.A.T).nnz == 0
 
     def test_a_positive_definite(self, systems):
         sys = systems("square", 1, 1)
@@ -319,9 +328,9 @@ class TestSolveSource:
             sys = systems("square", level, 2)
             _, u, _ = solve_source(sys, f)
             err2 = 0.0
-            for ops, members, pts in sys.class_points(sys.ref.err.points):
+            for ops, members, x, y in sys.class_points(sys.ref.err.points):
                 vals = u[members] @ sys.ref.w_err.T / np.sqrt(ops.det)
-                exact = np.sin(pts[:, :, 0]) * np.sin(pts[:, :, 1])
+                exact = np.sin(x) * np.sin(y)
                 err2 += ops.det * np.sum(sys.ref.err.weights * (vals - exact) ** 2)
             errors.append(np.sqrt(err2))
         rates = np.log2(np.array(errors[:-1]) / errors[1:])
@@ -364,6 +373,42 @@ class TestCongruenceClasses:
         sys = assemble_condensed(build_square_mesh(6), SpaceConfig(0), TauSpec.one())
         assert len(sys.classes) == 6
         assert sum(members.size for _, members in sys.class_groups) == 131072
+
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_class_jacobians_own_their_data(self, systems, domain):
+        # a view would keep the mesh-wide (T, 2, 2) Jacobian array alive
+        # as long as the system
+        sys = systems(domain, 2, 1)
+        assert all(ops.bmat.base is None for ops in sys.classes)
+
+    @pytest.mark.parametrize("domain,level", [("square", 3), ("lshape", 2)])
+    def test_runs_cover_each_class_in_order(self, monkeypatch, systems, domain, level):
+        monkeypatch.setattr(assembly, "RUN_LENGTH", 100)
+        sys = systems(domain, level, 0)
+        runs = list(sys.class_runs)
+        assert max(len(members) for _, members in runs) == 100
+        for ops, members in sys.class_groups:
+            mine = [m for o, m in runs if o is ops]
+            assert all(len(m) == 100 for m in mine[:-1])
+            np.testing.assert_array_equal(np.concatenate(mine), members)
+
+
+class TestFactorization:
+    def test_superlu_takes_the_arrays_of_a(self, meshes, monkeypatch):
+        sys = assemble_condensed(meshes("lshape", 2), SpaceConfig(1), TauSpec.one())
+        seen = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda a, **kw: seen.append((a, kw)) or splu(a, **kw))
+        lu = sys.factorized()
+        (a, options), = seen
+        assert a.format == "csc"
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(a, name), getattr(sys.A, name))
+        assert options["panel_size"] == 4 and options["permc_spec"] == "NATURAL"
+        b = np.random.default_rng(1).standard_normal(sys.ndof)
+        x = lu.solve(b)
+        assert np.linalg.norm(sys.A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def _signed_permutation(mesh, permuted, vperm):
@@ -431,7 +476,7 @@ class TestInvariances:
         s = 3.0
         base = assemble_condensed(mesh, spaces, TauSpec.one(), MaterialSpec.identity())
         scaled = assemble_condensed(
-            mesh, spaces, TauSpec.constant(s), MaterialSpec.isotropic(s)
+            mesh, spaces, TauSpec.constant(s), MaterialSpec(s, 0.0, s)
         )
         assert np.abs(scaled.A - s * base.A).max() <= 1e-10 * np.abs(base.A).max()
         assert np.abs(scaled.G - base.G).max() <= 1e-10 * np.abs(base.G).max()

@@ -155,14 +155,18 @@ class TestStudyCommand:
         assert re.search(detail % "cold", lines[0])
         assert re.search(detail % "block start", lines[1])
 
-    def test_verbose_lines_report_peak_rss(self, capsys, caplog):
+    def test_verbose_lines_report_peak_rss(self, capsys, caplog, systems):
         caplog.set_level("INFO", logger="hdgeig")
         assert main(["solve", "--level", "0", "--modes", "2", "-v"]) == 0
         assert main(["study", "--levels", "0:0", "--modes", "1", "-v"]) == 0
-        peaks = [float(mb) for r in caplog.records
-                 for mb in re.findall(r"peak RSS (\d+) MB", r.getMessage())]
-        assert len(peaks) == 3  # two solve modes, one study level
+        lines = [r.getMessage() for r in caplog.records if "peak RSS" in r.getMessage()]
+        assert len(lines) == 3  # two solve modes, one study level
+        peaks = [float(re.search(r"peak RSS (\d+) MB", line).group(1)) for line in lines]
         assert 0 < peaks[0] <= peaks[1] <= peaks[2]
+        # beside it the nonzeros of the LU factors (SuperLU.nnz), of the
+        # same square level-0, k = 1 system in all three lines
+        nnz = [int(n) for line in lines for n in re.findall(r"MB\W+LU nnz (\d+)", line)]
+        assert nnz == [systems("square", 0, 1).factorized().nnz] * 3
 
     def test_csv_study_parses(self, capsys):
         code = main(["study", "--k", "1", "--levels", "0:1", "--modes", "1,2",

@@ -18,9 +18,9 @@ class TestSquareMesh:
         m = build_square_mesh(0)
         assert m.num_triangles == 32
         assert m.num_vertices == 25
-        assert m.num_edges == 56
-        assert m.num_boundary_edges == 16
-        assert m.num_interior_edges == 40
+        assert len(m.edges) == 56
+        assert np.count_nonzero(m.boundary) == 16
+        assert np.count_nonzero(~m.boundary) == 40
 
     def test_level2_count(self):
         assert build_square_mesh(2).num_triangles == 512
@@ -32,7 +32,7 @@ class TestSquareMesh:
     def test_euler_relation(self):
         for level in range(3):
             m = build_square_mesh(level)
-            assert m.num_vertices - m.num_edges + m.num_triangles == 1
+            assert m.num_vertices - len(m.edges) + m.num_triangles == 1
 
     def test_negative_level(self):
         with pytest.raises(ValueError):
@@ -46,10 +46,10 @@ class TestLshapeMesh:
         m = build_lshape_mesh(0)
         assert m.num_triangles == 24
         assert m.num_vertices == 21
-        assert m.num_edges == 44
-        assert m.num_boundary_edges == 16
-        assert m.num_interior_edges == 28
-        assert m.num_vertices - m.num_edges + m.num_triangles == 1
+        assert len(m.edges) == 44
+        assert np.count_nonzero(m.boundary) == 16
+        assert np.count_nonzero(~m.boundary) == 28
+        assert m.num_vertices - len(m.edges) + m.num_triangles == 1
 
     def test_level1_count(self):
         assert build_lshape_mesh(1).num_triangles == 96
@@ -96,7 +96,8 @@ class TestRefine:
 
     def test_edge_slot_counting(self):
         m = refine(build_lshape_mesh(0))
-        assert 3 * m.num_triangles == 2 * m.num_interior_edges + m.num_boundary_edges
+        interior = np.count_nonzero(~m.boundary)
+        assert 3 * m.num_triangles == 2 * interior + np.count_nonzero(m.boundary)
 
     def test_boundary_edges_on_domain_boundary(self):
         m = refine(build_lshape_mesh(0))
@@ -121,7 +122,8 @@ class TestMeshInvariants:
     ])
     def test_edge_slot_identity(self, build, level):
         m = build(level)
-        assert 3 * m.num_triangles == 2 * m.num_interior_edges + m.num_boundary_edges
+        interior = np.count_nonzero(~m.boundary)
+        assert 3 * m.num_triangles == 2 * interior + np.count_nonzero(m.boundary)
 
     def test_ccw_orientation_enforced(self):
         verts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
@@ -134,7 +136,7 @@ class TestMeshInvariants:
         m = build_lshape_mesh(1)
         local = m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2)
         assert np.array_equal(m.edges[m.elem_edges], np.sort(local, axis=2))
-        counts = np.bincount(m.elem_edges.ravel(), minlength=m.num_edges)
+        counts = np.bincount(m.elem_edges.ravel(), minlength=len(m.edges))
         assert np.array_equal(counts, np.where(m.boundary, 1, 2))
 
     @pytest.mark.parametrize("level", range(6))

@@ -256,8 +256,8 @@ class TestPostprocessQ:
         fields.u = np.zeros((num_t, sys.ref.n_w))
         fields.eta = np.zeros(sys.ndof)
         qfun = lambda x, y: np.stack([2 * x - y + 1, x + 3 * y], axis=-1)
-        for ops, members, pts in sys.class_points(sys.ref.vol.points):
-            vals = qfun(pts[:, :, 0], pts[:, :, 1])
+        for ops, members, x, y in sys.class_points(sys.ref.vol.points):
+            vals = qfun(x, y)
             fields.q[members] = np.einsum(
                 "q,eqd,qid->ei", ops.wq, vals, ops.v_vals
             )
@@ -282,12 +282,12 @@ class TestRayleighEigenvalue:
         q_star = np.zeros((num_t, sys.ref.n_rt))
         ufun = lambda x, y: np.sin(x) * np.sin(y)
         gfun = lambda x, y: np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)], axis=-1)
-        for ops, members, pts in sys.class_points(sys.ref.vol.points):
+        for ops, members, x, y in sys.class_points(sys.ref.vol.points):
             pops = ops.p_ops
             rt = ops.rt_ops
-            uvals = ufun(pts[:, :, 0], pts[:, :, 1])
+            uvals = ufun(x, y)
             u_star[members] = np.einsum("q,eq,qj->ej", ops.wq, uvals, pops["vals"])
-            gvals = -gfun(pts[:, :, 0], pts[:, :, 1])
+            gvals = -gfun(x, y)
             gram = np.einsum("q,qid,qjd->ij", ops.wq, rt["vol_vals"], rt["vol_vals"])
             rhs = np.einsum("q,eqd,qid->ei", ops.wq, gvals, rt["vol_vals"])
             q_star[members] = np.linalg.solve(gram, rhs.T).T

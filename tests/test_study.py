@@ -4,8 +4,8 @@ import types
 import numpy as np
 import pytest
 
-from hdgeig import eigensolve
-from hdgeig.assembly import resolvent_lift
+from hdgeig import assembly, eigensolve
+from hdgeig.assembly import RUN_LENGTH, load_moments, resolvent_lift
 from hdgeig.basis import triangle_quadrature
 from hdgeig.eigensolve import solve_linear_surrogate, solve_modes
 from hdgeig.errors import ConfigError, EigenSolveError, UnsupportedModeError
@@ -114,7 +114,7 @@ class TestExactReferences:
 
     @pytest.mark.parametrize("domain,mat", [
         ("square", MaterialSpec(1.0, 0.4, 2.0)), ("lshape", MaterialSpec(1.0, 0.0, 2.0)),
-        ("lshape", MaterialSpec.isotropic(2.0)),
+        ("lshape", MaterialSpec(2.0, 0.0, 2.0)),
     ])
     def test_no_reference_without_closed_form(self, domain, mat):
         modes = domain_modes(domain, 3, mat)
@@ -145,8 +145,8 @@ class TestEigenfunctionError:
             evaluator=lambda x, y: 1.0 + 0.5 * x - 0.25 * y + 0.1 * x * y,
         )
         coeffs = np.zeros((len(sys.mesh.triangles), sys.ref.n_p))
-        for ops, members, pts in sys.class_points(sys.ref.vol.points):
-            vals = fake.evaluator(pts[:, :, 0], pts[:, :, 1])
+        for ops, members, x, y in sys.class_points(sys.ref.vol.points):
+            vals = fake.evaluator(x, y)
             coeffs[members] = np.einsum(
                 "q,eq,qi->ei", ops.wq, vals, ops.p_ops["vals"]
             )
@@ -162,8 +162,8 @@ class TestEigenfunctionError:
         sys = systems("square", 1, 2)
         mode = exact_square_spectrum(1)[0]
         coeffs = np.zeros((len(sys.mesh.triangles), sys.ref.n_w))
-        for ops, members, pts in sys.class_points(sys.ref.vol.points):
-            vals = mode.evaluator(pts[:, :, 0], pts[:, :, 1])
+        for ops, members, x, y in sys.class_points(sys.ref.vol.points):
+            vals = mode.evaluator(x, y)
             coeffs[members] = np.einsum("q,eq,qi->ei", ops.wq, vals, ops.w_vals)
         err, = eigenfunction_error(sys, mode, coeffs)
         assert 0 < err < 1e-3
@@ -198,6 +198,34 @@ class TestEigenfunctionError:
         # mesh-wide reference and the functional differ by 2e-17, 1e-10
         # relative, so an absolute tolerance of a few eps stands beside rtol
         self.check_against_reference(systems, eigenpairs, "square", 3, k, atol=1e-15)
+
+    @pytest.mark.parametrize("run_length", [RUN_LENGTH, 1000])
+    def test_evaluator_sees_one_run_at_a_time(self, monkeypatch, systems, run_length):
+        # level-4 square: 8,192 elements in two classes.  Each of the two
+        # passes evaluates the exact mode run by run; no call sees more
+        # rows than one run, and the distances match the mesh-wide ones
+        monkeypatch.setattr(assembly, "RUN_LENGTH", run_length)
+        sys = systems("square", 4, 1)
+        mode = exact_square_spectrum(1)[0]
+        rows = []
+
+        def evaluator(x, y):
+            rows.append(len(x))
+            return mode.evaluator(x, y)
+
+        coeffs = load_moments(sys, mode.evaluator)  # the mode's L2 projection
+        fields = (coeffs, np.random.default_rng(2).standard_normal(coeffs.shape))
+        got = eigenfunction_error(sys, types.SimpleNamespace(evaluator=evaluator), *fields)
+        assert max(rows) <= run_length and sum(rows) == 2 * len(sys.mesh.triangles)
+        assert len(rows) == 2 * sum(-(-len(m) // run_length) for _, m in sys.class_groups)
+        np.testing.assert_allclose(got, reference_eigenfunction_error(sys, mode, *fields),
+                                   rtol=1e-12)
+
+    def test_zero_field_raises(self, systems):
+        sys = systems("square", 1, 1)
+        with pytest.raises(ValueError, match="identically zero"):
+            eigenfunction_error(sys, exact_square_spectrum(1)[0],
+                                np.zeros((len(sys.mesh.triangles), sys.ref.n_w)))
 
     def test_unsupported_mode_raises(self, systems):
         sys = systems("square", 1, 1)
