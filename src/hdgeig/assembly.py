@@ -59,8 +59,11 @@ class CondensedSystem:
         self._class_members = [
             np.flatnonzero(elem_class == c) for c in range(len(classes))
         ]
-        self.A = (gather.T @ self._block_diagonal([ops.a_loc for ops in classes])
-                  @ gather).tocsr()
+        #: CSC, the form SuperLU takes (P^T is CSC, and a product keeps the
+        #: format of its left factor), put in canonical form here rather
+        #: than in place by SuperLU
+        self.A = gather.T @ self._block_diagonal([ops.a_loc for ops in classes]) @ gather
+        self.A.sum_duplicates()
         self._splu = None
 
     @property
@@ -112,15 +115,14 @@ class CondensedSystem:
         """Cached sparse LU of A.  A is SPD, so diagonal pivots are stable,
         and its unknowns are already numbered in nested-dissection order:
         SuperLU factors it in that order and computes none of its own.  A
-        is symmetric to the last bit, so its transpose is the CSC form
-        SuperLU takes, a view on A's own arrays: no CSC copy is made.
-        SuperLU's working arrays grow as ndof times the panel width; a
+        is stored as CSC, so SuperLU takes its own arrays and no copy is
+        made.  SuperLU's working arrays grow as ndof times the panel width; a
         panel of 4 columns instead of its default 20 keeps them small
         beside the factors, with the same fill, and factors faster."""
         if self._splu is None:
             try:
                 self._splu = scipy.sparse.linalg.splu(
-                    self.A.T, permc_spec="NATURAL", diag_pivot_thresh=0,
+                    self.A, permc_spec="NATURAL", diag_pivot_thresh=0,
                     panel_size=4, options={"SymmetricMode": True},
                 )
             except RuntimeError as exc:

@@ -104,15 +104,13 @@ def _deterministic_start(n):
     return np.random.default_rng(20240814).standard_normal(n)
 
 
-def _eigsh(op, k, what, v0, tol):
-    """Largest-algebraic Lanczos run from ``v0``; the one ARPACK call
-    site.  Looked up in ``scipy.sparse.linalg`` at call time so it can be
-    replaced.  The Lanczos basis holds 2k + 8 vectors (scipy's floor is
-    20, an n x 20 array even for one mode); the run stops when every
-    residual is at most ``tol`` times its Ritz value (0: machine
-    precision)."""
+def _eigsh(op, k, what, v0):
+    """Largest-algebraic Lanczos run from ``v0``, to machine precision;
+    the one ARPACK call site.  Looked up in ``scipy.sparse.linalg`` at
+    call time so it can be replaced.  The Lanczos basis holds 2k + 8
+    vectors (scipy's floor is 20, an n x 20 array even for one mode)."""
     try:
-        return scipy.sparse.linalg.eigsh(op, k=k, which="LA", v0=v0, tol=tol,
+        return scipy.sparse.linalg.eigsh(op, k=k, which="LA", v0=v0,
                                          ncv=min(op.shape[0], 2 * k + 8))
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise EigenSolveError("Lanczos run on %s did not converge: %s" % (what, exc))
@@ -208,21 +206,11 @@ def _lobpcg(op, block, what):
 def _largest(op, count, what, start=None):
     """Largest ``count`` eigenpairs of the symmetric ``op``, mu descending:
     LOBPCG from the columns of a block ``start`` (n, count), otherwise a
-    Lanczos run from the vector ``start`` or from the deterministic one.
-
-    From the deterministic vector the Lanczos run stops on LOBPCG's rule,
-    residuals at most ``_LOBPCG_RTOL`` of the Ritz values.  From a given
-    vector, close to one eigenvector and carrying little of the others, it
-    runs to machine precision: stopped at that rule it can return before a
-    missing eigenvector grows out of round-off (on the L-shape, level 1,
-    k = 2, tau = h, the frozen pencil near kappa = 19.94 lost its fifth
-    mode, and the nonlinear eigensolve of the sixth did not converge)."""
+    Lanczos run from the vector ``start`` or from the deterministic one."""
     if start is not None and start.ndim == 2:
         return _lobpcg(op, start, what)
-    if start is None:
-        mu, vecs = _eigsh(op, count, what, _deterministic_start(op.shape[0]), _LOBPCG_RTOL)
-    else:
-        mu, vecs = _eigsh(op, count, what, start, 0.0)
+    v0 = _deterministic_start(op.shape[0]) if start is None else start
+    mu, vecs = _eigsh(op, count, what, v0)
     order = np.argsort(mu)[::-1]
     return mu[order], vecs[:, order]
 

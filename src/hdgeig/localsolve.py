@@ -397,9 +397,7 @@ class ElementOps:
             mvals[:, cols] = self.t_face[l]
             diff = uvals - mvals
             a_loc += self.tau[l] * np.einsum("e,ei,ej->ij", fw, diff, diff)
-        # symmetric to the last bit, so that the assembled A is too (two
-        # elements at most add to an entry) and is its own transpose
-        self.a_loc = 0.5 * (a_loc + a_loc.T)
+        self.a_loc = a_loc
 
         self.w_means = np.einsum("q,qi->i", self.wq, self.w_vals)
 

@@ -259,40 +259,18 @@ ROUTE_GRID = [
 
 
 class TestLanczosSettings:
-    @staticmethod
-    def spy(monkeypatch):
+    @pytest.mark.parametrize("n,k,ncv", [(200, 1, 10), (200, 6, 20), (12, 3, 12)])
+    def test_basis_size(self, monkeypatch, n, k, ncv):
         seen = []
         eigsh = scipy.sparse.linalg.eigsh
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                             lambda op, **kwargs: seen.append(kwargs) or eigsh(op, **kwargs))
-        return seen
-
-    @pytest.mark.parametrize("n,k,ncv", [(200, 1, 10), (200, 6, 20), (12, 3, 12)])
-    def test_basis_size(self, monkeypatch, n, k, ncv):
-        seen = self.spy(monkeypatch)
         diag = np.arange(1.0, n + 1.0)
         op = scipy.sparse.linalg.aslinearoperator(scipy.sparse.diags(diag))
-        mu, _ = eigensolve._eigsh(op, k, "a diagonal matrix", np.ones(n), 1e-12)
+        mu, _ = eigensolve._eigsh(op, k, "a diagonal matrix", np.ones(n))
         assert np.allclose(np.sort(mu), diag[-k:], rtol=1e-12)
-        assert [(s["k"], s["ncv"], s["tol"]) for s in seen] == [(k, ncv, 1e-12)]
-
-    def test_cold_runs_stop_on_the_lobpcg_rule(self, monkeypatch, systems):
-        seen = self.spy(monkeypatch)
-        sys = systems("square", 1, 1)
-        for m in (1, 4):
-            solve_modes(sys, m)
-        solve_linear_surrogate(sys, 2)
-        tol = eigensolve._LOBPCG_RTOL
-        assert [(s["k"], s["ncv"], s["tol"]) for s in seen] == [
-            (1, 10, tol), (4, 16, tol), (2, 12, tol)]
-
-    def test_seeded_runs_go_to_machine_precision(self, monkeypatch, systems):
-        # the nonlinear eigensolve starts each run from its last trace
-        sys = systems("lshape", 1, 2, "h")
-        seed = solve_linear_surrogate(sys, 6)[5]
-        seen = self.spy(monkeypatch)
-        pair = solve_condensed_nonlinear(sys, seed)
-        assert [(s["k"], s["tol"]) for s in seen] == [(6, 0.0)] * pair.iterations
+        assert [(s["k"], s["ncv"]) for s in seen] == [(k, ncv)]
+        assert "tol" not in seen[0]  # scipy's default: machine precision
 
 
 class TestSolveModes:
@@ -331,14 +309,13 @@ class TestSolveModes:
     @pytest.mark.parametrize("domain,level,k,tau", ROUTE_GRID)
     def test_matches_scipy_default_lanczos(self, monkeypatch, systems, eigenpairs, domain,
                                            level, k, tau):
-        # the Lanczos run keeps 2k + 8 basis vectors and stops at
-        # _LOBPCG_RTOL; scipy's defaults (at least 20 vectors, machine
-        # precision) are the reference
+        # the Lanczos run keeps 2k + 8 basis vectors; scipy's default (at
+        # least 20) is the reference
         sys = systems(domain, level, k, tau)
         _, pairs = eigenpairs(domain, level, k, tau, m=6)
         eigsh = scipy.sparse.linalg.eigsh
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                            lambda op, ncv, tol, **kwargs: eigsh(op, **kwargs))
+                            lambda op, ncv, **kwargs: eigsh(op, **kwargs))
         ref = np.array([p.value for p in solve_modes(sys, 6)])
         assert np.all(np.abs(np.array([p.value for p in pairs]) - ref) <= 1e-12 * ref)
 
