@@ -116,9 +116,9 @@ class CondensedSystem:
         and its unknowns are already numbered in nested-dissection order:
         SuperLU factors it in that order and computes none of its own.  A
         is stored as CSC, so SuperLU takes its own arrays and no copy is
-        made.  SuperLU's working arrays grow as ndof times the panel width; a
-        panel of 4 columns instead of its default 20 keeps them small
-        beside the factors, with the same fill, and factors faster."""
+        made.  SuperLU's working arrays grow as ndof times the panel
+        width; a panel of 4 columns instead of its default 20 keeps them
+        small beside the factors, with the same fill, and factors faster."""
         if self._splu is None:
             try:
                 self._splu = scipy.sparse.linalg.splu(
