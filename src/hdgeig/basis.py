@@ -22,22 +22,17 @@ _MAX_INTERNAL_DEGREE = 5
 MAX_RT_DEGREE = 3
 
 
-def monomial_integral(a, b):
-    """Exact value of the integral of x^a y^b over the reference triangle."""
-    return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-
-
 def _monomial_integral_exact(a, b):
+    """Integral of x^a y^b over the reference triangle, as a fraction."""
     return Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 2))
 
 
 class QuadratureRule:
-    """Positive-weight rule exact for polynomials up to ``order``."""
+    """Positive-weight quadrature rule with read-only points and weights."""
 
-    def __init__(self, points, weights, order):
+    def __init__(self, points, weights):
         self.points = np.ascontiguousarray(points, dtype=float)
         self.weights = np.ascontiguousarray(weights, dtype=float)
-        self.order = int(order)
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
 
@@ -61,7 +56,7 @@ def edge_quadrature(order):
     order = _check_order(order)
     n = order // 2 + 1
     x, w = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, order)
+    return QuadratureRule(0.5 * (x + 1.0), 0.5 * w)
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +80,7 @@ def triangle_quadrature(order):
     U, V = np.meshgrid(u, v, indexing="ij")
     pts = np.column_stack([(U * (1.0 - V)).ravel(), V.ravel()])
     wts = (np.outer(wu, wv) * (1.0 - V)).ravel()
-    return QuadratureRule(pts, wts, order)
+    return QuadratureRule(pts, wts)
 
 
 def _tri_exponents(k):

@@ -46,13 +46,12 @@ _ANCHORS = {"square": (np.pi / 2 - 1e-2, np.pi / 2 - 1e-2), "lshape": (0.5, 0.5)
 class RecoveredFields:
     """Recovered eigenfields, unit L2 norm, deterministic sign."""
 
-    def __init__(self, value, eta, u, q, anchor_element, sign):
+    def __init__(self, value, eta, u, q, anchor_element):
         self.value = float(value)
         self.eta = eta
         self.u = u
         self.q = q
         self.anchor_element = int(anchor_element)
-        self.sign = float(sign)
 
 
 class PostprocessedFields:
@@ -89,9 +88,7 @@ def recover_fields(sys, pair):
         mean = flat[np.flatnonzero(flat)[0]]
     sign = 1.0 if mean > 0 else -1.0
     scale = sign / norm
-    return RecoveredFields(
-        lam, pair.vector * scale, u * scale, q * scale, anchor_elem, sign
-    )
+    return RecoveredFields(lam, pair.vector * scale, u * scale, q * scale, anchor_elem)
 
 
 def postprocess_u(sys, fields):

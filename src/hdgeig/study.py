@@ -72,6 +72,11 @@ class ExactMode:
             return lambda x, y: np.sin(m * x) * np.sin(n * y)
         return None
 
+    @property
+    def norm(self):
+        """L2 norm of ``evaluator``: pi/2 for every sin(m x) sin(n y) on (0, pi)^2."""
+        return None if self.evaluator is None else np.pi / 2
+
 
 def exact_square_spectrum(count, a=1.0, b=1.0):
     """First ``count`` exact square-domain modes for alpha = diag(a, b),
@@ -132,8 +137,10 @@ def eigenfunction_error(sys, mode, *fields):
 
     One distance per field, each with the sign that minimizes it.  A field
     holds per-element coefficients of the recovered scalar or of its
-    degree-(k+1) reconstruction (told apart by the column count).  Raises
-    for modes without a usable closed-form eigenfunction.
+    degree-(k+1) reconstruction (told apart by the column count).  ``mode``
+    gives ``evaluator``, the exact eigenfunction, and ``norm``, its L2 norm
+    on the domain.  Raises for modes without a usable closed-form
+    eigenfunction.
     """
     evaluator = mode.evaluator
     if evaluator is None:
@@ -147,31 +154,23 @@ def eigenfunction_error(sys, mode, *fields):
     for coeffs in fields:
         if coeffs.shape[1] not in tabs:
             raise ValueError("unrecognized field dimension %d" % coeffs.shape[1])
-    tables = [tabs[coeffs.shape[1]] for coeffs in fields]
+    # the element bases are orthonormal, so a field's L2 norm is that of
+    # its coefficients
+    norms = [np.linalg.norm(coeffs) for coeffs in fields]
+    if not all(norms):
+        raise ValueError("discrete field is identically zero")
     # the element basis is the reference one over sqrt(det B) and the
     # weights are det B times the reference ones, so with the exact values
     # scaled by sqrt(det B) every integral takes the reference weights.
-    # Two passes over the runs of ``class_points``, the second recomputing
-    # the exact values: every array here is one run's (n, n_q), and no
-    # mesh-wide point or value array is formed
+    # One pass over the runs of ``class_points``: every array here is one
+    # run's (n, n_q), and no mesh-wide point or value array is formed
     norm2 = lambda f: np.einsum("q,eq,eq->", ref.err.weights, f, f)
-
-    def runs():
-        for ops, members, x, y in sys.class_points(ref.err.points):
-            yield members, np.sqrt(ops.det) * evaluator(x, y)
-
-    sums = np.zeros(1 + len(fields))
-    for members, exact in runs():
-        sums += [norm2(exact)] + [norm2(coeffs[members] @ tab.T)
-                                  for coeffs, tab in zip(fields, tables)]
-    scale, *norms = np.sqrt(sums)
-    if not all(norms):
-        raise ValueError("discrete field is identically zero")
     distances = np.zeros((len(fields), 2))  # squared, to the exact mode and its negative
-    for members, exact in runs():
-        exact /= scale
-        for dist, coeffs, tab, nrm in zip(distances, fields, tables, norms):
-            vals = coeffs[members] @ tab.T / nrm
+    for ops, members, x, y in sys.class_points(ref.err.points):
+        exact = np.sqrt(ops.det) * evaluator(x, y)
+        exact /= mode.norm
+        for dist, coeffs, nrm in zip(distances, fields, norms):
+            vals = coeffs[members] @ tabs[coeffs.shape[1]].T / nrm
             dist += norm2(vals - exact), norm2(np.add(vals, exact, out=vals))
     return [float(np.sqrt(min(plus, minus))) for plus, minus in distances]
 

@@ -5,7 +5,7 @@ import pytest
 
 from hdgeig import basis
 from hdgeig.errors import ConfigError
-from hdgeig.localsolve import SpaceConfig, TauSpec, element_lift
+from hdgeig.localsolve import SpaceConfig, TauSpec, element_lift, reference_tables
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 AFFINE = np.array([[0.2, -0.1], [1.7, 0.3], [0.4, 2.2]])
@@ -108,10 +108,18 @@ class TestScalarBasis:
         _, grads = basis.eval_scalar_basis(1, pts)
         assert np.allclose(grads[0], grads[1]) and np.allclose(grads[0], grads[2])
 
-    @pytest.mark.parametrize("k", range(5))
-    def test_gram_identity(self, k):
-        rule = basis.triangle_quadrature(2 * k + 2)
-        vals, _ = basis.eval_scalar_basis(k, rule.points)
+    # degree 5 is internal, one above the postprocessed scalar's; under
+    # the 12th-order error rule orthonormality is what lets
+    # eigenfunction_error take a field's L2 norm from its coefficients
+    @pytest.mark.parametrize(
+        "k, rule", [(k, "exact") for k in range(6)] + [(k, "error") for k in range(6)],
+        ids=[str(k) for k in range(6)] + ["%d-error" % k for k in range(6)])
+    def test_gram_identity(self, k, rule):
+        if rule == "exact":
+            rule = basis.triangle_quadrature(2 * k + 2)
+        else:
+            rule = reference_tables(SpaceConfig(1)).err
+        vals, _ = basis.scalar_basis(k).tabulate(rule.points)
         gram = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
         np.linalg.cholesky(gram)  # positive definite
         assert np.abs(gram - np.eye(vals.shape[1])).max() < 1e-13

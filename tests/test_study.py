@@ -27,8 +27,9 @@ from hdgeig.study import (
 from hdgeig.recovery import postprocess, recover_fields
 
 
-def l2_norm_on_square(func, level=4, order=12):
-    """Quadrature L2 norm of a function on the square domain."""
+def square_quadrature(level, order=12):
+    """x, y and weights of a triangle rule mapped to every element of the
+    level-``level`` square mesh, each (T, n_q)."""
     mesh = build_square_mesh(level)
     rule = triangle_quadrature(order)
     p0 = mesh.vertices[mesh.triangles[:, 0]]
@@ -41,8 +42,13 @@ def l2_norm_on_square(func, level=4, order=12):
     )
     pts = p0[:, None, :] + np.einsum("eab,qb->eqa", b, rule.points)
     wq = np.linalg.det(b)[:, None] * rule.weights[None, :]
-    vals = func(pts[:, :, 0], pts[:, :, 1])
-    return float(np.sqrt(np.sum(wq * vals**2)))
+    return pts[:, :, 0], pts[:, :, 1], wq
+
+
+def l2_norm_on_square(func, level=4, order=12):
+    """Quadrature L2 norm of a function on the square domain."""
+    x, y, wq = square_quadrature(level, order)
+    return float(np.sqrt(np.sum(wq * func(x, y) ** 2)))
 
 
 def reference_eigenfunction_error(sys, mode, *fields):
@@ -131,6 +137,18 @@ class TestExactReferences:
         # |sin(x) sin(y)| on the square integrates to pi/2
         got = l2_norm_on_square(lambda x, y: np.sin(x) * np.sin(y), level=2)
         assert got == pytest.approx(np.pi / 2, rel=1e-12)
+        # so does every simple mode's sin(m x) sin(n y), whatever the
+        # diagonal alpha: ``ExactMode.norm``, which eigenfunction_error
+        # divides by.  On level 0 the 12th-order rule itself falls short on
+        # the fastest modes (1.4e-6 at sin 4x sin 4y); from level 1 on the
+        # two agree to 3.4e-13 or better
+        modes = exact_square_spectrum(30) + domain_modes("square", 12, MaterialSpec(1, 0, 2))
+        simple = [mode for mode in modes if mode.evaluator is not None]
+        for level in range(6):
+            x, y, wq = square_quadrature(level)
+            for mode in simple:
+                got = np.sqrt(np.sum(wq * mode.evaluator(x, y) ** 2))
+                assert mode.norm == pytest.approx(got, rel=2e-6 if level == 0 else 1e-12)
 
 
 class TestEigenfunctionError:
@@ -140,9 +158,10 @@ class TestEigenfunctionError:
         import types
 
         sys = systems("square", 1, 2)
+        poly = lambda x, y: 1.0 + 0.5 * x - 0.25 * y + 0.1 * x * y
         fake = types.SimpleNamespace(
             domain="square", index=1, multiplicity=1,
-            evaluator=lambda x, y: 1.0 + 0.5 * x - 0.25 * y + 0.1 * x * y,
+            evaluator=poly, norm=l2_norm_on_square(poly, level=1),
         )
         coeffs = np.zeros((len(sys.mesh.triangles), sys.ref.n_p))
         for ops, members, x, y in sys.class_points(sys.ref.vol.points):
@@ -174,8 +193,10 @@ class TestEigenfunctionError:
         if domain == "square":
             index, mode = 1, exact_square_spectrum(1)[0]
         else:
+            # on three unit squares: norm sqrt(3 / 4)
             index, mode = 3, types.SimpleNamespace(
-                evaluator=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+                evaluator=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
+                norm=np.sqrt(3) / 2)
         sys = systems(domain, level, k)
         _, pairs = eigenpairs(domain, level, k, m=index)
         fields = recover_fields(sys, pairs[index - 1])
@@ -201,9 +222,9 @@ class TestEigenfunctionError:
 
     @pytest.mark.parametrize("run_length", [RUN_LENGTH, 1000])
     def test_evaluator_sees_one_run_at_a_time(self, monkeypatch, systems, run_length):
-        # level-4 square: 8,192 elements in two classes.  Each of the two
-        # passes evaluates the exact mode run by run; no call sees more
-        # rows than one run, and the distances match the mesh-wide ones
+        # level-4 square: 8,192 elements in two classes.  One pass
+        # evaluates the exact mode once per run; no call sees more rows
+        # than one run, and the distances match the mesh-wide ones
         monkeypatch.setattr(assembly, "RUN_LENGTH", run_length)
         sys = systems("square", 4, 1)
         mode = exact_square_spectrum(1)[0]
@@ -215,9 +236,10 @@ class TestEigenfunctionError:
 
         coeffs = load_moments(sys, mode.evaluator)  # the mode's L2 projection
         fields = (coeffs, np.random.default_rng(2).standard_normal(coeffs.shape))
-        got = eigenfunction_error(sys, types.SimpleNamespace(evaluator=evaluator), *fields)
-        assert max(rows) <= run_length and sum(rows) == 2 * len(sys.mesh.triangles)
-        assert len(rows) == 2 * sum(-(-len(m) // run_length) for _, m in sys.class_groups)
+        got = eigenfunction_error(
+            sys, types.SimpleNamespace(evaluator=evaluator, norm=mode.norm), *fields)
+        assert max(rows) <= run_length and sum(rows) == len(sys.mesh.triangles)
+        assert len(rows) == sum(-(-len(m) // run_length) for _, m in sys.class_groups)
         np.testing.assert_allclose(got, reference_eigenfunction_error(sys, mode, *fields),
                                    rtol=1e-12)
 
