@@ -12,15 +12,9 @@ from .assembly import (
     CondensedSystem,
     assemble_condensed,
     assemble_m_of_lambda,
-    assemble_source_rhs,
     solve_source,
 )
-from .basis import (
-    QuadratureRule,
-    edge_quadrature,
-    eval_scalar_basis,
-    triangle_quadrature,
-)
+from .basis import QuadratureRule, edge_quadrature, triangle_quadrature
 from .eigensolve import (
     EigenPair,
     OracleSpectrum,
@@ -38,12 +32,7 @@ from .errors import (
     NumericalError,
     UnsupportedModeError,
 )
-from .localsolve import (
-    MaterialSpec,
-    SpaceConfig,
-    TauSpec,
-    element_lift,
-)
+from .localsolve import MaterialSpec, SpaceConfig, TauSpec
 from .mesh import Mesh, build_lshape_mesh, build_square_mesh, refine
 from .recovery import (
     PostprocessedFields,

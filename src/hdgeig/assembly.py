@@ -28,7 +28,6 @@ __all__ = [
     "CondensedSystem",
     "assemble_condensed",
     "assemble_m_of_lambda",
-    "assemble_source_rhs",
     "dissection_keys",
     "flux_field",
     "resolvent_lift",
@@ -159,11 +158,6 @@ class CondensedSystem:
         return self._block_diagonal([ops.uwmat for ops in self.classes])
 
     @cached_property
-    def G(self):
-        """Surrogate lift Gram matrix U^T U."""
-        return (self.moments @ self.lift).tocsr()
-
-    @cached_property
     def wall(self):
         """First resolvent resonance, where I - kappa W becomes singular; the
         condensed problem represents every eigenvalue strictly below it."""
@@ -268,7 +262,7 @@ def dissection_keys(mesh):
 
 
 def assemble_m_of_lambda(sys, lam):
-    """Sparse resolvent Gram form M(lam) = U^T (I - lam W)^-1 U; M(0) = G."""
+    """Sparse resolvent Gram form M(lam) = U^T (I - lam W)^-1 U."""
     return (sys.moments @ sys.resolvent(lam) @ sys.lift).tocsr()
 
 
@@ -298,14 +292,6 @@ def load_moments(sys, f):
         vals = np.asarray(f(x, y), dtype=float)
         out[members] = (vals * ops.wq) @ ops.w_vals
     return out
-
-
-def assemble_source_rhs(sys, f):
-    """Condensed right-hand side b(mu) = (f, U mu) for a source density f.
-
-    ``f`` must accept numpy arrays (vectorized) of x and y coordinates.
-    """
-    return sys.moments @ load_moments(sys, f).ravel()
 
 
 def solve_source(sys, f):

@@ -15,7 +15,7 @@ import numpy as np
 
 MAX_QUAD_ORDER = 20
 
-#: Maximum degree of the scalar basis exposed through ``eval_scalar_basis``.
+#: Maximum trace degree k of a ``SpaceConfig``.
 MAX_SCALAR_DEGREE = 4
 #: One above MAX_SCALAR_DEGREE, used internally for local postprocessing.
 _MAX_INTERNAL_DEGREE = 5
@@ -144,7 +144,6 @@ class ScalarBasis:
             [_monomial_integral_exact(a1 + a2, b1 + b2) for (a2, b2) in self.exponents]
             for (a1, b1) in self.exponents
         ]
-        self.gram_condition = np.linalg.cond(np.array(gram, dtype=float))
         self._coeffs = _orthonormal_coeffs(gram)
 
     def tabulate(self, pts):
@@ -195,10 +194,3 @@ def scalar_basis(k):
 @lru_cache(maxsize=None)
 def edge_basis(k):
     return EdgeBasis(k)
-
-
-def eval_scalar_basis(k, pts):
-    """Values and gradients of the orthonormal P_k triangle basis."""
-    if not 0 <= int(k) <= MAX_SCALAR_DEGREE:
-        raise ValueError("scalar degree %r outside supported range 0..4" % (k,))
-    return scalar_basis(int(k)).tabulate(pts)

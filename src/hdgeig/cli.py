@@ -196,8 +196,11 @@ def _with_config_file(argv):
 
 def _write_output(text, args):
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError("cannot write %s: %s" % (args.output, exc.strerror))
     else:
         _sys.stdout.write(text)
 

@@ -34,7 +34,7 @@ eigenvalues, and the frozen pencil's own eigenvector gives the slope
 theta_i' = -theta_i z.W z / y.y (Hellmann-Feynman; Ruhe, SIAM J. Numer.
 Anal. 10 (1973)).  On the 96 modes of the coarse oracle grid (square and
 L-shape, levels 0-1, k = 0-1, tau = 1 and h) it takes 231 frozen-pencil
-solves, against 469 for the fixed-point-then-secant update it replaced.
+solves.
 Every pair carries its spectral index: M(kappa) grows with kappa, so the
 i-th eigenvalue is the fixed point of theta_i(kappa) = kappa, and the
 iteration started from any pair refines the mode at that index.

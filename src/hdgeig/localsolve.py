@@ -38,8 +38,9 @@ class TauSpec:
     Variants: ``constant`` (a fixed value), ``global_h`` / ``inverse_global_h``
     (the mesh's structured grid spacing or its reciprocal; the benchmark
     tables fix this reading of "mesh size" rather than the element
-    diameter, which is sqrt(2) larger here), ``local_h`` /
-    ``inverse_local_h`` (per-element diameter), and ``zero``.
+    diameter, which is sqrt(2) larger here) and ``local_h`` /
+    ``inverse_local_h`` (per-element diameter).  ``zero()`` is the
+    constant 0.
     """
 
     variant: str
@@ -51,7 +52,6 @@ class TauSpec:
         "inverse_global_h",
         "local_h",
         "inverse_local_h",
-        "zero",
     )
 
     def __post_init__(self):
@@ -73,7 +73,7 @@ class TauSpec:
 
     @staticmethod
     def zero():
-        return TauSpec("zero")
+        return TauSpec.constant(0.0)
 
     @staticmethod
     def global_h():
@@ -93,15 +93,13 @@ class TauSpec:
 
     @property
     def is_positive(self):
-        return not (self.variant == "zero" or (self.variant == "constant" and self.value == 0.0))
+        return not (self.variant == "constant" and self.value == 0.0)
 
     def face_value(self, h=None, h_k=None):
         """Branch value used on every face of an element; ``h_k`` may be
         an array of element diameters, giving one value per element."""
         if self.variant == "constant":
             return self.value
-        if self.variant == "zero":
-            return 0.0
         if self.variant == "global_h":
             return _need(h, "global mesh size")
         if self.variant == "inverse_global_h":
@@ -114,7 +112,6 @@ class TauSpec:
         if self.variant == "constant":
             return "tau=%g" % self.value
         return {
-            "zero": "tau=0",
             "global_h": "tau=h",
             "inverse_global_h": "tau=1/h",
             "local_h": "tau=h_K",
@@ -154,9 +151,6 @@ class MaterialSpec:
         det = self.a11 * self.a22 - self.a12**2
         return np.array([[self.a22, -self.a12], [-self.a12, self.a11]]) / det
 
-    def scaled(self, s):
-        return MaterialSpec(s * self.a11, s * self.a12, s * self.a22)
-
 
 @dataclass(frozen=True)
 class SpaceConfig:
@@ -185,22 +179,6 @@ class SpaceConfig:
     @property
     def k_v(self):
         return self.k - 1 if self.case == "case2" else self.k
-
-    @property
-    def n_w(self):
-        return (self.k_w + 1) * (self.k_w + 2) // 2
-
-    @property
-    def n_v(self):
-        return (self.k_v + 1) * (self.k_v + 2)
-
-    @property
-    def n_m(self):
-        return self.k + 1
-
-    @property
-    def n_trace(self):
-        return 3 * self.n_m
 
     def validate_tau(self, tau):
         """Check the unique-solvability condition for this space choice."""
@@ -519,27 +497,3 @@ class ElementOps:
         mass = (self.wq[:, None] * p["vals"]).T @ p["vals"]
         pairing = sum(normal[l].T @ (self.face_wq[l][:, None] * p["face"][l]) for l in range(3))
         return stiff, mass, pairing
-
-
-def element_lift(vertices, spaces, tau, mat=None, mesh_h=None, element=0):
-    """Local solution operators (an ElementOps) for a single free-standing
-    element.
-
-    ``vertices`` is a (3, 2) counterclockwise triangle.  ``mesh_h`` is only
-    needed for the mesh-size tau variants.  Face l joins vertices l and
-    l+1 and is parametrized in that direction.
-    """
-    mat = mat or MaterialSpec.identity()
-    verts = np.asarray(vertices, dtype=float)
-    if verts.shape != (3, 2):
-        raise ConfigError("vertices must be a (3, 2) array")
-    spaces.validate_tau(tau)
-    ref = reference_tables(spaces)
-    bmat = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-    h_k = max(
-        np.linalg.norm(verts[1] - verts[0]),
-        np.linalg.norm(verts[2] - verts[1]),
-        np.linalg.norm(verts[0] - verts[2]),
-    )
-    tau_val = tau.face_value(h=mesh_h, h_k=h_k)
-    return ElementOps(bmat, np.full(3, tau_val), mat, ref, element_hint=element)

@@ -1,12 +1,14 @@
-"""Shared solver caches, so expensive meshes/systems are built once, and the
-hypothesis settings profile of the property tests."""
+"""Shared solver caches, so expensive meshes/systems are built once, the
+single-element operators of the local tests, and the hypothesis settings
+profile of the property tests."""
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from hdgeig.assembly import assemble_condensed
 from hdgeig.eigensolve import solve_linear_surrogate, solve_modes
-from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
+from hdgeig.localsolve import ElementOps, MaterialSpec, SpaceConfig, TauSpec, reference_tables
 from hdgeig.mesh import build_lshape_mesh, build_square_mesh
 from hdgeig.study import StudyConfig, run_convergence_study
 
@@ -14,6 +16,18 @@ from hdgeig.study import StudyConfig, run_convergence_study
 settings.register_profile("hdgeig", derandomize=True, deadline=None, max_examples=40,
                           database=None)
 settings.load_profile("hdgeig")
+
+
+def element_ops(vertices, spaces, tau, mat=None, element=0):
+    """The ElementOps of one free-standing triangle with vertices (3, 2),
+    face l joining vertices l and l+1; clockwise or degenerate triangles
+    raise LocalSolveError naming ``element``."""
+    verts = np.asarray(vertices, dtype=float)
+    bmat = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
+    h_k = np.linalg.norm(verts - verts[[1, 2, 0]], axis=1).max()
+    return ElementOps(bmat, np.full(3, tau.face_value(h_k=h_k)),
+                      mat or MaterialSpec.identity(), reference_tables(spaces),
+                      element_hint=element)
 
 
 def _tau_from_key(key):

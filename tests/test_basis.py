@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import element_ops
 from hdgeig import basis
 from hdgeig.errors import ConfigError
-from hdgeig.localsolve import SpaceConfig, TauSpec, element_lift, reference_tables
+from hdgeig.localsolve import SpaceConfig, TauSpec, reference_tables
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 AFFINE = np.array([[0.2, -0.1], [1.7, 0.3], [0.4, 2.2]])
@@ -55,7 +56,7 @@ class TestTriangleQuadrature:
         # per-class mapping of the error rule matches each element's own map
         e1, e2 = AFFINE[1] - AFFINE[0], AFFINE[2] - AFFINE[0]
         area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
-        ops = element_lift(AFFINE, SpaceConfig(1), TauSpec.one())
+        ops = element_ops(AFFINE, SpaceConfig(1), TauSpec.one())
         assert np.isclose(ops.wq.sum(), area, rtol=1e-12)
         sys = systems("lshape", 1, 1)
         verts = sys.mesh.vertices[sys.mesh.triangles]
@@ -94,18 +95,18 @@ class TestEdgeQuadrature:
 class TestScalarBasis:
     @pytest.mark.parametrize("k", range(5))
     def test_dimension(self, k):
-        vals, grads = basis.eval_scalar_basis(k, np.array([[0.3, 0.2]]))
+        vals, grads = basis.scalar_basis(k).tabulate(np.array([[0.3, 0.2]]))
         assert vals.shape == (1, (k + 1) * (k + 2) // 2)
         assert grads.shape == (1, (k + 1) * (k + 2) // 2, 2)
 
     def test_k0_constant(self):
-        vals, grads = basis.eval_scalar_basis(0, np.array([[0.1, 0.1], [0.5, 0.2]]))
+        vals, grads = basis.scalar_basis(0).tabulate(np.array([[0.1, 0.1], [0.5, 0.2]]))
         assert np.allclose(vals[0], vals[1])
         assert np.allclose(grads, 0.0)
 
     def test_k1_constant_gradients(self):
         pts = np.array([[0.1, 0.1], [0.5, 0.3], [0.2, 0.6]])
-        _, grads = basis.eval_scalar_basis(1, pts)
+        _, grads = basis.scalar_basis(1).tabulate(pts)
         assert np.allclose(grads[0], grads[1]) and np.allclose(grads[0], grads[2])
 
     # degree 5 is internal, one above the postprocessed scalar's; under
@@ -124,26 +125,23 @@ class TestScalarBasis:
         np.linalg.cholesky(gram)  # positive definite
         assert np.abs(gram - np.eye(vals.shape[1])).max() < 1e-13
 
-    def test_gram_condition_reported(self):
-        assert basis.scalar_basis(3).gram_condition > 1.0
-
     @pytest.mark.parametrize("k", range(5))
     def test_gradients_against_finite_differences(self, k):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0.05, 0.4, size=(10, 2))
         step = 1e-6
-        _, grads = basis.eval_scalar_basis(k, pts)
+        _, grads = basis.scalar_basis(k).tabulate(pts)
         for d in range(2):
             shift = np.zeros(2)
             shift[d] = step
-            vp, _ = basis.eval_scalar_basis(k, pts + shift)
-            vm, _ = basis.eval_scalar_basis(k, pts - shift)
+            vp, _ = basis.scalar_basis(k).tabulate(pts + shift)
+            vm, _ = basis.scalar_basis(k).tabulate(pts - shift)
             fd = (vp - vm) / (2 * step)
             assert np.abs(fd - grads[:, :, d]).max() < 1e-6
 
     def test_unsupported_degree(self):
         with pytest.raises(ValueError):
-            basis.eval_scalar_basis(5, np.array([[0.1, 0.1]]))
+            basis.scalar_basis(6)
 
 
 def random_affine_triangle(rng):
@@ -161,7 +159,7 @@ class TestVectorBasis:
 
     @pytest.mark.parametrize("k", range(4))
     def test_dimension(self, k):
-        ops = element_lift(AFFINE, SpaceConfig(k), TauSpec.one())
+        ops = element_ops(AFFINE, SpaceConfig(k), TauSpec.one())
         n_v = (k + 1) * (k + 2)
         assert ops.n_v == n_v
         assert ops.v_vals.shape[1:] == (n_v, 2)
@@ -174,8 +172,8 @@ class TestVectorBasis:
         rng = np.random.default_rng(5)
         for k in range(5):
             for _ in range(3):
-                ops = element_lift(random_affine_triangle(rng), SpaceConfig(k),
-                                   TauSpec.one())
+                ops = element_ops(random_affine_triangle(rng), SpaceConfig(k),
+                                  TauSpec.one())
                 vol = np.einsum("q,qi,qj->ij", ops.wq, ops.v_divs, ops.w_vals)
                 vol += np.einsum("q,qid,qjd->ij", ops.wq, ops.v_vals, ops.w_grads)
                 bnd = sum(
@@ -190,7 +188,7 @@ class TestRTBasis:
 
     def test_dimensions(self):
         for k in range(4):
-            ops = element_lift(AFFINE, SpaceConfig(k), TauSpec.one())
+            ops = element_ops(AFFINE, SpaceConfig(k), TauSpec.one())
             rt = ops.rt_ops
             n_rt = (k + 1) * (k + 3)
             assert rt["vol_vals"].shape[1:] == (n_rt, 2)
@@ -199,14 +197,14 @@ class TestRTBasis:
 
     def test_unsupported_degree(self):
         with pytest.raises(ConfigError):
-            element_lift(REF, SpaceConfig(4), TauSpec.one()).rt_ops
+            element_ops(REF, SpaceConfig(4), TauSpec.one()).rt_ops
 
     @pytest.mark.parametrize("k", range(4))
     def test_divergence_against_finite_differences(self, k):
         # [P_k]^2 members take their divergence from the scalar gradients;
         # the x-part d m(d / h_K), m homogeneous of degree k, has divergence
         # (k + 2) m by Euler's identity
-        ops = element_lift(AFFINE, SpaceConfig(k), TauSpec.one())
+        ops = element_ops(AFFINE, SpaceConfig(k), TauSpec.one())
         ref = ops.ref
         rng = np.random.default_rng(11)
         pts = rng.uniform(0.05, 0.4, size=(10, 2))
@@ -230,7 +228,7 @@ class TestRTBasis:
 
     @pytest.mark.parametrize("k", range(4))
     def test_reference_gram_full_rank(self, k):
-        ops = element_lift(REF, SpaceConfig(k), TauSpec.one())
+        ops = element_ops(REF, SpaceConfig(k), TauSpec.one())
         vals = ops.rt_ops["vol_vals"]
         gram = np.einsum("q,qid,qjd->ij", ops.wq, vals, vals)
         assert np.linalg.matrix_rank(gram, tol=1e-10) == ops.ref.n_rt
@@ -240,7 +238,7 @@ class TestRTBasis:
         # v . n restricted to each face is a polynomial of degree k in the
         # face parameter: the least-squares fit at the k + 3 face quadrature
         # points leaves no residual
-        ops = element_lift(AFFINE, SpaceConfig(k), TauSpec.one())
+        ops = element_ops(AFFINE, SpaceConfig(k), TauSpec.one())
         vander = np.vander(ops.ref.face_s, k + 1, increasing=True)
         for vn in ops.rt_ops["face_normal"]:
             coef = np.linalg.lstsq(vander, vn, rcond=None)[0]

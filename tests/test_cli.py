@@ -21,7 +21,7 @@ class TestParsers:
         assert parse_tau("one") == TauSpec.one()
         assert parse_tau("h") == TauSpec.global_h()
         assert parse_tau("invh") == TauSpec.inverse_global_h()
-        assert parse_tau("zero") == TauSpec.zero()
+        assert parse_tau("zero") == TauSpec.zero() == parse_tau("const:0")
         assert parse_tau("const:2.5") == TauSpec.constant(2.5)
         with pytest.raises(ConfigError):
             parse_tau("mystery")
@@ -113,6 +113,15 @@ class TestSolveCommand:
         rows = json.loads(out.read_text())
         assert len(rows) == 2
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "eigs.md"
+        code = main(["solve", "--level", "0", "--k", "0", "--modes", "2",
+                     "--output", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error: cannot write %s" % out in captured.err
+
 
 class TestStudyCommand:
     def test_invalid_range_exits_2(self, capsys):
@@ -145,6 +154,14 @@ class TestStudyCommand:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0][:3] == ["domain", "case", "tau"]
         assert rows[1][1] == "case1"
+
+    def test_tau_zero_is_the_constant_zero(self, capsys):
+        outputs = []
+        for tau in ("zero", "const:0"):
+            assert main(["study", "--case", "case1", "--tau", tau, "--k", "1",
+                         "--levels", "0:1"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_verbose_study_names_each_eigensolve(self, capsys, caplog):
         caplog.set_level("INFO", logger="hdgeig")

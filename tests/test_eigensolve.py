@@ -116,8 +116,9 @@ class TestLinearSurrogate:
     def test_gram_normalized_with_residual(self, systems):
         sys = systems("square", 0, 1)
         for pair in solve_linear_surrogate(sys, 4):
-            assert pair.vector @ (sys.G @ pair.vector) == pytest.approx(1.0, rel=1e-10)
-            res = np.linalg.norm(sys.A @ pair.vector - pair.value * (sys.G @ pair.vector))
+            g_vec = sys.moments @ (sys.lift @ pair.vector)  # G = U^T U
+            assert pair.vector @ g_vec == pytest.approx(1.0, rel=1e-10)
+            res = np.linalg.norm(sys.A @ pair.vector - pair.value * g_vec)
             assert res <= 1e-9 * np.linalg.norm(sys.A @ pair.vector)
             assert pair.defect <= 1e-9
 

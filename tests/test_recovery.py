@@ -6,8 +6,9 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import element_ops
 from hdgeig.errors import EigenSolveError
-from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec, element_lift
+from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
 from hdgeig.recovery import (
     eig_residuals,
     postprocess,
@@ -370,7 +371,7 @@ class TestCompiledMaps:
         verts = 10.0**log_size * (verts if area > 0 else verts[[0, 2, 1]])
         a11, a22 = diag
         mat = MaterialSpec(a11, corr * np.sqrt(a11 * a22), a22)
-        ops = element_lift(verts, SpaceConfig(k, case), TauSpec.constant(tau), mat)
+        ops = element_ops(verts, SpaceConfig(k, case), TauSpec.constant(tau), mat)
 
         # local operator properties: a_loc symmetric PSD, Uw SPD
         scale = np.abs(ops.a_loc).max()
