@@ -11,7 +11,8 @@ ascending vertex index.  From the per-class matrices and the gather each
 system compiles, once, sparse matrices: the condensed stiffness A, the
 scalar trace lift U (its transpose maps a load to the condensed
 right-hand side), the block-diagonal load lift W, and on request the
-resolvent (I - kappa W)^-p from one eigendecomposition of Uw per class.
+resolvent (I - kappa W)^-1 and the spectral lift, both from one
+eigendecomposition of Uw per class.
 """
 
 from functools import cached_property
@@ -164,11 +165,23 @@ class CondensedSystem:
         rho = max(float(ops.uw_spectrum[0].max()) for ops in self.classes)
         return np.inf if rho <= 0.0 else 1.0 / rho
 
-    def resolvent(self, kappa, power=1.0):
-        """Sparse block-diagonal (I - kappa W)^-power; raises
+    def resolvent(self, kappa):
+        """Sparse block-diagonal (I - kappa W)^-1; raises
         ``LocalSolveError`` at or beyond the wall."""
         eye = np.eye(self.n_w)
-        return self._block_diagonal([ops.resolvent(kappa, eye, power) for ops in self.classes])
+        return self._block_diagonal([ops.resolvent(kappa, eye) for ops in self.classes])
+
+    @cached_property
+    def spectral_lift(self):
+        """(Z, w): the trace lift in the eigenbasis Q of each element's Uw
+        block, Z = Q^T U (CSR, dim W_h x ndof), and the matching
+        eigenvalues w of Uw, so that M(kappa) = U^T (I - kappa W)^-1 U is
+        Z^T diag(1 / (1 - kappa w)) Z.  Built on first use; only the
+        nonlinear eigensolve asks for it."""
+        spectra = [ops.uw_spectrum for ops in self.classes]
+        z = self._block_diagonal([vecs.T @ ops.umat
+                                  for ops, (_, vecs) in zip(self.classes, spectra)])
+        return z @ self.gather, np.stack([mu for mu, _ in spectra])[self.elem_class].ravel()
 
 
 def assemble_condensed(mesh, spaces, tau, mat=None):

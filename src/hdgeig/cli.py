@@ -5,8 +5,10 @@ Exit codes form a stable contract for CI: 0 success, 1 check failure,
 """
 
 import argparse
+import errno
 import json
 import logging
+import os
 import resource
 import sys as _sys
 
@@ -194,6 +196,14 @@ def _with_config_file(argv):
     return argv[: at + 1] + tokens + argv[at + 1 :]
 
 
+def _check_output(args):
+    """Refuse an ``--output`` in a missing directory before any work; the
+    file itself is written only at the end, so a failed run leaves an
+    existing one as it was."""
+    if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+        raise ConfigError("cannot write %s: %s" % (args.output, os.strerror(errno.ENOENT)))
+
+
 def _write_output(text, args):
     if args.output:
         try:
@@ -290,8 +300,15 @@ def cmd_oracle_check(args):
     Newton on the frozen-pencil fixed point, against the solution
     operator's Lanczos run."""
     sys = _assemble(args)
-    condensed = np.sort([solve_condensed_nonlinear(sys, s).value
-                         for s in solve_linear_surrogate(sys, args.modes)])
+    seeds = solve_linear_surrogate(sys, args.modes)
+    condensed = []
+    for index in range(1, args.modes + 1):
+        pair = solve_condensed_nonlinear(sys, seeds, index)
+        condensed.append(pair.value)
+        log.info("mode %d: lambda=%.12g (%d Newton iterations, search space %d, %d LU "
+                 "solves, residual %.1e), peak RSS %.0f MB", index, pair.value,
+                 pair.iterations, pair.space, pair.solves, pair.residual, _peak_rss_mb())
+    condensed = np.sort(condensed)
     oracle = oracle_full_eig(sys, m=args.modes).values
     rel = np.abs(condensed - oracle) / np.abs(oracle)
     rows = [[i + 1, *vals] for i, vals in
@@ -318,6 +335,7 @@ def main(argv=None):
         stream=_sys.stderr,
     )
     try:
+        _check_output(args)
         if args.command == "solve":
             return cmd_solve(args)
         if args.command == "study":

@@ -4,18 +4,15 @@ Static condensation leaves three maps on the scalar space W_h (per-element
 scalar coefficients, orthonormal local bases): the trace lift U, the
 moment map U^T and the stiffness inverse A^-1 (the cached factorization).
 ``CondensedSystem`` compiles U and the block-diagonal load lift W into
-sparse matrices, and every eigensolve here finds the largest eigenvalues
-mu of a member of the family D U A^-1 U^T D (+ W) of symmetric operators
-on W_h, applied to a vector or, with one multi-right-hand-side solve, to
-the columns of a block:
+sparse matrices, and both linear eigensolves here find the largest
+eigenvalues mu of a symmetric operator U A^-1 U^T (+ W) on W_h, applied
+to a vector or, with one multi-right-hand-side solve, to the columns of
+a block:
 
 * ``solve_modes`` (the entry point of the command line, the study and the
   tests) on the source-solution operator T = U A^-1 U^T + W: lam = 1/mu;
-* the surrogate pencil A x = theta G x, G = U^T U, on T0 = U A^-1 U^T;
-* the nonlinear eigensolve's frozen pencil A x = theta M(kappa) x,
-  M(kappa) = U^T R U with R = (I - kappa W)^-1, on D T0 D with
-  D = R^(1/2).  The surrogate is the frozen pencil at kappa = 0;
-  theta = 1/mu for both.
+* the surrogate pencil A x = theta G x, G = U^T U, on T0 = U A^-1 U^T:
+  theta = 1/mu.
 
 Without a start block a run is a standard-mode ARPACK Lanczos run from a
 fixed vector.  Given a block of approximate eigenvectors (the study's
@@ -24,20 +21,23 @@ needs fewer multi-right-hand-side solves when the block is close.  From
 a random block LOBPCG is slower than Lanczos and stalls on clusters, so
 no cold run uses it.
 
-An eigenvector y gives the trace A^-1 U^T D y.  The kernel of G becomes
+An eigenvector y gives the trace A^-1 U^T y.  The kernel of G becomes
 zero eigenvalues of T0 (theta infinite), which never reach the lowest
 modes.  The paper's route, kept as the reference, is surrogate-seeded,
 predictor plus safeguarded Newton on the frozen-pencil fixed point
 (``solve_condensed_nonlinear``): the roots of the strictly decreasing
 F(kappa) = theta_i(kappa) - kappa are the condensed nonlinear
-eigenvalues, and the frozen pencil's own eigenvector gives the slope
-theta_i' = -theta_i z.W z / y.y (Hellmann-Feynman; Ruhe, SIAM J. Numer.
-Anal. 10 (1973)).  On the 96 modes of the coarse oracle grid (square and
-L-shape, levels 0-1, k = 0-1, tau = 1 and h) it takes 231 frozen-pencil
-solves.
+eigenvalues of the frozen pencils A x = theta M(kappa) x, M(kappa) =
+U^T (I - kappa W)^-1 U, whose eigenvector gives the slope theta_i'
+(Hellmann-Feynman; Ruhe, SIAM J. Numer. Anal. 10 (1973)).  Each mode
+solves its pencils by Rayleigh-Ritz on one search space kept across its
+iterations (``_SearchSpace``; nonlinear Arnoldi, Voss, BIT 44 (2004)),
+grown by one solve with the cached LU per direction.  On the 96 modes of
+the coarse oracle grid (square and L-shape, levels 0-1, k = 0-1, tau = 1
+and h) it takes 231 frozen-pencil solves and 857 LU solves, where a
+Lanczos run per pencil took 8,306.
 Every pair carries its spectral index: M(kappa) grows with kappa, so the
-i-th eigenvalue is the fixed point of theta_i(kappa) = kappa, and the
-iteration started from any pair refines the mode at that index.
+i-th eigenvalue is the fixed point of theta_i(kappa) = kappa.
 Residual checks apply M(lam) through the resolvent lift.
 """
 
@@ -49,7 +49,7 @@ import scipy.sparse.linalg
 from .assembly import resolvent_lift
 # not called here; perfbench/spans.py still wraps them under these names
 from .assembly import assemble_condensed, assemble_m_of_lambda  # noqa: F401
-from .errors import ConvergenceError, EigenSolveError
+from .errors import ConvergenceError, EigenSolveError, LocalSolveError
 
 __all__ = [
     "EigenPair",
@@ -63,6 +63,12 @@ __all__ = [
 _RESIDUAL_TOL = 1e-9
 _SECANT_TOL = 1e-12
 _SECANT_MAX_ITER = 50
+#: the frozen pencils' residual floor: below it Rayleigh-Ritz on the
+#: search space stops growing it at every Newton iteration
+_FROZEN_TOL = 1e-12
+#: a search-space direction keeping at most this fraction of its A-norm
+#: after the projection out of V is round-off
+_STALL_TOL = 1e-8
 #: LOBPCG stops when every residual |T x - mu x| (unit x) is at most this
 #: times the operator's scale; looser values let the eigenvectors, and
 #: with them the eigenfunction errors, drift from the Lanczos run's
@@ -80,19 +86,27 @@ class EigenPair:
     |A eta - lam M(lam) eta| / |A eta|.  From the surrogate: a
     Gram-normalized vector, the run's operator applications and
     ``defect`` |A v - theta G v| / |A v|.  From the nonlinear eigensolve:
-    its frozen-pencil solves (Newton iterations), the last relative update
-    |theta - kappa| / theta and ``history``, the first frozen kappa (the
-    predictor's) followed by each solve's theta, so that
-    ``len(history) == iterations + 1``.
+    an A-normalized trace (v.A v = 1), its frozen-pencil solves (Newton
+    iterations), the last relative update |theta - kappa| / theta as
+    ``defect``, the nonlinear residual |A v - lam M(lam) v| / |A v| as
+    ``residual``, ``history``, the first frozen kappa (the predictor's)
+    followed by each solve's theta, so that
+    ``len(history) == iterations + 1``, and its search space's LU solves
+    (``solves``) and final dimension (``space``).  The other routes leave
+    ``residual`` equal to ``defect`` and ``solves`` and ``space`` 0.
     """
 
-    def __init__(self, value, vector, index, iterations=0, defect=0.0, history=()):
+    def __init__(self, value, vector, index, iterations=0, defect=0.0, history=(),
+                 residual=None, solves=0, space=0):
         self.value = float(value)
         self.vector = np.asarray(vector, dtype=float)
         self.index = int(index)
         self.iterations = int(iterations)
         self.defect = float(defect)
         self.history = list(history)
+        self.residual = defect if residual is None else float(residual)
+        self.solves = int(solves)
+        self.space = int(space)
 
 
 #: ascending eigenvalues of the full problem and the solution operator
@@ -206,37 +220,33 @@ def _lobpcg(op, block, what):
 def _largest(op, count, what, start=None):
     """Largest ``count`` eigenpairs of the symmetric ``op``, mu descending:
     LOBPCG from the columns of a block ``start`` (n, count), otherwise a
-    Lanczos run from the vector ``start`` or from the deterministic one."""
-    if start is not None and start.ndim == 2:
+    Lanczos run from the deterministic vector."""
+    if start is not None:
         return _lobpcg(op, start, what)
-    v0 = _deterministic_start(op.shape[0]) if start is None else start
-    mu, vecs = _eigsh(op, count, what, v0)
+    mu, vecs = _eigsh(op, count, what, _deterministic_start(op.shape[0]))
     order = np.argsort(mu)[::-1]
     return mu[order], vecs[:, order]
 
 
 class _Operator(scipy.sparse.linalg.LinearOperator):
-    """y -> D U A^-1 U^T D y + W y on W_h for D = ``root`` (None: identity)
-    and W = ``load`` (None: zero), on a vector or the columns of a block
-    (one multi-right-hand-side solve); ``applications`` counts columns.
+    """y -> U A^-1 U^T y + W y on W_h for W = ``load`` (None: zero), on a
+    vector or the columns of a block (one multi-right-hand-side solve);
+    ``applications`` counts columns.
 
     A subclass rather than a closure that updates the operator's counter:
     such a closure refers to its own operator, and the reference cycle
     kept the LU alive after the run until the cyclic collector ran.
     """
 
-    def __init__(self, sys, root=None, load=None):
+    def __init__(self, sys, load=None):
         super().__init__(float, (sys.dim_w,) * 2)
         self.lu, self.lift, self.moments = sys.factorized(), sys.lift, sys.moments
-        self.root, self.load = root, load
+        self.load = load
         self.applications = 0
 
     def _matmat(self, y):
         self.applications += 1 if y.ndim == 1 else y.shape[1]
-        x = y if self.root is None else self.root @ y
-        x = self.lift @ self.lu.solve(self.moments @ x)
-        if self.root is not None:
-            x = self.root @ x
+        x = self.lift @ self.lu.solve(self.moments @ y)
         if self.load is not None:
             x += self.load @ y
         return x
@@ -259,47 +269,25 @@ def _check_count(sys, m):
         raise EigenSolveError("requested %d modes of a dimension-%d scalar space" % (m, n))
 
 
-def _frozen_pencil(sys, kappa, count, start=None):
-    """Lowest ``count`` eigenpairs of A x = theta M(kappa) x: theta ascending,
-    the slopes d theta / d kappa, the trace vectors as columns and the
-    operator applications, from the largest eigenpairs of D T0 D (D fails
-    with ``LocalSolveError`` at or beyond the wall).  A trace vector
-    ``start`` seeds the Lanczos run with D U ``start``; a (dim W_h, count)
-    block ``start`` of approximate eigenvectors of D T0 D starts LOBPCG.
-
-    The slopes are Hellmann-Feynman derivatives: M'(kappa) = U^T R W R U,
-    and an eigenvector y of D T0 D gives the trace x = A^-1 U^T z, z = D y,
-    with x.M x = mu^2 y.y and x.M' x = mu^2 z.W z, so that
-    theta' = -theta x.M' x / x.M x = -theta z.W z / y.y.
-    """
-    _check_count(sys, count)
-    root = sys.resolvent(kappa, 0.5) if kappa else None
-    if start is not None and start.ndim == 1:
-        start = sys.lift @ start
-        if root is not None:
-            start = root @ start
-    op = _Operator(sys, root)
-    mu, vecs = _largest(op, count, "the frozen pencil", start)
-    if mu[-1] <= 0.0:
-        raise EigenSolveError("mode %d lies in the kernel of the lift Gram matrix"
-                              % (np.count_nonzero(mu > 0.0) + 1))
-    z = vecs if root is None else root @ vecs
-    slopes = (-np.einsum("ij,ij->j", z, sys.load_lift @ z)
-              / (mu * np.einsum("ij,ij->j", vecs, vecs)))
-    return 1.0 / mu, slopes, sys.factorized().solve(sys.moments @ z), op.applications
-
-
 def solve_linear_surrogate(sys, m, start=None):
     """Lowest m eigenpairs of the surrogate pencil (stiffness, lift Gram);
     modes in the kernel of the Gram matrix raise ``EigenSolveError``.
 
-    The largest eigenpairs of T0 come from a Lanczos run, or with a block
-    ``start`` (dim W_h, m) of approximate eigenfields, such as those of
-    ``solve_modes`` (the surrogate perturbs T by -W), from LOBPCG started
-    from its columns.  Each pair counts the operator applications (block
+    The largest eigenpairs mu of T0 come from a Lanczos run, or with a
+    block ``start`` (dim W_h, m) of approximate eigenfields, such as those
+    of ``solve_modes`` (the surrogate perturbs T by -W), from LOBPCG
+    started from its columns; theta = 1/mu, and an eigenvector y gives the
+    trace A^-1 U^T y.  Each pair counts the operator applications (block
     columns for LOBPCG) in ``iterations``.
     """
-    lams, _, vecs, applications = _frozen_pencil(sys, 0.0, int(m), start)
+    m = int(m)
+    _check_count(sys, m)
+    op = _Operator(sys)
+    mu, vecs = _largest(op, m, "the surrogate pencil", start)
+    if mu[-1] <= 0.0:
+        raise EigenSolveError("mode %d lies in the kernel of the lift Gram matrix"
+                              % (np.count_nonzero(mu > 0.0) + 1))
+    lams, vecs = 1.0 / mu, sys.factorized().solve(sys.moments @ vecs)
     pairs = []
     for i, (lam, vec) in enumerate(zip(lams, vecs.T), 1):
         u = sys.lift @ vec
@@ -309,7 +297,7 @@ def solve_linear_surrogate(sys, m, start=None):
         defect = np.linalg.norm(av - lam * (sys.moments @ u)) / np.linalg.norm(av)
         if defect > _RESIDUAL_TOL:
             raise EigenSolveError("surrogate eigenpair %d residual too large" % i)
-        pairs.append(EigenPair(lam, vec, i, applications, defect))
+        pairs.append(EigenPair(lam, vec, i, op.applications, defect))
     return pairs
 
 
@@ -329,55 +317,200 @@ def _checked_defect(sys, lam, vec):
     return defect
 
 
-def _rayleigh(sys, kappa, vec):
-    """Rayleigh quotient rho = x.A x / x.M(kappa) x of the trace ``vec`` and
-    its slope d rho / d kappa = -rho x.M' x / x.M x, M' = U^T R W R U."""
-    ru = resolvent_lift(sys, kappa, vec).ravel()
-    gram = vec @ (sys.moments @ ru)
-    rho = vec @ (sys.A @ vec) / gram
-    return rho, -rho * (ru @ (sys.load_lift @ ru)) / gram
+def _resolvent_diagonal(w, classes, kappa):
+    """d = 1 / (1 - kappa w); ``EigenSolveError`` where the resolvent of
+    any class is singular or conditioned worse than the local limit (the
+    wall)."""
+    try:
+        for ops in classes:
+            ops.resolvent_gap(kappa)
+    except LocalSolveError as exc:
+        raise EigenSolveError(str(exc))
+    return 1.0 / (1.0 - kappa * w)
 
 
-def solve_condensed_nonlinear(sys, seed):
-    """Refine an eigenpair into a condensed nonlinear eigenpair.
+def _quotient(sys, kappa, x):
+    """Rayleigh quotient rho = x.A x / x.M(kappa) x of the trace ``x`` and
+    its slope d rho / d kappa = -rho x.M' x / x.M x, with M(kappa) =
+    Z^T diag(d) Z and M'(kappa) = Z^T diag(w d^2) Z from the spectral lift."""
+    z, w = sys.spectral_lift
+    d, zx = _resolvent_diagonal(w, sys.classes, kappa), z @ x
+    gram = zx @ (d * zx)
+    rho = x @ (sys.A @ x) / gram
+    return rho, -rho * (zx @ (w * d * d * zx)) / gram
 
-    The seed is any ``EigenPair``; its value starts the iteration, its
-    vector starts each Lanczos run.  Each iteration freezes the resolvent
-    Gram matrix at the current iterate kappa and solves the resulting
-    linear pencil for the eigenvalue theta at the seed's spectral index
-    and its slope theta' (``_frozen_pencil``).  The update is a Newton
+
+class _SearchSpace:
+    """Rayleigh-Ritz for the frozen pencils A x = theta M(kappa) x of one
+    nonlinear eigensolve, on an A-orthonormal basis V of traces
+    (V^T A V = I) kept across the pencils (Voss, BIT 44 (2004)).
+
+    With the spectral lift (Z, w) of the system, M(kappa) = Z^T diag(d) Z
+    for d = 1 / (1 - kappa w), so the projected pencil is the symmetric
+    H = (Z V)^T diag(d) (Z V): its largest eigenvalues mu are 1 / theta
+    of the lowest Ritz values, and no resolvent is built per kappa.  The
+    space keeps V, AV, ZV and H, which is rebuilt per kappa and bordered
+    as V grows, by one solve with the cached LU per direction.
+
+    V starts from the seed traces and one generic direction.  The seeds
+    are eigenvectors of the surrogate pencil to round-off, so they carry
+    next to nothing of a frozen eigenvector that none of them
+    approximates: the partner of a near-double whose order the resolvent
+    swaps, or a near-wall mode that no surrogate mode resembles.
+    Rayleigh-Ritz cannot find what the space lacks, and its index-th
+    value would then converge to the next eigenvalue up.  The generic
+    direction A^-1 M(kappa) g of a fixed vector g gives every eigenvector
+    a share, which the expansions then grow.
+    """
+
+    def __init__(self, sys, traces, kappa):
+        self.A, self.lu, self.classes = sys.A, sys.factorized(), sys.classes
+        self.z, self.w = sys.spectral_lift
+        self.zT = self.z.T
+        v, av = traces, sys.A @ traces
+        for _ in range(2):  # A-orthonormal columns, dependent ones dropped
+            gram = v.T @ av
+            s = 1.0 / np.sqrt(np.maximum(np.diag(gram), np.finfo(float).tiny))
+            mu, c = np.linalg.eigh(s[:, None] * gram * s)
+            keep = mu > 1e-12 * mu[-1]
+            c = s[:, None] * c[:, keep] / np.sqrt(mu[keep])
+            v, av = v @ c, av @ c
+        # V, AV and ZV are kept as the leading rows of row-major buffers
+        # that double when full, so that a new direction copies no old one
+        self.size = self.seeds = v.shape[1]
+        self._rows = [v.T.copy(), av.T.copy(), (self.z @ v).T.copy()]
+        self.kappa, self.solves = None, 0
+        self._freeze(kappa)
+        mg = self.zT @ (self.d * (self.z @ _deterministic_start(sys.ndof)))
+        self._expand(self._solve(mg), mg)
+
+    v = property(lambda self: self._rows[0][:self.size].T)
+    av = property(lambda self: self._rows[1][:self.size].T)
+    zv = property(lambda self: self._rows[2][:self.size].T)
+
+    def _freeze(self, kappa):
+        """d and H for the pencil at ``kappa``."""
+        if kappa != self.kappa:
+            self.kappa, self.d = kappa, _resolvent_diagonal(self.w, self.classes, kappa)
+            self.h = self.zv.T @ (self.d[:, None] * self.zv)
+
+    def frozen(self, kappa, index, tol):
+        """theta_index(kappa) with its Hellmann-Feynman slope, Ritz vector
+        (x.A x = 1) and relative residual |A x - theta M(kappa) x| / |A x|,
+        after growing V by A^-1 r until that residual is at most ``tol``.
+
+        With y the unit eigenvector of H, x.M x = mu and x.M' x =
+        (ZVy).(w d^2 ZVy), so theta' = -theta x.M' x / mu.  Once V spans
+        the traces, Rayleigh-Ritz is exact and the space stops growing.
+        """
+        self._freeze(kappa)
+        while True:
+            mu, y = np.linalg.eigh(self.h)
+            mu, y = mu[-index], y[:, -index]
+            if mu <= 0.0:
+                raise EigenSolveError("mode %d lies in the kernel of the lift Gram matrix"
+                                      % index)
+            theta, ax, zx = 1.0 / mu, self.av @ y, self.zv @ y
+            r = ax - theta * (self.zT @ (self.d * zx))
+            residual = np.linalg.norm(r) / np.linalg.norm(ax)
+            if residual <= tol or self.size == len(r):
+                slope = -theta * (zx @ (self.w * self.d * self.d * zx)) / mu
+                return theta, slope, self.v @ y, residual
+            if not self._expand(self._solve(r), r):
+                raise EigenSolveError(
+                    "the frozen pencil at %.6g did not converge for mode %d: the search "
+                    "space stalled at dimension %d with relative residual %.1e > %.1e"
+                    % (kappa, index, self.size, residual, tol))
+
+    def _solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+    def _expand(self, t, rhs):
+        """Add the A-orthonormal part of t = A^-1 ``rhs`` to V, unless it
+        keeps at most ``_STALL_TOL`` of its A-norm |t|_A = (t.rhs)^(1/2):
+        that part is round-off.  For rhs = r, Galerkin makes t A-orthogonal
+        to V already, so such a loss means the expansion has stalled."""
+        before = np.sqrt(abs(t @ rhs))
+        for _ in range(2):
+            t -= self.v @ (self.av.T @ t)
+        at = self.A @ t
+        norm = np.sqrt(abs(t @ at))
+        if not norm > _STALL_TOL * before:
+            return False
+        t, at = t / norm, at / norm
+        zt = self.z @ t
+        dzt, h = self.d * zt, np.empty((self.size + 1,) * 2)
+        h[:-1, :-1] = self.h
+        h[-1, :-1] = h[:-1, -1] = self.zv.T @ dzt
+        h[-1, -1] = zt @ dzt
+        self.h = h
+        if self.size == len(self._rows[0]):
+            self._rows = [np.concatenate([rows, np.empty_like(rows)]) for rows in self._rows]
+        for rows, new in zip(self._rows, (t, at, zt)):
+            rows[self.size] = new
+        self.size += 1
+        return True
+
+
+def solve_condensed_nonlinear(sys, seeds, index):
+    """The condensed nonlinear eigenpair at ``index`` (1-based), refined
+    from the seed pairs ``seeds`` (the surrogate's, or any pairs carrying
+    traces, ascending).
+
+    The value of ``seeds[index - 1]`` starts the iteration, and the traces
+    of all seeds, with one generic direction, start the search space of
+    ``_SearchSpace``, built for this call and dropped with it; fewer than
+    ``index`` independent traces raise ``EigenSolveError``.  Each
+    iteration freezes the resolvent Gram matrix at the current iterate
+    kappa and solves the resulting linear pencil for its ``index``-th
+    eigenvalue theta and its slope theta' by Rayleigh-Ritz on the space,
+    grown until the pencil's relative residual is at most
+    max(1e-12, 1e-2 delta^2), with delta the last relative update (first,
+    the predictor's move from the seed value).  The update is a Newton
     step on F(kappa) = theta(kappa) - kappa; F' = theta' - 1 <= -1, so the
     step always exists, and it is kept inside the bracket that the sign of
     F provides (F is strictly decreasing), with bisection where it leaves
-    it.  The first kappa comes from one Newton step on the seed vector's
-    Rayleigh quotient x.A x / x.M(kappa) x at the seed value, kept where it
-    lies in (0, wall cap).  At k = 0 on a uniform mesh W = wI, the Rayleigh
-    quotient of a surrogate eigenvector is linear in kappa and that step
-    lands on the eigenvalue: one frozen-pencil solve confirms it.  A
-    converged seed is confirmed by the first solve as well.
+    it.  The first kappa comes from one Newton step on the seed trace's
+    Rayleigh quotient x.A x / x.M(kappa) x at the seed value, kept where
+    it lies in (0, wall cap).  At k = 0 on a uniform mesh W = wI, the
+    Rayleigh quotient of a surrogate eigenvector is linear in kappa and
+    that step lands on the eigenvalue: one frozen-pencil solve, with no
+    expansion, confirms it.  A converged seed is confirmed by the first
+    solve as well.
     """
+    index = int(index)
+    if not 1 <= index <= len(seeds):
+        raise EigenSolveError("mode %d needs at least %d seeds, not %d"
+                              % (index, index, len(seeds)))
+    seed = seeds[index - 1]
     lam = float(seed.value)
     if lam <= 0:
         raise EigenSolveError("seed eigenvalue must be positive")
-    vec, index = seed.vector, seed.index
     lam_cap = _wall_cap(sys)
     kappa = min(lam, lam_cap)
-    rho, slope = _rayleigh(sys, kappa, vec)
+    rho, slope = _quotient(sys, kappa, seed.vector)
     predicted = kappa - (rho - kappa) / (slope - 1.0)
     if 0.0 < predicted < lam_cap:
         kappa = predicted
+    space = _SearchSpace(sys, np.column_stack([s.vector for s in seeds]), kappa)
+    if space.seeds < index:
+        raise EigenSolveError("the %d seed traces span %d independent directions, fewer "
+                              "than mode %d needs" % (len(seeds), space.seeds, index))
     lo, hi = 0.0, None  # F(0) = surrogate value > 0
     history = [kappa]
+    update = abs(kappa - lam) / kappa
 
     for iteration in range(1, _SECANT_MAX_ITER + 1):
-        thetas, slopes, vecs, _ = _frozen_pencil(sys, kappa, index, start=vec)
-        theta, vec = thetas[index - 1], vecs[:, index - 1]
+        theta, slope, vec, _ = space.frozen(kappa, index,
+                                            max(_FROZEN_TOL, 1e-2 * update**2))
         resid = theta - kappa
-        defect = abs(resid) / abs(theta)
+        update = abs(resid) / abs(theta)
         history.append(theta)
-        if defect <= _SECANT_TOL:
-            _checked_defect(sys, theta, vec)
-            return EigenPair(theta, vec, index, iteration, defect, history)
+        if update <= _SECANT_TOL:
+            return EigenPair(theta, vec, index, iteration, update, history,
+                             residual=_checked_defect(sys, theta, vec),
+                             solves=space.solves, space=space.size)
 
         # bracket update: F decreasing, so F > 0 puts the root above kappa
         if resid > 0:
@@ -385,7 +518,7 @@ def solve_condensed_nonlinear(sys, seed):
         else:
             hi = kappa if hi is None else min(hi, kappa)
 
-        nxt = kappa - resid / (slopes[index - 1] - 1.0)
+        nxt = kappa - resid / (slope - 1.0)
         if hi is not None and not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         elif hi is None and not nxt > lo:

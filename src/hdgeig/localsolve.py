@@ -385,15 +385,22 @@ class ElementOps:
         symmetric positive definite (symmetrized against round-off)."""
         return np.linalg.eigh(0.5 * (self.uwmat + self.uwmat.T))
 
-    def resolvent(self, lam, rhs, power=1.0):
-        """Apply (I - lam * Uw)^-power to rhs on this element class."""
-        mu, vecs = self.uw_spectrum
+    def resolvent_gap(self, lam):
+        """Eigenvalues 1 - lam mu of I - lam * Uw, in the order of
+        ``uw_spectrum``; raises ``LocalSolveError`` at or beyond the
+        resonance, or where their spread exceeds ``_COND_LIMIT``."""
+        mu = self.uw_spectrum[0]
         gap = 1.0 - lam * mu
         if gap.min() <= 0.0 or gap.max() > _COND_LIMIT * gap.min():
             raise LocalSolveError("eigenvalue %.6g is at or beyond the local resolvent "
                                   "resonance %.6g; refine the mesh or request lower "
                                   "modes" % (lam, 1.0 / mu.max()))
-        return (vecs * gap**-power) @ (vecs.T @ rhs)
+        return gap
+
+    def resolvent(self, lam, rhs):
+        """Apply (I - lam * Uw)^-1 to rhs on this element class."""
+        vecs = self.uw_spectrum[1]
+        return (vecs * (1.0 / self.resolvent_gap(lam))) @ (vecs.T @ rhs)
 
     # --- post-solve maps (built on first use, once per class) ---
 

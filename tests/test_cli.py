@@ -122,6 +122,21 @@ class TestSolveCommand:
         assert captured.out == ""
         assert "configuration error: cannot write %s" % out in captured.err
 
+    @pytest.mark.parametrize("command,solver", [
+        (["solve", "--level", "0", "--modes", "2"], "hdgeig.cli.solve_linear_surrogate"),
+        (["study", "--levels", "0:1", "--modes", "1"], "hdgeig.cli.run_convergence_study"),
+        (["oracle-check", "--level", "0", "--modes", "2"], "hdgeig.cli.solve_linear_surrogate"),
+    ])
+    def test_missing_output_directory_refused_before_solving(self, tmp_path, capsys,
+                                                             monkeypatch, command, solver):
+        out = tmp_path / "missing" / "x.md"
+        monkeypatch.setattr(solver, lambda *args, **kwargs: pytest.fail("solved first"))
+        assert main(command + ["--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error: cannot write %s" % out in captured.err
+        assert not out.parent.exists()
+
 
 class TestStudyCommand:
     def test_invalid_range_exits_2(self, capsys):
@@ -221,6 +236,24 @@ class TestOracleCommand:
     def test_zero_modes_exits_2(self, capsys):
         assert main(["oracle-check", "--level", "0", "--modes", "0"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_verbose_logs_one_line_per_mode(self, capsys, caplog):
+        argv = ["oracle-check", "--level", "1", "--k", "1", "--modes", "3"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr().out
+        caplog.set_level("INFO", logger="hdgeig")
+        assert main(argv + ["-v"]) == 0
+        assert capsys.readouterr().out == quiet
+        line = (r"^mode (\d): lambda=(\S+) \((\d+) Newton iterations, search space (\d+), "
+                r"(\d+) LU solves, residual (\S+)\), peak RSS (\d+) MB$")
+        found = [re.match(line, r.getMessage()) for r in caplog.records]
+        found = [m.groups() for m in found if m]
+        assert [int(g[0]) for g in found] == [1, 2, 3]
+        rows = quiet.splitlines()[2:]
+        for (index, lam, its, space, solves, residual, peak), row in zip(found, rows):
+            assert float(lam) == pytest.approx(float(row.split("|")[2]), rel=1e-11)
+            assert int(its) >= 1 and int(space) == 3 + int(solves)
+            assert 0 < float(residual) <= 1e-9 and int(peak) > 0
 
     def test_tau_h_level1(self):
         assert main(["oracle-check", "--level", "1", "--k", "1", "--tau", "h",

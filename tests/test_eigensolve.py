@@ -15,7 +15,7 @@ from hdgeig.eigensolve import (
     solve_linear_surrogate,
     solve_modes,
 )
-from hdgeig.errors import EigenSolveError, HdgError
+from hdgeig.errors import EigenSolveError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
 from hdgeig.mesh import Mesh
 from hdgeig.recovery import eig_residuals, recover_fields
@@ -30,7 +30,8 @@ from test_assembly import (
 def secant_pairs(sys, m):
     """The paper's route: surrogate seeds refined by the nonlinear
     eigensolve, ascending."""
-    pairs = [solve_condensed_nonlinear(sys, s) for s in solve_linear_surrogate(sys, m)]
+    seeds = solve_linear_surrogate(sys, m)
+    pairs = [solve_condensed_nonlinear(sys, seeds, i) for i in range(1, m + 1)]
     return sorted(pairs, key=lambda p: p.value)
 
 
@@ -81,7 +82,51 @@ def reference_pencil(sys, kappa, count, start=None):
     thetas, vecs = 1.0 / w[pos], vecs[:, pos]
     slopes = -thetas * (np.einsum("ij,ij->j", vecs, reference_m_prime(sys, kappa) @ vecs)
                         / np.einsum("ij,ij->j", vecs, m @ vecs))
-    return thetas, slopes, vecs, 0  # applications are not counted here
+    return thetas, slopes, vecs
+
+
+def reference_newton(sys, seed):
+    """The nonlinear eigensolve as it was before its search space: the
+    same predictor, bracket and stopping rule, with each frozen pencil
+    solved afresh for all ``seed.index`` lowest pairs by
+    ``reference_pencil``, started from the last trace, and the predictor's
+    Rayleigh quotient taken through ``resolvent_lift``."""
+    index, lam, vec = seed.index, seed.value, seed.vector
+    lam_cap = (1.0 - 1e-3) * sys.wall
+    kappa = min(lam, lam_cap)
+    ru = resolvent_lift(sys, kappa, vec).ravel()
+    gram = vec @ (sys.moments @ ru)
+    rho = vec @ (sys.A @ vec) / gram
+    predicted = kappa - (rho - kappa) / (-rho * (ru @ (sys.load_lift @ ru)) / gram - 1.0)
+    if 0.0 < predicted < lam_cap:
+        kappa = predicted
+    lo, hi = 0.0, None
+    for _ in range(50):
+        thetas, slopes, vecs = reference_pencil(sys, kappa, index, vec)
+        theta, vec = thetas[index - 1], vecs[:, index - 1]
+        resid = theta - kappa
+        if abs(resid) <= 1e-12 * abs(theta):
+            return theta
+        if resid > 0:
+            lo = max(lo, kappa)
+        else:
+            hi = kappa if hi is None else min(hi, kappa)
+        nxt = kappa - resid / (slopes[index - 1] - 1.0)
+        if hi is not None and not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        elif hi is None and not nxt > lo:
+            nxt = 0.5 * (lo + min(kappa, lam_cap))
+        kappa = min(nxt, lam_cap)
+    raise AssertionError("the reference Newton loop did not converge")
+
+
+def frozen_solves(sys, kappa, count, tol=1e-12):
+    """theta_i(kappa) and their slopes, i = 1..count, from the Newton
+    route's frozen solve on a search space started from the surrogate's
+    traces."""
+    traces = np.column_stack([p.vector for p in solve_linear_surrogate(sys, count)])
+    space = eigensolve._SearchSpace(sys, traces, kappa)
+    return np.array([space.frozen(kappa, i, tol)[:2] for i in range(1, count + 1)]).T
 
 
 def reference_mode_values(sys, m):
@@ -154,17 +199,19 @@ class TestCondensedNonlinear:
         assert 0.8 * 4.53e-6 < err < 1.2 * 4.53e-6
 
     def test_rerun_on_converged_output(self, systems, eigenpairs):
-        # every pair carries its spectral index, so a converged pair from
-        # the secant or from solve_modes seeds the secant at its own
-        # position, which it confirms at once.  Square k = 1 modes 2-3 and
-        # 5-6 are close pairs; L-shape k = 0 mode 10 (ndof 28) lies far up
+        # converged pairs, from the secant or from solve_modes, seed the
+        # secant at each index, which it confirms at once.  Square k = 1
+        # modes 2-3 and 5-6 are close pairs; L-shape k = 0 mode 10 (ndof
+        # 28) lies far up
         for case, modes in ((("square", 1, 1), range(1, 7)), (("lshape", 0, 0), (10,))):
             sys = systems(*case)
             seeds, pairs = eigenpairs(*case, m=max(modes))
+            converged = [solve_condensed_nonlinear(sys, seeds, i)
+                         for i in range(1, len(seeds) + 1)]
             for mode in modes:
-                converged = solve_condensed_nonlinear(sys, seeds[mode - 1])
-                for pair in (converged, pairs[mode - 1]):
-                    again = solve_condensed_nonlinear(sys, pair)
+                for block in (converged, pairs):
+                    pair = block[mode - 1]
+                    again = solve_condensed_nonlinear(sys, block, mode)
                     assert again.index == pair.index == mode
                     assert again.iterations == 1
                     assert abs(again.value - pair.value) <= 1e-12 * pair.value
@@ -188,11 +235,11 @@ class TestCondensedNonlinear:
             index = 1
 
         with pytest.raises(EigenSolveError):
-            solve_condensed_nonlinear(sys, Seed())
+            solve_condensed_nonlinear(sys, [Seed()], 1)
 
     def test_iteration_history_recorded(self, systems):
         sys = systems("square", 1, 1)
-        pair = solve_condensed_nonlinear(sys, solve_linear_surrogate(sys, 1)[0])
+        pair = solve_condensed_nonlinear(sys, solve_linear_surrogate(sys, 1), 1)
         assert len(pair.history) == pair.iterations + 1
         assert pair.defect <= 1e-12
 
@@ -214,8 +261,8 @@ class TestNewtonStep:
         # difference of theta_i(kappa) over a step of 1e-4 of the wall
         sys = systems(domain, 1, k)
         kappa, step = fraction * sys.wall, 1e-4 * sys.wall
-        slopes = eigensolve._frozen_pencil(sys, kappa, 6)[1]
-        above, below = (eigensolve._frozen_pencil(sys, kappa + s, 6)[0] for s in (step, -step))
+        slopes = frozen_solves(sys, kappa, 6)[1]
+        above, below = (frozen_solves(sys, kappa + s, 6)[0] for s in (step, -step))
         np.testing.assert_allclose((above - below) / (2 * step), slopes, rtol=1e-5)
 
     def test_iteration_counts_on_the_criterion_1_grid(self, secants):
@@ -230,6 +277,77 @@ class TestNewtonStep:
                 assert its == [1] * 6, (domain, level, tau, its)
             total += sum(its)
         assert total <= 250
+
+    def test_lu_solves_on_the_criterion_1_grid(self, systems):
+        # the frozen pencils are solved on one search space per mode, grown
+        # by one LU solve per direction: 857 solves on the grid, where a
+        # Lanczos run per pencil took 8,306.  At k = 0 the surrogate's traces
+        # already hold every frozen eigenvector: the one solve per mode is
+        # the generic direction the space starts with
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu, self.solves = lu, 0
+
+            def solve(self, rhs):
+                self.solves += 1
+                return self.lu.solve(rhs)
+
+        total = 0
+        for domain, level, k, tau in CRITERION_1_GRID:
+            sys = systems(domain, level, k, tau)
+            seeds = solve_linear_surrogate(sys, 6)
+            counted, lu = copy.copy(sys), CountingLU(sys.factorized())
+            counted.factorized = lambda: lu
+            pairs = [solve_condensed_nonlinear(counted, seeds, i) for i in range(1, 7)]
+            assert sum(p.solves for p in pairs) == lu.solves
+            assert [p.space - p.solves for p in pairs] == [6] * 6
+            if k == 0:
+                assert [p.solves for p in pairs] == [1] * 6, (domain, level, tau)
+            total += lu.solves
+        assert total <= 1000
+
+
+class TestHardCells:
+    """Cells where the index of a nonlinear eigenpair was easy to lose: the
+    near-double 4.853/4.860 of the square at level 0 (k = 1, tau = 1), on
+    which a single search space shared by all modes converged to the wrong
+    one of the two, and L-shape level 1 (k = 2, tau = h) mode 6, where a
+    Lanczos run stopped short of machine precision lost the frozen
+    pencil's 5th eigenvector."""
+
+    @pytest.mark.parametrize("domain,level,k,tau,modes", [
+        ("square", 0, 1, "one", range(1, 7)),
+        ("lshape", 1, 2, "h", (6,)),
+    ])
+    def test_matches_solve_modes(self, systems, eigenpairs, domain, level, k, tau, modes):
+        sys = systems(domain, level, k, tau)
+        seeds, pairs = eigenpairs(domain, level, k, tau, m=6)
+        for mode in modes:
+            pair = solve_condensed_nonlinear(sys, seeds, mode)
+            assert pair.index == mode
+            assert abs(pair.value - pairs[mode - 1].value) <= 1e-12 * pair.value, mode
+
+    @pytest.mark.parametrize("domain,level,k,tau", CRITERION_1_GRID)
+    def test_any_number_of_seeds(self, systems, eigenpairs, domain, level, k, tau):
+        # with m seeds for modes 1..m, as oracle-check --modes m gives them:
+        # at two seeds the square's level-0 and level-1 near-doubles (k = 1)
+        # swap their order between the surrogate and the nonlinear problem,
+        # so the second mode's frozen eigenvector is in no seed
+        sys = systems(domain, level, k, tau)
+        _, pairs = eigenpairs(domain, level, k, tau, m=6)
+        for m in range(1, 7):
+            seeds = solve_linear_surrogate(sys, m)
+            for mode in range(1, m + 1):
+                got = solve_condensed_nonlinear(sys, seeds, mode).value
+                assert abs(got - pairs[mode - 1].value) <= 1e-10 * got, (m, mode)
+
+    def test_fewer_independent_traces_than_the_index(self, systems):
+        sys = systems("square", 0, 1)
+        seeds = solve_linear_surrogate(sys, 3)
+        with pytest.raises(EigenSolveError, match="needs at least"):
+            solve_condensed_nonlinear(sys, seeds[:2], 3)
+        with pytest.raises(EigenSolveError, match="independent directions"):
+            solve_condensed_nonlinear(sys, [seeds[0], seeds[1], seeds[1]], 3)
 
 
 class TestOracle:
@@ -347,34 +465,37 @@ class TestSolveModes:
         np.testing.assert_allclose(warm, cold, rtol=1e-12)
 
     @pytest.mark.parametrize("domain,level,k,tau", ROUTE_GRID)
-    def test_matches_pre_change_routes(self, systems, eigenpairs, secants, monkeypatch,
-                                       domain, level, k, tau):
-        # the three eigensolves on the compiled operator family against the
-        # routes they replaced: class-loop T, and both pencils in generalized
-        # mode on the assembled Gram forms
+    def test_matches_pre_change_routes(self, systems, eigenpairs, secants, domain, level, k,
+                                       tau):
+        # the three eigensolves against the routes they replaced: class-loop
+        # T, the surrogate pencil in generalized mode on the assembled Gram
+        # form, and the Newton loop with a Lanczos run per frozen pencil on
+        # the assembled resolvent forms
         sys = systems(domain, level, k, tau)
         surrogates, pairs = eigenpairs(domain, level, k, tau, m=6)
         new = {"surrogate": [p.value for p in surrogates],
                "secant": [p.value for p in secants(domain, level, k, tau)],
                "modes": [p.value for p in pairs]}
-        monkeypatch.setattr(eigensolve, "_frozen_pencil", reference_pencil)
-        old = {"surrogate": [p.value for p in solve_linear_surrogate(sys, 6)],
-               "secant": secant_values(sys, 6), "modes": reference_mode_values(sys, 6)}
+        old = {"surrogate": reference_pencil(sys, 0.0, 6)[0],
+               "secant": sorted(reference_newton(sys, s) for s in surrogates),
+               "modes": reference_mode_values(sys, 6)}
         for route in new:
             np.testing.assert_allclose(new[route], old[route], rtol=1e-12, err_msg=route)
 
     @pytest.mark.parametrize("factor", [1.0, 1.5])
     def test_frozen_pencil_at_wall_is_typed(self, systems, factor):
-        # D = (I - kappa W)^(-1/2) does not exist at or past the wall: a typed
-        # error, never NaN eigenvalues
+        # M(kappa) = Z^T diag(1 / (1 - kappa w)) Z does not exist at or past
+        # the wall: a typed error, never NaN or negative eigenvalues
         sys = systems("square", 1, 1)
-        with pytest.raises(HdgError, match="resonance"):
-            eigensolve._frozen_pencil(sys, factor * sys.wall, 1)
-        thetas = eigensolve._frozen_pencil(sys, 0.99 * sys.wall, 1)[0]
-        assert np.isfinite(thetas).all()
+        with pytest.raises(EigenSolveError, match="resonance"):
+            frozen_solves(sys, factor * sys.wall, 1)
+        thetas = frozen_solves(sys, 0.99 * sys.wall, 1)[0]
+        assert np.isfinite(thetas).all() and thetas.min() > 0
 
     @pytest.mark.parametrize("route", ["solve_modes", "surrogate", "secant"])
     def test_arpack_no_convergence(self, systems, monkeypatch, capsys, route):
+        # the Lanczos runs with ARPACK stalled, and the Newton route's frozen
+        # solve with every new search direction taken for round-off
         from hdgeig.cli import main
 
         def stalled(op, k, **kwargs):
@@ -382,14 +503,18 @@ class TestSolveModes:
                                                           np.ones((op.shape[0], 0)))
 
         sys = systems("square", 0, 1)
-        seed = solve_linear_surrogate(sys, 2)[1]
+        seeds = solve_linear_surrogate(sys, 2)
         run = {"solve_modes": lambda: solve_modes(sys, 2),
                "surrogate": lambda: solve_linear_surrogate(sys, 2),
-               "secant": lambda: solve_condensed_nonlinear(sys, seed)}[route]
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+               "secant": lambda: solve_condensed_nonlinear(sys, seeds, 2)}[route]
+        command = "oracle-check" if route == "secant" else "solve"
+        if route == "secant":
+            monkeypatch.setattr(eigensolve, "_STALL_TOL", np.inf)
+        else:
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
         with pytest.raises(EigenSolveError, match="did not converge"):
             run()
-        assert main(["solve", "--level", "0", "--modes", "2"]) == 3
+        assert main([command, "--level", "0", "--modes", "2"]) == 3
         assert "did not converge" in capsys.readouterr().err
 
 
@@ -403,7 +528,7 @@ class TestOperatorLifetime:
         "modes_block": lambda sys, block, pairs: solve_modes(sys, 4, block),
         "surrogate": lambda sys, block, pairs: solve_linear_surrogate(sys, 4),
         "surrogate_block": lambda sys, block, pairs: solve_linear_surrogate(sys, 4, block),
-        "nonlinear": lambda sys, block, pairs: solve_condensed_nonlinear(sys, pairs[1]),
+        "nonlinear": lambda sys, block, pairs: solve_condensed_nonlinear(sys, pairs, 2),
         # the result, which holds an operator, is dropped at once
         "oracle": lambda sys, block, pairs: oracle_full_eig(sys, 4),
     }
@@ -481,7 +606,7 @@ class TestSpectrumProperties:
             sys = assemble_condensed(msh, SpaceConfig(1), TauSpec.one())
             seeds = solve_linear_surrogate(sys, 4)
             vals[tag] = np.sort(
-                [solve_condensed_nonlinear(sys, s).value for s in seeds]
+                [solve_condensed_nonlinear(sys, seeds, i).value for i in range(1, 5)]
             )
         assert np.abs(vals["orig"] - vals["perm"]).max() <= 1e-10 * vals["orig"].max()
 

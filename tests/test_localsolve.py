@@ -198,7 +198,7 @@ class TestElementLift:
 
 
 class TestUwInverse:
-    """ElementOps.resolvent applies (I - lam * Uw)^-power through the
+    """ElementOps.resolvent applies (I - lam * Uw)^-1 through the
     spectrum of Uw, so it is exact to round-off."""
 
     def test_identity_at_zero(self):
@@ -230,17 +230,17 @@ class TestUwInverse:
 
     @pytest.mark.parametrize("factor", [1.5, 10.0])
     def test_error_past_the_wall(self, factor):
-        # past the first resonance I - lam Uw is indefinite, with no real
-        # square root, however well conditioned it may be
+        # past the first resonance I - lam Uw is indefinite: no eigenvalue
+        # there is represented, however well conditioned the matrix may be
         ops = element_ops(REF, SpaceConfig(2), TauSpec.one())
         rho = np.linalg.eigvalsh(ops.uwmat).max()
         with pytest.raises(LocalSolveError):
-            ops.resolvent(factor / rho, np.ones(ops.n_w), 0.5)
+            ops.resolvent(factor / rho, np.ones(ops.n_w))
+        with pytest.raises(LocalSolveError):
+            ops.resolvent_gap(factor / rho)
 
-    def test_square_root(self):
+    def test_gap_is_the_spectrum_of_the_shifted_matrix(self):
         ops = element_ops(REF, SpaceConfig(2), TauSpec.one())
         lam = 0.5 / np.linalg.eigvalsh(ops.uwmat).max()
-        root = ops.resolvent(lam, np.eye(ops.n_w), 0.5)
-        full = np.linalg.inv(np.eye(ops.n_w) - lam * ops.uwmat)
-        assert np.abs(root - root.T).max() <= 1e-14 * np.abs(root).max()
-        assert np.abs(root @ root - full).max() <= 1e-12 * np.abs(full).max()
+        want = np.linalg.eigvalsh(np.eye(ops.n_w) - lam * ops.uwmat)
+        np.testing.assert_allclose(np.sort(ops.resolvent_gap(lam)), want, rtol=1e-13)

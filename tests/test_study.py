@@ -380,6 +380,20 @@ class TestRunStudy:
         rep = run_convergence_study(StudyConfig(k=1, levels=(0, 1), modes=(1,)))
         assert all(not c.note and c.err_u_star is not None for c in rep.cells)
 
+    def test_never_builds_the_spectral_lift(self, monkeypatch):
+        # the spectral lift serves only the nonlinear eigensolve, which
+        # builds it on first use; the oracle check is the control
+        from hdgeig.cli import main
+
+        build = assembly.CondensedSystem.spectral_lift.func
+        built = []
+        monkeypatch.setattr(assembly.CondensedSystem, "spectral_lift",
+                            property(lambda sys: built.append(sys) or build(sys)))
+        rep = run_convergence_study(StudyConfig(k=1, levels=(0, 1), modes=(1, 2)))
+        assert all(not c.note for c in rep.cells) and built == []
+        assert main(["oracle-check", "--level", "0", "--modes", "2"]) == 0
+        assert len(built) > 0 and len(set(map(id, built))) == 1
+
     def test_determinism(self, meshes):
         from hdgeig.study import run_convergence_study
 
