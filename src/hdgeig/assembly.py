@@ -280,11 +280,13 @@ def assemble_m_of_lambda(sys, lam):
 
 
 def resolvent_lift(sys, lam, eta):
-    """Per-element scalar field (I - lam W)^-1 U eta, shape (T, n_w).
-
-    ``sys.moments`` of it is M(lam) eta without assembling M(lam).
-    """
-    return (sys.resolvent(lam) @ (sys.lift @ eta)).reshape(-1, sys.n_w)
+    """Per-element scalar field (I - lam W)^-1 U eta, shape (T, n_w), with
+    the local resolvent applied class by class (``LocalSolveError`` at or
+    beyond the wall); ``sys.moments`` of it is M(lam) eta without M(lam)."""
+    u = (sys.lift @ eta).reshape(-1, sys.n_w)
+    for ops, members in sys.class_groups:
+        u[members] = u[members] @ ops.resolvent(lam, np.eye(sys.n_w)).T
+    return u
 
 
 def flux_field(sys, eta, load):

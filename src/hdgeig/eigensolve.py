@@ -3,45 +3,36 @@
 Static condensation leaves three maps on the scalar space W_h (per-element
 scalar coefficients, orthonormal local bases): the trace lift U, the
 moment map U^T and the stiffness inverse A^-1 (the cached factorization).
-``CondensedSystem`` compiles U and the block-diagonal load lift W into
-sparse matrices, and both linear eigensolves here find the largest
-eigenvalues mu of a symmetric operator U A^-1 U^T (+ W) on W_h, applied
-to a vector or, with one multi-right-hand-side solve, to the columns of
-a block:
+Both linear eigensolves find the largest eigenvalues mu of a symmetric
+operator U A^-1 U^T (+ W, the block-diagonal load lift) on W_h, applied
+to a vector or, in one solve, to the columns of a block:
 
 * ``solve_modes`` (the entry point of the command line, the study and the
   tests) on the source-solution operator T = U A^-1 U^T + W: lam = 1/mu;
 * the surrogate pencil A x = theta G x, G = U^T U, on T0 = U A^-1 U^T:
   theta = 1/mu.
 
-Without a start block a run is a standard-mode ARPACK Lanczos run from a
-fixed vector.  Given a block of approximate eigenvectors (the study's
-nested levels provide one), it is a LOBPCG run from that block, which
-needs fewer multi-right-hand-side solves when the block is close.  From
-a random block LOBPCG is slower than Lanczos and stalls on clusters, so
-no cold run uses it.
+Without a start block a run is an ARPACK Lanczos run from a fixed vector.
+From a block of approximate eigenvectors (the study's nested levels
+provide one) it is LOBPCG, which needs fewer solves when the block is
+close; from a random block it is slower and stalls on clusters.  An
+eigenvector y gives the trace A^-1 U^T y.  The kernel of G becomes zero
+eigenvalues of T0 (theta infinite), which never reach the lowest modes.
 
-An eigenvector y gives the trace A^-1 U^T y.  The kernel of G becomes
-zero eigenvalues of T0 (theta infinite), which never reach the lowest
-modes.  The paper's route, kept as the reference, is surrogate-seeded,
-predictor plus safeguarded Newton on the frozen-pencil fixed point
-(``solve_condensed_nonlinear``): the roots of the strictly decreasing
-F(kappa) = theta_i(kappa) - kappa are the condensed nonlinear
-eigenvalues of the frozen pencils A x = theta M(kappa) x, M(kappa) =
-U^T (I - kappa W)^-1 U, whose eigenvector gives the slope theta_i'
-(Hellmann-Feynman; Ruhe, SIAM J. Numer. Anal. 10 (1973)).  Each mode
-solves its pencils by Rayleigh-Ritz on one search space kept across its
-iterations (``_SearchSpace``; nonlinear Arnoldi, Voss, BIT 44 (2004)),
-grown by one solve with the cached LU per direction.  On the 96 modes of
-the coarse oracle grid (square and L-shape, levels 0-1, k = 0-1, tau = 1
-and h) it takes 231 frozen-pencil solves and 857 LU solves, where a
-Lanczos run per pencil took 8,306.
-Every pair carries its spectral index: M(kappa) grows with kappa, so the
-i-th eigenvalue is the fixed point of theta_i(kappa) = kappa.
-Residual checks apply M(lam) through the resolvent lift.
+The paper's route, kept as the reference, is surrogate-seeded Newton on
+the frozen-pencil fixed point (``solve_condensed_nonlinear``): the roots
+of the strictly decreasing F(kappa) = theta_i(kappa) - kappa are the
+condensed nonlinear eigenvalues of the frozen pencils A x = theta
+M(kappa) x, M(kappa) = U^T (I - kappa W)^-1 U, whose eigenvector gives
+the slope theta_i' (Hellmann-Feynman; Ruhe, SIAM J. Numer. Anal. 10
+(1973)), solved by Rayleigh-Ritz on one search space per mode
+(``_SearchSpace``).  M(kappa) grows with kappa, so the i-th eigenvalue is
+the fixed point of theta_i(kappa) = kappa: every pair carries its
+spectral index.  Residual checks apply M(lam) through the resolvent lift.
 """
 
 import collections
+import functools
 
 import numpy as np
 import scipy.sparse.linalg
@@ -80,20 +71,19 @@ class EigenPair:
     """Trace eigenpair; ``index`` is its 1-based position in the ascending
     spectrum.
 
-    From ``solve_modes``: ``iterations`` counts solution-operator
-    applications in the run (Lanczos matvecs, or LOBPCG block columns
-    from a start block), ``defect`` is the relative residual
-    |A eta - lam M(lam) eta| / |A eta|.  From the surrogate: a
-    Gram-normalized vector, the run's operator applications and
-    ``defect`` |A v - theta G v| / |A v|.  From the nonlinear eigensolve:
-    an A-normalized trace (v.A v = 1), its frozen-pencil solves (Newton
-    iterations), the last relative update |theta - kappa| / theta as
-    ``defect``, the nonlinear residual |A v - lam M(lam) v| / |A v| as
-    ``residual``, ``history``, the first frozen kappa (the predictor's)
-    followed by each solve's theta, so that
-    ``len(history) == iterations + 1``, and its search space's LU solves
-    (``solves``) and final dimension (``space``).  The other routes leave
-    ``residual`` equal to ``defect`` and ``solves`` and ``space`` 0.
+    From ``solve_modes``: ``iterations`` counts the run's operator
+    applications (Lanczos matvecs, or LOBPCG block columns), ``solves``
+    the solves that made them, and ``defect`` is |A eta - lam M(lam) eta|
+    / |A eta|.  From the surrogate: a Gram-normalized vector, the same
+    counts and ``defect`` |A v - theta G v| / |A v|.  From the nonlinear
+    eigensolve: an A-normalized trace (v.A v = 1), its frozen-pencil
+    solves (Newton iterations), the last relative update |theta - kappa| /
+    theta as ``defect``, the nonlinear residual |A v - lam M(lam) v| /
+    |A v| as ``residual``, ``history``, the first frozen kappa (the
+    predictor's) followed by each solve's theta, so that ``len(history) ==
+    iterations + 1``, and its search space's LU solves (``solves``) and
+    final dimension (``space``).  The other routes leave ``residual``
+    equal to ``defect`` and ``space`` 0.
     """
 
     def __init__(self, value, vector, index, iterations=0, defect=0.0, history=(),
@@ -114,8 +104,12 @@ class EigenPair:
 OracleSpectrum = collections.namedtuple("OracleSpectrum", "values t_matrix")
 
 
+@functools.lru_cache(maxsize=8)
 def _deterministic_start(n):
-    return np.random.default_rng(20240814).standard_normal(n)
+    """The fixed start vector of size ``n``, drawn once, shared read-only."""
+    v = np.random.default_rng(20240814).standard_normal(n)
+    v.setflags(write=False)
+    return v
 
 
 def _eigsh(op, k, what, v0):
@@ -130,88 +124,100 @@ def _eigsh(op, k, what, v0):
         raise EigenSolveError("Lanczos run on %s did not converge: %s" % (what, exc))
 
 
-def _orthonormal(v, against=()):
-    """Columns of ``v`` made orthonormal and orthogonal to the orthonormal
-    blocks in ``against``, in two passes of a block Gram-Schmidt step
-    against them and an eigendecomposition of the Gram matrix that drops
-    directions dependent to round-off."""
+#: rows per block of the in-place products on the LOBPCG workspace
+_ROWS = 4096
+
+
+def _times(a, c):
+    """a[:, :c.shape[1]] = a @ c in place, ``_ROWS`` rows at a time, column-major."""
+    for i in range(0, len(a), _ROWS):
+        a[i:i + _ROWS, :c.shape[1]] = (c.T @ a[i:i + _ROWS].T).T
+
+
+def _orthonormalize(v, against):
+    """Make the columns of ``v`` orthonormal and orthogonal to the
+    orthonormal columns of ``against``, in place, in two passes of a block
+    Gram-Schmidt step and an eigendecomposition of the Gram matrix that
+    drops directions dependent to round-off; returns how many lead ``v``."""
+    k = v.shape[1]
     for _ in range(2):
-        if not v.shape[1]:
+        if not k:
             break
-        for q in against:
-            v -= q @ (q.T @ v)
-        gram = v.T @ v
+        u = v[:, :k]
+        u -= ((u.T @ against) @ against.T).T  # column-major, as u
+        gram = u.T @ u
         d = 1.0 / np.sqrt(np.maximum(np.diag(gram), np.finfo(float).tiny))
-        w, u = np.linalg.eigh(d[:, None] * gram * d)
+        w, q = np.linalg.eigh(d[:, None] * gram * d)
         keep = w > 1e-12 * w[-1]
-        v = v @ (d[:, None] * u[:, keep] / np.sqrt(w[keep]))
-    return v
-
-
-def _combine(blocks, coeffs):
-    """sum_i blocks[i] @ coeffs[i], accumulated in place."""
-    out = blocks[0] @ coeffs[0]
-    for block, c in zip(blocks[1:], coeffs[1:]):
-        out += block @ c
-    return out
+        _times(u, d[:, None] * q[:, keep] / np.sqrt(w[keep]))
+        k = np.count_nonzero(keep)
+    return k
 
 
 def _lobpcg(op, block, what):
     """Largest eigenpairs of ``op``, mu descending, by LOBPCG (Knyazev,
-    SISC 23 (2001)) from the columns of ``block``.
+    SISC 23 (2001)) from the m columns of ``block``.
 
-    Each iteration applies ``op`` once, to the residuals R of the columns
-    not yet converged (one multi-right-hand-side solve), and takes the
-    Rayleigh-Ritz pairs on the orthonormal basis [X, R, P].  The new
-    directions P are the update's part outside the new X, orthonormalized
-    in the small Rayleigh-Ritz space (Hetmaniuk & Lehoucq, J. Comput.
-    Phys. 218 (2006)), so only R is orthonormalized against the big
-    blocks.  A column has converged when its residual |op x - mu x| is
-    at most ``_LOBPCG_RTOL`` times the operator's scale, the largest Ritz
-    value of the start block.  The run keeps X, R, P and their images:
-    ``scipy.sparse.linalg.lobpcg`` keeps about fourteen blocks, which
-    raised the study's peak memory by 15%.  No convergence within
+    Each iteration applies ``op`` to the residuals R of the columns not
+    yet converged (one solve) and takes the Rayleigh-Ritz pairs on the
+    orthonormal basis [X | P | R].  The new directions P are the update's
+    part outside the new X, orthonormalized in the small Rayleigh-Ritz
+    space (Hetmaniuk & Lehoucq, J. Comput. Phys. 218 (2006)), so only R is
+    orthonormalized against the big blocks.  A column has converged when
+    |op x - mu x| is at most ``_LOBPCG_RTOL`` times the largest Ritz value
+    of the start block; a run still short of that after
     ``_LOBPCG_MAX_ITER`` iterations raises ``EigenSolveError``.
+
+    The basis and its image live in two preallocated column-major (n, 3m)
+    arrays (Duersch, Shao, Yang & Gu, SISC 40 (2018)): the Rayleigh-Ritz
+    matrix is one product, R is built and orthonormalized in its own slot,
+    and the update is one product per array, in place by rows.  The run
+    peaks at about 8.5 blocks of n x m (``scipy.sparse.linalg.lobpcg``: 14).
     """
-    x = _orthonormal(np.asarray(block, dtype=float))
-    if x.shape[1] < block.shape[1]:
+    n, m = block.shape
+    s = np.empty((n, 3 * m), order="F")  # [X | P | R]
+    a = np.empty_like(s)  # op [X | P | R]
+
+    def apply(lo, hi):
+        """a[:, lo:hi] = op s[:, lo:hi], read row-major from the slot: scipy's
+        sparse products would copy a column-major block to row-major."""
+        rows = a[:, lo:hi].T.reshape(n, hi - lo)
+        rows[...] = s[:, lo:hi]
+        a[:, lo:hi] = op.matmat(rows)
+
+    s[:, :m] = block
+    if _orthonormalize(s[:, :m], s[:, :0]) < m:
         raise EigenSolveError("the start block of the LOBPCG run on %s has dependent "
                               "columns" % what)
-    ax = op.matmat(x)
-    h = x.T @ ax
-    theta, y = np.linalg.eigh(0.5 * (h + h.T))
-    theta, y = theta[::-1], y[:, ::-1]
-    x, ax = x @ y, ax @ y
-    tol = _LOBPCG_RTOL * abs(theta[0])
-    m = x.shape[1]
-    basis = [(x, ax)]
-    for _ in range(_LOBPCG_MAX_ITER):
-        r = x * theta
-        np.subtract(ax, r, out=r)
-        norms = np.linalg.norm(r, axis=0)
+    apply(0, m)
+    width, p = m, 0  # columns of the basis, and of P
+    for iteration in range(_LOBPCG_MAX_ITER + 1):
+        h = s[:, :width].T @ a[:, :width]
+        mu, y = np.linalg.eigh(0.5 * (h + h.T))
+        theta, y = mu[::-1][:m], y[:, ::-1][:, :m]
+        if iteration:
+            z = np.vstack([np.zeros((m, m)), y[m:]])
+            p = _orthonormalize(z, y)
+            y = np.hstack([y, z[:, :p]])
+        else:
+            tol = _LOBPCG_RTOL * abs(theta[0])
+        _times(s[:, :width], y)
+        _times(a[:, :width], y)
+        if iteration == _LOBPCG_MAX_ITER:
+            break
+        r = s[:, m + p:2 * m + p]
+        np.subtract(a[:, :m], np.multiply(s[:, :m], theta, out=r), out=r)
+        norms = np.sqrt(np.einsum("ij,ij->j", r, r))
         if norms.max() <= tol:
-            return theta, x
-        if norms.min() <= tol:
-            r = r[:, norms > tol]
-        r = _orthonormal(r, [v for v, _ in basis])
-        if not r.shape[1]:
+            return theta, s[:, :m].copy(order="F")
+        live = np.flatnonzero(norms > tol)
+        for j, c in enumerate(live):  # converged columns leave R
+            r[:, j] = r[:, c]
+        k = _orthonormalize(r[:, :live.size], s[:, :m + p])
+        if not k:
             break  # the residuals lie in span [X, P] to round-off: no progress left
-        basis.insert(1, (r, op.matmat(r)))
-        h = np.block([[v.T @ av for _, av in basis] for v, _ in basis])
-        w, y = np.linalg.eigh(0.5 * (h + h.T))
-        theta, y = w[::-1][:m], y[:, ::-1][:, :m]
-        z = y.copy()
-        z[:m] = 0.0
-        z = _orthonormal(z, [y])
-        rows = np.cumsum([v.shape[1] for v, _ in basis])[:-1]
-        ys, zs = np.split(y, rows), np.split(z, rows)
-        blocks, images = zip(*basis)
-        del basis, r, x, ax  # each old block goes once it is combined
-        x, p = _combine(blocks, ys), _combine(blocks, zs)
-        del blocks
-        ax, ap = _combine(images, ys), _combine(images, zs)
-        del images
-        basis = [(x, ax), (p, ap)]
+        width = m + p + k
+        apply(m + p, width)
     raise EigenSolveError("LOBPCG run on %s did not converge within %d iterations "
                           "(largest residual %.1e of the operator's scale)"
                           % (what, _LOBPCG_MAX_ITER, norms.max() / abs(theta[0])))
@@ -231,7 +237,7 @@ def _largest(op, count, what, start=None):
 class _Operator(scipy.sparse.linalg.LinearOperator):
     """y -> U A^-1 U^T y + W y on W_h for W = ``load`` (None: zero), on a
     vector or the columns of a block (one multi-right-hand-side solve);
-    ``applications`` counts columns.
+    ``applications`` counts columns and ``solves`` the solves.
 
     A subclass rather than a closure that updates the operator's counter:
     such a closure refers to its own operator, and the reference cycle
@@ -240,12 +246,12 @@ class _Operator(scipy.sparse.linalg.LinearOperator):
 
     def __init__(self, sys, load=None):
         super().__init__(float, (sys.dim_w,) * 2)
-        self.lu, self.lift, self.moments = sys.factorized(), sys.lift, sys.moments
-        self.load = load
-        self.applications = 0
+        self.lu, self.lift, self.moments, self.load = sys.factorized(), sys.lift, sys.moments, load
+        self.applications = self.solves = 0
 
     def _matmat(self, y):
         self.applications += 1 if y.ndim == 1 else y.shape[1]
+        self.solves += 1
         x = self.lift @ self.lu.solve(self.moments @ y)
         if self.load is not None:
             x += self.load @ y
@@ -261,10 +267,9 @@ def _check_count(sys, m):
     it has a nonzero trace A^-1 U^T u).  Lanczos also needs m < dim W_h."""
     n, rank = sys.dim_w, min(sys.ndof, sys.dim_w)
     if m > rank:
-        raise EigenSolveError(
-            "requested %d modes of a level that represents at most min(ndof, dim W_h) = %d: "
-            "the further modes lie in the kernel of the lift Gram matrix or at the resolvent "
-            "wall" % (m, rank))
+        raise EigenSolveError("requested %d modes of a level that represents at most min(ndof, "
+                              "dim W_h) = %d: the further modes lie in the kernel of the lift "
+                              "Gram matrix or at the resolvent wall" % (m, rank))
     if not 1 <= m < n:
         raise EigenSolveError("requested %d modes of a dimension-%d scalar space" % (m, n))
 
@@ -277,8 +282,8 @@ def solve_linear_surrogate(sys, m, start=None):
     block ``start`` (dim W_h, m) of approximate eigenfields, such as those
     of ``solve_modes`` (the surrogate perturbs T by -W), from LOBPCG
     started from its columns; theta = 1/mu, and an eigenvector y gives the
-    trace A^-1 U^T y.  Each pair counts the operator applications (block
-    columns for LOBPCG) in ``iterations``.
+    trace A^-1 U^T y.  Each pair carries the run's operator applications
+    (``iterations``; block columns for LOBPCG) and solves (``solves``).
     """
     m = int(m)
     _check_count(sys, m)
@@ -297,7 +302,7 @@ def solve_linear_surrogate(sys, m, start=None):
         defect = np.linalg.norm(av - lam * (sys.moments @ u)) / np.linalg.norm(av)
         if defect > _RESIDUAL_TOL:
             raise EigenSolveError("surrogate eigenpair %d residual too large" % i)
-        pairs.append(EigenPair(lam, vec, i, op.applications, defect))
+        pairs.append(EigenPair(lam, vec, i, op.applications, defect, solves=op.solves))
     return pairs
 
 
@@ -524,18 +529,14 @@ def solve_condensed_nonlinear(sys, seeds, index):
         elif hi is None and not nxt > lo:
             nxt = 0.5 * (lo + min(kappa, lam_cap))
         if lo >= lam_cap * (1.0 - 1e-12):
-            raise EigenSolveError(
-                "eigenvalue tracked from seed %.6g lies beyond the first "
-                "resolvent resonance %.6g; the condensed problem cannot "
-                "represent it on this mesh" % (lam, lam_cap)
-            )
+            raise EigenSolveError("eigenvalue tracked from seed %.6g lies beyond the first "
+                                  "resolvent resonance %.6g; the condensed problem cannot "
+                                  "represent it on this mesh" % (lam, lam_cap))
         kappa = min(nxt, lam_cap)
 
-    raise ConvergenceError(
-        "nonlinear eigenvalue iteration did not reach a relative update of "
-        "%.1e within %d iterations" % (_SECANT_TOL, _SECANT_MAX_ITER),
-        history=history,
-    )
+    raise ConvergenceError("nonlinear eigenvalue iteration did not reach a relative update of "
+                           "%.1e within %d iterations" % (_SECANT_TOL, _SECANT_MAX_ITER),
+                           history=history)
 
 
 def solve_modes(sys, m, start=None):
@@ -546,10 +547,10 @@ def solve_modes(sys, m, start=None):
     to scale.  Without ``start`` one Lanczos run finds them; a block
     ``start`` (dim W_h, m) of approximate eigenfields, such as the
     previous level's injected into this one, starts LOBPCG instead, which
-    pays only when the block is close.  ``iterations`` counts the
-    operator applications (block columns for LOBPCG).  A pair at or
-    beyond the resolvent wall, or failing the nonlinear residual check,
-    raises ``EigenSolveError``.
+    pays only when the block is close.  ``iterations`` counts the operator
+    applications (block columns for LOBPCG), ``solves`` the solves.  A pair
+    at or beyond the resolvent wall, or failing the nonlinear residual
+    check, raises ``EigenSolveError``.
     """
     m, op = int(m), _Operator(sys, load=sys.load_lift)
     _check_count(sys, m)
@@ -560,12 +561,11 @@ def solve_modes(sys, m, start=None):
     for index, (eta, mu_i) in enumerate(zip(etas.T, mu), 1):
         lam = 1.0 / mu_i if mu_i > 0 else -np.inf
         if not 0.0 < lam < lam_cap:
-            raise EigenSolveError(
-                "eigenvalue %d (%.6g) is not inside (0, %.6g), the resonance-free "
-                "interval of the resolvent on this mesh" % (index, lam, lam_cap)
-            )
+            raise EigenSolveError("eigenvalue %d (%.6g) is not inside (0, %.6g), the resonance-"
+                                  "free interval of the resolvent on this mesh"
+                                  % (index, lam, lam_cap))
         pairs.append(EigenPair(lam, eta, index, op.applications,
-                               _checked_defect(sys, lam, eta)))
+                               _checked_defect(sys, lam, eta), solves=op.solves))
     return pairs
 
 

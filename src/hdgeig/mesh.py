@@ -98,21 +98,10 @@ class Mesh:
 
     def locate(self, point):
         """Index of the first triangle containing ``point`` (tol 1e-12)."""
-        point = np.asarray(point, dtype=float)
-        p0 = self.vertices[self.triangles[:, 0]]
-        b = np.stack(
-            [
-                self.vertices[self.triangles[:, 1]] - p0,
-                self.vertices[self.triangles[:, 2]] - p0,
-            ],
-            axis=2,
-        )
-        rhs = point - p0
-        bary = np.linalg.solve(b, rhs[:, :, None])[:, :, 0]
-        ok = (bary[:, 0] >= -1e-12) & (bary[:, 1] >= -1e-12) & (
-            bary.sum(axis=1) <= 1.0 + 1e-12
-        )
-        hits = np.flatnonzero(ok)
+        point, p = np.asarray(point, dtype=float), self.vertices[self.triangles]
+        b = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+        bary = np.linalg.solve(b, (point - p[:, 0])[:, :, None])[:, :, 0]
+        hits = np.flatnonzero((bary >= -1e-12).all(axis=1) & (bary.sum(axis=1) <= 1.0 + 1e-12))
         if hits.size == 0:
             raise ValueError("point %s is outside the mesh" % (point,))
         return int(hits[0])

@@ -21,6 +21,8 @@ discretized equations against the full test bases, independently of the
 lift matrices used to compute the fields.
 """
 
+import weakref
+
 import numpy as np
 
 from .assembly import flux_field, load_moments, resolvent_lift
@@ -41,6 +43,9 @@ __all__ = [
 
 #: sign anchor: the recovered eigenfunction has positive element mean here
 _ANCHORS = {"square": (np.pi / 2 - 1e-2, np.pi / 2 - 1e-2), "lshape": (0.5, 0.5)}
+#: the element holding the anchor, per mesh: ``Mesh.locate`` solves a 2x2
+#: system per triangle, so each mesh is searched once
+_anchor_elements = weakref.WeakKeyDictionary()
 
 
 class RecoveredFields:
@@ -79,8 +84,10 @@ def recover_fields(sys, pair):
     if norm < 1e-300:
         raise EigenSolveError("degenerate eigenfield: recovered u is zero")
 
-    anchor = _ANCHORS.get(sys.mesh.domain)
-    anchor_elem = 0 if anchor is None else sys.mesh.locate(anchor)
+    if sys.mesh not in _anchor_elements:
+        anchor = _ANCHORS.get(sys.mesh.domain)
+        _anchor_elements[sys.mesh] = 0 if anchor is None else sys.mesh.locate(anchor)
+    anchor_elem = _anchor_elements[sys.mesh]
     ops = sys.classes[sys.elem_class[anchor_elem]]
     mean = ops.w_means @ u[anchor_elem]
     if mean == 0.0:

@@ -376,7 +376,8 @@ def run_convergence_study(config, progress=None):
     do not abort the remaining cells; the level after a failed one starts
     cold.  ``progress(level, seconds, detail)`` is called after each level,
     ``detail`` naming the nonzeros of its LU factors, the operator
-    applications of its two eigensolves and how each started.
+    applications of its two eigensolves, the solves that made them and
+    how each started.
     """
     spaces = config.spaces
     max_mode = max(config.modes)
@@ -429,8 +430,9 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
     surrogates = solve_linear_surrogate(sys, max(config.modes), eigenfields)
     lu_nnz = sys.factorized().nnz
     sys.release_factorization()  # the last eigensolve: nothing below solves with A
-    detail = "LU nnz %d, modes %d operator applications (%s), surrogate %d (block start)" % (
-        lu_nnz, pairs[0].iterations, started, surrogates[0].iterations)
+    detail = ("LU nnz %d, modes %d operator applications in %d block solves (%s), surrogate "
+              "%d in %d (block start)" % (lu_nnz, pairs[0].iterations, pairs[0].solves,
+                                          started, surrogates[0].iterations, surrogates[0].solves))
     for mode_idx in config.modes:
         cell = report.cell(mode_idx, level)
         pair = pairs[mode_idx - 1]

@@ -17,6 +17,7 @@ from hdgeig.assembly import (
     solve_source,
 )
 from hdgeig.eigensolve import solve_modes
+from hdgeig.errors import LocalSolveError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
 from hdgeig.mesh import Mesh, build_lshape_mesh, build_square_mesh
 from hdgeig.recovery import postprocess, recover_fields, source_residuals
@@ -520,6 +521,12 @@ class TestCompiledOperators:
         for kappa in (0.0, 0.5 * sys.wall):
             assert_rel_close(assemble_m_of_lambda(sys, kappa).toarray(),
                              reference_m_of_lambda(sys, kappa).toarray())
+            # the class-by-class resolvent against the sparse block diagonal
+            assert_rel_close(resolvent_lift(sys, kappa, eta).ravel(),
+                             sys.resolvent(kappa) @ (sys.lift @ eta))
+        for apply in (sys.resolvent, lambda kappa: resolvent_lift(sys, kappa, eta)):
+            with pytest.raises(LocalSolveError, match="resonance"):
+                apply(1.5 * sys.wall)
         reference_a = reference_class_cores(sys, lambda ops: ops.a_loc)
         assert_rel_close(sys.A.toarray(), reference_a.toarray())
 

@@ -183,7 +183,8 @@ class TestStudyCommand:
         assert main(["study", "--k", "1", "--levels", "0:1", "--modes", "1,2", "-v"]) == 0
         lines = [r.getMessage() for r in caplog.records if "done in" in r.getMessage()]
         assert len(lines) == 2
-        detail = r"modes \d+ operator applications \((%s)\), surrogate \d+ \(block start\)$"
+        detail = (r"modes \d+ operator applications in \d+ block solves \((%s)\), "
+                  r"surrogate \d+ in \d+ \(block start\)$")
         assert re.search(detail % "cold", lines[0])
         assert re.search(detail % "block start", lines[1])
 

@@ -1,5 +1,7 @@
 import copy
 import gc
+import re
+import tracemalloc
 import weakref
 from sys import getrefcount
 
@@ -19,6 +21,7 @@ from hdgeig.errors import EigenSolveError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
 from hdgeig.mesh import Mesh
 from hdgeig.recovery import eig_residuals, recover_fields
+from hdgeig.study import StudyConfig, inject_fields, run_convergence_study
 from test_assembly import (
     reference_class_cores,
     reference_lift,
@@ -118,6 +121,76 @@ def reference_newton(sys, seed):
             nxt = 0.5 * (lo + min(kappa, lam_cap))
         kappa = min(nxt, lam_cap)
     raise AssertionError("the reference Newton loop did not converge")
+
+
+def _reference_orthonormal(v, against=()):
+    for _ in range(2):
+        if not v.shape[1]:
+            break
+        for q in against:
+            v -= q @ (q.T @ v)
+        gram = v.T @ v
+        d = 1.0 / np.sqrt(np.maximum(np.diag(gram), np.finfo(float).tiny))
+        w, u = np.linalg.eigh(d[:, None] * gram * d)
+        keep = w > 1e-12 * w[-1]
+        v = v @ (d[:, None] * u[:, keep] / np.sqrt(w[keep]))
+    return v
+
+
+def _reference_combine(blocks, coeffs):
+    out = blocks[0] @ coeffs[0]
+    for block, c in zip(blocks[1:], coeffs[1:]):
+        out += block @ c
+    return out
+
+
+def reference_lobpcg(op, block, what):
+    """The LOBPCG run as it was before its workspace: the same algorithm
+    and stopping rule on a list of separately allocated blocks [X, R, P]
+    and their images, the Rayleigh-Ritz matrix assembled from their
+    pairwise products and the update summed block by block."""
+    x = _reference_orthonormal(np.asarray(block, dtype=float))
+    if x.shape[1] < block.shape[1]:
+        raise EigenSolveError("the start block of the LOBPCG run on %s has dependent "
+                              "columns" % what)
+    ax = op.matmat(x)
+    h = x.T @ ax
+    theta, y = np.linalg.eigh(0.5 * (h + h.T))
+    theta, y = theta[::-1], y[:, ::-1]
+    x, ax = x @ y, ax @ y
+    tol = eigensolve._LOBPCG_RTOL * abs(theta[0])
+    m = x.shape[1]
+    basis = [(x, ax)]
+    for _ in range(eigensolve._LOBPCG_MAX_ITER):
+        r = x * theta
+        np.subtract(ax, r, out=r)
+        norms = np.linalg.norm(r, axis=0)
+        if norms.max() <= tol:
+            return theta, x
+        if norms.min() <= tol:
+            r = r[:, norms > tol]
+        r = _reference_orthonormal(r, [v for v, _ in basis])
+        if not r.shape[1]:
+            break
+        basis.insert(1, (r, op.matmat(r)))
+        h = np.block([[v.T @ av for _, av in basis] for v, _ in basis])
+        w, y = np.linalg.eigh(0.5 * (h + h.T))
+        theta, y = w[::-1][:m], y[:, ::-1][:, :m]
+        z = y.copy()
+        z[:m] = 0.0
+        z = _reference_orthonormal(z, [y])
+        rows = np.cumsum([v.shape[1] for v, _ in basis])[:-1]
+        ys, zs = np.split(y, rows), np.split(z, rows)
+        blocks, images = zip(*basis)
+        del basis, r, x, ax
+        x, p = _reference_combine(blocks, ys), _reference_combine(blocks, zs)
+        del blocks
+        ax, ap = _reference_combine(images, ys), _reference_combine(images, zs)
+        del images
+        basis = [(x, ax), (p, ap)]
+    raise EigenSolveError("LOBPCG run on %s did not converge within %d iterations "
+                          "(largest residual %.1e of the operator's scale)"
+                          % (what, eigensolve._LOBPCG_MAX_ITER, norms.max() / abs(theta[0])))
 
 
 def frozen_solves(sys, kappa, count, tol=1e-12):
@@ -392,6 +465,20 @@ class TestLanczosSettings:
         assert "tol" not in seen[0]  # scipy's default: machine precision
 
 
+class TestStartVector:
+    def test_one_write_protected_vector_per_size(self, systems):
+        # the cold Lanczos run and the search space read the shared vector:
+        # a write to it would raise, and its values are the seeded draw
+        sys = systems("square", 0, 1)
+        solve_modes(sys, 2)
+        traces = np.column_stack([p.vector for p in solve_linear_surrogate(sys, 2)])
+        eigensolve._SearchSpace(sys, traces, 1.0)
+        for n in (sys.dim_w, sys.ndof):
+            v = eigensolve._deterministic_start(n)
+            assert v is eigensolve._deterministic_start(n) and not v.flags.writeable
+            np.testing.assert_array_equal(v, _start(n))
+
+
 class TestSolveModes:
     @pytest.mark.parametrize("domain,level,k,tau", ROUTE_GRID)
     def test_matches_secant(self, secants, eigenpairs, domain, level, k, tau):
@@ -516,6 +603,89 @@ class TestSolveModes:
             run()
         assert main([command, "--level", "0", "--modes", "2"]) == 3
         assert "did not converge" in capsys.readouterr().err
+
+
+def injected_start(systems, eigenpairs, domain, level, k, tau, m=6):
+    """The study's start block on ``level``: the eigenfields of the level
+    below injected into it.  Level 0 has none below; there the level's own
+    eigenfields perturbed by seeded noise of 1e-2 of their size stand in."""
+    def eigenfields(sys, pairs):
+        return np.column_stack([resolvent_lift(sys, p.value, p.vector).ravel()
+                                for p in pairs])
+
+    coarse = systems(domain, max(level - 1, 0), k, tau)
+    fields = eigenfields(coarse, eigenpairs(domain, max(level - 1, 0), k, tau, m=m)[1])
+    if level:
+        return inject_fields(coarse.ref, fields)
+    noise = np.random.default_rng(0).standard_normal(fields.shape)
+    return fields + 1e-2 * np.abs(fields).max() * noise
+
+
+class TestLobpcgWorkspace:
+    """The LOBPCG run on its two preallocated workspaces against
+    ``reference_lobpcg``, the block-list run it replaced."""
+
+    @pytest.mark.parametrize("domain,level,k,tau", ROUTE_GRID)
+    def test_matches_reference(self, systems, eigenpairs, domain, level, k, tau):
+        # on T (solve_modes) and T0 (the surrogate), from the same block;
+        # where the reference stalls on a spurious cluster, so does the run.
+        # The application counts differ by a column or a few on some cells:
+        # round-off decides in which iteration a slow last column crosses
+        # the stop
+        sys = systems(domain, level, k, tau)
+        block = injected_start(systems, eigenpairs, domain, level, k, tau)
+        for load in (sys.load_lift, None):
+            runs = []
+            for lobpcg in (reference_lobpcg, eigensolve._lobpcg):
+                op = eigensolve._Operator(sys, load)
+                try:
+                    runs.append(lobpcg(op, block, "T")[0])
+                except EigenSolveError:
+                    runs.append(None)
+            ref, new = runs
+            if ref is None:
+                assert new is None
+            else:
+                np.testing.assert_allclose(new, ref, rtol=1e-12)
+
+    def test_application_counts_on_the_k2_study(self, monkeypatch):
+        # every run of the k = 2 study once more through the reference, on a
+        # copy of its operator (same LU, own counters)
+        counts, lobpcg = [], eigensolve._lobpcg
+
+        def both(op, block, what):
+            ref = copy.copy(op)
+            reference_lobpcg(ref, block, what)
+            out = lobpcg(op, block, what)
+            counts.append(((ref.applications, ref.solves), (op.applications, op.solves)))
+            return out
+
+        monkeypatch.setattr(eigensolve, "_lobpcg", both)
+        details = []
+        run_convergence_study(StudyConfig(k=2, levels=(0, 1, 2, 3, 4), modes=(1, 2, 4, 6),
+                                          postprocess=False),
+                              lambda level, seconds, detail: details.append(detail))
+        assert len(counts) == 9 and all(ref == new for ref, new in counts)
+        pattern = r"modes (\d+) operator applications in (\d+) .*surrogate (\d+) in (\d+)"
+        got = [tuple(int(c) for c in re.search(pattern, d).groups()) for d in details]
+        assert got == [(54, 54, 61, 12), (66, 13, 56, 12), (55, 11, 48, 10), (48, 10, 42, 8),
+                       (41, 8, 34, 6)]
+
+    def test_peak_memory_at_most_the_reference(self, systems, eigenpairs):
+        # each run once untraced first, so that neither pays a lazy set-up
+        sys = systems("square", 3, 2)
+        block = injected_start(systems, eigenpairs, "square", 3, 2, "one")
+        peaks = []
+        for lobpcg in (reference_lobpcg, eigensolve._lobpcg):
+            op = eigensolve._Operator(sys, sys.load_lift)
+            lobpcg(op, block, "T")
+            tracemalloc.start()
+            try:
+                lobpcg(op, block, "T")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 class TestOperatorLifetime:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import element_ops
 from hdgeig.errors import EigenSolveError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
+from hdgeig.mesh import Mesh
 from hdgeig.recovery import (
     eig_residuals,
     postprocess,
@@ -18,6 +19,7 @@ from hdgeig.recovery import (
     rayleigh_eigenvalue,
     recover_fields,
 )
+from hdgeig.study import StudyConfig, run_convergence_study
 from test_assembly import reference_local_trace, reference_trace_dofs
 
 
@@ -153,6 +155,17 @@ class TestRecoverFields:
         sys, fields = recovered(domain, level, k)
         res = eig_residuals(sys, fields)
         assert max(res.values()) < 1e-9
+
+    def test_anchor_located_once_per_mesh(self, monkeypatch):
+        # the four recoveries of each study level share one search; each
+        # level refines to a new mesh, which is searched once
+        located, locate = [], Mesh.locate
+        monkeypatch.setattr(Mesh, "locate",
+                            lambda mesh, point: located.append(mesh) or locate(mesh, point))
+        rep = run_convergence_study(StudyConfig(k=1, levels=(0, 1), modes=(1, 2, 4, 6),
+                                                postprocess=False))
+        assert all(cell.note == "" for cell in rep.cells)
+        assert len(located) == 2 and located[0] is not located[1]
 
     def test_zero_trace_is_degenerate(self, systems):
         sys = systems("square", 0, 1)
