@@ -22,6 +22,7 @@ from .eigensolve import (
     solve_condensed_nonlinear,
     solve_linear_surrogate,
     solve_modes,
+    surrogate_values,
 )
 from .errors import (
     ConfigError,

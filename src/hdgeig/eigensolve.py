@@ -18,6 +18,10 @@ provide one) it is LOBPCG, which needs fewer solves when the block is
 close; from a random block it is slower and stalls on clusters.  An
 eigenvector y gives the trace A^-1 U^T y.  The kernel of G becomes zero
 eigenvalues of T0 (theta infinite), which never reach the lowest modes.
+The study reads only the surrogate's values: ``surrogate_values`` runs
+LOBPCG on T0 from the modes' eigenfields until the values, not the
+vectors, have converged, and checks each against the enclosure that the
+nonlinear eigenvalues give it.
 
 The paper's route, kept as the reference, is surrogate-seeded Newton on
 the frozen-pencil fixed point (``solve_condensed_nonlinear``): the roots
@@ -45,7 +49,9 @@ from .errors import ConvergenceError, EigenSolveError, LocalSolveError
 __all__ = [
     "EigenPair",
     "OracleSpectrum",
+    "SurrogateValues",
     "solve_linear_surrogate",
+    "surrogate_values",
     "solve_condensed_nonlinear",
     "solve_modes",
     "oracle_full_eig",
@@ -60,11 +66,18 @@ _FROZEN_TOL = 1e-12
 #: a search-space direction keeping at most this fraction of its A-norm
 #: after the projection out of V is round-off
 _STALL_TOL = 1e-8
-#: LOBPCG stops when every residual |T x - mu x| (unit x) is at most this
+#: LOBPCG's vector stop: every residual |T x - mu x| (unit x) at most this
 #: times the operator's scale; looser values let the eigenvectors, and
 #: with them the eigenfunction errors, drift from the Lanczos run's
 _LOBPCG_RTOL = 1e-12
 _LOBPCG_MAX_ITER = 100
+#: LOBPCG's value stop: each residual at most this times its own Ritz
+#: value.  A Ritz value's error is at most |r|^2 / gap (Parlett, The
+#: Symmetric Eigenvalue Problem, 1998), so the values are then at round-off
+_VALUE_RTOL = np.sqrt(np.finfo(float).eps)
+#: relative slack of the surrogate values' enclosure, whose upper bound
+#: is an equality at k = 0 on uniform meshes
+_ENCLOSURE_SLACK = 1e-9
 
 
 class EigenPair:
@@ -154,9 +167,10 @@ def _orthonormalize(v, against):
     return k
 
 
-def _lobpcg(op, block, what):
+def _lobpcg(op, block, what, stop="vectors"):
     """Largest eigenpairs of ``op``, mu descending, by LOBPCG (Knyazev,
-    SISC 23 (2001)) from the m columns of ``block``.
+    SISC 23 (2001)) from the m columns of ``block``, with the largest
+    relative residual |op x - mu x| / mu of the returned pairs.
 
     Each iteration applies ``op`` to the residuals R of the columns not
     yet converged (one solve) and takes the Rayleigh-Ritz pairs on the
@@ -165,7 +179,8 @@ def _lobpcg(op, block, what):
     space (Hetmaniuk & Lehoucq, J. Comput. Phys. 218 (2006)), so only R is
     orthonormalized against the big blocks.  A column has converged when
     |op x - mu x| is at most ``_LOBPCG_RTOL`` times the largest Ritz value
-    of the start block; a run still short of that after
+    of the start block (``stop="vectors"``), or ``_VALUE_RTOL`` times its
+    own Ritz value (``stop="values"``); a run still short of that after
     ``_LOBPCG_MAX_ITER`` iterations raises ``EigenSolveError``.
 
     The basis and its image live in two preallocated column-major (n, 3m)
@@ -208,8 +223,10 @@ def _lobpcg(op, block, what):
         r = s[:, m + p:2 * m + p]
         np.subtract(a[:, :m], np.multiply(s[:, :m], theta, out=r), out=r)
         norms = np.sqrt(np.einsum("ij,ij->j", r, r))
-        if norms.max() <= tol:
-            return theta, s[:, :m].copy(order="F")
+        if stop == "values":
+            tol = _VALUE_RTOL * np.abs(theta)
+        if (norms <= tol).all():
+            return theta, s[:, :m].copy(order="F"), (norms / np.abs(theta)).max()
         live = np.flatnonzero(norms > tol)
         for j, c in enumerate(live):  # converged columns leave R
             r[:, j] = r[:, c]
@@ -228,7 +245,7 @@ def _largest(op, count, what, start=None):
     LOBPCG from the columns of a block ``start`` (n, count), otherwise a
     Lanczos run from the deterministic vector."""
     if start is not None:
-        return _lobpcg(op, start, what)
+        return _lobpcg(op, start, what)[:2]
     mu, vecs = _eigsh(op, count, what, _deterministic_start(op.shape[0]))
     order = np.argsort(mu)[::-1]
     return mu[order], vecs[:, order]
@@ -274,21 +291,19 @@ def _check_count(sys, m):
         raise EigenSolveError("requested %d modes of a dimension-%d scalar space" % (m, n))
 
 
-def solve_linear_surrogate(sys, m, start=None):
+def solve_linear_surrogate(sys, m):
     """Lowest m eigenpairs of the surrogate pencil (stiffness, lift Gram);
     modes in the kernel of the Gram matrix raise ``EigenSolveError``.
 
-    The largest eigenpairs mu of T0 come from a Lanczos run, or with a
-    block ``start`` (dim W_h, m) of approximate eigenfields, such as those
-    of ``solve_modes`` (the surrogate perturbs T by -W), from LOBPCG
-    started from its columns; theta = 1/mu, and an eigenvector y gives the
-    trace A^-1 U^T y.  Each pair carries the run's operator applications
-    (``iterations``; block columns for LOBPCG) and solves (``solves``).
+    The largest eigenpairs mu of T0 come from a Lanczos run; theta = 1/mu,
+    and an eigenvector y gives the trace A^-1 U^T y.  Each pair carries
+    the run's operator applications (``iterations``) and solves
+    (``solves``).
     """
     m = int(m)
     _check_count(sys, m)
     op = _Operator(sys)
-    mu, vecs = _largest(op, m, "the surrogate pencil", start)
+    mu, vecs = _largest(op, m, "the surrogate pencil")
     if mu[-1] <= 0.0:
         raise EigenSolveError("mode %d lies in the kernel of the lift Gram matrix"
                               % (np.count_nonzero(mu > 0.0) + 1))
@@ -304,6 +319,42 @@ def solve_linear_surrogate(sys, m, start=None):
             raise EigenSolveError("surrogate eigenpair %d residual too large" % i)
         pairs.append(EigenPair(lam, vec, i, op.applications, defect, solves=op.solves))
     return pairs
+
+
+#: the surrogate's ascending eigenvalues, the run's operator applications
+#: and solves, its stop ("values" or "vectors") and largest relative residual
+SurrogateValues = collections.namedtuple("SurrogateValues",
+                                         "values applications solves stop residual")
+
+
+def surrogate_values(sys, lams, start):
+    """The lowest len(lams) eigenvalues of the surrogate pencil, without
+    eigenvectors, for the condensed nonlinear eigenvalues ``lams``
+    (ascending, as from ``solve_modes``), by LOBPCG on T0 from their
+    eigenfields ``start`` (dim W_h, m).
+
+    The run takes the value stop, unless the modes lie near the wall
+    (lams[-1] > wall / 2): there the eigenfields of spurious modes need
+    not span the surrogate's lowest subspace, and the value stop can
+    settle on a higher eigenvalue.  W is SPD, so G <= M(kappa) <= G / (1 -
+    kappa / wall), and each value must lie in the enclosure lam_i <=
+    theta_i <= lam_i / (1 - lam_i / wall); one outside it by more than
+    ``_ENCLOSURE_SLACK`` relative (a mode in the kernel of G among them)
+    raises ``EigenSolveError``.
+    """
+    lams = np.asarray(lams, dtype=float)
+    _check_count(sys, len(lams))
+    stop = "vectors" if lams[-1] > 0.5 * sys.wall else "values"
+    op = _Operator(sys)
+    mu, _, residual = _lobpcg(op, start, "the surrogate pencil", stop)
+    values, upper = 1.0 / mu, lams / (1.0 - lams / sys.wall)
+    outside = np.flatnonzero((values < lams * (1.0 - _ENCLOSURE_SLACK))
+                             | (values > upper * (1.0 + _ENCLOSURE_SLACK)))
+    if outside.size:
+        i = outside[0]
+        raise EigenSolveError("surrogate value %d (%.10g) lies outside its enclosure [%.10g, "
+                              "%.10g]" % (i + 1, values[i], lams[i], upper[i]))
+    return SurrogateValues(values, op.applications, op.solves, stop, residual)
 
 
 def _wall_cap(sys):

@@ -2,16 +2,18 @@
 
 Reproduces the benchmark layout of the eigenvalue experiments: for each
 mesh level, solve the eigenproblem (``solve_modes``) and then the
-surrogate problem (for the surrogate gap), recover and postprocess the
-fields, and tabulate errors with their observed orders (log2 of
-consecutive-level error ratios, valid because refinement halves the mesh
-size).
+surrogate problem's values (``surrogate_values``, for the surrogate
+gap), recover and postprocess the fields, and tabulate errors with their
+observed orders (log2 of consecutive-level error ratios, valid because
+refinement halves the mesh size).
 
 The levels are nested, so each level's eigenfields inject exactly into
 the next one and start its modes run (LOBPCG); the first level, and a
 level after a failed one, runs Lanczos from the deterministic vector.
-The surrogate run starts from the level's own eigenfields.  Every level
-still solves its own discrete problem to the same tolerances.
+The surrogate run starts from the level's own eigenfields and stops once
+its values have converged (its vectors only where the modes lie near the
+resolvent wall).  Every level still solves its own discrete problem to
+the same tolerances.
 """
 
 import csv
@@ -24,9 +26,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .assembly import assemble_condensed, resolvent_lift
-from .eigensolve import solve_linear_surrogate, solve_modes
-# the paper's nonlinear route; perfbench/spans.py times it under this name
-from .eigensolve import solve_condensed_nonlinear  # noqa: F401
+from .eigensolve import solve_modes, surrogate_values
+# the paper's nonlinear route and the surrogate with vectors; not called
+# here, perfbench/spans.py times them under these names
+from .eigensolve import solve_condensed_nonlinear, solve_linear_surrogate  # noqa: F401
 from .errors import ConfigError, HdgError, UnsupportedModeError
 from .localsolve import MaterialSpec, SpaceConfig, TauSpec
 from .mesh import Mesh, build_lshape_mesh, build_square_mesh, refine
@@ -376,8 +379,9 @@ def run_convergence_study(config, progress=None):
     do not abort the remaining cells; the level after a failed one starts
     cold.  ``progress(level, seconds, detail)`` is called after each level,
     ``detail`` naming the nonzeros of its LU factors, the operator
-    applications of its two eigensolves, the solves that made them and
-    how each started.
+    applications of its two eigensolves, the solves that made them, how
+    each started, and the stop that ended the surrogate run ("values" or
+    "vectors") with its largest relative residual.
     """
     spaces = config.spaces
     max_mode = max(config.modes)
@@ -427,20 +431,21 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
     del start  # not needed past the modes run: free it before the surrogate's
     eigenfields = np.column_stack([resolvent_lift(sys, p.value, p.vector).ravel()
                                    for p in pairs])
-    surrogates = solve_linear_surrogate(sys, max(config.modes), eigenfields)
+    surrogate = surrogate_values(sys, [p.value for p in pairs], eigenfields)
     lu_nnz = sys.factorized().nnz
     sys.release_factorization()  # the last eigensolve: nothing below solves with A
     detail = ("LU nnz %d, modes %d operator applications in %d block solves (%s), surrogate "
-              "%d in %d (block start)" % (lu_nnz, pairs[0].iterations, pairs[0].solves,
-                                          started, surrogates[0].iterations, surrogates[0].solves))
+              "%d in %d (block start, %s stop, relative residual %.1e)"
+              % (lu_nnz, pairs[0].iterations, pairs[0].solves, started, surrogate.applications,
+                 surrogate.solves, surrogate.stop, surrogate.residual))
     for mode_idx in config.modes:
         cell = report.cell(mode_idx, level)
         pair = pairs[mode_idx - 1]
-        seed = surrogates[mode_idx - 1]
+        lam_tilde = float(surrogate.values[mode_idx - 1])
         exact = modes_ref[mode_idx - 1]
         cell.lam = pair.value
-        cell.lam_tilde = seed.value
-        cell.gap = abs(pair.value - seed.value)
+        cell.lam_tilde = lam_tilde
+        cell.gap = abs(pair.value - lam_tilde)
         cell.iterations = pair.iterations
         if exact.value is not None:
             cell.err_lam = abs(pair.value - exact.value)

@@ -184,7 +184,8 @@ class TestStudyCommand:
         lines = [r.getMessage() for r in caplog.records if "done in" in r.getMessage()]
         assert len(lines) == 2
         detail = (r"modes \d+ operator applications in \d+ block solves \((%s)\), "
-                  r"surrogate \d+ in \d+ \(block start\)$")
+                  r"surrogate \d+ in \d+ \(block start, (values|vectors) stop, relative "
+                  r"residual \d\.\de-\d\d\)$")
         assert re.search(detail % "cold", lines[0])
         assert re.search(detail % "block start", lines[1])
 

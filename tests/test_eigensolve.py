@@ -16,6 +16,7 @@ from hdgeig.eigensolve import (
     solve_condensed_nonlinear,
     solve_linear_surrogate,
     solve_modes,
+    surrogate_values,
 )
 from hdgeig.errors import EigenSolveError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
@@ -144,9 +145,9 @@ def _reference_combine(blocks, coeffs):
     return out
 
 
-def reference_lobpcg(op, block, what):
+def reference_lobpcg(op, block, what, stop="vectors"):
     """The LOBPCG run as it was before its workspace: the same algorithm
-    and stopping rule on a list of separately allocated blocks [X, R, P]
+    and stopping rules on a list of separately allocated blocks [X, R, P]
     and their images, the Rayleigh-Ritz matrix assembled from their
     pairwise products and the update summed block by block."""
     x = _reference_orthonormal(np.asarray(block, dtype=float))
@@ -165,9 +166,11 @@ def reference_lobpcg(op, block, what):
         r = x * theta
         np.subtract(ax, r, out=r)
         norms = np.linalg.norm(r, axis=0)
-        if norms.max() <= tol:
+        if stop == "values":
+            tol = eigensolve._VALUE_RTOL * np.abs(theta)
+        if (norms <= tol).all():
             return theta, x
-        if norms.min() <= tol:
+        if (norms <= tol).any():
             r = r[:, norms > tol]
         r = _reference_orthonormal(r, [v for v, _ in basis])
         if not r.shape[1]:
@@ -605,14 +608,15 @@ class TestSolveModes:
         assert "did not converge" in capsys.readouterr().err
 
 
+def eigenfields(sys, pairs):
+    """The eigenfields (I - lam W)^-1 U eta of trace eigenpairs, as columns."""
+    return np.column_stack([resolvent_lift(sys, p.value, p.vector).ravel() for p in pairs])
+
+
 def injected_start(systems, eigenpairs, domain, level, k, tau, m=6):
     """The study's start block on ``level``: the eigenfields of the level
     below injected into it.  Level 0 has none below; there the level's own
     eigenfields perturbed by seeded noise of 1e-2 of their size stand in."""
-    def eigenfields(sys, pairs):
-        return np.column_stack([resolvent_lift(sys, p.value, p.vector).ravel()
-                                for p in pairs])
-
     coarse = systems(domain, max(level - 1, 0), k, tau)
     fields = eigenfields(coarse, eigenpairs(domain, max(level - 1, 0), k, tau, m=m)[1])
     if level:
@@ -627,19 +631,19 @@ class TestLobpcgWorkspace:
 
     @pytest.mark.parametrize("domain,level,k,tau", ROUTE_GRID)
     def test_matches_reference(self, systems, eigenpairs, domain, level, k, tau):
-        # on T (solve_modes) and T0 (the surrogate), from the same block;
-        # where the reference stalls on a spurious cluster, so does the run.
-        # The application counts differ by a column or a few on some cells:
-        # round-off decides in which iteration a slow last column crosses
-        # the stop
+        # on T (solve_modes) and T0 (the surrogate, with either stop), from
+        # the same block; where the reference stalls on a spurious cluster,
+        # so does the run.  The application counts differ by a column or a
+        # few on some cells: round-off decides in which iteration a slow
+        # last column crosses the stop
         sys = systems(domain, level, k, tau)
         block = injected_start(systems, eigenpairs, domain, level, k, tau)
-        for load in (sys.load_lift, None):
+        for load, stop in ((sys.load_lift, "vectors"), (None, "vectors"), (None, "values")):
             runs = []
             for lobpcg in (reference_lobpcg, eigensolve._lobpcg):
                 op = eigensolve._Operator(sys, load)
                 try:
-                    runs.append(lobpcg(op, block, "T")[0])
+                    runs.append(lobpcg(op, block, "T", stop)[0])
                 except EigenSolveError:
                     runs.append(None)
             ref, new = runs
@@ -650,13 +654,14 @@ class TestLobpcgWorkspace:
 
     def test_application_counts_on_the_k2_study(self, monkeypatch):
         # every run of the k = 2 study once more through the reference, on a
-        # copy of its operator (same LU, own counters)
+        # copy of its operator (same LU, own counters); the surrogate runs
+        # stop on their values
         counts, lobpcg = [], eigensolve._lobpcg
 
-        def both(op, block, what):
+        def both(op, block, what, stop="vectors"):
             ref = copy.copy(op)
-            reference_lobpcg(ref, block, what)
-            out = lobpcg(op, block, what)
+            reference_lobpcg(ref, block, what, stop)
+            out = lobpcg(op, block, what, stop)
             counts.append(((ref.applications, ref.solves), (op.applications, op.solves)))
             return out
 
@@ -668,8 +673,8 @@ class TestLobpcgWorkspace:
         assert len(counts) == 9 and all(ref == new for ref, new in counts)
         pattern = r"modes (\d+) operator applications in (\d+) .*surrogate (\d+) in (\d+)"
         got = [tuple(int(c) for c in re.search(pattern, d).groups()) for d in details]
-        assert got == [(54, 54, 61, 12), (66, 13, 56, 12), (55, 11, 48, 10), (48, 10, 42, 8),
-                       (41, 8, 34, 6)]
+        assert got == [(54, 54, 43, 8), (66, 13, 37, 7), (55, 11, 30, 6), (48, 10, 21, 4),
+                       (41, 8, 15, 3)]
 
     def test_peak_memory_at_most_the_reference(self, systems, eigenpairs):
         # each run once untraced first, so that neither pays a lazy set-up
@@ -688,6 +693,111 @@ class TestLobpcgWorkspace:
         assert peaks[1] <= peaks[0]
 
 
+class TestSurrogateValues:
+    """``surrogate_values``, the study's surrogate run without vectors,
+    against the LOBPCG run with the vector stop from the same block."""
+
+    TAUS = {"one": TauSpec.one(), "h": TauSpec.global_h(), "0.1": TauSpec.constant(0.1),
+            "1e4": TauSpec.constant(1e4)}
+
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_matches_the_vector_stop(self, monkeypatch, domain, k):
+        # every surrogate run of the study, levels 0-3, modes 1-6, once more
+        # with the vector stop on a copy of its operator (same LU, own
+        # counters).  Near the wall both runs take the vector stop.  The
+        # L-shape at k = 3 leaves out tau = h and 0.1: there every surrogate
+        # run is near the wall, and level 2, cold after the stalled level 1,
+        # takes a Lanczos run of 28,552 (h) or 10,914 (0.1) applications, 17 s
+        runs, lobpcg = [], eigensolve._lobpcg
+
+        def both(op, block, what, stop="vectors"):
+            out = lobpcg(op, block, what, stop)
+            if what == "the surrogate pencil":
+                runs.append((stop, out[0], lobpcg(copy.copy(op), block, what)[0]))
+            return out
+
+        monkeypatch.setattr(eigensolve, "_lobpcg", both)
+        taus = ["one", "1e4"] if (domain, k) == ("lshape", 3) else list(self.TAUS)
+        for tau in taus:
+            run_convergence_study(StudyConfig(domain=domain, k=k, tau=self.TAUS[tau],
+                                              levels=(0, 1, 2, 3), modes=(1, 2, 3, 4, 5, 6),
+                                              postprocess=False))
+        assert any(stop == "values" for stop, _, _ in runs)
+        for _, new, ref in runs:
+            np.testing.assert_allclose(1.0 / new, 1.0 / ref, rtol=1e-12)
+
+    def test_per_column_stop_on_a_wide_spectrum(self, systems, eigenpairs):
+        # L-shape, k = 1, tau = 1e4, level 0: lam~_6 is about 1,400 lam~_1,
+        # and a stop relative to the largest Ritz value 1 / lam~_1 for every
+        # column left lam~_6 4.8e-10 off the vector stop's value
+        sys = systems("lshape", 0, 1, 1e4)
+        _, pairs = eigenpairs("lshape", 0, 1, 1e4, m=6)
+        block = eigenfields(sys, pairs)
+        got = surrogate_values(sys, [p.value for p in pairs], block)
+        ref = 1.0 / eigensolve._lobpcg(eigensolve._Operator(sys), block, "T0")[0]
+        assert got.stop == "values" and got.values[5] > 1000 * got.values[0]
+        assert got.residual <= eigensolve._VALUE_RTOL
+        np.testing.assert_allclose(got.values, ref, rtol=1e-12)
+
+    def test_near_wall_modes_keep_the_vector_stop(self, systems, eigenpairs):
+        # square, k = 2, tau = 0.1, level 0: modes 2-6 are spurious, at
+        # 2.52-2.53 under the wall at 2.598, and their eigenfields need not
+        # span the surrogate's lowest subspace: the value stop settled on
+        # 14.495 for lam~_6 = 10.855238
+        sys = systems("square", 0, 2, 0.1)
+        surrogates, pairs = eigenpairs("square", 0, 2, 0.1, m=6)
+        assert 2.5 < pairs[1].value < pairs[5].value < sys.wall < 2.6
+        details = []
+        rep = run_convergence_study(StudyConfig(k=2, tau=TauSpec.constant(0.1), levels=(0,),
+                                                modes=(1, 2, 3, 4, 5, 6), postprocess=False),
+                                    lambda level, seconds, detail: details.append(detail))
+        assert "vectors stop" in details[0]
+        for surrogate in surrogates:
+            assert rep.cell(surrogate.index, 0).lam_tilde == pytest.approx(surrogate.value,
+                                                                           rel=1e-12)
+        assert rep.cell(5, 0).lam_tilde == pytest.approx(10.855199, rel=1e-7)
+        assert rep.cell(6, 0).lam_tilde == pytest.approx(10.855238, rel=1e-7)
+
+    def test_a_value_outside_its_enclosure_raises(self, monkeypatch, systems, eigenpairs):
+        # a run that settles on the next eigenvalue up in its last column:
+        # LOBPCG on one more column, whose value takes slot m
+        lobpcg = eigensolve._lobpcg
+
+        def skipping(op, block, what, stop="vectors"):
+            if what != "the surrogate pencil":
+                return lobpcg(op, block, what, stop)
+            extra = np.random.default_rng(0).standard_normal((len(block), 1))
+            mu, x, residual = lobpcg(op, np.hstack([block, extra]), what, stop)
+            return np.r_[mu[:-2], mu[-1:]], x[:, :-1], residual
+
+        monkeypatch.setattr(eigensolve, "_lobpcg", skipping)
+        sys = systems("square", 2, 1)
+        _, pairs = eigenpairs("square", 2, 1, m=6)
+        with pytest.raises(EigenSolveError, match="surrogate value 6 .* outside its enclosure"):
+            surrogate_values(sys, [p.value for p in pairs], eigenfields(sys, pairs))
+        # the enclosure of lam~_6 narrows as the wall recedes: [8.23, 15.64]
+        # on level 0 holds lam~_7 = 15.62, [9.76, 13.58] on level 1 barely
+        # misses 13.60, [9.97, 11.64] on level 2 clearly misses 13.14
+        rep = run_convergence_study(StudyConfig(k=1, levels=(2, 3), modes=(1, 2, 4, 6),
+                                                postprocess=False))
+        for cell in rep.cells:
+            assert cell.lam is None and "outside its enclosure" in cell.note
+
+    def test_values_lie_in_their_enclosure(self, systems, eigenpairs):
+        # lam_i <= lam~_i <= lam_i / (1 - lam_i / wall); at k = 0 on the
+        # uniform square the upper bound is an equality
+        for k, tau in ((0, "one"), (1, "one"), (2, "h"), (1, 1e4)):
+            sys = systems("square", 1, k, tau)
+            _, pairs = eigenpairs("square", 1, k, tau, m=6)
+            lams = np.array([p.value for p in pairs])
+            got = surrogate_values(sys, lams, eigenfields(sys, pairs)).values
+            assert np.all(lams <= got * (1 + 1e-12))
+            assert np.all(got <= lams / (1 - lams / sys.wall) * (1 + 1e-9))
+            if k == 0:
+                np.testing.assert_allclose(got, lams / (1 - lams / sys.wall), rtol=1e-12)
+
+
 class TestOperatorLifetime:
     """An eigensolve gives back every reference it took to the cached LU
     when it returns, with the cyclic collector off: no reference cycle
@@ -697,7 +807,8 @@ class TestOperatorLifetime:
         "modes": lambda sys, block, pairs: solve_modes(sys, 4),
         "modes_block": lambda sys, block, pairs: solve_modes(sys, 4, block),
         "surrogate": lambda sys, block, pairs: solve_linear_surrogate(sys, 4),
-        "surrogate_block": lambda sys, block, pairs: solve_linear_surrogate(sys, 4, block),
+        "surrogate_block": lambda sys, block, pairs: surrogate_values(
+            sys, [p.value for p in pairs], block),
         "nonlinear": lambda sys, block, pairs: solve_condensed_nonlinear(sys, pairs, 2),
         # the result, which holds an operator, is dropped at once
         "oracle": lambda sys, block, pairs: oracle_full_eig(sys, 4),
@@ -707,8 +818,7 @@ class TestOperatorLifetime:
     def test_run_gives_back_the_factorization(self, systems, eigenpairs, run):
         sys = systems("square", 1, 1)
         _, pairs = eigenpairs("square", 1, 1, m=4)
-        block = np.column_stack([resolvent_lift(sys, p.value, p.vector).ravel()
-                                 for p in pairs])
+        block = eigenfields(sys, pairs)
         gc.disable()
         try:
             before = getrefcount(sys.factorized())

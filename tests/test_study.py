@@ -7,7 +7,7 @@ import pytest
 from hdgeig import assembly, eigensolve
 from hdgeig.assembly import RUN_LENGTH, load_moments, resolvent_lift
 from hdgeig.basis import triangle_quadrature
-from hdgeig.eigensolve import solve_linear_surrogate, solve_modes
+from hdgeig.eigensolve import solve_modes, surrogate_values
 from hdgeig.errors import ConfigError, EigenSolveError, UnsupportedModeError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec, reference_tables
 from hdgeig.mesh import build_square_mesh, refine
@@ -476,11 +476,12 @@ class TestWarmStarts:
         eigenfields = np.column_stack([resolvent_lift(coarse, p.value, p.vector).ravel()
                                        for p in solve_modes(coarse, 4)])
         start = inject_fields(sys.ref, eigenfields)
+        lams = [p.value for p in solve_modes(sys, 4)]
         monkeypatch.setattr(eigensolve, "_LOBPCG_MAX_ITER", 1)
         with pytest.raises(EigenSolveError, match="LOBPCG .* did not converge"):
             solve_modes(sys, 4, start)
         with pytest.raises(EigenSolveError, match="LOBPCG .* did not converge"):
-            solve_linear_surrogate(sys, 4, start)
+            surrogate_values(sys, lams, start)
         # in a study every level's surrogate run stalls: notes, no numbers
         rep = run_convergence_study(StudyConfig(k=1, levels=(0, 1), modes=(1, 2)))
         for cell in rep.cells:
