@@ -321,6 +321,25 @@ def cmd_oracle_check(args):
     return EXIT_OK
 
 
+#: the handler of the ``hdgeig`` logger, added once and pointed at the
+#: current ``sys.stderr`` on every call of ``main``
+_handler = logging.StreamHandler()
+_handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+
+
+def _configure_log(verbose):
+    """INFO lines with ``verbose``, else warnings and errors only, on the
+    current stderr.  Set on every call: ``logging.basicConfig`` does
+    nothing once the root logger has a handler, so a second call in the
+    same process would keep the first call's level and stream."""
+    log.setLevel(logging.INFO if verbose else logging.WARNING)
+    # not setStream, which flushes the previous stream: it may be closed
+    # by now, and the handler flushes after every record anyway
+    _handler.stream = _sys.stderr
+    if _handler not in log.handlers:
+        log.addHandler(_handler)
+
+
 def main(argv=None):
     argv = list(_sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -329,11 +348,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=_sys.stderr)
         return EXIT_CONFIG
-    logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(message)s",
-        stream=_sys.stderr,
-    )
+    _configure_log(args.verbose)
     try:
         _check_output(args)
         if args.command == "solve":

@@ -8,10 +8,15 @@ observed orders (log2 of consecutive-level error ratios, valid because
 refinement halves the mesh size).
 
 The levels are nested, so each level's eigenfields inject exactly into
-the next one and start its modes run (LOBPCG); the first level, and a
-level after a failed one, runs Lanczos from the deterministic vector.
-The surrogate run starts from the level's own eigenfields and stops once
-its values have converged (its vectors only where the modes lie near the
+the next one and start its modes run (LOBPCG).  A first level L > 0
+starts from the eigenfields of a cold run on the mesh of level
+max(0, L - ``_COARSE_OFFSET``), injected up to L; level 0, a first level
+whose coarse run fails, and a level after a failed one run Lanczos from
+the deterministic vector.  Near the resolvent wall a warm run may stall
+where a cold one converges, or the reverse, so which level of a study
+carries a stalled run's note can depend on its first level.  The
+surrogate run starts from the level's own eigenfields and stops once its
+values have converged (its vectors only where the modes lie near the
 resolvent wall).  Every level still solves its own discrete problem to
 the same tolerances.
 """
@@ -54,6 +59,18 @@ __all__ = [
 #: in closed form
 _LSHAPE_MODE1 = 9.63972384464540
 _LSHAPE_MODE3 = 2 * np.pi**2
+
+#: a study's first level L > 0 starts its modes run from the eigenfields
+#: of a cold run on the mesh of level max(0, L - _COARSE_OFFSET).  The
+#: eigenfields converge at rate k + 1, so two levels down they are still
+#: a close start, and that run costs about 1/16 of the level's.  Measured
+#: as one-level studies (medians of three in-process runs, OpenBLAS on one
+#: thread), cold against offsets 1, 2 and 3: the square at k = 0, level 6,
+#: one mode, 2.27 against 2.04, 1.75 and 1.62 s (21 operator applications
+#: against 8, 7 and 8); at k = 2, level 4, six modes, 1.04 against 0.80,
+#: 0.74 and 0.75 s; at k = 1, level 5, 2.69 against 2.27, 2.06 and 2.44 s;
+#: the L-shape at k = 0, level 5, 0.55 against 0.60, 0.55 and 0.59 s
+_COARSE_OFFSET = 2
 
 
 @dataclass(frozen=True)
@@ -264,8 +281,9 @@ class CellResult:
 
     ``iterations`` is the number of solution-operator applications in the
     level's modes run (shared by the level's modes): Lanczos matvecs on a
-    cold level, LOBPCG block columns on a level started from the previous
-    level's eigenfields.
+    cold level, LOBPCG block columns on a level started from eigenfields
+    (the previous level's, or on a first level those of a coarser mesh,
+    whose own run is not counted).
     """
 
     mode: int
@@ -375,12 +393,20 @@ def build_domain_mesh(domain, level):
 def run_convergence_study(config, progress=None):
     """Run the full pipeline for every requested level and mode.
 
-    Failures at one level are recorded in the affected cells' notes and
-    do not abort the remaining cells; the level after a failed one starts
-    cold.  ``progress(level, seconds, detail)`` is called after each level,
+    Each level's modes run starts from the previous level's eigenfields.
+    A first level L > 0 starts from those of a cold run on the mesh of
+    level max(0, L - ``_COARSE_OFFSET``), or cold where that run raises
+    ``HdgError``; level 0 starts cold.  Failures at one level are recorded
+    in the affected cells' notes and do not abort the remaining cells; the
+    level after a failed one starts cold.  Near the wall a warm run can
+    stall where a cold one would not, and the reverse: on the L-shape with
+    tau = h at k = 1, levels 2:3 carry the note on level 2 and numbers on
+    level 3, where levels 0:3 give numbers on level 2 and the note on 3.
+    ``progress(level, seconds, detail)`` is called after each level,
     ``detail`` naming the nonzeros of its LU factors, the operator
     applications of its two eigensolves, the solves that made them, how
-    each started, and the stop that ended the surrogate run ("values" or
+    each started (a coarse start with its own run's applications and
+    solves), and the stop that ended the surrogate run ("values" or
     "vectors") with its largest relative residual.
     """
     spaces = config.spaces
@@ -420,17 +446,48 @@ def run_convergence_study(config, progress=None):
     return report
 
 
+def _eigenfields(sys, pairs):
+    """The pairs' eigenfields (I - lam W)^-1 U eta, the columns of a (dim W_h, m) block."""
+    return np.column_stack([resolvent_lift(sys, p.value, p.vector).ravel() for p in pairs])
+
+
+def _coarse_start(config, spaces, level, m):
+    """The eigenfields of a cold modes run on the mesh of level max(0,
+    level - ``_COARSE_OFFSET``), injected up to ``level``, and the start's
+    label; None and "cold" where that run raises ``HdgError``."""
+    coarse_level = max(0, level - _COARSE_OFFSET)
+    try:
+        sys = assemble_condensed(build_domain_mesh(config.domain, coarse_level), spaces,
+                                 config.tau, config.material)
+        pairs = solve_modes(sys, m)
+        block = _eigenfields(sys, pairs)
+    except HdgError:
+        return None, "cold"
+    for _ in range(level - coarse_level):
+        block = inject_fields(sys.ref, block)
+    return block, ("block start from level %d, %d operator applications in %d solves"
+                   % (coarse_level, pairs[0].iterations, pairs[0].solves))
+
+
 def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
     """Fill the level's cells, starting the modes run from the previous
-    level's eigenfields ``coarse`` (or cold for None); returns this
+    level's eigenfields ``coarse``; without them, from a coarser mesh's
+    (``_coarse_start``) on a first level above 0, else cold.  Returns this
     level's eigenfields (dim W_h, m) and the progress detail."""
     sys = assemble_condensed(mesh, spaces, config.tau, config.material)
-    start = None if coarse is None else inject_fields(sys.ref, coarse)
-    pairs = solve_modes(sys, max(config.modes), start)
-    started = "cold" if start is None else "block start"
+    m = max(config.modes)
+    if coarse is not None:
+        start, started = inject_fields(sys.ref, coarse), "block start"
+    elif level > 0 and level == config.levels[0]:
+        # factor first: run before the level's assembly, the coarse run
+        # raised the level-6, k = 0 study's median peak RSS by 11 MB
+        sys.factorized()
+        start, started = _coarse_start(config, spaces, level, m)
+    else:
+        start, started = None, "cold"
+    pairs = solve_modes(sys, m, start)
     del start  # not needed past the modes run: free it before the surrogate's
-    eigenfields = np.column_stack([resolvent_lift(sys, p.value, p.vector).ravel()
-                                   for p in pairs])
+    eigenfields = _eigenfields(sys, pairs)
     surrogate = surrogate_values(sys, [p.value for p in pairs], eigenfields)
     lu_nnz = sys.factorized().nnz
     sys.release_factorization()  # the last eigensolve: nothing below solves with A

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hdgeig.cli import main, parse_levels, parse_modes, parse_tau
+from hdgeig.eigensolve import solve_modes
 from hdgeig.errors import ConfigError
 from hdgeig.localsolve import TauSpec
 from hdgeig.recovery import recover_fields
@@ -178,16 +179,36 @@ class TestStudyCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    def test_verbose_study_names_each_eigensolve(self, capsys, caplog):
+    def test_verbose_study_names_each_eigensolve(self, capsys, caplog, systems):
         caplog.set_level("INFO", logger="hdgeig")
         assert main(["study", "--k", "1", "--levels", "0:1", "--modes", "1,2", "-v"]) == 0
+        assert main(["study", "--k", "1", "--levels", "2:3", "--modes", "1,2", "-v"]) == 0
         lines = [r.getMessage() for r in caplog.records if "done in" in r.getMessage()]
-        assert len(lines) == 2
+        assert len(lines) == 4
         detail = (r"modes \d+ operator applications in \d+ block solves \((%s)\), "
                   r"surrogate \d+ in \d+ \(block start, (values|vectors) stop, relative "
                   r"residual \d\.\de-\d\d\)$")
-        assert re.search(detail % "cold", lines[0])
-        assert re.search(detail % "block start", lines[1])
+        # a first level above 0 names the coarse run that started it
+        coarse = solve_modes(systems("square", 0, 1), 2)[0]
+        from_level_0 = ("block start from level 0, %d operator applications in %d solves"
+                        % (coarse.iterations, coarse.solves))
+        for line, started in zip(lines, ["cold", "block start", from_level_0, "block start"]):
+            assert re.search(detail % started, line)
+
+    def test_verbosity_is_set_on_every_call(self, capsys):
+        # logging.basicConfig configures the root logger once per process,
+        # so a later call would keep the first call's level and stream
+        argv = ["study", "--levels", "0:0", "--modes", "1"]
+        outs, errs = [], []
+        for flags in ([], ["-v"], [], ["-v"]):
+            assert main(argv + flags) == 0
+            out, err = capsys.readouterr()
+            outs.append(out)
+            errs.append(err)
+        assert outs[1:] == outs[:1] * 3
+        assert errs[0] == errs[2] == ""
+        assert all(err.startswith("INFO level 0 done in ") and err.count("\n") == 1
+                   for err in errs[1::2])
 
     def test_verbose_lines_report_peak_rss(self, capsys, caplog, systems):
         caplog.set_level("INFO", logger="hdgeig")

@@ -449,12 +449,24 @@ class TestWarmStarts:
     @pytest.mark.parametrize("domain", ["square", "lshape"])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_study_matches_cold_solves(self, studies, systems, eigenpairs, domain, k):
+        self.check_cold_numbers(studies, systems, eigenpairs, domain, k, (0, 1, 2, 3))
+
+    @pytest.mark.parametrize("first", [1, 2, 3])
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_warm_first_level_matches_cold_solves(self, studies, systems, eigenpairs, domain,
+                                                  k, first):
+        # a first level above 0 starts from a coarser mesh's eigenfields
+        self.check_cold_numbers(studies, systems, eigenpairs, domain, k, (first,))
+
+    @staticmethod
+    def check_cold_numbers(studies, systems, eigenpairs, domain, k, levels):
         # modes 1-6 hold the square's double eigenvalues 5 and 10; the
         # study's values against cold Lanczos runs on each level.  err_u is
         # a distance between unit fields, moved by at most the eigenvector
         # difference, so it is compared absolutely
         modes = (1, 2, 3, 4, 5, 6)
-        rep = studies(domain=domain, k=k, levels=(0, 1, 2, 3), modes=modes)
+        rep = studies(domain=domain, k=k, levels=levels, modes=modes)
         exact = domain_modes(domain, len(modes))
         for level in rep.levels:
             sys = systems(domain, level, k, "one")
@@ -470,6 +482,27 @@ class TestWarmStarts:
                 if exact[pair.index - 1].evaluator is not None:
                     err_u = eigenfunction_error(sys, exact[pair.index - 1], fields.u)[0]
                     assert abs(cell.err_u - err_u) <= 1e-12
+
+    def test_first_level_starts_from_a_coarser_mesh(self, studies, systems):
+        # level 4 at k = 0 from level 2's eigenfield, against a cold run
+        rep = studies(k=0, levels=(4,), modes=(1,))
+        cold = solve_modes(systems("square", 4, 0), 1)[0]
+        assert rep.cell(1, 4).iterations < cold.iterations
+        assert rep.cell(1, 4).lam == pytest.approx(cold.value, rel=1e-12)
+
+    def test_a_coarse_level_too_small_starts_cold(self, systems):
+        # level 0 at k = 0 holds at most 32 modes, one per element; level 2
+        # then starts cold and still gives its numbers
+        with pytest.raises(EigenSolveError, match="represents at most"):
+            solve_modes(systems("square", 0, 0), 35)
+        details = []
+        rep = run_convergence_study(StudyConfig(k=0, levels=(2,), modes=(35,), postprocess=False),
+                                    progress=lambda level, seconds, detail: details.append(detail))
+        assert "block solves (cold)" in details[0]
+        cold = solve_modes(systems("square", 2, 0), 35)[-1]
+        cell = rep.cell(35, 2)
+        assert cell.note == "" and cell.iterations == cold.iterations
+        assert cell.lam == pytest.approx(cold.value, rel=1e-12)
 
     def test_refinement_cap_is_typed(self, systems, monkeypatch):
         coarse, sys = systems("square", 1, 1), systems("square", 2, 1)
@@ -489,12 +522,25 @@ class TestWarmStarts:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_spurious_clusters_never_change_a_number(self, studies, eigenpairs, k):
+        self.check_spurious_clusters(studies, eigenpairs, k, (0, 1, 2))
+
+    def test_spurious_clusters_from_a_coarser_mesh(self, studies, eigenpairs):
+        # level 2 starts from level 0's eigenfields and stalls, so level 3
+        # starts cold and gives numbers; started cold, level 2 gave numbers
+        # and level 3 stalled.  At k = 2 the cold level 3 is a Lanczos run
+        # of about 15,000 applications (20 s), so only k = 1 runs here
+        rep = self.check_spurious_clusters(studies, eigenpairs, 1, (2, 3))
+        assert all(bool(rep.cell(m, 2).note) and not rep.cell(m, 3).note for m in rep.modes)
+
+    @staticmethod
+    def check_spurious_clusters(studies, eigenpairs, k, levels):
         # the L-shape with tau = h has clusters of spurious values under the
-        # wall, which Lanczos returns; a warm LOBPCG run there either
+        # wall, which Lanczos returns; a warm LOBPCG run there, from the
+        # previous level or on a first level from a coarser mesh, either
         # converges to the same values or stalls with a typed error, and
         # the level after a stalled one starts cold
         modes = (1, 2, 3, 4, 5, 6)
-        rep = studies(domain="lshape", k=k, tau=TauSpec.global_h(), levels=(0, 1, 2),
+        rep = studies(domain="lshape", k=k, tau=TauSpec.global_h(), levels=levels,
                       modes=modes, postprocess=False)
         assert any(cell.note for cell in rep.cells)
         for level in rep.levels:
@@ -506,6 +552,7 @@ class TestWarmStarts:
                 else:
                     assert cell.lam == pytest.approx(pair.value, rel=1e-10)
                     assert cell.lam_tilde == pytest.approx(surrogate.value, rel=1e-10)
+        return rep
 
 
 class TestEmitTable:
