@@ -16,7 +16,6 @@ import numpy as np
 
 from .assembly import assemble_condensed
 from .eigensolve import oracle_full_eig, solve_condensed_nonlinear, solve_linear_surrogate
-from .eigensolve import solve_modes
 from .errors import ConfigError, HdgError, NumericalError
 from .localsolve import MaterialSpec, SpaceConfig, TauSpec
 from .recovery import postprocess, recover_fields
@@ -25,6 +24,7 @@ from .study import (
     build_domain_mesh,
     emit_table,
     run_convergence_study,
+    solve_level,
 )
 
 log = logging.getLogger("hdgeig")
@@ -253,22 +253,15 @@ def cmd_solve(args):
     if args.postprocess:
         SpaceConfig(args.k, args.case).validate_postprocess()
     sys = _assemble(args)
-    surrogates = solve_linear_surrogate(sys, args.modes)
-    pairs = solve_modes(sys, args.modes)
-    lu_nnz = sys.factorized().nnz
-    sys.release_factorization()  # recovery and postprocessing never solve with A
-    header = ["mode", "lambda", "lambda_tilde"]
-    if args.postprocess:
-        header.append("lambda_star")
-    header.append("iterations")
+    pairs, surrogate, _, lu_nnz = solve_level(sys, args.modes)
+    log.info("surrogate %d operator applications in %d block solves (block start, %s stop, "
+             "relative residual %.1e)", *surrogate[1:])
+    star = ["lambda_star"] if args.postprocess else []
+    header = ["mode", "lambda", "lambda_tilde", *star, "iterations"]
     rows = []
-    for pair, surrogate in zip(pairs, surrogates):
-        row = [pair.index, pair.value, surrogate.value]
-        if args.postprocess:
-            fields = recover_fields(sys, pair)
-            row.append(postprocess(sys, fields).value_star)
-        row.append(pair.iterations)
-        rows.append(row)
+    for pair, lam_tilde in zip(pairs, surrogate.values.tolist()):
+        post = [postprocess(sys, recover_fields(sys, pair)).value_star] if star else []
+        rows.append([pair.index, pair.value, lam_tilde, *post, pair.iterations])
         log.info("mode %d: lambda=%.12g (%d operator applications, residual %.1e), "
                  "peak RSS %.0f MB, LU nnz %d", pair.index, pair.value, pair.iterations,
                  pair.defect, _peak_rss_mb(), lu_nnz)

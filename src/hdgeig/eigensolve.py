@@ -7,8 +7,8 @@ Both linear eigensolves find the largest eigenvalues mu of a symmetric
 operator U A^-1 U^T (+ W, the block-diagonal load lift) on W_h, applied
 to a vector or, in one solve, to the columns of a block:
 
-* ``solve_modes`` (the entry point of the command line, the study and the
-  tests) on the source-solution operator T = U A^-1 U^T + W: lam = 1/mu;
+* ``solve_modes`` (in ``study.solve_level``, for the command line and the
+  study) on the source-solution operator T = U A^-1 U^T + W: lam = 1/mu;
 * the surrogate pencil A x = theta G x, G = U^T U, on T0 = U A^-1 U^T:
   theta = 1/mu.
 
@@ -18,10 +18,10 @@ provide one) it is LOBPCG, which needs fewer solves when the block is
 close; from a random block it is slower and stalls on clusters.  An
 eigenvector y gives the trace A^-1 U^T y.  The kernel of G becomes zero
 eigenvalues of T0 (theta infinite), which never reach the lowest modes.
-The study reads only the surrogate's values: ``surrogate_values`` runs
-LOBPCG on T0 from the modes' eigenfields until the values, not the
-vectors, have converged, and checks each against the enclosure that the
-nonlinear eigenvalues give it.
+``solve`` and the study read only the surrogate's values:
+``surrogate_values`` runs LOBPCG on T0 from the modes' eigenfields until
+the values, not the vectors, have converged, and checks each against
+the enclosure that the nonlinear eigenvalues give it.
 
 The paper's route, kept as the reference, is surrogate-seeded Newton on
 the frozen-pencil fixed point (``solve_condensed_nonlinear``): the roots
@@ -96,11 +96,13 @@ class EigenPair:
     predictor's) followed by each solve's theta, so that ``len(history) ==
     iterations + 1``, and its search space's LU solves (``solves``) and
     final dimension (``space``).  The other routes leave ``residual``
-    equal to ``defect`` and ``space`` 0.
+    equal to ``defect`` and ``space`` 0.  ``field`` is the eigenfield (I -
+    lam W)^-1 U eta (T, n_w) that the nonlinear residual check lifted
+    (None on a surrogate pair).
     """
 
     def __init__(self, value, vector, index, iterations=0, defect=0.0, history=(),
-                 residual=None, solves=0, space=0):
+                 residual=None, solves=0, space=0, field=None):
         self.value = float(value)
         self.vector = np.asarray(vector, dtype=float)
         self.index = int(index)
@@ -110,6 +112,7 @@ class EigenPair:
         self.residual = defect if residual is None else float(residual)
         self.solves = int(solves)
         self.space = int(space)
+        self.field = field
 
 
 #: ascending eigenvalues of the full problem and the solution operator
@@ -363,14 +366,15 @@ def _wall_cap(sys):
 
 
 def _checked_defect(sys, lam, vec):
-    """Relative residual |A v - lam M(lam) v| / |A v|, checked against the tolerance."""
-    av = sys.A @ vec
-    res = np.linalg.norm(av - lam * (sys.moments @ resolvent_lift(sys, lam, vec).ravel()))
+    """Relative residual |A v - lam M(lam) v| / |A v|, checked against the
+    tolerance, and the eigenfield (I - lam W)^-1 U v (T, n_w) it lifts."""
+    field, av = resolvent_lift(sys, lam, vec), sys.A @ vec
+    res = np.linalg.norm(av - lam * (sys.moments @ field.ravel()))
     defect = res / np.linalg.norm(av)
     if defect > _RESIDUAL_TOL:
         raise EigenSolveError("eigenpair at %.6g fails the nonlinear residual check "
                               "(relative %.2e vs %.2e)" % (lam, defect, _RESIDUAL_TOL))
-    return defect
+    return defect, field
 
 
 def _resolvent_diagonal(w, classes, kappa):
@@ -564,9 +568,9 @@ def solve_condensed_nonlinear(sys, seeds, index):
         update = abs(resid) / abs(theta)
         history.append(theta)
         if update <= _SECANT_TOL:
-            return EigenPair(theta, vec, index, iteration, update, history,
-                             residual=_checked_defect(sys, theta, vec),
-                             solves=space.solves, space=space.size)
+            residual, field = _checked_defect(sys, theta, vec)
+            return EigenPair(theta, vec, index, iteration, update, history, residual=residual,
+                             solves=space.solves, space=space.size, field=field)
 
         # bracket update: F decreasing, so F > 0 puts the root above kappa
         if resid > 0:
@@ -615,8 +619,9 @@ def solve_modes(sys, m, start=None):
             raise EigenSolveError("eigenvalue %d (%.6g) is not inside (0, %.6g), the resonance-"
                                   "free interval of the resolvent on this mesh"
                                   % (index, lam, lam_cap))
-        pairs.append(EigenPair(lam, eta, index, op.applications,
-                               _checked_defect(sys, lam, eta), solves=op.solves))
+        defect, field = _checked_defect(sys, lam, eta)
+        pairs.append(EigenPair(lam, eta, index, op.applications, defect, solves=op.solves,
+                               field=field))
     return pairs
 
 

@@ -25,7 +25,7 @@ import weakref
 
 import numpy as np
 
-from .assembly import flux_field, load_moments, resolvent_lift
+from .assembly import flux_field, load_moments
 from .errors import EigenSolveError, NumericalError
 
 __all__ = [
@@ -71,13 +71,15 @@ class PostprocessedFields:
 def recover_fields(sys, pair):
     """Recover (u, q) from a converged trace eigenpair and normalize.
 
-    u is the resolvent-corrected trace lift of eta; q adds the scaled
-    load lift of u to the flux lift of eta.  All three are rescaled so
-    that u has unit L2 norm, with the sign fixed by the element mean at
-    the domain's anchor point.
+    u is the pair's ``field``, the resolvent-corrected trace lift of eta,
+    which every pair from ``solve_modes`` or ``solve_condensed_nonlinear``
+    carries; q adds the scaled load lift of u to the flux lift of eta.
+    All three are rescaled so that u has unit L2 norm, with the sign fixed
+    by the element mean at the domain's anchor point.
     """
-    lam = pair.value
-    u = resolvent_lift(sys, lam, pair.vector)
+    lam, u = pair.value, pair.field
+    if u is None:
+        raise ValueError("pair %d carries no eigenfield (surrogate pairs have none)" % pair.index)
     q = flux_field(sys, pair.vector, lam * u)
 
     norm = np.sqrt(np.sum(u**2))

@@ -1,11 +1,11 @@
 """Convergence-study harness: exact references, errors, orders, tables.
 
 Reproduces the benchmark layout of the eigenvalue experiments: for each
-mesh level, solve the eigenproblem (``solve_modes``) and then the
-surrogate problem's values (``surrogate_values``, for the surrogate
-gap), recover and postprocess the fields, and tabulate errors with their
-observed orders (log2 of consecutive-level error ratios, valid because
-refinement halves the mesh size).
+mesh level, ``solve_level`` (also ``solve``'s) solves the eigenproblem
+and then the surrogate problem's values (for the surrogate gap); the
+fields are recovered from the pairs' eigenfields and postprocessed, and
+errors tabulated with their observed orders (log2 of consecutive-level
+error ratios, valid because refinement halves the mesh size).
 
 The levels are nested, so each level's eigenfields inject exactly into
 the next one and start its modes run (LOBPCG).  A first level L > 0
@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_condensed, resolvent_lift
+from .assembly import assemble_condensed
 from .eigensolve import solve_modes, surrogate_values
 # the paper's nonlinear route and the surrogate with vectors; not called
 # here, perfbench/spans.py times them under these names
@@ -446,9 +446,29 @@ def run_convergence_study(config, progress=None):
     return report
 
 
-def _eigenfields(sys, pairs):
-    """The pairs' eigenfields (I - lam W)^-1 U eta, the columns of a (dim W_h, m) block."""
-    return np.column_stack([resolvent_lift(sys, p.value, p.vector).ravel() for p in pairs])
+def _eigenfields(pairs):
+    """The pairs' eigenfields (I - lam W)^-1 U eta, the columns of a
+    column-major (dim W_h, m) block; each pair's ``field`` becomes a view
+    of its column, so the block takes no memory beside the fields."""
+    block = np.empty((pairs[0].field.size, len(pairs)), order="F")
+    for column, pair in zip(block.T, pairs):
+        column[:] = pair.field.ravel()
+        pair.field = column.reshape(pair.field.shape)
+    return block
+
+
+def solve_level(sys, m, start=None):
+    """The eigensolves of one mesh level, for ``solve`` and the study:
+    ``solve_modes`` for m pairs (from the block ``start``, if given), then
+    ``surrogate_values`` from their eigenfields, then the LU is released.
+    Returns the pairs, the ``SurrogateValues``, the eigenfields (dim W_h,
+    m) and the LU's nonzeros."""
+    pairs = solve_modes(sys, m, start)
+    eigenfields = _eigenfields(pairs)
+    surrogate = surrogate_values(sys, [p.value for p in pairs], eigenfields)
+    lu_nnz = sys.factorized().nnz
+    sys.release_factorization()  # the last solve with A: recovery needs none
+    return pairs, surrogate, eigenfields, lu_nnz
 
 
 def _coarse_start(config, spaces, level, m):
@@ -460,7 +480,7 @@ def _coarse_start(config, spaces, level, m):
         sys = assemble_condensed(build_domain_mesh(config.domain, coarse_level), spaces,
                                  config.tau, config.material)
         pairs = solve_modes(sys, m)
-        block = _eigenfields(sys, pairs)
+        block = _eigenfields(pairs)
     except HdgError:
         return None, "cold"
     for _ in range(level - coarse_level):
@@ -485,32 +505,20 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
         start, started = _coarse_start(config, spaces, level, m)
     else:
         start, started = None, "cold"
-    pairs = solve_modes(sys, m, start)
-    del start  # not needed past the modes run: free it before the surrogate's
-    eigenfields = _eigenfields(sys, pairs)
-    surrogate = surrogate_values(sys, [p.value for p in pairs], eigenfields)
-    lu_nnz = sys.factorized().nnz
-    sys.release_factorization()  # the last eigensolve: nothing below solves with A
+    pairs, surrogate, eigenfields, lu_nnz = solve_level(sys, m, start)
     detail = ("LU nnz %d, modes %d operator applications in %d block solves (%s), surrogate "
               "%d in %d (block start, %s stop, relative residual %.1e)"
-              % (lu_nnz, pairs[0].iterations, pairs[0].solves, started, surrogate.applications,
-                 surrogate.solves, surrogate.stop, surrogate.residual))
+              % (lu_nnz, pairs[0].iterations, pairs[0].solves, started, *surrogate[1:]))
     for mode_idx in config.modes:
         cell = report.cell(mode_idx, level)
         pair = pairs[mode_idx - 1]
-        lam_tilde = float(surrogate.values[mode_idx - 1])
         exact = modes_ref[mode_idx - 1]
-        cell.lam = pair.value
-        cell.lam_tilde = lam_tilde
-        cell.gap = abs(pair.value - lam_tilde)
+        cell.lam, cell.lam_tilde = pair.value, float(surrogate.values[mode_idx - 1])
+        cell.gap = abs(cell.lam - cell.lam_tilde)
         cell.iterations = pair.iterations
         if exact.value is not None:
             cell.err_lam = abs(pair.value - exact.value)
-        try:
-            fields = recover_fields(sys, pair)
-        except HdgError as exc:
-            cell.note = str(exc)
-            continue
+        fields = recover_fields(sys, pair)
         scalars = [fields.u]
         if config.postprocess:
             post = postprocess(sys, fields)

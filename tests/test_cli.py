@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from hdgeig.cli import main, parse_levels, parse_modes, parse_tau
-from hdgeig.eigensolve import solve_modes
+from hdgeig.eigensolve import solve_linear_surrogate, solve_modes
 from hdgeig.errors import ConfigError
 from hdgeig.localsolve import TauSpec
-from hdgeig.recovery import recover_fields
+from hdgeig.recovery import postprocess, recover_fields
 
 
 class TestParsers:
@@ -52,6 +52,32 @@ class TestSolveCommand:
         lams = [r["lambda"] for r in rows]
         assert np.allclose(lams, [2, 5, 5, 8], atol=0.05)
         assert all(r["lambda_star"] is not None for r in rows)
+
+    @pytest.mark.parametrize("domain,k,level,tau", [
+        (domain, k, level, tau) for domain in ("square", "lshape") for k in range(4)
+        for level in (0, 1) for tau in ("one", 0.1)
+    ] + [
+        # near the wall, where the surrogate run keeps the vector stop
+        ("square", 1, 2, 0.01),
+        ("lshape", 2, 2, "h"),
+    ])
+    def test_pipeline_matches_the_separate_routes(self, capsys, systems, domain, k, level,
+                                                  tau):
+        # lambda~ comes from the modes' eigenfields, within 1e-12 of the cold
+        # surrogate run; lambda, lambda* and the counts are the modes run's.
+        # Not through the eigenpairs cache: six modes there would replace the
+        # one-mode pairs that other tests read
+        spelling = tau if isinstance(tau, str) else "const:%r" % tau
+        assert main(["solve", "--domain", domain, "--k", str(k), "--level", str(level),
+                     "--tau", spelling, "--modes", "6", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        system = systems(domain, level, k, tau)
+        surrogates, pairs = solve_linear_surrogate(system, 6), solve_modes(system, 6)
+        for row, surrogate, pair in zip(rows, surrogates, pairs, strict=True):
+            assert row["lambda_tilde"] == pytest.approx(surrogate.value, rel=1e-12, abs=0)
+            assert row["lambda"] == pair.value and row["iterations"] == pair.iterations
+            fields = recover_fields(system, pair)
+            assert row["lambda_star"] == postprocess(system, fields).value_star
 
     def test_recovery_runs_without_the_factorization(self, capsys, monkeypatch):
         recovered = []
@@ -124,7 +150,7 @@ class TestSolveCommand:
         assert "configuration error: cannot write %s" % out in captured.err
 
     @pytest.mark.parametrize("command,solver", [
-        (["solve", "--level", "0", "--modes", "2"], "hdgeig.cli.solve_linear_surrogate"),
+        (["solve", "--level", "0", "--modes", "2"], "hdgeig.cli.solve_level"),
         (["study", "--levels", "0:1", "--modes", "1"], "hdgeig.cli.run_convergence_study"),
         (["oracle-check", "--level", "0", "--modes", "2"], "hdgeig.cli.solve_linear_surrogate"),
     ])
@@ -137,6 +163,23 @@ class TestSolveCommand:
         assert captured.out == ""
         assert "configuration error: cannot write %s" % out in captured.err
         assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command,lifts", [
+    (["solve", "--level", "1", "--k", "2", "--modes", "6"], 6),
+    (["study", "--k", "2", "--levels", "0:1", "--modes", "1,2,4,6"], 12),
+])
+def test_each_pair_is_lifted_once(capsys, monkeypatch, command, lifts):
+    # the residual check lifts each pair's trace, and the recovery and the
+    # next level's start read that field from the pair
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("hdgeig.")]:
+        lift = getattr(module, "resolvent_lift", None)
+        if lift is not None:
+            monkeypatch.setattr(module, "resolvent_lift",
+                                lambda *args, lift=lift: calls.append(1) or lift(*args))
+    assert main(command) == 0
+    assert len(calls) == lifts
 
 
 class TestStudyCommand:
@@ -211,8 +254,17 @@ class TestStudyCommand:
                    for err in errs[1::2])
 
     def test_verbose_lines_report_peak_rss(self, capsys, caplog, systems):
+        assert main(["solve", "--level", "0", "--modes", "2"]) == 0
+        quiet = capsys.readouterr().out
         caplog.set_level("INFO", logger="hdgeig")
         assert main(["solve", "--level", "0", "--modes", "2", "-v"]) == 0
+        assert capsys.readouterr().out == quiet
+        # solve's surrogate run, in the words of the study's level line
+        surrogate = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("surrogate")]
+        assert len(surrogate) == 1 and re.match(
+            r"surrogate \d+ operator applications in \d+ block solves \(block start, "
+            r"(values|vectors) stop, relative residual \d\.\de-\d\d\)$", surrogate[0])
         assert main(["study", "--levels", "0:0", "--modes", "1", "-v"]) == 0
         lines = [r.getMessage() for r in caplog.records if "peak RSS" in r.getMessage()]
         assert len(lines) == 3  # two solve modes, one study level

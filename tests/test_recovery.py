@@ -173,9 +173,16 @@ class TestRecoverFields:
         class Fake:
             value = 2.0
             vector = np.zeros(sys.ndof)
+            field = np.zeros((sys.mesh.num_triangles, sys.n_w))
 
         with pytest.raises(EigenSolveError):
             recover_fields(sys, Fake())
+
+    def test_surrogate_pair_is_refused(self, systems, eigenpairs):
+        # a surrogate pair carries no eigenfield of the nonlinear problem
+        surrogates, _ = eigenpairs("square", 0, 1)
+        with pytest.raises(ValueError, match="carries no eigenfield"):
+            recover_fields(systems("square", 0, 1), surrogates[0])
 
 
 class TestPostprocessU:
