@@ -196,18 +196,18 @@ def assemble_condensed(mesh, spaces, tau, mat=None):
     p0 = verts[tris[:, 0]]
     bmats = np.stack([verts[tris[:, 1]] - p0, verts[tris[:, 2]] - p0], axis=2)
 
-    tau_vals = np.broadcast_to(tau.face_value(h=mesh.spacing, h_k=mesh.h_K), num_t)
+    tau_value = tau.face_value(h=mesh.spacing)
 
-    # congruence classes: same Jacobian (to 12 digits) and same tau, keyed
-    # by the bytes of the rounded values (so -0.0 and 0.0 differ) and
-    # numbered by first occurrence
-    keys = np.column_stack([np.round(bmats, 12).reshape(num_t, 4), np.round(tau_vals, 12)])
-    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    # congruence classes: same Jacobian to 12 digits, keyed by the bytes of
+    # the rounded entries (so -0.0 and 0.0 differ) and numbered by first
+    # occurrence
+    keys = np.round(bmats, 12).reshape(num_t, 4)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * 4))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     elem_class = np.argsort(by_first)[inverse]
     classes = [
-        ElementOps(bmats[t], np.full(3, tau_vals[t]), mat, ref, element_hint=t)
+        ElementOps(bmats[t], tau_value, mat, ref, element_hint=t)
         for t in first[by_first]
     ]
 

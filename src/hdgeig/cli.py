@@ -46,10 +46,12 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 #: boolean config keys and the flag that turns each away from its default
 _SWITCHES = {"postprocess": "--no-postprocess", "verbose": "--verbose"}
+#: the spellings ``parse_tau`` accepts
+_TAU_SPELLINGS = "one|h|invh|zero|const:<x>"
 
 
 def parse_tau(text):
-    """Parse the tau spelling: one|h|invh|zero|const:<x>."""
+    """Parse a tau spelling, one of ``_TAU_SPELLINGS``."""
     text = str(text).strip()
     if text in ("one", "1"):
         return TauSpec.one()
@@ -64,7 +66,7 @@ def parse_tau(text):
             return TauSpec.constant(float(text[6:]))
         except ValueError:
             raise ConfigError("bad tau constant in %r" % text)
-    raise ConfigError("unknown tau spelling %r (use one|h|invh|zero|const:<x>)" % text)
+    raise ConfigError("unknown tau spelling %r (use %s)" % (text, _TAU_SPELLINGS))
 
 
 def parse_levels(text):
@@ -127,7 +129,7 @@ def _build_parser(parser_class=argparse.ArgumentParser):
         p.add_argument("--domain", choices=["square", "lshape"], default="square")
         p.add_argument("--k", type=int, default=1, help="trace polynomial degree")
         p.add_argument("--case", choices=["equal", "case1", "case2"], default="equal")
-        p.add_argument("--tau", default="one", help="one|h|invh|zero|const:<x>")
+        p.add_argument("--tau", default="one", help=_TAU_SPELLINGS)
         p.add_argument("--format", choices=["markdown", "csv", "json"],
                        default="markdown")
         p.add_argument("--output", help="write the report here instead of stdout")

@@ -33,33 +33,27 @@ _ERROR_QUAD_ORDER = 12
 
 @dataclass(frozen=True)
 class TauSpec:
-    """Stabilization parameter, constant on each edge.
+    """Stabilization parameter: one value on every face of a mesh.
 
-    Variants: ``constant`` (a fixed value), ``global_h`` / ``inverse_global_h``
-    (the mesh's structured grid spacing or its reciprocal; the benchmark
-    tables fix this reading of "mesh size" rather than the element
-    diameter, which is sqrt(2) larger here) and ``local_h`` /
-    ``inverse_local_h`` (per-element diameter).  ``zero()`` is the
-    constant 0.
+    Variants: ``constant`` (a fixed finite value, at least 0) and
+    ``global_h`` / ``inverse_global_h`` (the mesh's structured grid spacing
+    or its reciprocal; the benchmark tables fix this reading of "mesh
+    size" rather than the element diameter, which is sqrt(2) larger
+    here).  ``zero()`` is the constant 0.
     """
 
     variant: str
     value: float = None
 
-    _VARIANTS = (
-        "constant",
-        "global_h",
-        "inverse_global_h",
-        "local_h",
-        "inverse_local_h",
-    )
+    _VARIANTS = ("constant", "global_h", "inverse_global_h")
 
     def __post_init__(self):
         if self.variant not in self._VARIANTS:
             raise ConfigError("unknown tau variant %r" % (self.variant,))
         if self.variant == "constant":
-            if self.value is None or self.value < 0:
-                raise ConfigError("constant tau needs a nonnegative value")
+            if self.value is None or not 0.0 <= self.value < np.inf:
+                raise ConfigError("constant tau needs a finite nonnegative value; got %r"
+                                  % (self.value,))
         elif self.value is not None:
             raise ConfigError("variant %r takes no value" % (self.variant,))
 
@@ -83,46 +77,22 @@ class TauSpec:
     def inverse_global_h():
         return TauSpec("inverse_global_h")
 
-    @staticmethod
-    def local_h():
-        return TauSpec("local_h")
-
-    @staticmethod
-    def inverse_local_h():
-        return TauSpec("inverse_local_h")
-
     @property
     def is_positive(self):
         return not (self.variant == "constant" and self.value == 0.0)
 
-    def face_value(self, h=None, h_k=None):
-        """Branch value used on every face of an element; ``h_k`` may be
-        an array of element diameters, giving one value per element."""
+    def face_value(self, h=None):
+        """The value on every face of a mesh with grid spacing ``h``."""
         if self.variant == "constant":
             return self.value
-        if self.variant == "global_h":
-            return _need(h, "global mesh size")
-        if self.variant == "inverse_global_h":
-            return 1.0 / _need(h, "global mesh size")
-        if self.variant == "local_h":
-            return _need(h_k, "element diameter")
-        return 1.0 / _need(h_k, "element diameter")
+        if h is None:
+            raise ConfigError("tau variant %r requires the grid spacing" % (self.variant,))
+        return float(h) if self.variant == "global_h" else 1.0 / float(h)
 
     def label(self):
         if self.variant == "constant":
             return "tau=%g" % self.value
-        return {
-            "global_h": "tau=h",
-            "inverse_global_h": "tau=1/h",
-            "local_h": "tau=h_K",
-            "inverse_local_h": "tau=1/h_K",
-        }[self.variant]
-
-
-def _need(value, what):
-    if value is None:
-        raise ConfigError("tau variant requires the %s" % what)
-    return np.asarray(value, dtype=float)
+        return {"global_h": "tau=h", "inverse_global_h": "tau=1/h"}[self.variant]
 
 
 @dataclass(frozen=True)
@@ -181,17 +151,11 @@ class SpaceConfig:
         return self.k - 1 if self.case == "case2" else self.k
 
     def validate_tau(self, tau):
-        """Check the unique-solvability condition for this space choice."""
-        if self.case == "equal" and not tau.is_positive:
-            raise ConfigError(
-                "equal-degree spaces need a stabilization that is positive on "
-                "at least one face of every element; got %s" % tau.label()
-            )
-        if self.case == "case2" and not tau.is_positive:
-            raise ConfigError(
-                "case2 spaces need a strictly positive stabilization; got %s"
-                % tau.label()
-            )
+        """Check the unique-solvability condition for this space choice:
+        every case but ``case1`` (the BDM-like spaces) needs tau > 0."""
+        if self.case != "case1" and not tau.is_positive:
+            raise ConfigError("space case %r needs a positive stabilization; got %s"
+                              % (self.case, tau.label()))
 
     def validate_postprocess(self):
         """Check that the flux postprocessing space is tabulated for k."""
@@ -269,13 +233,14 @@ class ElementOps:
 
     ``bmat`` maps reference to physical coordinates (columns are the two
     edge vectors from vertex 0); elements that differ only by translation
-    share an instance.
+    share an instance.  ``tau`` is the stabilization value on all three
+    faces.
     """
 
-    def __init__(self, bmat, tau_faces, mat, ref, element_hint=0):
+    def __init__(self, bmat, tau, mat, ref, element_hint=0):
         # a copy: a view would keep the mesh-wide Jacobian array alive
         self.bmat = np.array(bmat, dtype=float)
-        self.tau = np.asarray(tau_faces, dtype=float)
+        self.tau = float(tau)
         self.mat = mat
         self.ref = ref
         sp = ref.spaces
@@ -337,10 +302,10 @@ class ElementOps:
         self.emat = np.zeros((self.n_w, self.n_trace))
         for l in range(3):
             fw = self.face_wq[l]
-            dtau += self.tau[l] * np.einsum("e,ei,ej->ij", fw, self.w_face[l], self.w_face[l])
+            dtau += self.tau * np.einsum("e,ei,ej->ij", fw, self.w_face[l], self.w_face[l])
             cols = slice(l * self.n_m, (l + 1) * self.n_m)
             self.cmat[:, cols] = np.einsum("e,ei,em->im", fw, self.v_normal[l], self.t_face[l])
-            self.emat[:, cols] = self.tau[l] * np.einsum(
+            self.emat[:, cols] = self.tau * np.einsum(
                 "e,ei,em->im", fw, self.w_face[l], self.t_face[l]
             )
 
@@ -351,7 +316,7 @@ class ElementOps:
                 "local saddle system singular on element %d (cond %.1e); the "
                 "stabilization must satisfy the solvability condition for the "
                 "chosen spaces (%s, %s)"
-                % (element_hint, cond, sp.case, TauSpec.constant(self.tau[0]).label())
+                % (element_hint, cond, sp.case, TauSpec.constant(self.tau).label())
             )
         self._lhs_lu = scipy.linalg.lu_factor(lhs)
 
@@ -374,7 +339,7 @@ class ElementOps:
             cols = slice(l * self.n_m, (l + 1) * self.n_m)
             mvals[:, cols] = self.t_face[l]
             diff = uvals - mvals
-            a_loc += self.tau[l] * np.einsum("e,ei,ej->ij", fw, diff, diff)
+            a_loc += self.tau * np.einsum("e,ei,ej->ij", fw, diff, diff)
         self.a_loc = a_loc
 
         self.w_means = np.einsum("q,qi->i", self.wq, self.w_vals)
@@ -420,8 +385,8 @@ class ElementOps:
     def rt_tabulate(self, ref_pts):
         """Values (n, n_rt, 2) of the flux postprocessing space [P_k]^2 + x P_k
         at reference points.  The x-part is centred at the centroid and
-        scaled by h_K, using only the homogeneous degree-k monomials (lower
-        degrees are already in [P_k]^2)."""
+        scaled by the element diameter, using only the homogeneous degree-k
+        monomials (lower degrees are already in [P_k]^2)."""
         ref = self.ref
         qs_vals = ref.qsbasis.tabulate(ref_pts)[0] / np.sqrt(self.det)
         n_qs = ref.qsbasis.dim
@@ -480,7 +445,7 @@ class ElementOps:
         numerical flux q.n + tau (u - eta) and, for k >= 1, the moments of
         q* against [P_{k-1}]^2 are those of q."""
         eta = scipy.linalg.block_diag(
-            *(-self.tau[l] * self._face_moments(l, self.t_face[l]) for l in range(3)))
+            *(-self.tau * self._face_moments(l, self.t_face[l]) for l in range(3)))
         system, data = [self.rt_moments.T], [np.vstack([eta, self.emat, self.cmat])]
         if self.ref.spaces.k >= 1:
             ivals = self.wq[:, None] * self.ref.i_vals / np.sqrt(self.det)

@@ -30,8 +30,7 @@ class Mesh:
     elem_edges : (T, 3) int array; local edge l of a triangle joins its
         local vertices l and (l+1) % 3
     boundary : (E,) bool array
-    h_K : (T,) per-element diameter (longest edge)
-    h : global mesh size, max of h_K
+    edge_lengths : (E,) float array; the shortest, ``spacing``, is the mesh size
     level : refinement count from the initial mesh
     domain : 'square', 'lshape', or None
     """
@@ -66,15 +65,12 @@ class Mesh:
             raise ValueError("mesh is not conforming")
         self.boundary = counts == 1
 
-        lengths = np.linalg.norm(
+        self.edge_lengths = np.linalg.norm(
             self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]], axis=1
         )
-        self.edge_lengths = lengths
-        self.h_K = lengths[self.elem_edges].max(axis=1)
-        self.h = float(self.h_K.max())
 
         for arr in (self.vertices, self.triangles, self.edges, self.elem_edges,
-                    self.boundary, self.h_K, self.areas, self.edge_lengths):
+                    self.boundary, self.areas, self.edge_lengths):
             arr.setflags(write=False)
 
     @property

@@ -119,7 +119,7 @@ def _numerical_flux_trace(ops, eta_face, u, q, face):
     qn = np.einsum("ei,gi->eg", q, ops.v_normal[face])
     uvals = np.einsum("ei,gi->eg", u, ops.w_face[face])
     etav = np.einsum("em,gm->eg", eta_face, ops.t_face[face])
-    return qn + ops.tau[face] * (uvals - etav)
+    return qn + ops.tau * (uvals - etav)
 
 
 def postprocess_q(sys, fields):

@@ -342,7 +342,7 @@ class TestSolveSource:
         assert all(abs(r - 3.0) < 0.25 for r in rates)
 
 
-_CLASS_TAUS = {"one": TauSpec.one(), "h": TauSpec.global_h(), "local_h": TauSpec.local_h()}
+_CLASS_TAUS = {"one": TauSpec.one(), "h": TauSpec.global_h()}
 
 
 class TestCongruenceClasses:
@@ -353,23 +353,22 @@ class TestCongruenceClasses:
         mesh = meshes(domain, level)
         spec = _CLASS_TAUS[tau]
         sys = assemble_condensed(mesh, SpaceConfig(0), spec)
-        tau_el = np.array([spec.face_value(h=mesh.spacing, h_k=h) for h in mesh.h_K])
         bmats = np.stack([mesh.vertices[tri[1:]] - mesh.vertices[tri[0]] for tri in mesh.triangles])
         bmats = bmats.transpose(0, 2, 1)
         count = np.zeros(mesh.num_triangles, dtype=int)
         for ops, members in sys.class_groups:
             count[members] += 1
             assert np.abs(bmats[members] - ops.bmat).max() <= 1e-12
-            assert np.abs(tau_el[members, None] - ops.tau).max() <= 1e-12
+            assert ops.tau == spec.face_value(h=mesh.spacing)
         assert (count == 1).all()
         for i, a in enumerate(sys.classes):
             for b in sys.classes[i + 1:]:
-                assert max(np.abs(a.bmat - b.bmat).max(), np.abs(a.tau - b.tau).max()) > 1e-12
-        # reference: a per-element loop keyed by the rounded Jacobian bytes
-        # and tau, numbering classes by first occurrence
+                assert np.abs(a.bmat - b.bmat).max() > 1e-12
+        # reference: a per-element loop keyed by the rounded Jacobian bytes,
+        # numbering classes by first occurrence
         keys = {}
         for t in range(mesh.num_triangles):
-            key = (np.round(bmats[t], 12).tobytes(), round(tau_el[t], 12))
+            key = np.round(bmats[t], 12).tobytes()
             keys.setdefault(key, len(keys))
             assert sys.elem_class[t] == keys[key]
         assert len(sys.classes) == level + 2

@@ -96,6 +96,12 @@ class TestSolveCommand:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["const:nan", "const:inf", "const:1e400"])
+    def test_non_finite_tau_exits_2(self, capsys, tau):
+        assert main(["solve", "--level", "0", "--modes", "1", "--tau", tau]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
     def test_numerical_failure_exits_3(self, capsys):
         # more modes than the lowest-order trace space can resolve
         code = main(["solve", "--level", "0", "--k", "0", "--modes", "40"])

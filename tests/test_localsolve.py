@@ -30,7 +30,7 @@ def lift_equation_terms(ops, mu, mat, part=lambda a: a):
         terms_a.append(np.einsum("g,g,gi->i", ops.face_wq[l], muv, part(ops.v_normal[l])))
         uvf = part(ops.w_face[l]) @ u
         for sign, vals in ((1.0, uvf), (-1.0, muv)):
-            terms_b.append(sign * ops.tau[l] * np.einsum(
+            terms_b.append(sign * ops.tau * np.einsum(
                 "g,g,gi->i", ops.face_wq[l], vals, part(ops.w_face[l])))
     return terms_a, terms_b
 
@@ -46,8 +46,8 @@ def load_lift_terms(ops, f, mat, part=lambda a: a):
                -np.einsum("q,q,qi->i", ops.wq, part(ops.w_vals) @ part(f), part(ops.w_vals))]
     for l in range(3):
         uvf = part(ops.w_face[l]) @ u
-        terms_b.append(ops.tau[l] * np.einsum("g,g,gi->i", ops.face_wq[l], uvf,
-                                              part(ops.w_face[l])))
+        terms_b.append(ops.tau * np.einsum("g,g,gi->i", ops.face_wq[l], uvf,
+                                           part(ops.w_face[l])))
     return terms_a, terms_b
 
 
@@ -75,12 +75,12 @@ class TestConfigTypes:
         assert TauSpec.zero() == TauSpec.constant(0.0)
         assert TauSpec.global_h().face_value(h=0.25) == 0.25
         assert TauSpec.inverse_global_h().face_value(h=0.25) == 4.0
-        assert TauSpec.local_h().face_value(h_k=0.5) == 0.5
-        assert TauSpec.inverse_local_h().face_value(h_k=0.5) == 2.0
 
     def test_tau_validation(self):
         with pytest.raises(ConfigError):
             TauSpec.constant(-1.0)
+        with pytest.raises(ConfigError):
+            TauSpec.constant(float("nan"))
         with pytest.raises(ConfigError):
             TauSpec("bogus")
         with pytest.raises(ConfigError):

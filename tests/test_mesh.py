@@ -84,10 +84,10 @@ class TestRefine:
 
     def test_h_halves(self):
         m = build_square_mesh(0)
-        h0 = m.h
+        h0 = m.spacing
         for level in range(1, 4):
             m = refine(m)
-            assert m.h == pytest.approx(h0 / 2**level, rel=1e-14)
+            assert m.spacing == pytest.approx(h0 / 2**level, rel=1e-14)
 
     def test_counts_multiply_by_four(self):
         m = build_lshape_mesh(0)
@@ -148,10 +148,6 @@ class TestMeshInvariants:
         edges, inverse = np.unique(raw, axis=0, return_inverse=True)
         assert m.edges.dtype == edges.dtype and np.array_equal(m.edges, edges)
         assert np.array_equal(m.elem_edges, inverse.reshape(-1, 3))
-
-    def test_h_k_is_longest_edge(self):
-        m = build_square_mesh(0)
-        assert np.allclose(m.h_K, m.spacing * np.sqrt(2))
 
     def test_locate(self):
         m = build_square_mesh(0)

@@ -1,6 +1,7 @@
 """The public surface of ``hdgeig``: the README's library example runs as
-written, and every function the package exports is reached by a command
-or is a named reference check."""
+written, and every function the package exports, and every static
+constructor of an exported class, is reached by a command or is a named
+reference check."""
 
 import inspect
 import sys
@@ -10,18 +11,25 @@ import hdgeig
 from hdgeig import basis, localsolve
 from hdgeig.cli import main
 
-#: exported functions that no command calls, and why each stays
+#: exported functions and static methods that no command calls, and why
+#: each stays
 NOT_CALLED_BY_COMMANDS = {
     "assemble_m_of_lambda": "the benchmark times it as assembly.m_of_lambda",
     "solve_source": "acceptance criterion 10 checks the condensation on a source problem",
     "source_residuals": "criterion 10's residuals of that source problem",
     "eig_residuals": "criterion 10's residuals of a recovered eigen-triple",
     "qstar_normal_jumps": "criterion 10's normal continuity of the postprocessed flux",
+    "ConvergenceReport.from_dict": "the lossless JSON round trip",
 }
 
-#: each command at level 0; the studies add level 1 for the nested start
+#: each command at level 0, and each --tau and --case spelling that
+#: picks a TauSpec constructor; the studies add level 1 for the nested start
 COMMANDS = [
     ["solve", "--level", "0", "--modes", "2"],
+    ["solve", "--level", "0", "--modes", "1", "--tau", "h"],
+    ["solve", "--level", "0", "--modes", "1", "--tau", "invh"],
+    ["solve", "--level", "0", "--modes", "1", "--tau", "const:2"],
+    ["solve", "--level", "0", "--modes", "1", "--case", "case1", "--tau", "zero"],
     ["study", "--levels", "0:1", "--modes", "1"],
     ["study", "--domain", "lshape", "--levels", "0:1", "--modes", "1"],
     ["oracle-check", "--level", "0", "--modes", "2"],
@@ -46,6 +54,9 @@ def test_readme_library_example():
 def test_every_exported_function_is_called_by_a_command(capsys):
     exported = {name: inspect.unwrap(obj).__code__ for name, obj in vars(hdgeig).items()
                 if callable(obj) and not isinstance(obj, type)}
+    exported.update(("%s.%s" % (name, attr), method.__func__.__code__)
+                    for name, cls in vars(hdgeig).items() if isinstance(cls, type)
+                    for attr, method in vars(cls).items() if isinstance(method, staticmethod))
     # cached tabulations warmed by earlier tests would hide their builders
     for module in (basis, localsolve):
         for obj in vars(module).values():

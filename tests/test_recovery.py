@@ -62,7 +62,7 @@ def reference_q_star(ops, eta_loc, u, q):
         qn = np.einsum("ei,gi->eg", q, ops.v_normal[l])
         uvals = np.einsum("ei,gi->eg", u, ops.w_face[l])
         etav = np.einsum("em,gm->eg", eta_loc[:, l * n_m : (l + 1) * n_m], ops.t_face[l])
-        qhat = qn + ops.tau[l] * (uvals - etav)
+        qhat = qn + ops.tau * (uvals - etav)
         rhs.append(np.einsum("g,eg,gm->em", fw, qhat, ops.t_face[l]))
     if ops.ref.spaces.k >= 1:
         ivals = ops.ref.i_vals / np.sqrt(ops.det)
