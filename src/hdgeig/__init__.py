@@ -3,9 +3,10 @@
 A hybridized discontinuous Galerkin discretization of the Dirichlet
 eigenproblem for -div(alpha grad u): element-interior unknowns are
 eliminated through local lifts, the remaining trace unknowns satisfy a
-nonlinear eigenproblem, solved for all modes by one Lanczos run on the
-discrete source-solution operator, and local postprocessing upgrades
-both eigenfunctions and eigenvalues.
+nonlinear eigenproblem, solved for all modes at once on the discrete
+source-solution operator (Lanczos from a fixed vector, or LOBPCG from a
+block of approximate eigenfields such as a coarser mesh's), and local
+postprocessing upgrades both eigenfunctions and eigenvalues.
 """
 
 from .assembly import (

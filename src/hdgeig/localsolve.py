@@ -10,9 +10,12 @@ computed here, and the postprocessing from the per-class maps below.
 Bases on the physical element are the mapped reference bases scaled by
 the inverse square root of the Jacobian determinant, so local mass
 matrices are exactly the identity.  Face quantities are tabulated in the
-element-local edge parametrization (vertex l to vertex l+1); a global
-edge may be parametrized the other way by its second element, which
-flips the sign of the odd edge-basis members.  Congruent elements
+element-local edge parametrization (vertex l to vertex l+1), face first:
+a face tabulation of n functions is one (3, n_g, n) array over the n_g
+edge quadrature points of faces 0, 1, 2, and a trace vector lists face
+l's n_m members at l n_m.  A global edge may be parametrized the other
+way by its second element, which flips the sign of the odd edge-basis
+members.  Congruent elements
 therefore share all matrices below, and assembly only applies per-face
 sign diagonals.
 """
@@ -28,6 +31,8 @@ from .errors import ConfigError, LocalSolveError
 
 _COND_LIMIT = 1e12
 _REF_EDGE_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+#: reference face l runs from vertex l to vertex l+1
+_REF_EDGE_TANGENTS = np.roll(_REF_EDGE_VERTICES, -1, axis=0) - _REF_EDGE_VERTICES
 _ERROR_QUAD_ORDER = 12
 
 
@@ -170,7 +175,12 @@ def reference_tables(spaces):
 
 
 class ReferenceTables:
-    """Reference-element tabulations shared by every congruence class."""
+    """Reference-element tabulations shared by every congruence class.
+
+    ``face_ref_pts`` (3, n_g, 2) are the face quadrature points and
+    ``w_face``, ``v_face``, ``p_face`` (3, n_g, n) the scalar bases there;
+    the edge basis ``t_face`` (n_g, n_m) is the same on every face.
+    """
 
     def __init__(self, spaces):
         self.spaces = spaces
@@ -195,22 +205,15 @@ class ReferenceTables:
         self.v_vals, self.v_grads = self.vbasis.tabulate(pts)
         self.p_vals, self.p_grads = self.pbasis.tabulate(pts)
 
-        # face points in reference coordinates, parametrized vertex l -> l+1
+        # face points in reference coordinates, face l parametrized
+        # vertex l -> l+1
         s = self.edge.points.ravel()
-        self.face_s = s
         self.face_w = self.edge.weights
-        self.face_ref_pts = []
-        self.w_face = []
-        self.v_face = []
-        self.p_face = []
-        for l in range(3):
-            a = _REF_EDGE_VERTICES[l]
-            b = _REF_EDGE_VERTICES[(l + 1) % 3]
-            fp = a + s[:, None] * (b - a)
-            self.face_ref_pts.append(fp)
-            self.w_face.append(self.wbasis.tabulate(fp)[0])
-            self.v_face.append(self.vbasis.tabulate(fp)[0])
-            self.p_face.append(self.pbasis.tabulate(fp)[0])
+        self.face_ref_pts = (_REF_EDGE_VERTICES[:, None]
+                             + s[:, None] * _REF_EDGE_TANGENTS[:, None])
+        self.w_face, self.v_face, self.p_face = (
+            b.tabulate(self.face_ref_pts.reshape(-1, 2))[0].reshape(3, len(s), -1)
+            for b in (self.wbasis, self.vbasis, self.pbasis))
         self.t_face = self.tbasis.tabulate(s)
 
         # fixed high-order rule for integrals against non-polynomial data
@@ -234,7 +237,9 @@ class ElementOps:
     ``bmat`` maps reference to physical coordinates (columns are the two
     edge vectors from vertex 0); elements that differ only by translation
     share an instance.  ``tau`` is the stabilization value on all three
-    faces.
+    faces.  Face tabulations (``w_face``, ``v_normal``, ``t_face``, and
+    ``p_ops["face"]`` and ``rt_ops["face_normal"]``) are (3, n_g, n) arrays
+    and the face quadrature weights ``face_wq`` are (3, n_g).
     """
 
     def __init__(self, bmat, tau, mat, ref, element_hint=0):
@@ -249,19 +254,13 @@ class ElementOps:
         if det <= 0:
             raise LocalSolveError("element %d has nonpositive Jacobian" % element_hint)
         self.det = det
-        self.area = 0.5 * det
         self.binv = np.array(
             [[self.bmat[1, 1], -self.bmat[0, 1]], [-self.bmat[1, 0], self.bmat[0, 0]]]
         ) / det
         scale = np.sqrt(det)
 
         # face geometry: tangent from local vertex l to l+1, outward normal
-        tangents = np.stack(
-            [
-                self.bmat @ (_REF_EDGE_VERTICES[(l + 1) % 3] - _REF_EDGE_VERTICES[l])
-                for l in range(3)
-            ]
-        )
+        tangents = _REF_EDGE_TANGENTS @ self.bmat.T
         self.edge_lens = np.linalg.norm(tangents, axis=1)
         self.normals = np.column_stack([tangents[:, 1], -tangents[:, 0]]) / self.edge_lens[:, None]
         self.h_k = self.edge_lens.max()
@@ -278,14 +277,12 @@ class ElementOps:
         self.v_vals[:, n_v1:, 1] = sv
         self.v_divs = np.concatenate([sg[:, :, 0], sg[:, :, 1]], axis=1)
 
-        self.w_face = [ref.w_face[l] / scale for l in range(3)]
-        self.v_normal = []
-        for l in range(3):
-            svf = ref.v_face[l] / scale
-            nx, ny = self.normals[l]
-            self.v_normal.append(np.concatenate([svf * nx, svf * ny], axis=1))
-        self.t_face = [ref.t_face / np.sqrt(self.edge_lens[l]) for l in range(3)]
-        self.face_wq = [ref.face_w * self.edge_lens[l] for l in range(3)]
+        # v_normal: the flux basis dotted with each face's outward normal
+        self.w_face = ref.w_face / scale
+        svf = ref.v_face[:, :, None] / scale
+        self.v_normal = (svf * self.normals[:, None, :, None]).reshape(3, len(ref.edge), -1)
+        self.t_face = ref.t_face / np.sqrt(self.edge_lens)[:, None, None]
+        self.face_wq = ref.face_w * self.edge_lens[:, None]
 
         self.n_w = ref.n_w
         self.n_v = ref.n_v
@@ -297,17 +294,14 @@ class ElementOps:
         c = mat.c
         acc = np.kron(c, np.eye(n_v1))
         bdiv = np.einsum("q,qi,qj->ij", self.wq, self.w_vals, self.v_divs)
-        dtau = np.zeros((self.n_w, self.n_w))
-        self.cmat = np.zeros((self.n_v, self.n_trace))
-        self.emat = np.zeros((self.n_w, self.n_trace))
-        for l in range(3):
-            fw = self.face_wq[l]
-            dtau += self.tau * np.einsum("e,ei,ej->ij", fw, self.w_face[l], self.w_face[l])
-            cols = slice(l * self.n_m, (l + 1) * self.n_m)
-            self.cmat[:, cols] = np.einsum("e,ei,em->im", fw, self.v_normal[l], self.t_face[l])
-            self.emat[:, cols] = self.tau * np.einsum(
-                "e,ei,em->im", fw, self.w_face[l], self.t_face[l]
-            )
+        # trace column l n_m + m is member m of face l; face sums run in
+        # face order after the per-face products
+        fw = self.face_wq
+        dtau = sum(self.tau * np.einsum("le,lei,lej->lij", fw, self.w_face, self.w_face))
+        self.cmat = np.einsum("le,lei,lem->ilm", fw, self.v_normal, self.t_face).reshape(
+            self.n_v, self.n_trace)
+        self.emat = self.tau * np.einsum("le,lei,lem->ilm", fw, self.w_face, self.t_face).reshape(
+            self.n_w, self.n_trace)
 
         lhs = np.block([[acc, -bdiv.T], [bdiv, dtau]])
         cond = np.linalg.cond(lhs)
@@ -330,17 +324,13 @@ class ElementOps:
         self.qwmat = sol[: self.n_v]
         self.uwmat = sol[self.n_v :]
 
-        # condensed stiffness block a(.,.)
-        a_loc = self.qmat.T @ acc @ self.qmat
-        for l in range(3):
-            fw = self.face_wq[l]
-            uvals = self.w_face[l] @ self.umat  # (ne, n_trace)
-            mvals = np.zeros_like(uvals)
-            cols = slice(l * self.n_m, (l + 1) * self.n_m)
-            mvals[:, cols] = self.t_face[l]
-            diff = uvals - mvals
-            a_loc += self.tau * np.einsum("e,ei,ej->ij", fw, diff, diff)
-        self.a_loc = a_loc
+        # condensed stiffness block a(.,.); each trace member's values on
+        # the faces (3, n_g, n_trace) are zero off its own face
+        own = (np.eye(3)[:, None, :, None] * self.t_face[:, :, None]).reshape(
+            3, -1, self.n_trace)
+        diff = self.w_face @ self.umat - own
+        self.a_loc = sum(self.tau * np.einsum("le,lei,lej->lij", fw, diff, diff),
+                         start=self.qmat.T @ acc @ self.qmat)
 
         self.w_means = np.einsum("q,qi->i", self.wq, self.w_vals)
 
@@ -379,7 +369,7 @@ class ElementOps:
             "vals": p_vals,
             "grads": np.einsum("qib,ba->qia", ref.p_grads, self.binv) / scale,
             "means": self.wq @ p_vals,
-            "face": [ref.p_face[l] / scale for l in range(3)],
+            "face": ref.p_face / scale,
         }
 
     def rt_tabulate(self, ref_pts):
@@ -406,22 +396,23 @@ class ElementOps:
         postprocessing space."""
         ref = self.ref
         ref.spaces.validate_postprocess()
+        face_vals = self.rt_tabulate(ref.face_ref_pts.reshape(-1, 2))
         return {
             "vol_vals": self.rt_tabulate(ref.vol.points),
-            "face_normal": [self.rt_tabulate(ref.face_ref_pts[l]) @ self.normals[l]
-                            for l in range(3)],
+            "face_normal": (face_vals.reshape(3, len(ref.edge), ref.n_rt, 2)
+                            @ self.normals[:, None, :, None])[..., 0],
         }
 
-    def _face_moments(self, l, vals):
-        """Trace-basis moments (n, n_m) on face l of values (n_g, n)."""
-        return vals.T @ (self.face_wq[l][:, None] * self.t_face[l])
+    def _face_moments(self, vals, test):
+        """Per-face moments (3, n, n_t) of face values (3, n_g, n) against
+        face values (3, n_g, n_t)."""
+        return vals.transpose(0, 2, 1) @ (self.face_wq[..., None] * test)
 
     @cached_property
     def rt_moments(self):
         """(n_rt, n_trace): face moments of the normal component of each
         flux postprocessing member."""
-        normal = self.rt_ops["face_normal"]
-        return np.hstack([self._face_moments(l, normal[l]) for l in range(3)])
+        return np.hstack(self._face_moments(self.rt_ops["face_normal"], self.t_face))
 
     @cached_property
     def post_u(self):
@@ -444,8 +435,7 @@ class ElementOps:
         normal-continuous flux q*: the face moments of q*.n are those of the
         numerical flux q.n + tau (u - eta) and, for k >= 1, the moments of
         q* against [P_{k-1}]^2 are those of q."""
-        eta = scipy.linalg.block_diag(
-            *(-self.tau * self._face_moments(l, self.t_face[l]) for l in range(3)))
+        eta = scipy.linalg.block_diag(*(-self.tau * self._face_moments(self.t_face, self.t_face)))
         system, data = [self.rt_moments.T], [np.vstack([eta, self.emat, self.cmat])]
         if self.ref.spaces.k >= 1:
             ivals = self.wq[:, None] * self.ref.i_vals / np.sqrt(self.det)
@@ -467,5 +457,5 @@ class ElementOps:
         p, normal = self.p_ops, self.rt_ops["face_normal"]
         stiff = np.einsum("q,qia,ab,qjb->ij", self.wq, p["grads"], self.mat.alpha, p["grads"])
         mass = (self.wq[:, None] * p["vals"]).T @ p["vals"]
-        pairing = sum(normal[l].T @ (self.face_wq[l][:, None] * p["face"][l]) for l in range(3))
+        pairing = sum(self._face_moments(normal, p["face"]))
         return stiff, mass, pairing

@@ -51,7 +51,6 @@ class Mesh:
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         if np.any(cross <= 0.0):
             raise ValueError("all triangles must be counterclockwise")
-        self.areas = 0.5 * cross
 
         # unique sorted vertex pairs in lexicographic order, keyed lo * V + hi
         a, b = self.triangles.ravel(), self.triangles[:, [1, 2, 0]].ravel()
@@ -70,7 +69,7 @@ class Mesh:
         )
 
         for arr in (self.vertices, self.triangles, self.edges, self.elem_edges,
-                    self.boundary, self.areas, self.edge_lengths):
+                    self.boundary, self.edge_lengths):
             arr.setflags(write=False)
 
     @property

@@ -114,14 +114,6 @@ def postprocess_u(sys, fields):
     return out
 
 
-def _numerical_flux_trace(ops, eta_face, u, q, face):
-    """Branch values (e, g) of the numerical flux normal trace on a face."""
-    qn = np.einsum("ei,gi->eg", q, ops.v_normal[face])
-    uvals = np.einsum("ei,gi->eg", u, ops.w_face[face])
-    etav = np.einsum("em,gm->eg", eta_face, ops.t_face[face])
-    return qn + ops.tau * (uvals - etav)
-
-
 def postprocess_q(sys, fields):
     """Normal-continuous flux reconstruction in [P_k]^2 + x P_k.
 
@@ -191,19 +183,18 @@ def _system_residuals(sys, eta_loc, u, q, rhs_mom):
 
         t1 = np.einsum("q,eqd,qid->ei", ops.wq, cq, ops.v_vals)
         t2 = np.einsum("q,eq,qi->ei", ops.wq, uvals, ops.v_divs)
-        t3 = np.zeros_like(t1)
         t4 = np.einsum("q,eqd,qid->ei", ops.wq, qvals, ops.w_grads)
-        t5 = np.zeros_like(t4)
         t6 = np.einsum("q,eq,qi->ei", ops.wq, rhsvals, ops.w_vals)
-        for l in range(3):
-            fw = ops.face_wq[l]
-            sl = slice(l * n_m, (l + 1) * n_m)
-            eta_face = eta_loc[members][:, sl]
-            etav = np.einsum("em,gm->eg", eta_face, ops.t_face[l])
-            t3 += np.einsum("g,eg,gi->ei", fw, etav, ops.v_normal[l])
-            qhat = _numerical_flux_trace(ops, eta_face, u[members], q[members], l)
-            t5 += np.einsum("g,eg,gi->ei", fw, qhat, ops.w_face[l])
-            flux_moments[members, sl] = np.einsum("g,eg,gm->em", fw, qhat, ops.t_face[l])
+        # face values (e, 3, n_g) of the trace and of the numerical flux
+        # q.n + tau (u - eta); face sums run in face order
+        fw = ops.face_wq
+        etav = np.einsum("elm,lgm->elg", eta_loc[members].reshape(-1, 3, n_m), ops.t_face)
+        qhat = (np.einsum("ei,lgi->elg", q[members], ops.v_normal)
+                + ops.tau * (np.einsum("ei,lgi->elg", u[members], ops.w_face) - etav))
+        t3 = sum(np.einsum("lg,elg,lgi->lei", fw, etav, ops.v_normal))
+        t5 = sum(np.einsum("lg,elg,lgi->lei", fw, qhat, ops.w_face))
+        flux_moments[members] = np.einsum("lg,elg,lgm->elm", fw, qhat, ops.t_face).reshape(
+            len(members), -1)
         res_a.append(t1 - t2 + t3)
         res_b.append(-t4 + t5 - t6)
         mag_a += [np.linalg.norm(t1), np.linalg.norm(t2), np.linalg.norm(t3)]

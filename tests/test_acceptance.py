@@ -250,7 +250,7 @@ def test_criterion_10_property_suite(meshes, systems, eigenpairs):
         for ops, members in sys.class_groups:
             mean_star = post.u_star[members] @ ops.p_ops["means"]
             mean_u = fields.u[members] @ ops.w_means
-            assert np.abs(mean_star - mean_u).max() < 1e-12 * np.sqrt(ops.area)
+            assert np.abs(mean_star - mean_u).max() < 1e-12 * np.sqrt(0.5 * ops.det)
 
         # coefficient scaling multiplies every eigenvalue by the factor
         s = 3.0

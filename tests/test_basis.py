@@ -61,10 +61,10 @@ class TestTriangleQuadrature:
         sys = systems("lshape", 1, 1)
         verts = sys.mesh.vertices[sys.mesh.triangles]
         for ops, members, x, y in sys.class_points(sys.ref.err.points):
-            assert np.allclose(ops.det * sys.ref.err.weights.sum(), sys.mesh.areas[members],
-                               rtol=1e-12, atol=0)
             own = np.stack([verts[members, 1] - verts[members, 0],
                             verts[members, 2] - verts[members, 0]], axis=2)
+            assert np.allclose(ops.det * sys.ref.err.weights.sum(), 0.5 * np.linalg.det(own),
+                               rtol=1e-12, atol=0)
             want = verts[members, None, 0] + np.einsum("eab,qb->eqa", own, sys.ref.err.points)
             assert np.abs(np.stack([x, y], axis=2) - want).max() < 1e-12
 
@@ -239,7 +239,7 @@ class TestRTBasis:
         # face parameter: the least-squares fit at the k + 3 face quadrature
         # points leaves no residual
         ops = element_ops(AFFINE, SpaceConfig(k), TauSpec.one())
-        vander = np.vander(ops.ref.face_s, k + 1, increasing=True)
+        vander = np.vander(ops.ref.edge.points.ravel(), k + 1, increasing=True)
         for vn in ops.rt_ops["face_normal"]:
             coef = np.linalg.lstsq(vander, vn, rcond=None)[0]
             assert np.abs(vander @ coef - vn).max() < 1e-10 * max(1.0, np.abs(vn).max())

@@ -222,7 +222,7 @@ class TestPostprocessU:
             pops = ops.p_ops
             mean_star = out[members] @ pops["means"]
             mean_u = fields.u[members] @ ops.w_means
-            area = ops.area
+            area = 0.5 * ops.det
             assert np.abs(mean_star - mean_u).max() < 1e-12 * np.sqrt(area)
 
     def test_benchmark_error_level2(self, recovered):
