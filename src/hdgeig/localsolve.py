@@ -10,14 +10,13 @@ computed here, and the postprocessing from the per-class maps below.
 Bases on the physical element are the mapped reference bases scaled by
 the inverse square root of the Jacobian determinant, so local mass
 matrices are exactly the identity.  Face quantities are tabulated in the
-element-local edge parametrization (vertex l to vertex l+1), face first:
-a face tabulation of n functions is one (3, n_g, n) array over the n_g
-edge quadrature points of faces 0, 1, 2, and a trace vector lists face
-l's n_m members at l n_m.  A global edge may be parametrized the other
-way by its second element, which flips the sign of the odd edge-basis
-members.  Congruent elements
-therefore share all matrices below, and assembly only applies per-face
-sign diagonals.
+element-local edge parametrization (vertex l to vertex l+1), face
+first: n functions at the n_g edge quadrature points of faces 0, 1, 2
+make one (3, n_g, n) array, and trace dof l n_m + m is member m on face
+l.  A global edge may be parametrized the other way by its second
+element, which flips the sign of the odd edge-basis members.  Congruent
+elements therefore share all matrices below, and assembly only applies
+per-face sign diagonals.
 """
 
 from dataclasses import dataclass
@@ -175,12 +174,9 @@ def reference_tables(spaces):
 
 
 class ReferenceTables:
-    """Reference-element tabulations shared by every congruence class.
-
-    ``face_ref_pts`` (3, n_g, 2) are the face quadrature points and
-    ``w_face``, ``v_face``, ``p_face`` (3, n_g, n) the scalar bases there;
-    the edge basis ``t_face`` (n_g, n_m) is the same on every face.
-    """
+    """Reference-element tabulations shared by every congruence class;
+    face tabulations are (3, n_g, n) but for the edge basis ``t_face``
+    (n_g, n_m), which is the same on every face."""
 
     def __init__(self, spaces):
         self.spaces = spaces
@@ -205,12 +201,9 @@ class ReferenceTables:
         self.v_vals, self.v_grads = self.vbasis.tabulate(pts)
         self.p_vals, self.p_grads = self.pbasis.tabulate(pts)
 
-        # face points in reference coordinates, face l parametrized
-        # vertex l -> l+1
+        # face points in reference coordinates, face l from vertex l to l+1
         s = self.edge.points.ravel()
-        self.face_w = self.edge.weights
-        self.face_ref_pts = (_REF_EDGE_VERTICES[:, None]
-                             + s[:, None] * _REF_EDGE_TANGENTS[:, None])
+        self.face_ref_pts = _REF_EDGE_VERTICES[:, None] + s[:, None] * _REF_EDGE_TANGENTS[:, None]
         self.w_face, self.v_face, self.p_face = (
             b.tabulate(self.face_ref_pts.reshape(-1, 2))[0].reshape(3, len(s), -1)
             for b in (self.wbasis, self.vbasis, self.pbasis))
@@ -237,9 +230,8 @@ class ElementOps:
     ``bmat`` maps reference to physical coordinates (columns are the two
     edge vectors from vertex 0); elements that differ only by translation
     share an instance.  ``tau`` is the stabilization value on all three
-    faces.  Face tabulations (``w_face``, ``v_normal``, ``t_face``, and
-    ``p_ops["face"]`` and ``rt_ops["face_normal"]``) are (3, n_g, n) arrays
-    and the face quadrature weights ``face_wq`` are (3, n_g).
+    faces.  Face tabulations are (3, n_g, n) arrays, the face quadrature
+    weights ``face_wq`` (3, n_g).
     """
 
     def __init__(self, bmat, tau, mat, ref, element_hint=0):
@@ -282,7 +274,7 @@ class ElementOps:
         svf = ref.v_face[:, :, None] / scale
         self.v_normal = (svf * self.normals[:, None, :, None]).reshape(3, len(ref.edge), -1)
         self.t_face = ref.t_face / np.sqrt(self.edge_lens)[:, None, None]
-        self.face_wq = ref.face_w * self.edge_lens[:, None]
+        self.face_wq = ref.edge.weights * self.edge_lens[:, None]
 
         self.n_w = ref.n_w
         self.n_v = ref.n_v
@@ -326,8 +318,7 @@ class ElementOps:
 
         # condensed stiffness block a(.,.); each trace member's values on
         # the faces (3, n_g, n_trace) are zero off its own face
-        own = (np.eye(3)[:, None, :, None] * self.t_face[:, :, None]).reshape(
-            3, -1, self.n_trace)
+        own = (np.eye(3)[:, None, :, None] * self.t_face[:, :, None]).reshape(3, -1, self.n_trace)
         diff = self.w_face @ self.umat - own
         self.a_loc = sum(self.tau * np.einsum("le,lei,lej->lij", fw, diff, diff),
                          start=self.qmat.T @ acc @ self.qmat)
@@ -404,8 +395,7 @@ class ElementOps:
         }
 
     def _face_moments(self, vals, test):
-        """Per-face moments (3, n, n_t) of face values (3, n_g, n) against
-        face values (3, n_g, n_t)."""
+        """Per-face moments (3, n, n_t) of face values (3, n_g, n) against (3, n_g, n_t)."""
         return vals.transpose(0, 2, 1) @ (self.face_wq[..., None] * test)
 
     @cached_property

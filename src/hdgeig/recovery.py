@@ -173,7 +173,7 @@ def _system_residuals(sys, eta_loc, u, q, rhs_mom):
     res_b = []
     mag_a = np.zeros(3)
     mag_b = np.zeros(3)
-    flux_moments = np.empty(eta_loc.shape)
+    flux_moments = np.empty((len(eta_loc), 3, n_m))
 
     for ops, members in sys.class_groups:
         qvals = np.einsum("qid,ei->eqd", ops.v_vals, q[members])
@@ -193,8 +193,7 @@ def _system_residuals(sys, eta_loc, u, q, rhs_mom):
                 + ops.tau * (np.einsum("ei,lgi->elg", u[members], ops.w_face) - etav))
         t3 = sum(np.einsum("lg,elg,lgi->lei", fw, etav, ops.v_normal))
         t5 = sum(np.einsum("lg,elg,lgi->lei", fw, qhat, ops.w_face))
-        flux_moments[members] = np.einsum("lg,elg,lgm->elm", fw, qhat, ops.t_face).reshape(
-            len(members), -1)
+        flux_moments[members] = np.einsum("lg,elg,lgm->elm", fw, qhat, ops.t_face)
         res_a.append(t1 - t2 + t3)
         res_b.append(-t4 + t5 - t6)
         mag_a += [np.linalg.norm(t1), np.linalg.norm(t2), np.linalg.norm(t3)]
@@ -210,8 +209,8 @@ def _system_residuals(sys, eta_loc, u, q, rhs_mom):
 
 
 def _edge_jump(sys, moments):
-    """Largest interior-edge sum of signed element face moments (T, 3(k+1)),
-    relative to the largest sum of their magnitudes."""
+    """Largest interior-edge sum of signed element face moments (T, 3(k+1))
+    or (T, 3, k+1), relative to the largest sum of their magnitudes."""
     jumps = sys.gather.T @ moments.ravel()
     mags = abs(sys.gather).T @ np.abs(moments).ravel()
     return float(np.abs(jumps).max() / max(mags.max(), 1e-300))

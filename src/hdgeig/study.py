@@ -13,8 +13,8 @@ starts from the eigenfields of a cold run on the mesh of level
 max(0, L - ``_COARSE_OFFSET``), injected up to L; level 0, a first level
 whose coarse run fails, and a level after a failed one run Lanczos from
 the deterministic vector.  Near the resolvent wall a warm run may stall
-where a cold one converges, or the reverse, so which level of a study
-carries a stalled run's note can depend on its first level.  The
+where a cold one converges: a first level whose coarse start stalls
+runs once more cold, a later level keeps the stalled run's note.  The
 surrogate run starts from the level's own eigenfields and stops once its
 values have converged (its vectors only where the modes lie near the
 resolvent wall).  Every level still solves its own discrete problem to
@@ -35,7 +35,7 @@ from .eigensolve import solve_modes, surrogate_values
 # the paper's nonlinear route and the surrogate with vectors; not called
 # here, perfbench/spans.py times them under these names
 from .eigensolve import solve_condensed_nonlinear, solve_linear_surrogate  # noqa: F401
-from .errors import ConfigError, HdgError, UnsupportedModeError
+from .errors import ConfigError, EigenSolveError, HdgError, UnsupportedModeError
 from .localsolve import MaterialSpec, SpaceConfig, TauSpec
 from .mesh import Mesh, build_lshape_mesh, build_square_mesh, refine
 from .recovery import postprocess, recover_fields
@@ -378,9 +378,6 @@ class ConvergenceReport:
             timings=list(data["timings"]),
         )
 
-    def __eq__(self, other):
-        return isinstance(other, ConvergenceReport) and self.to_dict() == other.to_dict()
-
 
 def build_domain_mesh(domain, level):
     if domain == "square":
@@ -396,18 +393,19 @@ def run_convergence_study(config, progress=None):
     Each level's modes run starts from the previous level's eigenfields.
     A first level L > 0 starts from those of a cold run on the mesh of
     level max(0, L - ``_COARSE_OFFSET``), or cold where that run raises
-    ``HdgError``; level 0 starts cold.  Failures at one level are recorded
-    in the affected cells' notes and do not abort the remaining cells; the
-    level after a failed one starts cold.  Near the wall a warm run can
-    stall where a cold one would not, and the reverse: on the L-shape with
-    tau = h at k = 1, levels 2:3 carry the note on level 2 and numbers on
-    level 3, where levels 0:3 give numbers on level 2 and the note on 3.
+    ``HdgError`` or the run from its eigenfields ``EigenSolveError``;
+    level 0 starts cold.  Failures at one level are recorded in the
+    affected cells' notes and do not abort the remaining cells; the level
+    after a failed one starts cold.  Near the wall a warm run can stall
+    where a cold one would not: on the L-shape with tau = h at k = 1,
+    levels 2:3 and 0:3 both give numbers on level 2 and the note on 3.
     ``progress(level, seconds, detail)`` is called after each level,
     ``detail`` naming the nonzeros of its LU factors, the operator
     applications of its two eigensolves, the solves that made them, how
     each started (a coarse start with its own run's applications and
-    solves), and the stop that ended the surrogate run ("values" or
-    "vectors") with its largest relative residual.
+    solves, "cold after a stalled" one), and the stop that ended the
+    surrogate run ("values" or "vectors") with its largest relative
+    residual.
     """
     spaces = config.spaces
     max_mode = max(config.modes)
@@ -492,8 +490,9 @@ def _coarse_start(config, spaces, level, m):
 def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
     """Fill the level's cells, starting the modes run from the previous
     level's eigenfields ``coarse``; without them, from a coarser mesh's
-    (``_coarse_start``) on a first level above 0, else cold.  Returns this
-    level's eigenfields (dim W_h, m) and the progress detail."""
+    (``_coarse_start``) on a first level above 0 (cold if that stalls),
+    else cold.  Returns this level's eigenfields (dim W_h, m) and the
+    progress detail."""
     sys = assemble_condensed(mesh, spaces, config.tau, config.material)
     m = max(config.modes)
     if coarse is not None:
@@ -505,7 +504,14 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
         start, started = _coarse_start(config, spaces, level, m)
     else:
         start, started = None, "cold"
-    pairs, surrogate, eigenfields, lu_nnz = solve_level(sys, m, start)
+    try:
+        pairs, surrogate, eigenfields, lu_nnz = solve_level(sys, m, start)
+    except EigenSolveError:
+        if coarse is not None or start is None:
+            raise
+        # a stalled coarse start: once cold, on the LU the failed run left
+        pairs, surrogate, eigenfields, lu_nnz = solve_level(sys, m)
+        started = "cold after a stalled " + started
     detail = ("LU nnz %d, modes %d operator applications in %d block solves (%s), surrogate "
               "%d in %d (block start, %s stop, relative residual %.1e)"
               % (lu_nnz, pairs[0].iterations, pairs[0].solves, started, *surrogate[1:]))
@@ -552,7 +558,7 @@ def _metrics_present(report):
 
 def emit_table(report, fmt="markdown"):
     """Render a report as markdown, CSV, or a lossless JSON document."""
-    if fmt in ("markdown", "md"):
+    if fmt == "markdown":
         return _emit_markdown(report)
     if fmt == "csv":
         return _emit_csv(report)

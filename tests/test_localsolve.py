@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -244,3 +245,95 @@ class TestUwInverse:
         lam = 0.5 / np.linalg.eigvalsh(ops.uwmat).max()
         want = np.linalg.eigvalsh(np.eye(ops.n_w) - lam * ops.uwmat)
         np.testing.assert_allclose(np.sort(ops.resolvent_gap(lam)), want, rtol=1e-13)
+
+
+def per_face_operators(ops, mat):
+    """The face-coupled operators of an element, built one face at a time
+    from the reference bases and the element's own edges, by the per-face
+    loops the face axis replaced: a reference independent of every face
+    array of ``ops``."""
+    ref, tau, scale = ops.ref, ops.tau, np.sqrt(ops.det)
+    s = ref.edge.points.ravel()
+    acc = np.kron(mat.c, np.eye(ref.n_v1))
+    a_loc = ops.qmat.T @ acc @ ops.qmat
+    cmat, emat, rt_moments, eta, pairing = [], [], [], [], 0.0
+    for l in range(3):
+        a, b = REF[l], REF[(l + 1) % 3]
+        pts = a + s[:, None] * (b - a)
+        tangent = ops.bmat @ (b - a)
+        length = np.linalg.norm(tangent)
+        normal = np.array([tangent[1], -tangent[0]]) / length
+        fw = ref.edge.weights * length
+        w = ref.wbasis.tabulate(pts)[0] / scale
+        sv = ref.vbasis.tabulate(pts)[0] / scale
+        vn = np.concatenate([sv * normal[0], sv * normal[1]], axis=1)
+        t = ref.tbasis.tabulate(s) / np.sqrt(length)
+        p = ref.pbasis.tabulate(pts)[0] / scale
+        rtn = ops.rt_tabulate(pts) @ normal
+        cmat.append(np.einsum("e,ei,em->im", fw, vn, t))
+        emat.append(tau * np.einsum("e,ei,em->im", fw, w, t))
+        mvals = np.zeros((len(s), ops.n_trace))
+        mvals[:, l * ops.n_m:(l + 1) * ops.n_m] = t
+        diff = w @ ops.umat - mvals
+        a_loc = a_loc + tau * np.einsum("e,ei,ej->ij", fw, diff, diff)
+        rt_moments.append(rtn.T @ (fw[:, None] * t))
+        eta.append(-tau * t.T @ (fw[:, None] * t))
+        pairing = pairing + rtn.T @ (fw[:, None] * p)
+    rt_moments = np.hstack(rt_moments)
+    # the eta rows of post_q: the face moments of q*.n take the eta part
+    # -tau eta of the numerical flux; the interior moments take nothing
+    system = [rt_moments.T]
+    if ref.spaces.k >= 1:
+        ivals = ops.wq[:, None] * ref.i_vals / scale
+        system += [ivals.T @ ops.rt_ops["vol_vals"][:, :, d] for d in range(2)]
+    system = np.vstack(system)
+    rhs = np.zeros((len(system), ops.n_trace))
+    rhs[:ops.n_trace] = scipy.linalg.block_diag(*eta).T
+    post_q_eta = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system), rhs).T
+    return {"a_loc": a_loc, "cmat": np.hstack(cmat), "emat": np.hstack(emat),
+            "rt_moments": rt_moments, "post_q_eta": post_q_eta, "pairing": pairing}
+
+
+class TestFaceAxis:
+    """Every face tabulation is one (3, n_g, n) array, and the operators
+    contracted over the face axis are those of the per-face loops."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_face_arrays_have_a_face_axis(self, k):
+        ops = element_ops(REF @ np.array([[1.0, 0.3], [-0.2, 0.8]]).T, SpaceConfig(k),
+                          TauSpec.one())
+        ref, n_g = ops.ref, len(ops.ref.edge)
+        shapes = {
+            "ref.face_ref_pts": (ref.face_ref_pts, 2),
+            "ref.w_face": (ref.w_face, ref.n_w),
+            "ref.v_face": (ref.v_face, ref.n_v1),
+            "ref.p_face": (ref.p_face, ref.n_p),
+            "w_face": (ops.w_face, ops.n_w),
+            "v_normal": (ops.v_normal, ops.n_v),
+            "t_face": (ops.t_face, ops.n_m),
+            "p_ops face": (ops.p_ops["face"], ref.n_p),
+            "rt_ops face_normal": (ops.rt_ops["face_normal"], ref.n_rt),
+        }
+        for name, (vals, n) in shapes.items():
+            assert isinstance(vals, np.ndarray) and vals.shape == (3, n_g, n), name
+        assert isinstance(ops.face_wq, np.ndarray) and ops.face_wq.shape == (3, n_g)
+
+    @pytest.mark.parametrize("case,k", [
+        ("equal", 0), ("equal", 1), ("equal", 2), ("equal", 3),
+        ("case1", 1), ("case1", 2), ("case2", 2),
+    ])
+    @given(jac=JACOBIAN, diag=DIAGONAL, corr=CORRELATION, tau=st.floats(1e-3, 1e3))
+    def test_operators_match_per_face_loops(self, case, k, jac, diag, corr, tau):
+        mat = drawn_material(diag, corr)
+        try:
+            ops = element_ops(REF @ drawn_jacobian(jac).T + 0.2, SpaceConfig(k, case),
+                              TauSpec.constant(tau), mat)
+            ops.post_q
+        except LocalSolveError:
+            assume(False)
+        want = per_face_operators(ops, mat)
+        got = {"a_loc": ops.a_loc, "cmat": ops.cmat, "emat": ops.emat,
+               "rt_moments": ops.rt_moments, "post_q_eta": ops.post_q[:ops.n_trace],
+               "pairing": ops.rayleigh_forms[2]}
+        for name, ref in want.items():
+            assert np.abs(got[name] - ref).max() <= 1e-13 * np.abs(ref).max(), name

@@ -532,12 +532,12 @@ class TestWarmStarts:
         self.check_spurious_clusters(studies, eigenpairs, k, (0, 1, 2))
 
     def test_spurious_clusters_from_a_coarser_mesh(self, studies, eigenpairs):
-        # level 2 starts from level 0's eigenfields and stalls, so level 3
-        # starts cold and gives numbers; started cold, level 2 gave numbers
-        # and level 3 stalled.  At k = 2 the cold level 3 is a Lanczos run
-        # of about 15,000 applications (20 s), so only k = 1 runs here
-        rep = self.check_spurious_clusters(studies, eigenpairs, 1, (2, 3))
-        assert all(bool(rep.cell(m, 2).note) and not rep.cell(m, 3).note for m in rep.modes)
+        # at k = 1 and 2, level 2's block start from level 0's eigenfields
+        # stalls, so level 2 runs once cold and gives numbers; level 3
+        # starts from them and stalls
+        for k in (1, 2):
+            rep = self.check_spurious_clusters(studies, eigenpairs, k, (2, 3))
+            assert all(not rep.cell(m, 2).note and rep.cell(m, 3).note for m in rep.modes), k
 
     @staticmethod
     def check_spurious_clusters(studies, eigenpairs, k, levels):
@@ -545,21 +545,44 @@ class TestWarmStarts:
         # wall, which Lanczos returns; a warm LOBPCG run there, from the
         # previous level or on a first level from a coarser mesh, either
         # converges to the same values or stalls with a typed error, and
-        # the level after a stalled one starts cold
+        # the level after a stalled one starts cold.  A level whose cells
+        # all carry the note is not solved cold here: at k = 2, level 3,
+        # that is a Lanczos run of about 15,000 applications (20 s)
         modes = (1, 2, 3, 4, 5, 6)
         rep = studies(domain="lshape", k=k, tau=TauSpec.global_h(), levels=levels,
                       modes=modes, postprocess=False)
         assert any(cell.note for cell in rep.cells)
-        for level in rep.levels:
+        for cell in rep.cells:
+            if cell.note:
+                assert "LOBPCG" in cell.note and cell.lam is None
+        for level in sorted({cell.level for cell in rep.cells if not cell.note}):
             surrogates, pairs = eigenpairs("lshape", level, k, "h", m=len(modes))
             for pair, surrogate in zip(pairs, surrogates):
                 cell = rep.cell(pair.index, level)
-                if cell.note:
-                    assert "LOBPCG" in cell.note and cell.lam is None
-                else:
+                if not cell.note:
                     assert cell.lam == pytest.approx(pair.value, rel=1e-10)
                     assert cell.lam_tilde == pytest.approx(surrogate.value, rel=1e-10)
         return rep
+
+    def test_a_stalled_coarse_start_retries_cold(self, eigenpairs):
+        # on the square with tau = 0.1 at k = 2, level 1's block start from
+        # level 0's eigenfields stalls; the level then runs once cold and
+        # gives the cold numbers, and level 2 starts from its eigenfields
+        modes = (1, 2, 3, 4, 5, 6)
+        details = []
+        rep = run_convergence_study(
+            StudyConfig(k=2, tau=TauSpec.constant(0.1), levels=(1, 2), modes=modes,
+                        postprocess=False),
+            progress=lambda level, seconds, detail: details.append(detail))
+        assert "(cold after a stalled block start from level 0," in details[0]
+        assert "(block start)" in details[1]
+        for level in rep.levels:
+            surrogates, pairs = eigenpairs("square", level, 2, 0.1, m=len(modes))
+            for pair, surrogate in zip(pairs, surrogates):
+                cell = rep.cell(pair.index, level)
+                assert cell.note == ""
+                assert cell.lam == pytest.approx(pair.value, rel=1e-10)
+                assert cell.lam_tilde == pytest.approx(surrogate.value, rel=1e-10)
 
 
 class TestEmitTable:
