@@ -283,7 +283,7 @@ class CellResult:
     level's modes run (shared by the level's modes): Lanczos matvecs on a
     cold level, LOBPCG block columns on a level started from eigenfields
     (the previous level's, or on a first level those of a coarser mesh,
-    whose own run is not counted).
+    whose own run, and a stalled run from it, are not counted).
     """
 
     mode: int
@@ -509,7 +509,7 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
     except EigenSolveError:
         if coarse is not None or start is None:
             raise
-        # a stalled coarse start: once cold, on the LU the failed run left
+        # a stalled coarse start: run once cold, on the LU left cached
         pairs, surrogate, eigenfields, lu_nnz = solve_level(sys, m)
         started = "cold after a stalled " + started
     detail = ("LU nnz %d, modes %d operator applications in %d block solves (%s), surrogate "
