@@ -19,9 +19,10 @@ close; from a random block it is slower and stalls on clusters.  An
 eigenvector y gives the trace A^-1 U^T y.  The kernel of G becomes zero
 eigenvalues of T0 (theta infinite), which never reach the lowest modes.
 ``solve`` and the study read only the surrogate's values:
-``surrogate_values`` runs LOBPCG on T0 from the modes' eigenfields until
-the values, not the vectors, have converged, and checks each against
-the enclosure that the nonlinear eigenvalues give it.
+``surrogate_values`` runs LOBPCG on T0 from the modes run's Ritz block,
+whose image the modes' trace solve already gives, until the values, not
+the vectors, have converged, and checks each against the enclosure that
+the nonlinear eigenvalues give it.
 
 The paper's route, kept as the reference, is surrogate-seeded Newton on
 the frozen-pencil fixed point (``solve_condensed_nonlinear``): the roots
@@ -86,9 +87,11 @@ class EigenPair:
 
     From ``solve_modes``: ``iterations`` counts the run's operator
     applications (Lanczos matvecs, or LOBPCG block columns), ``solves``
-    the solves that made them, and ``defect`` is |A eta - lam M(lam) eta|
-    / |A eta|.  From the surrogate: a Gram-normalized vector, the same
-    counts and ``defect`` |A v - theta G v| / |A v|.  From the nonlinear
+    the solves that made them, ``defect`` is |A eta - lam M(lam) eta|
+    / |A eta|, and ``ritz`` is the run's unit Ritz vector x of T whose
+    trace A^-1 U^T x is ``vector`` (None on the other routes).  From the
+    surrogate: a Gram-normalized vector, the same counts and ``defect``
+    |A v - theta G v| / |A v|.  From the nonlinear
     eigensolve: an A-normalized trace (v.A v = 1), its frozen-pencil
     solves (Newton iterations), the last relative update |theta - kappa| /
     theta as ``defect``, the nonlinear residual |A v - lam M(lam) v| /
@@ -102,7 +105,7 @@ class EigenPair:
     """
 
     def __init__(self, value, vector, index, iterations=0, defect=0.0, history=(),
-                 residual=None, solves=0, space=0, field=None):
+                 residual=None, solves=0, space=0, field=None, ritz=None):
         self.value = float(value)
         self.vector = np.asarray(vector, dtype=float)
         self.index = int(index)
@@ -113,6 +116,7 @@ class EigenPair:
         self.solves = int(solves)
         self.space = int(space)
         self.field = field
+        self.ritz = ritz
 
 
 #: ascending eigenvalues of the full problem and the solution operator
@@ -150,11 +154,13 @@ def _times(a, c):
         a[i:i + _ROWS, :c.shape[1]] = (c.T @ a[i:i + _ROWS].T).T
 
 
-def _orthonormalize(v, against):
+def _orthonormalize(v, against, image=None):
     """Make the columns of ``v`` orthonormal and orthogonal to the
     orthonormal columns of ``against``, in place, in two passes of a block
     Gram-Schmidt step and an eigendecomposition of the Gram matrix that
-    drops directions dependent to round-off; returns how many lead ``v``."""
+    drops directions dependent to round-off; returns how many lead ``v``.
+    With ``against`` empty each pass is a product with a small matrix, and
+    ``image``, an operator applied to ``v``, takes the same products."""
     k = v.shape[1]
     for _ in range(2):
         if not k:
@@ -165,15 +171,19 @@ def _orthonormalize(v, against):
         d = 1.0 / np.sqrt(np.maximum(np.diag(gram), np.finfo(float).tiny))
         w, q = np.linalg.eigh(d[:, None] * gram * d)
         keep = w > 1e-12 * w[-1]
-        _times(u, d[:, None] * q[:, keep] / np.sqrt(w[keep]))
+        c = d[:, None] * q[:, keep] / np.sqrt(w[keep])
+        _times(u, c)
+        if image is not None:
+            _times(image[:, :k], c)
         k = np.count_nonzero(keep)
     return k
 
 
-def _lobpcg(op, block, what, stop="vectors"):
+def _lobpcg(op, block, what, stop="vectors", image=None):
     """Largest eigenpairs of ``op``, mu descending, by LOBPCG (Knyazev,
     SISC 23 (2001)) from the m columns of ``block``, with the largest
-    relative residual |op x - mu x| / mu of the returned pairs.
+    relative residual |op x - mu x| / mu of the returned pairs.  Given
+    ``image``, op applied to ``block``, the run makes no solve for it.
 
     Each iteration applies ``op`` to the residuals R of the columns not
     yet converged (one solve) and takes the Rayleigh-Ritz pairs on the
@@ -204,10 +214,13 @@ def _lobpcg(op, block, what, stop="vectors"):
         a[:, lo:hi] = op.matmat(rows)
 
     s[:, :m] = block
-    if _orthonormalize(s[:, :m], s[:, :0]) < m:
+    if image is not None:
+        a[:, :m] = image
+    if _orthonormalize(s[:, :m], s[:, :0], None if image is None else a[:, :m]) < m:
         raise EigenSolveError("the start block of the LOBPCG run on %s has dependent "
                               "columns" % what)
-    apply(0, m)
+    if image is None:
+        apply(0, m)
     width, p = m, 0  # columns of the basis, and of P
     for iteration in range(_LOBPCG_MAX_ITER + 1):
         h = s[:, :width].T @ a[:, :width]
@@ -330,11 +343,14 @@ SurrogateValues = collections.namedtuple("SurrogateValues",
                                          "values applications solves stop residual")
 
 
-def surrogate_values(sys, lams, start):
+def surrogate_values(sys, lams, start, image=None):
     """The lowest len(lams) eigenvalues of the surrogate pencil, without
     eigenvectors, for the condensed nonlinear eigenvalues ``lams``
-    (ascending, as from ``solve_modes``), by LOBPCG on T0 from their
-    eigenfields ``start`` (dim W_h, m).
+    (ascending, as from ``solve_modes``), by LOBPCG on T0 from a block
+    ``start`` (dim W_h, m) spanning their eigenfields: the eigenfields, or
+    the modes run's Ritz block X, whose image T0 X = U A^-1 U^T X is U
+    applied to the pairs' traces, so that passed as ``image`` it costs
+    the run no solve.
 
     The run takes the value stop, unless the modes lie near the wall
     (lams[-1] > wall / 2): there the eigenfields of spurious modes need
@@ -349,7 +365,7 @@ def surrogate_values(sys, lams, start):
     _check_count(sys, len(lams))
     stop = "vectors" if lams[-1] > 0.5 * sys.wall else "values"
     op = _Operator(sys)
-    mu, _, residual = _lobpcg(op, start, "the surrogate pencil", stop)
+    mu, _, residual = _lobpcg(op, start, "the surrogate pencil", stop, image)
     values, upper = 1.0 / mu, lams / (1.0 - lams / sys.wall)
     outside = np.flatnonzero((values < lams * (1.0 - _ENCLOSURE_SLACK))
                              | (values > upper * (1.0 + _ENCLOSURE_SLACK)))
@@ -613,7 +629,7 @@ def solve_modes(sys, m, start=None):
     etas = sys.factorized().solve(sys.moments @ vecs)
     lam_cap = _wall_cap(sys)
     pairs = []
-    for index, (eta, mu_i) in enumerate(zip(etas.T, mu), 1):
+    for index, (eta, x, mu_i) in enumerate(zip(etas.T, vecs.T, mu), 1):
         lam = 1.0 / mu_i if mu_i > 0 else -np.inf
         if not 0.0 < lam < lam_cap:
             raise EigenSolveError("eigenvalue %d (%.6g) is not inside (0, %.6g), the resonance-"
@@ -621,7 +637,7 @@ def solve_modes(sys, m, start=None):
                                   % (index, lam, lam_cap))
         defect, field = _checked_defect(sys, lam, eta)
         pairs.append(EigenPair(lam, eta, index, op.applications, defect, solves=op.solves,
-                               field=field))
+                               field=field, ritz=x))
     return pairs
 
 

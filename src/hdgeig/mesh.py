@@ -92,11 +92,16 @@ class Mesh:
         return float(self.edge_lengths.min())
 
     def locate(self, point):
-        """Index of the first triangle containing ``point`` (tol 1e-12)."""
-        point, p = np.asarray(point, dtype=float), self.vertices[self.triangles]
-        b = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-        bary = np.linalg.solve(b, (point - p[:, 0])[:, :, None])[:, :, 0]
-        hits = np.flatnonzero((bary >= -1e-12).all(axis=1) & (bary.sum(axis=1) <= 1.0 + 1e-12))
+        """Index of the first triangle containing ``point`` (tol 1e-12), from
+        the barycentric coordinates of vertices 1 and 2 in closed form:
+        cross products with r = point - p0 over det = e1 x e2."""
+        point, v = np.asarray(point, dtype=float), self.vertices
+        p0 = v[self.triangles[:, 0]]
+        (x1, y1), (x2, y2) = (v[self.triangles[:, 1]] - p0).T, (v[self.triangles[:, 2]] - p0).T
+        rx, ry = (point - p0).T
+        det = x1 * y2 - y1 * x2
+        l1, l2 = (rx * y2 - ry * x2) / det, (x1 * ry - y1 * rx) / det
+        hits = np.flatnonzero((l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12))
         if hits.size == 0:
             raise ValueError("point %s is outside the mesh" % (point,))
         return int(hits[0])

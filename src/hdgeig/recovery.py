@@ -43,8 +43,9 @@ __all__ = [
 
 #: sign anchor: the recovered eigenfunction has positive element mean here
 _ANCHORS = {"square": (np.pi / 2 - 1e-2, np.pi / 2 - 1e-2), "lshape": (0.5, 0.5)}
-#: the element holding the anchor, per mesh: ``Mesh.locate`` solves a 2x2
-#: system per triangle, so each mesh is searched once
+#: the element holding the anchor, per mesh: ``Mesh.locate`` computes the
+#: barycentric coordinates of the anchor in every triangle, so each mesh is
+#: searched once
 _anchor_elements = weakref.WeakKeyDictionary()
 
 

@@ -15,8 +15,9 @@ whose coarse run fails, and a level after a failed one run Lanczos from
 the deterministic vector.  Near the resolvent wall a warm run may stall
 where a cold one converges: a first level whose coarse start stalls
 runs once more cold, a later level keeps the stalled run's note.  The
-surrogate run starts from the level's own eigenfields and stops once its
-values have converged (its vectors only where the modes lie near the
+surrogate run starts from the level's own Ritz block, with the image
+that the modes' trace solve gave it, and stops once its values have
+converged (its vectors only where the modes lie near the
 resolvent wall).  Every level still solves its own discrete problem to
 the same tolerances.
 """
@@ -92,6 +93,19 @@ class ExactMode:
             return lambda x, y: np.sin(m * x) * np.sin(n * y)
         return None
 
+    def run_values(self, p0, offsets):
+        """``evaluator`` on one class run: (n, n_q) values at p0[e] +
+        offsets[q], for element origins ``p0`` (n, 2) and the class's point
+        offsets (n_q, 2), from per-element and per-point factors: by sin(m
+        (x0 + d)) = sin(m x0) cos(m d) + cos(m x0) sin(m d), each axis is
+        one (n, 2) @ (2, n_q) product."""
+        def axis(c, x0, d):
+            return (np.column_stack([np.sin(c * x0), np.cos(c * x0)])
+                    @ np.stack([np.cos(c * d), np.sin(c * d)]))
+
+        (m, n), (x0, y0), (dx, dy) = self.mn, p0.T, offsets.T
+        return axis(m, x0, dx) * axis(n, y0, dy)
+
     @property
     def norm(self):
         """L2 norm of ``evaluator``: pi/2 for every sin(m x) sin(n y) on (0, pi)^2."""
@@ -158,12 +172,11 @@ def eigenfunction_error(sys, mode, *fields):
     One distance per field, each with the sign that minimizes it.  A field
     holds per-element coefficients of the recovered scalar or of its
     degree-(k+1) reconstruction (told apart by the column count).  ``mode``
-    gives ``evaluator``, the exact eigenfunction, and ``norm``, its L2 norm
-    on the domain.  Raises for modes without a usable closed-form
-    eigenfunction.
+    gives ``evaluator``, the exact eigenfunction, its values on a class run
+    (``run_values``, as ``ExactMode``'s) and ``norm``, its L2 norm on the
+    domain.  Raises for modes without a usable closed-form eigenfunction.
     """
-    evaluator = mode.evaluator
-    if evaluator is None:
+    if mode.evaluator is None:
         raise UnsupportedModeError(
             "mode %d of domain %r has no usable closed-form eigenfunction "
             "(multiplicity %d)" % (mode.index, mode.domain, mode.multiplicity)
@@ -182,16 +195,22 @@ def eigenfunction_error(sys, mode, *fields):
     # the element basis is the reference one over sqrt(det B) and the
     # weights are det B times the reference ones, so with the exact values
     # scaled by sqrt(det B) every integral takes the reference weights.
-    # One pass over the runs of ``class_points``: every array here is one
-    # run's (n, n_q), and no mesh-wide point or value array is formed
-    norm2 = lambda f: np.einsum("q,eq,eq->", ref.err.weights, f, f)
+    # These are positive: with their square roots folded into the values
+    # on both sides, each integral is a dot product.  One pass over
+    # ``class_runs``: every array here is one run's (n, n_q), and no
+    # mesh-wide point or value array is formed
+    root = np.sqrt(ref.err.weights)
+    weighted = [tabs[coeffs.shape[1]].T * (root / nrm) for coeffs, nrm in zip(fields, norms)]
     distances = np.zeros((len(fields), 2))  # squared, to the exact mode and its negative
-    for ops, members, x, y in sys.class_points(ref.err.points):
-        exact = np.sqrt(ops.det) * evaluator(x, y)
-        exact /= mode.norm
-        for dist, coeffs, nrm in zip(distances, fields, norms):
-            vals = coeffs[members] @ tabs[coeffs.shape[1]].T / nrm
-            dist += norm2(vals - exact), norm2(np.add(vals, exact, out=vals))
+    p0 = sys.mesh.vertices[sys.mesh.triangles[:, 0]]
+    for ops, members in sys.class_runs:
+        exact = mode.run_values(p0[members], ref.err.points @ ops.bmat.T)
+        exact *= root * (np.sqrt(ops.det) / mode.norm)
+        for dist, coeffs, tab in zip(distances, fields, weighted):
+            vals = coeffs[members] @ tab
+            minus = (vals - exact).ravel()
+            plus = np.add(vals, exact, out=vals).ravel()
+            dist += minus @ minus, plus @ plus
     return [float(np.sqrt(min(plus, minus))) for plus, minus in distances]
 
 
@@ -444,26 +463,30 @@ def run_convergence_study(config, progress=None):
     return report
 
 
-def _eigenfields(pairs):
-    """The pairs' eigenfields (I - lam W)^-1 U eta, the columns of a
-    column-major (dim W_h, m) block; each pair's ``field`` becomes a view
-    of its column, so the block takes no memory beside the fields."""
-    block = np.empty((pairs[0].field.size, len(pairs)), order="F")
+def _columns(pairs, attr):
+    """The pairs' arrays ``attr`` (``field``, the eigenfields (I - lam W)^-1
+    U eta, or ``vector`` or ``ritz``), the columns of a column-major (n, m)
+    block; each pair's array becomes a view of its column, so the block
+    takes no memory beside the arrays (and what held them before is freed)."""
+    shape = getattr(pairs[0], attr).shape
+    block = np.empty((getattr(pairs[0], attr).size, len(pairs)), order="F")
     for column, pair in zip(block.T, pairs):
-        column[:] = pair.field.ravel()
-        pair.field = column.reshape(pair.field.shape)
+        column[:] = getattr(pair, attr).ravel()
+        setattr(pair, attr, column.reshape(shape))
     return block
 
 
 def solve_level(sys, m, start=None):
     """The eigensolves of one mesh level, for ``solve`` and the study:
     ``solve_modes`` for m pairs (from the block ``start``, if given), then
-    ``surrogate_values`` from their eigenfields, then the LU is released.
+    ``surrogate_values`` from their Ritz block X, whose image T0 X is U
+    applied to the traces that run solved for, then the LU is released.
     Returns the pairs, the ``SurrogateValues``, the eigenfields (dim W_h,
     m) and the LU's nonzeros."""
     pairs = solve_modes(sys, m, start)
-    eigenfields = _eigenfields(pairs)
-    surrogate = surrogate_values(sys, [p.value for p in pairs], eigenfields)
+    eigenfields = _columns(pairs, "field")
+    surrogate = surrogate_values(sys, [p.value for p in pairs], _columns(pairs, "ritz"),
+                                 sys.lift @ _columns(pairs, "vector"))
     lu_nnz = sys.factorized().nnz
     sys.release_factorization()  # the last solve with A: recovery needs none
     return pairs, surrogate, eigenfields, lu_nnz
@@ -478,7 +501,7 @@ def _coarse_start(config, spaces, level, m):
         sys = assemble_condensed(build_domain_mesh(config.domain, coarse_level), spaces,
                                  config.tau, config.material)
         pairs = solve_modes(sys, m)
-        block = _eigenfields(pairs)
+        block = _columns(pairs, "field")
     except HdgError:
         return None, "cold"
     for _ in range(level - coarse_level):
@@ -492,15 +515,27 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
     level's eigenfields ``coarse``; without them, from a coarser mesh's
     (``_coarse_start``) on a first level above 0 (cold if that stalls),
     else cold.  Returns this level's eigenfields (dim W_h, m) and the
-    progress detail."""
+    progress detail, which ends with the seconds of each stage."""
+    seconds = dict.fromkeys(("assembly", "factorization", "eigensolves", "recovery", "error"),
+                            0.0)
+    clock = time.perf_counter()
+
+    def lap(stage):
+        nonlocal clock
+        clock, before = time.perf_counter(), clock
+        seconds[stage] += clock - before
+
     sys = assemble_condensed(mesh, spaces, config.tau, config.material)
+    lap("assembly")
+    # factor first, also before a first level's coarse run: run before the
+    # level's assembly, that run raised the level-6, k = 0 study's median
+    # peak RSS by 11 MB
+    sys.factorized()
+    lap("factorization")
     m = max(config.modes)
     if coarse is not None:
         start, started = inject_fields(sys.ref, coarse), "block start"
     elif level > 0 and level == config.levels[0]:
-        # factor first: run before the level's assembly, the coarse run
-        # raised the level-6, k = 0 study's median peak RSS by 11 MB
-        sys.factorized()
         start, started = _coarse_start(config, spaces, level, m)
     else:
         start, started = None, "cold"
@@ -512,9 +547,7 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
         # a stalled coarse start: run once cold, on the LU left cached
         pairs, surrogate, eigenfields, lu_nnz = solve_level(sys, m)
         started = "cold after a stalled " + started
-    detail = ("LU nnz %d, modes %d operator applications in %d block solves (%s), surrogate "
-              "%d in %d (block start, %s stop, relative residual %.1e)"
-              % (lu_nnz, pairs[0].iterations, pairs[0].solves, started, *surrogate[1:]))
+    lap("eigensolves")
     for mode_idx in config.modes:
         cell = report.cell(mode_idx, level)
         pair = pairs[mode_idx - 1]
@@ -532,8 +565,14 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
             if exact.value is not None:
                 cell.err_lam_star = abs(post.value_star - exact.value)
             scalars.append(post.u_star)
+        lap("recovery")
         if exact.evaluator is not None:
             cell.err_u, cell.err_u_star = (eigenfunction_error(sys, exact, *scalars) + [None])[:2]
+        lap("error")
+    detail = ("LU nnz %d, modes %d operator applications in %d block solves (%s), surrogate "
+              "%d in %d (block start, %s stop, relative residual %.1e), seconds: %s"
+              % (lu_nnz, pairs[0].iterations, pairs[0].solves, started, *surrogate[1:],
+                 ", ".join("%s %.3f" % item for item in seconds.items())))
     return eigenfields, detail
 
 

@@ -545,9 +545,50 @@ class TestCompiledOperators:
         assert np.all(np.diff(forms) >= -1e-13 * forms.max())
 
 
+def lexsort_gather(mesh, n_m):
+    """The signed gather numbered as before the packed sort key: centroids
+    summed over the (T, 3, 2) vertex gather, and the interior edges
+    ordered by ``np.lexsort((region, depth))``."""
+    centroids = mesh.vertices[mesh.triangles].sum(axis=1) / 3.0
+    lo = centroids.min(axis=0)
+    span = centroids.max(axis=0) - lo
+    grid = ((centroids - lo) * ((2 ** 26 - 1) / np.where(span > 0.0, span, 1.0))).astype(np.int64)
+    code = (assembly._spread_bits(grid[:, 1]) << 1) | assembly._spread_bits(grid[:, 0])
+    a = np.full(len(mesh.edges), code.max())
+    b = np.zeros(len(mesh.edges), dtype=np.int64)
+    np.minimum.at(a, mesh.elem_edges.ravel(), np.repeat(code, 3))
+    np.maximum.at(b, mesh.elem_edges.ravel(), np.repeat(code, 3))
+    interior = ~mesh.boundary
+    a, b = a[interior], b[interior]
+    depth = np.frexp((a ^ b).astype(float))[1]
+    block = np.full(len(mesh.edges), -1)
+    block[np.flatnonzero(interior)[np.lexsort((a >> depth, depth))]] = np.arange(depth.size)
+    tris = mesh.triangles
+    cols = (n_m * block[mesh.elem_edges])[:, :, None] + np.arange(n_m)
+    signs = np.where((tris > tris[:, [1, 2, 0]])[:, :, None], (-1.0) ** np.arange(n_m), 1.0)
+    live = np.repeat(interior[mesh.elem_edges].ravel(), n_m)
+    return scipy.sparse.csr_matrix(
+        (signs.ravel()[live], cols.ravel()[live], np.concatenate([[0], np.cumsum(live)])),
+        shape=(live.size, n_m * depth.size))
+
+
 class TestDissectionOrder:
     """The nested-dissection numbering of the trace unknowns, read off the
     gather, on renumbered meshes and on affinely mapped ones."""
+
+    @pytest.mark.parametrize("level", range(5))
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_matches_the_lexsort_build(self, meshes, domain, level):
+        # the gather and A bit for bit, k = 0..3
+        mesh = meshes(domain, level)
+        for k in range(4):
+            sys = assemble_condensed(mesh, SpaceConfig(k), TauSpec.one())
+            gather = lexsort_gather(mesh, sys.ref.n_m)
+            a = gather.T @ sys._block_diagonal([ops.a_loc for ops in sys.classes]) @ gather
+            a.sum_duplicates()
+            for got, want in ((sys.gather, gather), (sys.A, a)):
+                for attr in ("indptr", "indices", "data"):
+                    assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
 
     @staticmethod
     def check_numbering(sys):

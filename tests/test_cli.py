@@ -234,15 +234,21 @@ class TestStudyCommand:
         assert main(["study", "--k", "1", "--levels", "2:3", "--modes", "1,2", "-v"]) == 0
         lines = [r.getMessage() for r in caplog.records if "done in" in r.getMessage()]
         assert len(lines) == 4
-        detail = (r"modes \d+ operator applications in \d+ block solves \((%s)\), "
-                  r"surrogate \d+ in \d+ \(block start, (values|vectors) stop, relative "
-                  r"residual \d\.\de-\d\d\)$")
+        # the detail ends with the seconds of the level's stages, which fit
+        # in its time
+        detail = (r"done in (\d+\.\d\d)s.*modes \d+ operator applications in \d+ block "
+                  r"solves \((%s)\), surrogate \d+ in \d+ \(block start, (values|vectors) stop, "
+                  r"relative residual \d\.\de-\d\d\), seconds: assembly (\d+\.\d{3}), "
+                  r"factorization (\d+\.\d{3}), eigensolves (\d+\.\d{3}), recovery "
+                  r"(\d+\.\d{3}), error (\d+\.\d{3})$")
         # a first level above 0 names the coarse run that started it
         coarse = solve_modes(systems("square", 0, 1), 2)[0]
         from_level_0 = ("block start from level 0, %d operator applications in %d solves"
                         % (coarse.iterations, coarse.solves))
         for line, started in zip(lines, ["cold", "block start", from_level_0, "block start"]):
-            assert re.search(detail % started, line)
+            match = re.search(detail % started, line)
+            seconds = [float(match[i]) for i in (1, 4, 5, 6, 7, 8)]
+            assert sum(seconds[1:]) <= seconds[0] + 0.01
 
     def test_verbosity_is_set_on_every_call(self, capsys):
         # logging.basicConfig configures the root logger once per process,

@@ -20,7 +20,7 @@ from hdgeig.eigensolve import (
 )
 from hdgeig.errors import EigenSolveError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
-from hdgeig.mesh import Mesh
+from hdgeig.mesh import Mesh, build_square_mesh
 from hdgeig.recovery import eig_residuals, recover_fields
 from hdgeig.study import StudyConfig, inject_fields, run_convergence_study
 from test_assembly import (
@@ -655,14 +655,17 @@ class TestLobpcgWorkspace:
     def test_application_counts_on_the_k2_study(self, monkeypatch):
         # every run of the k = 2 study once more through the reference, on a
         # copy of its operator (same LU, own counters); the surrogate runs
-        # stop on their values
+        # stop on their values, and start from the modes' Ritz block with
+        # its image, where the reference applies the operator to the block
         counts, lobpcg = [], eigensolve._lobpcg
 
-        def both(op, block, what, stop="vectors"):
+        def both(op, block, what, stop="vectors", image=None):
             ref = copy.copy(op)
             reference_lobpcg(ref, block, what, stop)
-            out = lobpcg(op, block, what, stop)
-            counts.append(((ref.applications, ref.solves), (op.applications, op.solves)))
+            out = lobpcg(op, block, what, stop, image)
+            given = (0, 0) if image is None else (block.shape[1], 1)
+            counts.append(((ref.applications - given[0], ref.solves - given[1]),
+                           (op.applications, op.solves)))
             return out
 
         monkeypatch.setattr(eigensolve, "_lobpcg", both)
@@ -673,8 +676,8 @@ class TestLobpcgWorkspace:
         assert len(counts) == 9 and all(ref == new for ref, new in counts)
         pattern = r"modes (\d+) operator applications in (\d+) .*surrogate (\d+) in (\d+)"
         got = [tuple(int(c) for c in re.search(pattern, d).groups()) for d in details]
-        assert got == [(54, 54, 43, 8), (66, 13, 37, 7), (55, 11, 30, 6), (48, 10, 21, 4),
-                       (41, 8, 15, 3)]
+        assert got == [(54, 54, 37, 7), (66, 13, 31, 6), (55, 11, 24, 5), (48, 10, 15, 3),
+                       (41, 8, 9, 2)]
 
     def test_peak_memory_at_most_the_reference(self, systems, eigenpairs):
         # each run once untraced first, so that neither pays a lazy set-up
@@ -711,10 +714,10 @@ class TestSurrogateValues:
         # takes a Lanczos run of 28,552 (h) or 10,914 (0.1) applications, 17 s
         runs, lobpcg = [], eigensolve._lobpcg
 
-        def both(op, block, what, stop="vectors"):
-            out = lobpcg(op, block, what, stop)
+        def both(op, block, what, stop="vectors", image=None):
+            out = lobpcg(op, block, what, stop, image)
             if what == "the surrogate pencil":
-                runs.append((stop, out[0], lobpcg(copy.copy(op), block, what)[0]))
+                runs.append((stop, out[0], lobpcg(copy.copy(op), block, what, image=image)[0]))
             return out
 
         monkeypatch.setattr(eigensolve, "_lobpcg", both)
@@ -726,6 +729,34 @@ class TestSurrogateValues:
         assert any(stop == "values" for stop, _, _ in runs)
         for _, new, ref in runs:
             np.testing.assert_allclose(1.0 / new, 1.0 / ref, rtol=1e-12)
+
+    def test_the_ritz_block_start_saves_its_solve(self, monkeypatch):
+        # the k = 2 study from the modes' Ritz block with its image, and once
+        # more with the surrogate run applying T0 to that block itself: per
+        # level one solve and m = 6 applications fewer, the same lam, and
+        # lam~ within 1e-14 of a cold Lanczos run
+        config = StudyConfig(k=2, levels=(0, 1, 2, 3, 4), modes=(1, 2, 4, 6),
+                             postprocess=False)
+        pattern, runs = re.compile(r"surrogate (\d+) in (\d+)"), []
+        for given in (True, False):
+            if not given:
+                monkeypatch.setattr("hdgeig.study.surrogate_values",
+                                    lambda sys, lams, start, image:
+                                    surrogate_values(sys, lams, start))
+            details = []
+            report = run_convergence_study(
+                config, lambda level, seconds, detail: details.append(detail))
+            runs.append((report, [tuple(map(int, pattern.search(d).groups())) for d in details]))
+        (report, counts), (without, counts_without) = runs
+        assert [solves for _, solves in counts] == [7, 6, 5, 3, 2]
+        assert [(n + 6, solves + 1) for n, solves in counts] == counts_without
+        for level in config.levels:
+            sys = assemble_condensed(build_square_mesh(level), SpaceConfig(2), TauSpec.one())
+            lanczos = [p.value for p in solve_linear_surrogate(sys, 6)]
+            for mode in config.modes:
+                cell = report.cell(mode, level)
+                assert cell.lam == without.cell(mode, level).lam
+                assert cell.lam_tilde == pytest.approx(lanczos[mode - 1], rel=1e-14)
 
     def test_per_column_stop_on_a_wide_spectrum(self, systems, eigenpairs):
         # L-shape, k = 1, tau = 1e4, level 0: lam~_6 is about 1,400 lam~_1,
@@ -764,9 +795,9 @@ class TestSurrogateValues:
         # LOBPCG on one more column, whose value takes slot m
         lobpcg = eigensolve._lobpcg
 
-        def skipping(op, block, what, stop="vectors"):
+        def skipping(op, block, what, stop="vectors", image=None):
             if what != "the surrogate pencil":
-                return lobpcg(op, block, what, stop)
+                return lobpcg(op, block, what, stop, image)
             extra = np.random.default_rng(0).standard_normal((len(block), 1))
             mu, x, residual = lobpcg(op, np.hstack([block, extra]), what, stop)
             return np.r_[mu[:-2], mu[-1:]], x[:, :-1], residual

@@ -9,6 +9,16 @@ from hdgeig.mesh import (
 )
 
 
+def reference_locate(mesh, point):
+    """``Mesh.locate`` as a batched solve with each element's Jacobian, the
+    index of the first hit or None."""
+    point, p = np.asarray(point, dtype=float), mesh.vertices[mesh.triangles]
+    b = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    bary = np.linalg.solve(b, (point - p[:, 0])[:, :, None])[:, :, 0]
+    hits = np.flatnonzero((bary >= -1e-12).all(axis=1) & (bary.sum(axis=1) <= 1.0 + 1e-12))
+    return int(hits[0]) if hits.size else None
+
+
 def total_area(mesh):
     p = mesh.vertices[mesh.triangles]
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
@@ -157,4 +167,31 @@ class TestMeshInvariants:
         assert 0 <= e < m.num_triangles
         with pytest.raises(ValueError):
             m.locate((-1.0, -1.0))
+
+    @pytest.mark.parametrize("level", range(5))
+    @pytest.mark.parametrize("build", [build_square_mesh, build_lshape_mesh])
+    def test_locate_matches_the_batched_solve(self, build, level):
+        # random points inside elements, on their edges, on vertices, and
+        # in a box around the domain: the L-shape's cut-out and the
+        # outside give the "outside" error on both routes
+        m = build(level)
+        rng = np.random.default_rng(level)
+        rows, face = np.arange(30), rng.integers(3, size=30)
+        corners = m.vertices[m.triangles[rng.integers(m.num_triangles, size=30)]]
+        inside = np.einsum("pi,pid->pd", rng.dirichlet(np.ones(3), size=30), corners)
+        start, end = corners[rows, face], corners[rows, (face + 1) % 3]
+        on_edges = start + rng.random((30, 1)) * (end - start)
+        on_vertices = m.vertices[rng.integers(m.num_vertices, size=30)]
+        lo, hi = m.vertices.min(axis=0), m.vertices.max(axis=0)
+        around = lo + (hi - lo) * rng.uniform(-0.25, 1.25, size=(60, 2))
+        outside = 0
+        for point in np.concatenate([inside, on_edges, on_vertices, around]):
+            want = reference_locate(m, point)
+            if want is None:
+                outside += 1
+                with pytest.raises(ValueError, match="outside the mesh"):
+                    m.locate(point)
+            else:
+                assert m.locate(point) == want
+        assert outside >= 10
 

@@ -14,6 +14,7 @@ from hdgeig.mesh import build_square_mesh, refine
 from hdgeig.study import (
     CellResult,
     ConvergenceReport,
+    ExactMode,
     StudyConfig,
     domain_modes,
     eigenfunction_error,
@@ -49,6 +50,12 @@ def l2_norm_on_square(func, level=4, order=12):
     """Quadrature L2 norm of a function on the square domain."""
     x, y, wq = square_quadrature(level, order)
     return float(np.sqrt(np.sum(wq * func(x, y) ** 2)))
+
+
+def pointwise_mode(evaluator, norm, **attrs):
+    """A mode with ``ExactMode``'s run interface over a pointwise ``evaluator``."""
+    run_values = lambda p0, d: evaluator(p0[:, :1] + d[:, 0], p0[:, 1:] + d[:, 1])
+    return types.SimpleNamespace(evaluator=evaluator, norm=norm, run_values=run_values, **attrs)
 
 
 def reference_eigenfunction_error(sys, mode, *fields):
@@ -150,19 +157,39 @@ class TestExactReferences:
                 got = np.sqrt(np.sum(wq * mode.evaluator(x, y) ** 2))
                 assert mode.norm == pytest.approx(got, rel=2e-6 if level == 0 else 1e-12)
 
+    def test_run_values_match_the_evaluator(self, systems):
+        # at every error point of levels 0-3, on every class (lower and upper
+        # triangles of the grid cells, in each vertex order refinement gives
+        # them), for every (m, n) up to (6, 6) and the simple modes of
+        # isotropic and anisotropic diagonal alpha.  The pointwise form
+        # rounds x = x0 + d and m x before its sine, an absolute error of up
+        # to about eps (1 + pi max(m, n)); the two forms differ by at most
+        # 1.07 times that (4.7e-15 at (6, 6))
+        grid = [ExactMode("square", 1, None, mn=(m, n)) for m in range(1, 7) for n in range(1, 7)]
+        spectra = [domain_modes("square", 12, MaterialSpec(a, 0, b))
+                   for a, b in ((1, 1), (1, 2), (3, 0.5))]
+        modes = grid + [mode for spectrum in spectra for mode in spectrum
+                        if mode.evaluator is not None]
+        for level in range(4):
+            sys = systems("square", level, 0)
+            assert len(sys.classes) >= 2
+            p0, points = sys.mesh.vertices[sys.mesh.triangles[:, 0]], sys.ref.err.points
+            runs = list(zip(sys.class_runs, sys.class_points(points)))
+            for mode in modes:
+                atol = 2 * np.finfo(float).eps * (1 + np.pi * max(mode.mn))
+                for (ops, members), (_, _, x, y) in runs:
+                    np.testing.assert_allclose(mode.run_values(p0[members], points @ ops.bmat.T),
+                                               mode.evaluator(x, y), rtol=0, atol=atol)
+
 
 class TestEigenfunctionError:
     def test_exactly_representable_field_has_zero_error(self, systems):
         # a polynomial "eigenfunction" lives exactly in the reconstruction
         # space, so the error functional must vanish to round-off
-        import types
-
         sys = systems("square", 1, 2)
         poly = lambda x, y: 1.0 + 0.5 * x - 0.25 * y + 0.1 * x * y
-        fake = types.SimpleNamespace(
-            domain="square", index=1, multiplicity=1,
-            evaluator=poly, norm=l2_norm_on_square(poly, level=1),
-        )
+        fake = pointwise_mode(poly, l2_norm_on_square(poly, level=1),
+                              domain="square", index=1, multiplicity=1)
         coeffs = np.zeros((len(sys.mesh.triangles), sys.ref.n_p))
         for ops, members, x, y in sys.class_points(sys.ref.vol.points):
             vals = fake.evaluator(x, y)
@@ -194,9 +221,8 @@ class TestEigenfunctionError:
             index, mode = 1, exact_square_spectrum(1)[0]
         else:
             # on three unit squares: norm sqrt(3 / 4)
-            index, mode = 3, types.SimpleNamespace(
-                evaluator=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
-                norm=np.sqrt(3) / 2)
+            index, mode = 3, pointwise_mode(
+                lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), np.sqrt(3) / 2)
         sys = systems(domain, level, k)
         _, pairs = eigenpairs(domain, level, k, m=index)
         fields = recover_fields(sys, pairs[index - 1])
@@ -243,8 +269,7 @@ class TestEigenfunctionError:
 
         coeffs = load_moments(sys, mode.evaluator)  # the mode's L2 projection
         fields = (coeffs, np.random.default_rng(2).standard_normal(coeffs.shape))
-        got = eigenfunction_error(
-            sys, types.SimpleNamespace(evaluator=evaluator, norm=mode.norm), *fields)
+        got = eigenfunction_error(sys, pointwise_mode(evaluator, mode.norm), *fields)
         assert max(rows) <= run_length and sum(rows) == len(sys.mesh.triangles)
         assert len(rows) == sum(-(-len(m) // run_length) for _, m in sys.class_groups)
         np.testing.assert_allclose(got, reference_eigenfunction_error(sys, mode, *fields),
