@@ -6,6 +6,7 @@ Exit codes form a stable contract for CI: 0 success, 1 check failure,
 
 import argparse
 import errno
+import functools
 import json
 import logging
 import os
@@ -15,7 +16,12 @@ import sys as _sys
 import numpy as np
 
 from .assembly import assemble_condensed
-from .eigensolve import oracle_full_eig, solve_condensed_nonlinear, solve_linear_surrogate
+from .eigensolve import (
+    oracle_full_eig,
+    search_space,
+    solve_condensed_nonlinear,
+    solve_linear_surrogate,
+)
 from .errors import ConfigError, HdgError, NumericalError
 from .localsolve import MaterialSpec, SpaceConfig, TauSpec
 from .recovery import postprocess, recover_fields
@@ -116,7 +122,10 @@ def read_config_file(path):
     return values
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser(parser_class=argparse.ArgumentParser):
+    """The command-line parser, built on first use and then reused: a
+    parse leaves the parser as it was."""
     parser = parser_class(
         prog="hdg-eig",
         description="Condensed-trace eigenvalue solver for the Dirichlet "
@@ -292,13 +301,14 @@ def cmd_study(args):
 
 def cmd_oracle_check(args):
     """The paper's route, surrogate-seeded, predictor plus safeguarded
-    Newton on the frozen-pencil fixed point, against the solution
-    operator's Lanczos run."""
+    Newton on the frozen-pencil fixed point, on one search space that
+    the modes share, against the solution operator's Lanczos run."""
     sys = _assemble(args)
     seeds = solve_linear_surrogate(sys, args.modes)
+    space = search_space(sys, seeds)
     condensed = []
     for index in range(1, args.modes + 1):
-        pair = solve_condensed_nonlinear(sys, seeds, index)
+        pair = solve_condensed_nonlinear(sys, seeds, index, space=space)
         condensed.append(pair.value)
         log.info("mode %d: lambda=%.12g (%d Newton iterations, search space %d, %d LU "
                  "solves, residual %.1e), peak RSS %.0f MB", index, pair.value,

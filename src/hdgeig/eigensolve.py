@@ -30,16 +30,19 @@ of the strictly decreasing F(kappa) = theta_i(kappa) - kappa are the
 condensed nonlinear eigenvalues of the frozen pencils A x = theta
 M(kappa) x, M(kappa) = U^T (I - kappa W)^-1 U, whose eigenvector gives
 the slope theta_i' (Hellmann-Feynman; Ruhe, SIAM J. Numer. Anal. 10
-(1973)), solved by Rayleigh-Ritz on one search space per mode
-(``_SearchSpace``).  M(kappa) grows with kappa, so the i-th eigenvalue is
-the fixed point of theta_i(kappa) = kappa: every pair carries its
-spectral index.  Residual checks apply M(lam) through the resolvent lift.
+(1973)), solved by Rayleigh-Ritz on a bounded search space
+(``_SearchSpace``) that ``oracle-check`` shares across the modes
+(``search_space``), restarted thick with the converged modes locked.
+M(kappa) grows with kappa, so the i-th eigenvalue is the fixed point of
+theta_i(kappa) = kappa: every pair carries its spectral index.  Residual
+checks apply M(lam) through the resolvent lift.
 """
 
 import collections
 import functools
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 
 from .assembly import resolvent_lift
@@ -54,6 +57,7 @@ __all__ = [
     "solve_linear_surrogate",
     "surrogate_values",
     "solve_condensed_nonlinear",
+    "search_space",
     "solve_modes",
     "oracle_full_eig",
 ]
@@ -67,6 +71,20 @@ _FROZEN_TOL = 1e-12
 #: a search-space direction keeping at most this fraction of its A-norm
 #: after the projection out of V is round-off
 _STALL_TOL = 1e-8
+#: the search space's bound and the margin of its thick restart, which
+#: keeps the top index + _SPACE_MARGIN Ritz vectors.  Six modes on one
+#: space took, at bound/margin 24/6, 28/6, 32/4, 32/6, 32/8 and 40/8, 686,
+#: 667, 673, 653, 634 and 602 LU solves on the 16 cells of the criterion-1
+#: oracle grid, and 641, 608, 627, 559, 574 and 504 (L-shape, level 2, k =
+#: 2, tau = h) and 839, 711, 753, 719, 631 and 637 (square, level 1, k = 3,
+#: tau = 0.1) on two near-wall clusters, where a space per mode, unbounded,
+#: took 857, 583 and 791.  The grid's route took 0.10-0.11 s at each (best
+#: of three in-process passes, OpenBLAS on one thread, 2 vCPUs) against
+#: 0.14 s; 32/6 is the smallest bound and margin tried that solve less
+#: than a space per mode on both clusters.  Margin 0 stalls the square's
+#: mode 6
+_SPACE_MAX = 32
+_SPACE_MARGIN = 6
 #: LOBPCG's vector stop: every residual |T x - mu x| (unit x) at most this
 #: times the operator's scale; looser values let the eigenvectors, and
 #: with them the eigenfunction errors, drift from the Lanczos run's
@@ -97,11 +115,11 @@ class EigenPair:
     theta as ``defect``, the nonlinear residual |A v - lam M(lam) v| /
     |A v| as ``residual``, ``history``, the first frozen kappa (the
     predictor's) followed by each solve's theta, so that ``len(history) ==
-    iterations + 1``, and its search space's LU solves (``solves``) and
-    final dimension (``space``).  The other routes leave ``residual``
-    equal to ``defect`` and ``space`` 0.  ``field`` is the eigenfield (I -
-    lam W)^-1 U eta (T, n_w) that the nonlinear residual check lifted
-    (None on a surrogate pair).
+    iterations + 1``, the LU solves its call made on the search space
+    (``solves``) and the space's dimension when it returned (``space``).
+    The other routes leave ``residual`` equal to ``defect`` and ``space``
+    0.  ``field`` is the eigenfield (I - lam W)^-1 U eta (T, n_w) that the
+    nonlinear residual check lifted (None on a surrogate pair).
     """
 
     def __init__(self, value, vector, index, iterations=0, defect=0.0, history=(),
@@ -416,10 +434,21 @@ def _quotient(sys, kappa, x):
     return rho, -rho * (zx @ (w * d * d * zx)) / gram
 
 
+def _ritz_pairs(h, lo, hi):
+    """Eigenpairs ``lo``..``hi`` (1-based, ascending) of the symmetric ``h``,
+    read from its lower triangle, in one LAPACK call (MRRR, ``dsyevr``)."""
+    mu, y, count, _, info = scipy.linalg.lapack.dsyevr(h, range="I", il=lo, iu=hi, lower=1)
+    if info or count != hi - lo + 1:
+        raise EigenSolveError("the projected pencil's eigensolve failed (LAPACK dsyevr info "
+                              "%d)" % info)
+    return mu[:count], y
+
+
 class _SearchSpace:
-    """Rayleigh-Ritz for the frozen pencils A x = theta M(kappa) x of one
-    nonlinear eigensolve, on an A-orthonormal basis V of traces
-    (V^T A V = I) kept across the pencils (Voss, BIT 44 (2004)).
+    """Rayleigh-Ritz for the frozen pencils A x = theta M(kappa) x of the
+    nonlinear eigensolves, on an A-orthonormal basis V of traces (V^T A V
+    = I) kept across the pencils (Voss, BIT 44 (2004)) and, when shared,
+    across the modes.
 
     With the spectral lift (Z, w) of the system, M(kappa) = Z^T diag(d) Z
     for d = 1 / (1 - kappa w), so the projected pencil is the symmetric
@@ -437,6 +466,12 @@ class _SearchSpace:
     value would then converge to the next eigenvalue up.  The generic
     direction A^-1 M(kappa) g of a fixed vector g gives every eigenvector
     a share, which the expansions then grow.
+
+    The space is bounded by a thick restart (Betcke & Voss, Future Gener.
+    Comput. Syst. 20 (2004)): at ``_SPACE_MAX`` directions V becomes the
+    top index + ``_SPACE_MARGIN`` Ritz vectors of the current pencil, so
+    that a near-double's partner survives, and the traces of the modes
+    already converged on the space (``locked``), with no solve.
     """
 
     def __init__(self, sys, traces, kappa):
@@ -455,7 +490,7 @@ class _SearchSpace:
         # that double when full, so that a new direction copies no old one
         self.size = self.seeds = v.shape[1]
         self._rows = [v.T.copy(), av.T.copy(), (self.z @ v).T.copy()]
-        self.kappa, self.solves = None, 0
+        self.kappa, self.solves, self.locked = None, 0, []
         self._freeze(kappa)
         mg = self.zT @ (self.d * (self.z @ _deterministic_start(sys.ndof)))
         self._expand(self._solve(mg), mg)
@@ -478,25 +513,45 @@ class _SearchSpace:
         With y the unit eigenvector of H, x.M x = mu and x.M' x =
         (ZVy).(w d^2 ZVy), so theta' = -theta x.M' x / mu.  Once V spans
         the traces, Rayleigh-Ritz is exact and the space stops growing.
+        The space restarts once it holds ``_SPACE_MAX`` directions, or
+        ``_SPACE_MARGIN`` more than a restart keeps, whichever is more; a
+        call that grows it by as many directions as there are traces
+        without converging has stalled.
         """
         self._freeze(kappa)
-        while True:
-            mu, y = np.linalg.eigh(self.h)
-            mu, y = mu[-index], y[:, -index]
+        limit = max(_SPACE_MAX, index + len(self.locked) + 2 * _SPACE_MARGIN)
+        for _ in range(self.A.shape[0] + 1):
+            (mu,), y = _ritz_pairs(self.h, self.size - index + 1, self.size - index + 1)
             if mu <= 0.0:
                 raise EigenSolveError("mode %d lies in the kernel of the lift Gram matrix"
                                       % index)
+            y = y[:, 0]
             theta, ax, zx = 1.0 / mu, self.av @ y, self.zv @ y
             r = ax - theta * (self.zT @ (self.d * zx))
             residual = np.linalg.norm(r) / np.linalg.norm(ax)
             if residual <= tol or self.size == len(r):
                 slope = -theta * (zx @ (self.w * self.d * self.d * zx)) / mu
                 return theta, slope, self.v @ y, residual
+            if self.size >= limit:
+                self._restart(index)
             if not self._expand(self._solve(r), r):
-                raise EigenSolveError(
-                    "the frozen pencil at %.6g did not converge for mode %d: the search "
-                    "space stalled at dimension %d with relative residual %.1e > %.1e"
-                    % (kappa, index, self.size, residual, tol))
+                break
+        raise EigenSolveError(
+            "the frozen pencil at %.6g did not converge for mode %d: the search space "
+            "stalled at dimension %d with relative residual %.1e > %.1e"
+            % (kappa, index, self.size, residual, tol))
+
+    def _restart(self, index):
+        """V becomes the top index + ``_SPACE_MARGIN`` Ritz vectors V Y of
+        the current pencil, on which H is diagonal, bordered by the locked
+        traces' A-orthonormal parts; no solve."""
+        keep = index + _SPACE_MARGIN
+        mu, y = _ritz_pairs(self.h, self.size - keep + 1, self.size)
+        for rows in self._rows:
+            rows[:keep] = y.T @ rows[:self.size]
+        self.size, self.h = keep, np.diag(mu)
+        for trace in self.locked:
+            self._expand(trace.copy(), self.A @ trace)
 
     def _solve(self, rhs):
         self.solves += 1
@@ -529,19 +584,47 @@ class _SearchSpace:
         return True
 
 
-def solve_condensed_nonlinear(sys, seeds, index):
+def _predicted(sys, seed):
+    """The first kappa of the nonlinear eigensolve from ``seed``: one
+    Newton step on the seed trace's Rayleigh quotient x.A x / x.M(kappa) x
+    at the seed value (capped at the wall), kept where it lies in (0, wall
+    cap)."""
+    lam = float(seed.value)
+    if lam <= 0:
+        raise EigenSolveError("seed eigenvalue must be positive")
+    lam_cap = _wall_cap(sys)
+    kappa = min(lam, lam_cap)
+    rho, slope = _quotient(sys, kappa, seed.vector)
+    predicted = kappa - (rho - kappa) / (slope - 1.0)
+    return predicted if 0.0 < predicted < lam_cap else kappa
+
+
+def search_space(sys, seeds):
+    """The search space of ``_SearchSpace`` for the nonlinear eigensolves
+    of every mode of the seed pairs ``seeds``, to pass to each
+    ``solve_condensed_nonlinear`` call on them: the seed traces and the
+    generic direction, made at the first mode's predicted kappa (as that
+    mode's own space would be)."""
+    return _SearchSpace(sys, np.column_stack([s.vector for s in seeds]),
+                        _predicted(sys, seeds[0]))
+
+
+def solve_condensed_nonlinear(sys, seeds, index, space=None):
     """The condensed nonlinear eigenpair at ``index`` (1-based), refined
     from the seed pairs ``seeds`` (the surrogate's, or any pairs carrying
     traces, ascending).
 
-    The value of ``seeds[index - 1]`` starts the iteration, and the traces
-    of all seeds, with one generic direction, start the search space of
-    ``_SearchSpace``, built for this call and dropped with it; fewer than
-    ``index`` independent traces raise ``EigenSolveError``.  Each
-    iteration freezes the resolvent Gram matrix at the current iterate
-    kappa and solves the resulting linear pencil for its ``index``-th
-    eigenvalue theta and its slope theta' by Rayleigh-Ritz on the space,
-    grown until the pencil's relative residual is at most
+    The value of ``seeds[index - 1]`` starts the iteration.  The frozen
+    pencils are solved on ``space``, a search space from ``search_space``
+    on the same seeds that the calls for the other modes share, each
+    starting from what the earlier ones added and locking its converged
+    trace in it; without one, the traces of all seeds, with one generic
+    direction, start a space built for this call and dropped with it.
+    Fewer than ``index`` independent traces raise ``EigenSolveError``.
+    Each iteration freezes the resolvent Gram matrix at the current
+    iterate kappa and solves the resulting linear pencil for its
+    ``index``-th eigenvalue theta and its slope theta' by Rayleigh-Ritz on
+    the space, grown until the pencil's relative residual is at most
     max(1e-12, 1e-2 delta^2), with delta the last relative update (first,
     the predictor's move from the seed value).  The update is a Newton
     step on F(kappa) = theta(kappa) - kappa; F' = theta' - 1 <= -1, so the
@@ -553,23 +636,18 @@ def solve_condensed_nonlinear(sys, seeds, index):
     Rayleigh quotient of a surrogate eigenvector is linear in kappa and
     that step lands on the eigenvalue: one frozen-pencil solve, with no
     expansion, confirms it.  A converged seed is confirmed by the first
-    solve as well.
+    solve as well.  The pair's ``solves`` are the LU solves this call
+    made, its ``space`` the space's dimension when it returned.
     """
     index = int(index)
     if not 1 <= index <= len(seeds):
         raise EigenSolveError("mode %d needs at least %d seeds, not %d"
                               % (index, index, len(seeds)))
-    seed = seeds[index - 1]
-    lam = float(seed.value)
-    if lam <= 0:
-        raise EigenSolveError("seed eigenvalue must be positive")
-    lam_cap = _wall_cap(sys)
-    kappa = min(lam, lam_cap)
-    rho, slope = _quotient(sys, kappa, seed.vector)
-    predicted = kappa - (rho - kappa) / (slope - 1.0)
-    if 0.0 < predicted < lam_cap:
-        kappa = predicted
-    space = _SearchSpace(sys, np.column_stack([s.vector for s in seeds]), kappa)
+    lam = float(seeds[index - 1].value)
+    kappa, lam_cap = _predicted(sys, seeds[index - 1]), _wall_cap(sys)
+    solves = 0 if space is None else space.solves
+    if space is None:
+        space = _SearchSpace(sys, np.column_stack([s.vector for s in seeds]), kappa)
     if space.seeds < index:
         raise EigenSolveError("the %d seed traces span %d independent directions, fewer "
                               "than mode %d needs" % (len(seeds), space.seeds, index))
@@ -585,8 +663,9 @@ def solve_condensed_nonlinear(sys, seeds, index):
         history.append(theta)
         if update <= _SECANT_TOL:
             residual, field = _checked_defect(sys, theta, vec)
+            space.locked.append(vec)
             return EigenPair(theta, vec, index, iteration, update, history, residual=residual,
-                             solves=space.solves, space=space.size, field=field)
+                             solves=space.solves - solves, space=space.size, field=field)
 
         # bracket update: F decreasing, so F > 0 puts the root above kappa
         if resid > 0:

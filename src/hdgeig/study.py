@@ -447,12 +447,16 @@ def run_convergence_study(config, progress=None):
     for level in config.levels:
         start = time.perf_counter()
         if mesh is None:
-            mesh = build_domain_mesh(config.domain, level)
+            # the first level refines the mesh its coarse start runs on
+            coarse_mesh = mesh = build_domain_mesh(config.domain,
+                                                   max(0, level - _COARSE_OFFSET))
+            while mesh.level < level:
+                mesh = refine(mesh)
         else:
-            mesh = refine(mesh)
+            mesh, coarse_mesh = refine(mesh), None
         try:
             eigenfields, detail = _run_level(config, spaces, mesh, level, modes_ref, report,
-                                             eigenfields)
+                                             eigenfields, coarse_mesh)
         except HdgError as exc:
             for m in config.modes:
                 report.cell(m, level).note = str(exc)
@@ -492,14 +496,14 @@ def solve_level(sys, m, start=None):
     return pairs, surrogate, eigenfields, lu_nnz
 
 
-def _coarse_start(config, spaces, level, m):
-    """The eigenfields of a cold modes run on the mesh of level max(0,
-    level - ``_COARSE_OFFSET``), injected up to ``level``, and the start's
-    label; None and "cold" where that run raises ``HdgError``."""
-    coarse_level = max(0, level - _COARSE_OFFSET)
+def _coarse_start(config, spaces, coarse_mesh, level, m):
+    """The eigenfields of a cold modes run on ``coarse_mesh``, the mesh of
+    level max(0, level - ``_COARSE_OFFSET``), injected up to ``level``,
+    and the start's label; None and "cold" where that run raises
+    ``HdgError``."""
+    coarse_level = coarse_mesh.level
     try:
-        sys = assemble_condensed(build_domain_mesh(config.domain, coarse_level), spaces,
-                                 config.tau, config.material)
+        sys = assemble_condensed(coarse_mesh, spaces, config.tau, config.material)
         pairs = solve_modes(sys, m)
         block = _columns(pairs, "field")
     except HdgError:
@@ -510,11 +514,11 @@ def _coarse_start(config, spaces, level, m):
                    % (coarse_level, pairs[0].iterations, pairs[0].solves))
 
 
-def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
+def _run_level(config, spaces, mesh, level, modes_ref, report, coarse, coarse_mesh):
     """Fill the level's cells, starting the modes run from the previous
-    level's eigenfields ``coarse``; without them, from a coarser mesh's
-    (``_coarse_start``) on a first level above 0 (cold if that stalls),
-    else cold.  Returns this level's eigenfields (dim W_h, m) and the
+    level's eigenfields ``coarse``; without them, from those of
+    ``coarse_mesh`` (``_coarse_start``) on a first level above 0 (cold if
+    that stalls), else cold.  Returns this level's eigenfields (dim W_h, m) and the
     progress detail, which ends with the seconds of each stage."""
     seconds = dict.fromkeys(("assembly", "factorization", "eigensolves", "recovery", "error"),
                             0.0)
@@ -536,7 +540,7 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse):
     if coarse is not None:
         start, started = inject_fields(sys.ref, coarse), "block start"
     elif level > 0 and level == config.levels[0]:
-        start, started = _coarse_start(config, spaces, level, m)
+        start, started = _coarse_start(config, spaces, coarse_mesh, level, m)
     else:
         start, started = None, "cold"
     try:

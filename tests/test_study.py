@@ -522,6 +522,27 @@ class TestWarmStarts:
         assert rep.cell(1, 4).iterations < cold.iterations
         assert rep.cell(1, 4).lam == pytest.approx(cold.value, rel=1e-12)
 
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_first_level_refines_the_coarse_start_mesh(self, monkeypatch, domain):
+        # the mesh of level 4 is level 2's refined twice, and level 2's
+        # coarse run works on that mesh: one mesh is built, not two
+        from hdgeig import study
+
+        built, assembled, build = [], [], study.build_domain_mesh
+        monkeypatch.setattr(study, "build_domain_mesh",
+                            lambda *args: built.append(args) or build(*args))
+        assemble = study.assemble_condensed
+        monkeypatch.setattr(study, "assemble_condensed",
+                            lambda mesh, *args: assembled.append(mesh) or assemble(mesh, *args))
+        run_convergence_study(StudyConfig(domain=domain, k=0, levels=(4,), modes=(1,),
+                                          postprocess=False))
+        assert built == [(domain, 2)]
+        assert [mesh.level for mesh in assembled] == [4, 2]
+        fine = build(domain, 4)
+        np.testing.assert_array_equal(assembled[0].vertices, fine.vertices)
+        np.testing.assert_array_equal(assembled[0].triangles, fine.triangles)
+        assert assembled[0].domain == domain
+
     def test_a_coarse_level_too_small_starts_cold(self, systems):
         # level 0 at k = 0 holds at most 32 modes, one per element; level 2
         # then starts cold and still gives its numbers
