@@ -20,6 +20,7 @@ from .eigensolve import (
     EigenPair,
     OracleSpectrum,
     oracle_full_eig,
+    search_space,
     solve_condensed_nonlinear,
     solve_linear_surrogate,
     solve_modes,

@@ -168,8 +168,7 @@ class CondensedSystem:
     def resolvent(self, kappa):
         """Sparse block-diagonal (I - kappa W)^-1; raises
         ``LocalSolveError`` at or beyond the wall."""
-        eye = np.eye(self.n_w)
-        return self._block_diagonal([ops.resolvent(kappa, eye) for ops in self.classes])
+        return self._block_diagonal([ops.resolvent(kappa) for ops in self.classes])
 
     @cached_property
     def spectral_lift(self):
@@ -293,7 +292,7 @@ def resolvent_lift(sys, lam, eta):
     beyond the wall); ``sys.moments`` of it is M(lam) eta without M(lam)."""
     u = (sys.lift @ eta).reshape(-1, sys.n_w)
     for ops, members in sys.class_groups:
-        u[members] = u[members] @ ops.resolvent(lam, np.eye(sys.n_w)).T
+        u[members] = u[members] @ ops.resolvent(lam).T
     return u
 
 

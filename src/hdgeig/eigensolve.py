@@ -19,10 +19,10 @@ close; from a random block it is slower and stalls on clusters.  An
 eigenvector y gives the trace A^-1 U^T y.  The kernel of G becomes zero
 eigenvalues of T0 (theta infinite), which never reach the lowest modes.
 ``solve`` and the study read only the surrogate's values:
-``surrogate_values`` runs LOBPCG on T0 from the modes run's Ritz block,
-whose image the modes' trace solve already gives, until the values, not
-the vectors, have converged, and checks each against the enclosure that
-the nonlinear eigenvalues give it.
+``surrogate_values`` takes the pairs of ``solve_modes`` and runs LOBPCG
+on T0 from their Ritz block, whose image the modes' trace solve already
+gives, until the values, not the vectors, have converged, and checks
+each against the enclosure that the nonlinear eigenvalues give it.
 
 The paper's route, kept as the reference, is surrogate-seeded Newton on
 the frozen-pencil fixed point (``solve_condensed_nonlinear``): the roots
@@ -31,8 +31,8 @@ condensed nonlinear eigenvalues of the frozen pencils A x = theta
 M(kappa) x, M(kappa) = U^T (I - kappa W)^-1 U, whose eigenvector gives
 the slope theta_i' (Hellmann-Feynman; Ruhe, SIAM J. Numer. Anal. 10
 (1973)), solved by Rayleigh-Ritz on a bounded search space
-(``_SearchSpace``) that ``oracle-check`` shares across the modes
-(``search_space``), restarted thick with the converged modes locked.
+(``_SearchSpace``, made by ``search_space``) that the modes of one set
+of seeds share, restarted thick with the converged modes locked.
 M(kappa) grows with kappa, so the i-th eigenvalue is the fixed point of
 theta_i(kappa) = kappa: every pair carries its spectral index.  Residual
 checks apply M(lam) through the resolvent lift.
@@ -107,19 +107,20 @@ class EigenPair:
     applications (Lanczos matvecs, or LOBPCG block columns), ``solves``
     the solves that made them, ``defect`` is |A eta - lam M(lam) eta|
     / |A eta|, and ``ritz`` is the run's unit Ritz vector x of T whose
-    trace A^-1 U^T x is ``vector`` (None on the other routes).  From the
-    surrogate: a Gram-normalized vector, the same counts and ``defect``
-    |A v - theta G v| / |A v|.  From the nonlinear
-    eigensolve: an A-normalized trace (v.A v = 1), its frozen-pencil
-    solves (Newton iterations), the last relative update |theta - kappa| /
-    theta as ``defect``, the nonlinear residual |A v - lam M(lam) v| /
-    |A v| as ``residual``, ``history``, the first frozen kappa (the
-    predictor's) followed by each solve's theta, so that ``len(history) ==
-    iterations + 1``, the LU solves its call made on the search space
-    (``solves``) and the space's dimension when it returned (``space``).
-    The other routes leave ``residual`` equal to ``defect`` and ``space``
-    0.  ``field`` is the eigenfield (I - lam W)^-1 U eta (T, n_w) that the
-    nonlinear residual check lifted (None on a surrogate pair).
+    trace A^-1 U^T x is ``vector``, the start of ``surrogate_values``
+    (None on the other routes).  From the surrogate: a Gram-normalized
+    vector, the same counts and ``defect`` |A v - theta G v| / |A v|.
+    From the nonlinear eigensolve: an A-normalized trace (v.A v = 1), its
+    frozen-pencil solves (Newton iterations), the last relative update
+    |theta - kappa| / theta as ``defect``, the nonlinear residual |A v -
+    lam M(lam) v| / |A v| as ``residual``, ``history``, the first frozen
+    kappa (the predictor's) followed by each solve's theta, so that
+    ``len(history) == iterations + 1``, the LU solves its call made on the
+    search space (``solves``) and the space's dimension when it returned
+    (``space``).  The other routes leave ``residual`` equal to ``defect``
+    and ``space`` 0.  ``field`` is the eigenfield (I - lam W)^-1 U eta (T,
+    n_w) that the nonlinear residual check lifted (None on a surrogate
+    pair).
     """
 
     def __init__(self, value, vector, index, iterations=0, defect=0.0, history=(),
@@ -361,29 +362,44 @@ SurrogateValues = collections.namedtuple("SurrogateValues",
                                          "values applications solves stop residual")
 
 
-def surrogate_values(sys, lams, start, image=None):
-    """The lowest len(lams) eigenvalues of the surrogate pencil, without
-    eigenvectors, for the condensed nonlinear eigenvalues ``lams``
-    (ascending, as from ``solve_modes``), by LOBPCG on T0 from a block
-    ``start`` (dim W_h, m) spanning their eigenfields: the eigenfields, or
-    the modes run's Ritz block X, whose image T0 X = U A^-1 U^T X is U
-    applied to the pairs' traces, so that passed as ``image`` it costs
-    the run no solve.
+def _columns(pairs, attr):
+    """The pairs' arrays ``attr`` (``field``, the eigenfields (I - lam W)^-1
+    U eta, or ``vector`` or ``ritz``), the columns of a column-major (n, m)
+    block; each pair's array becomes a view of its column, so the block
+    takes no memory beside the arrays (and what held them before is freed)."""
+    shape = getattr(pairs[0], attr).shape
+    block = np.empty((getattr(pairs[0], attr).size, len(pairs)), order="F")
+    for column, pair in zip(block.T, pairs):
+        column[:] = getattr(pair, attr).ravel()
+        setattr(pair, attr, column.reshape(shape))
+    return block
+
+
+def surrogate_values(sys, pairs):
+    """The lowest len(pairs) eigenvalues of the surrogate pencil, without
+    eigenvectors, for the ascending pairs of ``solve_modes``, by LOBPCG
+    on T0 from their Ritz block X, whose image T0 X = U A^-1 U^T X is U
+    applied to their traces: the start costs no solve.  A pair without
+    ``ritz`` (not from ``solve_modes``) raises ``ValueError``.
 
     The run takes the value stop, unless the modes lie near the wall
-    (lams[-1] > wall / 2): there the eigenfields of spurious modes need
-    not span the surrogate's lowest subspace, and the value stop can
-    settle on a higher eigenvalue.  W is SPD, so G <= M(kappa) <= G / (1 -
-    kappa / wall), and each value must lie in the enclosure lam_i <=
-    theta_i <= lam_i / (1 - lam_i / wall); one outside it by more than
+    (lam_m > wall / 2): there the eigenfields of spurious modes need not
+    span the surrogate's lowest subspace, and the value stop can settle
+    on a higher eigenvalue.  W is SPD, so G <= M(kappa) <= G / (1 - kappa
+    / wall), and each value must lie in the enclosure lam_i <= theta_i <=
+    lam_i / (1 - lam_i / wall); one outside it by more than
     ``_ENCLOSURE_SLACK`` relative (a mode in the kernel of G among them)
     raises ``EigenSolveError``.
     """
-    lams = np.asarray(lams, dtype=float)
+    for pair in pairs:
+        if pair.ritz is None:
+            raise ValueError("pair %d carries no Ritz vector" % pair.index)
+    lams = np.array([p.value for p in pairs])
     _check_count(sys, len(lams))
     stop = "vectors" if lams[-1] > 0.5 * sys.wall else "values"
     op = _Operator(sys)
-    mu, _, residual = _lobpcg(op, start, "the surrogate pencil", stop, image)
+    mu, _, residual = _lobpcg(op, _columns(pairs, "ritz"), "the surrogate pencil", stop,
+                              sys.lift @ _columns(pairs, "vector"))
     values, upper = 1.0 / mu, lams / (1.0 - lams / sys.wall)
     outside = np.flatnonzero((values < lams * (1.0 - _ENCLOSURE_SLACK))
                              | (values > upper * (1.0 + _ENCLOSURE_SLACK)))
@@ -600,57 +616,47 @@ def _predicted(sys, seed):
 
 
 def search_space(sys, seeds):
-    """The search space of ``_SearchSpace`` for the nonlinear eigensolves
-    of every mode of the seed pairs ``seeds``, to pass to each
-    ``solve_condensed_nonlinear`` call on them: the seed traces and the
-    generic direction, made at the first mode's predicted kappa (as that
-    mode's own space would be)."""
+    """The search space (``_SearchSpace``) that the
+    ``solve_condensed_nonlinear`` calls on the seed pairs ``seeds`` share:
+    their traces and the generic direction, at mode 1's predicted kappa."""
     return _SearchSpace(sys, np.column_stack([s.vector for s in seeds]),
                         _predicted(sys, seeds[0]))
 
 
-def solve_condensed_nonlinear(sys, seeds, index, space=None):
+def solve_condensed_nonlinear(sys, seeds, index, space):
     """The condensed nonlinear eigenpair at ``index`` (1-based), refined
     from the seed pairs ``seeds`` (the surrogate's, or any pairs carrying
-    traces, ascending).
+    traces, ascending) on ``space``, which ``search_space`` made from them.
 
-    The value of ``seeds[index - 1]`` starts the iteration.  The frozen
-    pencils are solved on ``space``, a search space from ``search_space``
-    on the same seeds that the calls for the other modes share, each
-    starting from what the earlier ones added and locking its converged
-    trace in it; without one, the traces of all seeds, with one generic
-    direction, start a space built for this call and dropped with it.
-    Fewer than ``index`` independent traces raise ``EigenSolveError``.
-    Each iteration freezes the resolvent Gram matrix at the current
-    iterate kappa and solves the resulting linear pencil for its
-    ``index``-th eigenvalue theta and its slope theta' by Rayleigh-Ritz on
-    the space, grown until the pencil's relative residual is at most
-    max(1e-12, 1e-2 delta^2), with delta the last relative update (first,
-    the predictor's move from the seed value).  The update is a Newton
-    step on F(kappa) = theta(kappa) - kappa; F' = theta' - 1 <= -1, so the
-    step always exists, and it is kept inside the bracket that the sign of
-    F provides (F is strictly decreasing), with bisection where it leaves
-    it.  The first kappa comes from one Newton step on the seed trace's
-    Rayleigh quotient x.A x / x.M(kappa) x at the seed value, kept where
-    it lies in (0, wall cap).  At k = 0 on a uniform mesh W = wI, the
-    Rayleigh quotient of a surrogate eigenvector is linear in kappa and
-    that step lands on the eigenvalue: one frozen-pencil solve, with no
-    expansion, confirms it.  A converged seed is confirmed by the first
-    solve as well.  The pair's ``solves`` are the LU solves this call
-    made, its ``space`` the space's dimension when it returned.
+    The value of ``seeds[index - 1]`` starts the iteration.  The modes'
+    calls share the space: each starts from what the earlier ones added and
+    locks its converged trace in it.  Fewer than ``index`` independent
+    traces raise ``EigenSolveError``.  Each iteration freezes the resolvent
+    Gram matrix at the current iterate kappa and solves the resulting
+    linear pencil for its ``index``-th eigenvalue theta and its slope
+    theta' by Rayleigh-Ritz on the space, grown until the pencil's relative
+    residual is at most max(1e-12, 1e-2 delta^2), with delta the last
+    relative update (first, the predictor's move from the seed value).  The
+    update is a Newton step on F(kappa) = theta(kappa) - kappa; F' =
+    theta' - 1 <= -1, so the step always exists, and it is kept inside the
+    bracket that the sign of F provides (F is strictly decreasing), with
+    bisection where it leaves it.  The first kappa comes from one Newton
+    step on the seed trace's Rayleigh quotient x.A x / x.M(kappa) x at the
+    seed value, kept where it lies in (0, wall cap).  At k = 0 on a uniform
+    mesh W = wI, the Rayleigh quotient of a surrogate eigenvector is
+    linear in kappa and that step lands on the eigenvalue: one
+    frozen-pencil solve, with no expansion, confirms it.  A converged seed
+    is confirmed by the first solve as well.  The pair's ``solves`` are
+    the LU solves this call made, its ``space`` the space's dimension when
+    it returned.
     """
     index = int(index)
-    if not 1 <= index <= len(seeds):
-        raise EigenSolveError("mode %d needs at least %d seeds, not %d"
-                              % (index, index, len(seeds)))
+    if not 1 <= index <= space.seeds:
+        raise EigenSolveError("mode %d needs at least %d independent seed traces; the %d "
+                              "seeds span %d" % (index, index, len(seeds), space.seeds))
     lam = float(seeds[index - 1].value)
     kappa, lam_cap = _predicted(sys, seeds[index - 1]), _wall_cap(sys)
-    solves = 0 if space is None else space.solves
-    if space is None:
-        space = _SearchSpace(sys, np.column_stack([s.vector for s in seeds]), kappa)
-    if space.seeds < index:
-        raise EigenSolveError("the %d seed traces span %d independent directions, fewer "
-                              "than mode %d needs" % (len(seeds), space.seeds, index))
+    solves = space.solves
     lo, hi = 0.0, None  # F(0) = surrogate value > 0
     history = [kappa]
     update = abs(kappa - lam) / kappa

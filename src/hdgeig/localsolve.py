@@ -304,15 +304,15 @@ class ElementOps:
                 "chosen spaces (%s, %s)"
                 % (element_hint, cond, sp.case, TauSpec.constant(self.tau).label())
             )
-        self._lhs_lu = scipy.linalg.lu_factor(lhs)
+        lhs_lu = scipy.linalg.lu_factor(lhs)
 
         rhs_tr = np.vstack([-self.cmat, self.emat])
-        sol = scipy.linalg.lu_solve(self._lhs_lu, rhs_tr)
+        sol = scipy.linalg.lu_solve(lhs_lu, rhs_tr)
         self.qmat = sol[: self.n_v]
         self.umat = sol[self.n_v :]
 
         rhs_load = np.vstack([np.zeros((self.n_v, self.n_w)), np.eye(self.n_w)])
-        sol = scipy.linalg.lu_solve(self._lhs_lu, rhs_load)
+        sol = scipy.linalg.lu_solve(lhs_lu, rhs_load)
         self.qwmat = sol[: self.n_v]
         self.uwmat = sol[self.n_v :]
 
@@ -343,10 +343,10 @@ class ElementOps:
                                   "modes" % (lam, 1.0 / mu.max()))
         return gap
 
-    def resolvent(self, lam, rhs):
-        """Apply (I - lam * Uw)^-1 to rhs on this element class."""
+    def resolvent(self, lam):
+        """(I - lam * Uw)^-1 on this element class, (n_w, n_w)."""
         vecs = self.uw_spectrum[1]
-        return (vecs * (1.0 / self.resolvent_gap(lam))) @ (vecs.T @ rhs)
+        return (vecs * (1.0 / self.resolvent_gap(lam))) @ vecs.T
 
     # --- post-solve maps (built on first use, once per class) ---
 

@@ -23,6 +23,7 @@ the same tolerances.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -32,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .assembly import assemble_condensed
-from .eigensolve import solve_modes, surrogate_values
+from .eigensolve import _columns, solve_modes, surrogate_values
 # the paper's nonlinear route and the surrogate with vectors; not called
 # here, perfbench/spans.py times them under these names
 from .eigensolve import solve_condensed_nonlinear, solve_linear_surrogate  # noqa: F401
@@ -214,26 +215,31 @@ def eigenfunction_error(sys, mode, *fields):
     return [float(np.sqrt(min(plus, minus))) for plus, minus in distances]
 
 
-def _child_maps(ref):
-    """(4, n_w, n_w): the coefficients on child j of an element from the
-    parent's, in the order ``refine`` numbers the children.
+#: the reference triangle refined once, for the children's corners
+_CHILDREN = refine(Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]]))
 
-    The children's corners come from refining the reference triangle, so
-    child j sits at xi = c_j0 + C_j xi' in its parent's reference
-    coordinates.  With the element basis the reference one over
-    sqrt(det B), and det B four times smaller on a child, the map is
-    0.5 times the reference L2 product of the child basis with the parent
-    basis pulled back through that affine map.
+
+@functools.lru_cache(maxsize=None)
+def _child_maps(ref):
+    """(4, n_w, n_w), once per ``ReferenceTables``: the coefficients on
+    child j of an element from the parent's, in ``refine``'s order.
+
+    Child j sits at xi = c_j0 + C_j xi' in its parent's reference
+    coordinates, c_j the corners of ``_CHILDREN``'s triangle j.  With
+    the element basis the reference one over sqrt(det B), and det B four
+    times smaller on a child, the map is 0.5 times the reference L2
+    product of the child basis with the parent basis pulled back through
+    that affine map.
     """
-    children = refine(Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]]))
-    corners = children.vertices[children.triangles]
     pts, weights = ref.vol.points, ref.vol.weights
     child = ref.wbasis.tabulate(pts)[0] * weights[:, None]
     maps = []
-    for c0, c1, c2 in corners:
+    for c0, c1, c2 in _CHILDREN.vertices[_CHILDREN.triangles]:
         parent = ref.wbasis.tabulate(c0 + pts @ np.column_stack([c1 - c0, c2 - c0]).T)[0]
         maps.append(0.5 * child.T @ parent)
-    return np.stack(maps)
+    maps = np.stack(maps)
+    maps.setflags(write=False)  # shared by every injection on ``ref``
+    return maps
 
 
 def inject_fields(ref, block):
@@ -467,30 +473,15 @@ def run_convergence_study(config, progress=None):
     return report
 
 
-def _columns(pairs, attr):
-    """The pairs' arrays ``attr`` (``field``, the eigenfields (I - lam W)^-1
-    U eta, or ``vector`` or ``ritz``), the columns of a column-major (n, m)
-    block; each pair's array becomes a view of its column, so the block
-    takes no memory beside the arrays (and what held them before is freed)."""
-    shape = getattr(pairs[0], attr).shape
-    block = np.empty((getattr(pairs[0], attr).size, len(pairs)), order="F")
-    for column, pair in zip(block.T, pairs):
-        column[:] = getattr(pair, attr).ravel()
-        setattr(pair, attr, column.reshape(shape))
-    return block
-
-
 def solve_level(sys, m, start=None):
     """The eigensolves of one mesh level, for ``solve`` and the study:
     ``solve_modes`` for m pairs (from the block ``start``, if given), then
-    ``surrogate_values`` from their Ritz block X, whose image T0 X is U
-    applied to the traces that run solved for, then the LU is released.
+    ``surrogate_values`` from those pairs, then the LU is released.
     Returns the pairs, the ``SurrogateValues``, the eigenfields (dim W_h,
     m) and the LU's nonzeros."""
     pairs = solve_modes(sys, m, start)
     eigenfields = _columns(pairs, "field")
-    surrogate = surrogate_values(sys, [p.value for p in pairs], _columns(pairs, "ritz"),
-                                 sys.lift @ _columns(pairs, "vector"))
+    surrogate = surrogate_values(sys, pairs)
     lu_nnz = sys.factorized().nnz
     sys.release_factorization()  # the last solve with A: recovery needs none
     return pairs, surrogate, eigenfields, lu_nnz

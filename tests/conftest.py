@@ -1,13 +1,18 @@
 """Shared solver caches, so expensive meshes/systems are built once, the
-single-element operators of the local tests, and the hypothesis settings
-profile of the property tests."""
+single-element operators of the local tests, oracle-check's nonlinear
+route, and the hypothesis settings profile of the property tests."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from hdgeig.assembly import assemble_condensed
-from hdgeig.eigensolve import solve_linear_surrogate, solve_modes
+from hdgeig.eigensolve import (
+    search_space,
+    solve_condensed_nonlinear,
+    solve_linear_surrogate,
+    solve_modes,
+)
 from hdgeig.localsolve import ElementOps, MaterialSpec, SpaceConfig, TauSpec, reference_tables
 from hdgeig.mesh import build_lshape_mesh, build_square_mesh
 from hdgeig.study import StudyConfig, run_convergence_study
@@ -26,6 +31,15 @@ def element_ops(vertices, spaces, tau, mat=None, element=0):
     bmat = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
     return ElementOps(bmat, tau.face_value(), mat or MaterialSpec.identity(),
                       reference_tables(spaces), element_hint=element)
+
+
+def newton_pairs(sys, m):
+    """The paper's route as ``oracle-check`` runs it: the surrogate's m
+    lowest pairs seed the nonlinear eigensolve of modes 1..m, in order, on
+    one shared search space; the pairs in index order."""
+    seeds = solve_linear_surrogate(sys, m)
+    space = search_space(sys, seeds)
+    return [solve_condensed_nonlinear(sys, seeds, i, space) for i in range(1, m + 1)]
 
 
 def _tau_from_key(key):

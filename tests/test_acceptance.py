@@ -11,13 +11,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import element_ops
+from conftest import element_ops, newton_pairs
 from hdgeig.assembly import assemble_condensed, assemble_m_of_lambda
-from hdgeig.eigensolve import (
-    oracle_full_eig,
-    solve_condensed_nonlinear,
-    solve_linear_surrogate,
-)
+from hdgeig.eigensolve import oracle_full_eig
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
 from hdgeig.recovery import (
     eig_residuals,
@@ -66,9 +62,7 @@ def test_criterion_01_oracle_equivalence(meshes):
                         sys = assemble_condensed(
                             meshes(domain, level), SpaceConfig(k), tau
                         )
-                        seeds = solve_linear_surrogate(sys, 6)
-                        lams = np.sort([solve_condensed_nonlinear(sys, seeds, i).value
-                                        for i in range(1, 7)])
+                        lams = np.sort([p.value for p in newton_pairs(sys, 6)])
                         oracle = oracle_full_eig(sys, m=6).values
                         rel = np.abs(lams - oracle) / oracle
                         assert rel.max() < 1e-9, (domain, level, k, tau.label())
@@ -146,14 +140,13 @@ def test_criterion_05_surrogate_gap(studies, systems):
 
         # the studies run the Lanczos route; the seeds must still carry the
         # paper's route (predictor plus safeguarded Newton on the
-        # frozen-pencil fixed point) to convergence within 10 iterations on
-        # every cell
+        # frozen-pencil fixed point), as oracle-check runs it, to
+        # convergence within 10 iterations on every cell
         for k in (0, 1, 2):
             for level in FULL_LEVELS:
-                sys = systems("square", level, k)
-                seeds = solve_linear_surrogate(sys, 6)
+                pairs = newton_pairs(systems("square", level, k), 6)
                 for mode in (1, 2, 4, 6):
-                    its = solve_condensed_nonlinear(sys, seeds, mode).iterations
+                    its = pairs[mode - 1].iterations
                     assert its <= 10, (
                         "k %d mode %d level %d took %d iterations" % (k, mode, level, its)
                     )
@@ -260,9 +253,7 @@ def test_criterion_10_property_suite(meshes, systems, eigenpairs):
             TauSpec.constant(s), MaterialSpec(s, 0.0, s),
         )
         def three_values(sys):
-            seeds = solve_linear_surrogate(sys, 3)
-            return np.sort([solve_condensed_nonlinear(sys, seeds, i).value
-                            for i in (1, 2, 3)])
+            return np.sort([p.value for p in newton_pairs(sys, 3)])
 
         v1, v2 = three_values(base), three_values(scaled)
         assert np.abs(v2 - s * v1).max() <= 1e-10 * v2.max()

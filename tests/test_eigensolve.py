@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from conftest import newton_pairs
 from hdgeig import eigensolve
 from hdgeig.assembly import assemble_condensed, resolvent_lift
 from hdgeig.eigensolve import (
     oracle_full_eig,
+    search_space,
     solve_condensed_nonlinear,
     solve_linear_surrogate,
     solve_modes,
@@ -32,11 +34,8 @@ from test_assembly import (
 
 
 def secant_pairs(sys, m):
-    """The paper's route: surrogate seeds refined by the nonlinear
-    eigensolve, ascending."""
-    seeds = solve_linear_surrogate(sys, m)
-    pairs = [solve_condensed_nonlinear(sys, seeds, i) for i in range(1, m + 1)]
-    return sorted(pairs, key=lambda p: p.value)
+    """The paper's route as oracle-check runs it, ascending."""
+    return sorted(newton_pairs(sys, m), key=lambda p: p.value)
 
 
 def secant_values(sys, m):
@@ -281,13 +280,13 @@ class TestCondensedNonlinear:
         # 28) lies far up
         for case, modes in ((("square", 1, 1), range(1, 7)), (("lshape", 0, 0), (10,))):
             sys = systems(*case)
-            seeds, pairs = eigenpairs(*case, m=max(modes))
-            converged = [solve_condensed_nonlinear(sys, seeds, i)
-                         for i in range(1, len(seeds) + 1)]
-            for mode in modes:
-                for block in (converged, pairs):
+            _, pairs = eigenpairs(*case, m=max(modes))
+            converged = newton_pairs(sys, max(modes))
+            for block in (converged, pairs):
+                space = search_space(sys, block)
+                for mode in modes:
                     pair = block[mode - 1]
-                    again = solve_condensed_nonlinear(sys, block, mode)
+                    again = solve_condensed_nonlinear(sys, block, mode, space)
                     assert again.index == pair.index == mode
                     assert again.iterations == 1
                     assert abs(again.value - pair.value) <= 1e-12 * pair.value
@@ -304,18 +303,17 @@ class TestCondensedNonlinear:
 
     def test_rejects_nonpositive_seed(self, systems):
         sys = systems("square", 0, 1)
-
-        class Seed:
-            value = -1.0
-            vector = None
-            index = 1
-
-        with pytest.raises(EigenSolveError):
-            solve_condensed_nonlinear(sys, [Seed()], 1)
+        seeds = solve_linear_surrogate(sys, 2)
+        negative = copy.copy(seeds[1])
+        negative.value = -1.0
+        with pytest.raises(EigenSolveError, match="must be positive"):
+            search_space(sys, [negative])
+        seeds[1] = negative
+        with pytest.raises(EigenSolveError, match="must be positive"):
+            solve_condensed_nonlinear(sys, seeds, 2, search_space(sys, seeds))
 
     def test_iteration_history_recorded(self, systems):
-        sys = systems("square", 1, 1)
-        pair = solve_condensed_nonlinear(sys, solve_linear_surrogate(sys, 1), 1)
+        pair = newton_pairs(systems("square", 1, 1), 1)[0]
         assert len(pair.history) == pair.iterations + 1
         assert pair.defect <= 1e-12
 
@@ -374,7 +372,7 @@ class TestNewtonStep:
             seeds = solve_linear_surrogate(sys, 6)
             counted, lu = copy.copy(sys), CountingLU(sys.factorized())
             counted.factorized = lambda: lu
-            space = eigensolve.search_space(counted, seeds)
+            space = search_space(counted, seeds)
             pairs = [solve_condensed_nonlinear(counted, seeds, i, space=space)
                      for i in range(1, 7)]
             assert 1 + sum(p.solves for p in pairs) == lu.solves == space.solves
@@ -386,11 +384,28 @@ class TestNewtonStep:
         assert total <= 700
 
 
-def per_call_and_shared(rows, ids):
-    """Each parametrize row with a space per call, under its own id, and
-    with one search space shared by its modes, under the id + "-shared"."""
+def alone_and_shared(rows, ids):
+    """Each parametrize row with every mode solved alone, on a search space
+    of its own, under its own id, and with modes 1, 2, ... solved in order
+    on one shared space, as oracle-check solves them, under the id +
+    "-shared".  Alone, no earlier mode has grown the space, so the generic
+    direction by itself must supply a frozen eigenvector that no seed
+    holds."""
     return ([pytest.param(*row, False, id=i) for row, i in zip(rows, ids)]
             + [pytest.param(*row, True, id=i + "-shared") for row, i in zip(rows, ids)])
+
+
+def nonlinear_values(sys, seeds, modes, shared):
+    """The nonlinear eigenvalues of ``modes`` from ``seeds``: each mode
+    alone on a space of its own, or (``shared``) every mode up to the last
+    in order on one space."""
+    if not shared:
+        return [solve_condensed_nonlinear(sys, seeds, i, search_space(sys, seeds)).value
+                for i in modes]
+    space = search_space(sys, seeds)
+    values = [solve_condensed_nonlinear(sys, seeds, i, space).value
+              for i in range(1, max(modes) + 1)]
+    return [values[i - 1] for i in modes]
 
 
 class TestHardCells:
@@ -401,20 +416,17 @@ class TestHardCells:
     level 1 (k = 2, tau = h) mode 6, where a Lanczos run stopped short of
     machine precision lost the frozen pencil's 5th eigenvector."""
 
-    @pytest.mark.parametrize("domain,level,k,tau,modes,shared", per_call_and_shared(
+    @pytest.mark.parametrize("domain,level,k,tau,modes,shared", alone_and_shared(
         [("square", 0, 1, "one", range(1, 7)), ("lshape", 1, 2, "h", (6,))],
         ["square-0-1-one-modes0", "lshape-1-2-h-modes1"]))
     def test_matches_solve_modes(self, systems, eigenpairs, domain, level, k, tau, modes,
                                  shared):
         sys = systems(domain, level, k, tau)
         seeds, pairs = eigenpairs(domain, level, k, tau, m=6)
-        space = eigensolve.search_space(sys, seeds) if shared else None
-        for mode in modes:
-            pair = solve_condensed_nonlinear(sys, seeds, mode, space=space)
-            assert pair.index == mode
-            assert abs(pair.value - pairs[mode - 1].value) <= 1e-12 * pair.value, mode
+        for mode, got in zip(modes, nonlinear_values(sys, seeds, modes, shared)):
+            assert abs(got - pairs[mode - 1].value) <= 1e-12 * got, mode
 
-    @pytest.mark.parametrize("domain,level,k,tau,shared", per_call_and_shared(
+    @pytest.mark.parametrize("domain,level,k,tau,shared", alone_and_shared(
         CRITERION_1_GRID, ["-".join(map(str, cell)) for cell in CRITERION_1_GRID]))
     def test_any_number_of_seeds(self, systems, eigenpairs, domain, level, k, tau, shared):
         # with m seeds for modes 1..m, as oracle-check --modes m gives them:
@@ -425,9 +437,8 @@ class TestHardCells:
         _, pairs = eigenpairs(domain, level, k, tau, m=6)
         for m in range(1, 7):
             seeds = solve_linear_surrogate(sys, m)
-            space = eigensolve.search_space(sys, seeds) if shared else None
-            for mode in range(1, m + 1):
-                got = solve_condensed_nonlinear(sys, seeds, mode, space=space).value
+            modes = range(1, m + 1)
+            for mode, got in zip(modes, nonlinear_values(sys, seeds, modes, shared)):
                 assert abs(got - pairs[mode - 1].value) <= 1e-10 * got, (m, mode)
 
     @pytest.mark.parametrize("domain,level,k,tau", [("lshape", 2, 2, "h"),
@@ -442,7 +453,7 @@ class TestHardCells:
         # only the top index Ritz vectors loses the square's mode 4
         sys = systems(domain, level, k, tau)
         seeds, pairs = eigenpairs(domain, level, k, tau, m=6)
-        space = eigensolve.search_space(sys, seeds)
+        space = search_space(sys, seeds)
         sizes, expand = [], space._expand
         space._expand = lambda t, rhs: (expand(t, rhs), sizes.append(space.size))[0]
         got = [solve_condensed_nonlinear(sys, seeds, i, space=space) for i in range(1, 7)]
@@ -457,10 +468,12 @@ class TestHardCells:
     def test_fewer_independent_traces_than_the_index(self, systems):
         sys = systems("square", 0, 1)
         seeds = solve_linear_surrogate(sys, 3)
-        with pytest.raises(EigenSolveError, match="needs at least"):
-            solve_condensed_nonlinear(sys, seeds[:2], 3)
-        with pytest.raises(EigenSolveError, match="independent directions"):
-            solve_condensed_nonlinear(sys, [seeds[0], seeds[1], seeds[1]], 3)
+        with pytest.raises(EigenSolveError, match="3 independent seed traces; the 2 seeds "):
+            solve_condensed_nonlinear(sys, seeds[:2], 3, search_space(sys, seeds[:2]))
+        seeds[2] = seeds[1]
+        with pytest.raises(EigenSolveError, match="3 independent seed traces; the 3 seeds "
+                                                  "span 2"):
+            solve_condensed_nonlinear(sys, seeds, 3, search_space(sys, seeds))
 
 
 class TestOracle:
@@ -633,7 +646,8 @@ class TestSolveModes:
         seeds = solve_linear_surrogate(sys, 2)
         run = {"solve_modes": lambda: solve_modes(sys, 2),
                "surrogate": lambda: solve_linear_surrogate(sys, 2),
-               "secant": lambda: solve_condensed_nonlinear(sys, seeds, 2)}[route]
+               "secant": lambda: solve_condensed_nonlinear(sys, seeds, 2,
+                                                           search_space(sys, seeds))}[route]
         command = "oracle-check" if route == "secant" else "solve"
         if route == "secant":
             monkeypatch.setattr(eigensolve, "_STALL_TOL", np.inf)
@@ -734,8 +748,9 @@ class TestLobpcgWorkspace:
 
 
 class TestSurrogateValues:
-    """``surrogate_values``, the study's surrogate run without vectors,
-    against the LOBPCG run with the vector stop from the same block."""
+    """``surrogate_values``, the study's surrogate run without vectors from
+    the modes run's Ritz block, against the LOBPCG run with the vector
+    stop from the same block."""
 
     TAUS = {"one": TauSpec.one(), "h": TauSpec.global_h(), "0.1": TauSpec.constant(0.1),
             "1e4": TauSpec.constant(1e4)}
@@ -768,32 +783,38 @@ class TestSurrogateValues:
             np.testing.assert_allclose(1.0 / new, 1.0 / ref, rtol=1e-12)
 
     def test_the_ritz_block_start_saves_its_solve(self, monkeypatch):
-        # the k = 2 study from the modes' Ritz block with its image, and once
-        # more with the surrogate run applying T0 to that block itself: per
-        # level one solve and m = 6 applications fewer, the same lam, and
-        # lam~ within 1e-14 of a cold Lanczos run
+        # the k = 2 study's surrogate runs start from the modes' Ritz block
+        # with its image; each once more on a copy of its operator (same LU,
+        # own counters) applying T0 to that block itself takes one solve and
+        # m = 6 applications more for the same values.  lam~ lies within
+        # 1e-14 of a cold Lanczos run
         config = StudyConfig(k=2, levels=(0, 1, 2, 3, 4), modes=(1, 2, 4, 6),
                              postprocess=False)
-        pattern, runs = re.compile(r"surrogate (\d+) in (\d+)"), []
-        for given in (True, False):
-            if not given:
-                monkeypatch.setattr("hdgeig.study.surrogate_values",
-                                    lambda sys, lams, start, image:
-                                    surrogate_values(sys, lams, start))
-            details = []
-            report = run_convergence_study(
-                config, lambda level, seconds, detail: details.append(detail))
-            runs.append((report, [tuple(map(int, pattern.search(d).groups())) for d in details]))
-        (report, counts), (without, counts_without) = runs
-        assert [solves for _, solves in counts] == [7, 6, 5, 3, 2]
-        assert [(n + 6, solves + 1) for n, solves in counts] == counts_without
+        runs, lobpcg = [], eigensolve._lobpcg
+
+        def both(op, block, what, stop="vectors", image=None):
+            ref = copy.copy(op)
+            out = lobpcg(op, block, what, stop, image)
+            if what == "the surrogate pencil":
+                assert image is not None
+                mu = lobpcg(ref, block, what, stop)[0]
+                runs.append((ref.applications - op.applications, ref.solves - op.solves))
+                np.testing.assert_allclose(mu, out[0], rtol=1e-12)
+            return out
+
+        monkeypatch.setattr(eigensolve, "_lobpcg", both)
+        details = []
+        report = run_convergence_study(
+            config, lambda level, seconds, detail: details.append(detail))
+        pattern = re.compile(r"surrogate (\d+) in (\d+)")
+        assert [int(pattern.search(d).group(2)) for d in details] == [7, 6, 5, 3, 2]
+        assert runs == [(6, 1)] * 5
         for level in config.levels:
             sys = assemble_condensed(build_square_mesh(level), SpaceConfig(2), TauSpec.one())
             lanczos = [p.value for p in solve_linear_surrogate(sys, 6)]
             for mode in config.modes:
-                cell = report.cell(mode, level)
-                assert cell.lam == without.cell(mode, level).lam
-                assert cell.lam_tilde == pytest.approx(lanczos[mode - 1], rel=1e-14)
+                assert report.cell(mode, level).lam_tilde == pytest.approx(lanczos[mode - 1],
+                                                                           rel=1e-14)
 
     def test_per_column_stop_on_a_wide_spectrum(self, systems, eigenpairs):
         # L-shape, k = 1, tau = 1e4, level 0: lam~_6 is about 1,400 lam~_1,
@@ -801,8 +822,8 @@ class TestSurrogateValues:
         # column left lam~_6 4.8e-10 off the vector stop's value
         sys = systems("lshape", 0, 1, 1e4)
         _, pairs = eigenpairs("lshape", 0, 1, 1e4, m=6)
-        block = eigenfields(sys, pairs)
-        got = surrogate_values(sys, [p.value for p in pairs], block)
+        got = surrogate_values(sys, pairs)
+        block = np.column_stack([p.ritz for p in pairs])
         ref = 1.0 / eigensolve._lobpcg(eigensolve._Operator(sys), block, "T0")[0]
         assert got.stop == "values" and got.values[5] > 1000 * got.values[0]
         assert got.residual <= eigensolve._VALUE_RTOL
@@ -843,7 +864,7 @@ class TestSurrogateValues:
         sys = systems("square", 2, 1)
         _, pairs = eigenpairs("square", 2, 1, m=6)
         with pytest.raises(EigenSolveError, match="surrogate value 6 .* outside its enclosure"):
-            surrogate_values(sys, [p.value for p in pairs], eigenfields(sys, pairs))
+            surrogate_values(sys, pairs)
         # the enclosure of lam~_6 narrows as the wall recedes: [8.23, 15.64]
         # on level 0 holds lam~_7 = 15.62, [9.76, 13.58] on level 1 barely
         # misses 13.60, [9.97, 11.64] on level 2 clearly misses 13.14
@@ -859,11 +880,19 @@ class TestSurrogateValues:
             sys = systems("square", 1, k, tau)
             _, pairs = eigenpairs("square", 1, k, tau, m=6)
             lams = np.array([p.value for p in pairs])
-            got = surrogate_values(sys, lams, eigenfields(sys, pairs)).values
+            got = surrogate_values(sys, pairs).values
             assert np.all(lams <= got * (1 + 1e-12))
             assert np.all(got <= lams / (1 - lams / sys.wall) * (1 + 1e-9))
             if k == 0:
                 np.testing.assert_allclose(got, lams / (1 - lams / sys.wall), rtol=1e-12)
+
+    def test_refuses_pairs_without_ritz_vectors(self, systems):
+        # only solve_modes' pairs carry the Ritz block that the run starts
+        # from; the nonlinear eigensolve's and the surrogate's do not
+        sys = systems("square", 1, 1)
+        for pairs in (newton_pairs(sys, 2), solve_linear_surrogate(sys, 2)):
+            with pytest.raises(ValueError, match="pair 1 carries no Ritz vector"):
+                surrogate_values(sys, pairs)
 
 
 class TestOperatorLifetime:
@@ -875,9 +904,9 @@ class TestOperatorLifetime:
         "modes": lambda sys, block, pairs: solve_modes(sys, 4),
         "modes_block": lambda sys, block, pairs: solve_modes(sys, 4, block),
         "surrogate": lambda sys, block, pairs: solve_linear_surrogate(sys, 4),
-        "surrogate_block": lambda sys, block, pairs: surrogate_values(
-            sys, [p.value for p in pairs], block),
-        "nonlinear": lambda sys, block, pairs: solve_condensed_nonlinear(sys, pairs, 2),
+        "surrogate_block": lambda sys, block, pairs: surrogate_values(sys, pairs),
+        "nonlinear": lambda sys, block, pairs: solve_condensed_nonlinear(
+            sys, pairs, 2, search_space(sys, pairs)),
         # the result, which holds an operator, is dropped at once
         "oracle": lambda sys, block, pairs: oracle_full_eig(sys, 4),
     }
@@ -952,10 +981,7 @@ class TestSpectrumProperties:
         vals = {}
         for tag, msh in (("orig", mesh), ("perm", permuted)):
             sys = assemble_condensed(msh, SpaceConfig(1), TauSpec.one())
-            seeds = solve_linear_surrogate(sys, 4)
-            vals[tag] = np.sort(
-                [solve_condensed_nonlinear(sys, seeds, i).value for i in range(1, 5)]
-            )
+            vals[tag] = np.sort([p.value for p in newton_pairs(sys, 4)])
         assert np.abs(vals["orig"] - vals["perm"]).max() <= 1e-10 * vals["orig"].max()
 
     def test_surrogate_gap_shrinks(self, eigenpairs):

@@ -199,19 +199,19 @@ class TestElementLift:
 
 
 class TestUwInverse:
-    """ElementOps.resolvent applies (I - lam * Uw)^-1 through the
-    spectrum of Uw, so it is exact to round-off."""
+    """ElementOps.resolvent builds (I - lam * Uw)^-1 through the spectrum
+    of Uw, so it is exact to round-off."""
 
     def test_identity_at_zero(self):
         ops = element_ops(REF, SpaceConfig(1), TauSpec.one())
         w = np.arange(1.0, ops.n_w + 1)
-        assert np.abs(ops.resolvent(0.0, w) - w).max() <= 1e-14 * np.abs(w).max()
+        assert np.abs(ops.resolvent(0.0) @ w - w).max() <= 1e-14 * np.abs(w).max()
 
     def test_round_trip(self):
         ops = element_ops(REF, SpaceConfig(1), TauSpec.one())
         rng = np.random.default_rng(9)
         w = rng.standard_normal(ops.n_w)
-        x = ops.resolvent(1.0, w)
+        x = ops.resolvent(1.0) @ w
         back = (np.eye(ops.n_w) - 1.0 * ops.uwmat) @ x
         assert np.abs(back - w).max() < 1e-12 * max(1.0, np.abs(w).max())
 
@@ -219,7 +219,7 @@ class TestUwInverse:
         ops = element_ops(REF, SpaceConfig(2), TauSpec.one())
         rng = np.random.default_rng(10)
         w = rng.standard_normal(ops.n_w)
-        x = ops.resolvent(2.0, w)
+        x = ops.resolvent(2.0) @ w
         dense = np.linalg.inv(np.eye(ops.n_w) - 2.0 * ops.uwmat) @ w
         assert np.abs(x - dense).max() < 1e-11
 
@@ -227,7 +227,7 @@ class TestUwInverse:
         ops = element_ops(REF, SpaceConfig(1), TauSpec.one())
         rho = np.abs(np.linalg.eigvalsh(ops.uwmat)).max()
         with pytest.raises(LocalSolveError):
-            ops.resolvent(1.0 / rho, np.ones(ops.n_w))
+            ops.resolvent(1.0 / rho)
 
     @pytest.mark.parametrize("factor", [1.5, 10.0])
     def test_error_past_the_wall(self, factor):
@@ -236,7 +236,7 @@ class TestUwInverse:
         ops = element_ops(REF, SpaceConfig(2), TauSpec.one())
         rho = np.linalg.eigvalsh(ops.uwmat).max()
         with pytest.raises(LocalSolveError):
-            ops.resolvent(factor / rho, np.ones(ops.n_w))
+            ops.resolvent(factor / rho)
         with pytest.raises(LocalSolveError):
             ops.resolvent_gap(factor / rho)
 

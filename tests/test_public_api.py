@@ -1,8 +1,11 @@
 """The public surface of ``hdgeig``: the README's library example runs as
 written, and every function the package exports, and every static
 constructor of an exported class, is reached by a command or is a named
-reference check."""
+reference check; an import kept for the benchmark alone names what the
+benchmark wraps."""
 
+import ast
+import importlib.util
 import inspect
 import sys
 from pathlib import Path
@@ -79,3 +82,37 @@ def test_every_exported_function_is_called_by_a_command(capsys):
     assert not unlisted, "no command calls %s: delete it, or list it with a reason" % unlisted
     called = sorted(set(NOT_CALLED_BY_COMMANDS) - uncalled)
     assert not called, "a command calls %s now: drop it from the list" % called
+
+
+def test_benchmark_only_imports_are_wrapped():
+    # an import that no code of its module uses (``# noqa: F401``) is kept
+    # for perfbench/spans.py alone: it must name a function that
+    # ``instrument`` wraps in that module.  A tracer that only records the
+    # wraps collects them, so nothing is patched
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("spans", root / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    class Recorder:
+        def __init__(self):
+            self.totals, self.wrapped = {}, set()
+
+        def wrap(self, owner, attr, metric, tally=None):
+            self.wrapped.add((owner.__name__, attr))
+
+        def count_from_hdgeig(self, owner, attr, counter, adapt=None):
+            pass
+
+    recorder = Recorder()
+    spans.instrument(recorder)
+    kept = []
+    for path in sorted((root / "src" / "hdgeig").glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "F401" in lines[node.end_lineno - 1].partition("noqa")[2]):
+                kept += [("hdgeig." + path.stem, alias.asname or alias.name)
+                         for alias in node.names]
+    unwrapped = sorted(set(kept) - recorder.wrapped)
+    assert not unwrapped, "imported for the benchmark but not wrapped by it: %s" % unwrapped

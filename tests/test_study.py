@@ -4,13 +4,13 @@ import types
 import numpy as np
 import pytest
 
-from hdgeig import assembly, eigensolve
+from hdgeig import assembly, eigensolve, study
 from hdgeig.assembly import RUN_LENGTH, load_moments, resolvent_lift
 from hdgeig.basis import triangle_quadrature
 from hdgeig.eigensolve import solve_modes, surrogate_values
 from hdgeig.errors import ConfigError, EigenSolveError, UnsupportedModeError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec, reference_tables
-from hdgeig.mesh import build_square_mesh, refine
+from hdgeig.mesh import Mesh, build_square_mesh, refine
 from hdgeig.study import (
     CellResult,
     ConvergenceReport,
@@ -478,6 +478,26 @@ class TestWarmStarts:
             got = element_values(children, ref.wbasis, fine_col.reshape(-1, ref.n_w), pts)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_child_maps_are_built_once(self, monkeypatch, k):
+        # the injection maps come from the reference triangle refined once at
+        # import and are cached per ReferenceTables: an injection refines no
+        # mesh, and the maps are those of a fresh refinement, bit for bit
+        ref = reference_tables(SpaceConfig(k))
+        block = np.random.default_rng(k).standard_normal((2 * ref.n_w, 3))
+        monkeypatch.setattr(study, "refine", lambda mesh: pytest.fail("refine called"))
+        first, second = inject_fields(ref, block), inject_fields(ref, block)
+        np.testing.assert_array_equal(first, second)
+        monkeypatch.undo()
+        children = refine(Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]]))
+        pts, weights = ref.vol.points, ref.vol.weights
+        child = ref.wbasis.tabulate(pts)[0] * weights[:, None]
+        want = [0.5 * child.T @ ref.wbasis.tabulate(
+                    c0 + pts @ np.column_stack([c1 - c0, c2 - c0]).T)[0]
+                for c0, c1, c2 in children.vertices[children.triangles]]
+        assert study._child_maps(ref) is study._child_maps(ref)
+        np.testing.assert_array_equal(study._child_maps(ref), np.stack(want))
+
     @pytest.mark.parametrize("domain", ["square", "lshape"])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_study_matches_cold_solves(self, studies, systems, eigenpairs, domain, k):
@@ -562,12 +582,12 @@ class TestWarmStarts:
         eigenfields = np.column_stack([resolvent_lift(coarse, p.value, p.vector).ravel()
                                        for p in solve_modes(coarse, 4)])
         start = inject_fields(sys.ref, eigenfields)
-        lams = [p.value for p in solve_modes(sys, 4)]
+        pairs = solve_modes(sys, 4)
         monkeypatch.setattr(eigensolve, "_LOBPCG_MAX_ITER", 1)
         with pytest.raises(EigenSolveError, match="LOBPCG .* did not converge"):
             solve_modes(sys, 4, start)
         with pytest.raises(EigenSolveError, match="LOBPCG .* did not converge"):
-            surrogate_values(sys, lams, start)
+            surrogate_values(sys, pairs)
         # in a study every level's surrogate run stalls: notes, no numbers
         rep = run_convergence_study(StudyConfig(k=1, levels=(0, 1), modes=(1, 2)))
         for cell in rep.cells:
