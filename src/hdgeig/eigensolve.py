@@ -7,22 +7,22 @@ Both linear eigensolves find the largest eigenvalues mu of a symmetric
 operator U A^-1 U^T (+ W, the block-diagonal load lift) on W_h, applied
 to a vector or, in one solve, to the columns of a block:
 
-* ``solve_modes`` (in ``study.solve_level``, for the command line and the
-  study) on the source-solution operator T = U A^-1 U^T + W: lam = 1/mu;
-* the surrogate pencil A x = theta G x, G = U^T U, on T0 = U A^-1 U^T:
-  theta = 1/mu.
+* ``solve_modes`` (the first eigensolve of every command) on the
+  source-solution operator T = U A^-1 U^T + W: lam = 1/mu;
+* ``solve_linear_surrogate``, the surrogate pencil A x = theta G x,
+  G = U^T U, on T0 = U A^-1 U^T: theta = 1/mu.
 
-Without a start block a run is an ARPACK Lanczos run from a fixed vector.
-From a block of approximate eigenvectors (the study's nested levels
-provide one) it is LOBPCG, which needs fewer solves when the block is
-close; from a random block it is slower and stalls on clusters.  An
-eigenvector y gives the trace A^-1 U^T y.  The kernel of G becomes zero
-eigenvalues of T0 (theta infinite), which never reach the lowest modes.
-``solve`` and the study read only the surrogate's values:
-``surrogate_values`` takes the pairs of ``solve_modes`` and runs LOBPCG
-on T0 from their Ritz block, whose image the modes' trace solve already
-gives, until the values, not the vectors, have converged, and checks
-each against the enclosure that the nonlinear eigenvalues give it.
+Without a start block the modes run is an ARPACK Lanczos run from a fixed
+vector.  From a block of approximate eigenvectors (the study's nested
+levels provide one) it is LOBPCG, which needs fewer solves when the block
+is close; from a random block it is slower and stalls on clusters.  An
+eigenvector y gives the trace A^-1 U^T y.  The surrogate run is LOBPCG on
+T0 from the modes run's Ritz block, whose image the modes' trace solve
+already gives, until the values, not the vectors, have converged; it
+checks each value against the enclosure that the nonlinear eigenvalues
+give it, and returns its Ritz block, whose traces seed the paper's route.
+The kernel of G becomes zero eigenvalues of T0 (theta infinite), which
+never reach the lowest modes.
 
 The paper's route, kept as the reference, is surrogate-seeded Newton on
 the frozen-pencil fixed point (``solve_condensed_nonlinear``): the roots
@@ -55,7 +55,6 @@ __all__ = [
     "OracleSpectrum",
     "SurrogateValues",
     "solve_linear_surrogate",
-    "surrogate_values",
     "solve_condensed_nonlinear",
     "search_space",
     "solve_modes",
@@ -107,20 +106,19 @@ class EigenPair:
     applications (Lanczos matvecs, or LOBPCG block columns), ``solves``
     the solves that made them, ``defect`` is |A eta - lam M(lam) eta|
     / |A eta|, and ``ritz`` is the run's unit Ritz vector x of T whose
-    trace A^-1 U^T x is ``vector``, the start of ``surrogate_values``
-    (None on the other routes).  From the surrogate: a Gram-normalized
-    vector, the same counts and ``defect`` |A v - theta G v| / |A v|.
-    From the nonlinear eigensolve: an A-normalized trace (v.A v = 1), its
-    frozen-pencil solves (Newton iterations), the last relative update
-    |theta - kappa| / theta as ``defect``, the nonlinear residual |A v -
-    lam M(lam) v| / |A v| as ``residual``, ``history``, the first frozen
-    kappa (the predictor's) followed by each solve's theta, so that
-    ``len(history) == iterations + 1``, the LU solves its call made on the
-    search space (``solves``) and the space's dimension when it returned
-    (``space``).  The other routes leave ``residual`` equal to ``defect``
-    and ``space`` 0.  ``field`` is the eigenfield (I - lam W)^-1 U eta (T,
-    n_w) that the nonlinear residual check lifted (None on a surrogate
-    pair).
+    trace A^-1 U^T x is ``vector``, the start of ``solve_linear_surrogate``
+    (None elsewhere).  From the nonlinear eigensolve: an
+    A-normalized trace (v.A v = 1), its frozen-pencil solves (Newton
+    iterations), the last relative update |theta - kappa| / theta as
+    ``defect``, the nonlinear residual |A v - lam M(lam) v| / |A v| as
+    ``residual``, ``history``, the first frozen kappa (the predictor's)
+    followed by each solve's theta, so that ``len(history) == iterations
+    + 1``, the LU solves its call made on the search space (``solves``)
+    and the space's dimension when it returned (``space``).  The modes
+    run leaves ``residual`` equal to ``defect`` and ``space`` 0.
+    ``field`` is the eigenfield (I - lam W)^-1 U eta (T, n_w) that the
+    nonlinear residual check lifted.  A seed that ``oracle-check`` makes
+    from the surrogate's Ritz block carries its value, trace and index.
     """
 
     def __init__(self, value, vector, index, iterations=0, defect=0.0, history=(),
@@ -275,17 +273,6 @@ def _lobpcg(op, block, what, stop="vectors", image=None):
                           % (what, _LOBPCG_MAX_ITER, norms.max() / abs(theta[0])))
 
 
-def _largest(op, count, what, start=None):
-    """Largest ``count`` eigenpairs of the symmetric ``op``, mu descending:
-    LOBPCG from the columns of a block ``start`` (n, count), otherwise a
-    Lanczos run from the deterministic vector."""
-    if start is not None:
-        return _lobpcg(op, start, what)[:2]
-    mu, vecs = _eigsh(op, count, what, _deterministic_start(op.shape[0]))
-    order = np.argsort(mu)[::-1]
-    return mu[order], vecs[:, order]
-
-
 class _Operator(scipy.sparse.linalg.LinearOperator):
     """y -> U A^-1 U^T y + W y on W_h for W = ``load`` (None: zero), on a
     vector or the columns of a block (one multi-right-hand-side solve);
@@ -326,40 +313,11 @@ def _check_count(sys, m):
         raise EigenSolveError("requested %d modes of a dimension-%d scalar space" % (m, n))
 
 
-def solve_linear_surrogate(sys, m):
-    """Lowest m eigenpairs of the surrogate pencil (stiffness, lift Gram);
-    modes in the kernel of the Gram matrix raise ``EigenSolveError``.
-
-    The largest eigenpairs mu of T0 come from a Lanczos run; theta = 1/mu,
-    and an eigenvector y gives the trace A^-1 U^T y.  Each pair carries
-    the run's operator applications (``iterations``) and solves
-    (``solves``).
-    """
-    m = int(m)
-    _check_count(sys, m)
-    op = _Operator(sys)
-    mu, vecs = _largest(op, m, "the surrogate pencil")
-    if mu[-1] <= 0.0:
-        raise EigenSolveError("mode %d lies in the kernel of the lift Gram matrix"
-                              % (np.count_nonzero(mu > 0.0) + 1))
-    lams, vecs = 1.0 / mu, sys.factorized().solve(sys.moments @ vecs)
-    pairs = []
-    for i, (lam, vec) in enumerate(zip(lams, vecs.T), 1):
-        u = sys.lift @ vec
-        scale = np.linalg.norm(u)  # Gram norm: vec . G vec = |U vec|^2
-        vec, u = vec / scale, u / scale
-        av = sys.A @ vec
-        defect = np.linalg.norm(av - lam * (sys.moments @ u)) / np.linalg.norm(av)
-        if defect > _RESIDUAL_TOL:
-            raise EigenSolveError("surrogate eigenpair %d residual too large" % i)
-        pairs.append(EigenPair(lam, vec, i, op.applications, defect, solves=op.solves))
-    return pairs
-
-
 #: the surrogate's ascending eigenvalues, the run's operator applications
-#: and solves, its stop ("values" or "vectors") and largest relative residual
+#: and solves, its stop ("values" or "vectors"), largest relative residual
+#: and Ritz block (dim W_h, m), the values' unit eigenvectors x of T0
 SurrogateValues = collections.namedtuple("SurrogateValues",
-                                         "values applications solves stop residual")
+                                         "values applications solves stop residual ritz")
 
 
 def _columns(pairs, attr):
@@ -375,12 +333,13 @@ def _columns(pairs, attr):
     return block
 
 
-def surrogate_values(sys, pairs):
-    """The lowest len(pairs) eigenvalues of the surrogate pencil, without
-    eigenvectors, for the ascending pairs of ``solve_modes``, by LOBPCG
-    on T0 from their Ritz block X, whose image T0 X = U A^-1 U^T X is U
-    applied to their traces: the start costs no solve.  A pair without
-    ``ritz`` (not from ``solve_modes``) raises ``ValueError``.
+def solve_linear_surrogate(sys, pairs):
+    """The lowest len(pairs) eigenvalues of the surrogate pencil, with the
+    Ritz block of T0 they come from, for the ascending pairs of
+    ``solve_modes``, by LOBPCG on T0 from their Ritz block X, whose image
+    T0 X = U A^-1 U^T X is U applied to their traces: the start costs no
+    solve.  A pair without ``ritz`` (not from ``solve_modes``) raises
+    ``ValueError``.
 
     The run takes the value stop, unless the modes lie near the wall
     (lam_m > wall / 2): there the eigenfields of spurious modes need not
@@ -398,8 +357,8 @@ def surrogate_values(sys, pairs):
     _check_count(sys, len(lams))
     stop = "vectors" if lams[-1] > 0.5 * sys.wall else "values"
     op = _Operator(sys)
-    mu, _, residual = _lobpcg(op, _columns(pairs, "ritz"), "the surrogate pencil", stop,
-                              sys.lift @ _columns(pairs, "vector"))
+    mu, ritz, residual = _lobpcg(op, _columns(pairs, "ritz"), "the surrogate pencil", stop,
+                                 sys.lift @ _columns(pairs, "vector"))
     values, upper = 1.0 / mu, lams / (1.0 - lams / sys.wall)
     outside = np.flatnonzero((values < lams * (1.0 - _ENCLOSURE_SLACK))
                              | (values > upper * (1.0 + _ENCLOSURE_SLACK)))
@@ -407,7 +366,7 @@ def surrogate_values(sys, pairs):
         i = outside[0]
         raise EigenSolveError("surrogate value %d (%.10g) lies outside its enclosure [%.10g, "
                               "%.10g]" % (i + 1, values[i], lams[i], upper[i]))
-    return SurrogateValues(values, op.applications, op.solves, stop, residual)
+    return SurrogateValues(values, op.applications, op.solves, stop, residual, ritz)
 
 
 def _wall_cap(sys):
@@ -474,7 +433,7 @@ class _SearchSpace:
     as V grows, by one solve with the cached LU per direction.
 
     V starts from the seed traces and one generic direction.  The seeds
-    are eigenvectors of the surrogate pencil to round-off, so they carry
+    are close to eigenvectors of the surrogate pencil, so they carry
     next to nothing of a frozen eigenvector that none of them
     approximates: the partner of a near-double whose order the resolvent
     swaps, or a near-wall mode that no surrogate mode resembles.
@@ -710,7 +669,12 @@ def solve_modes(sys, m, start=None):
     """
     m, op = int(m), _Operator(sys, load=sys.load_lift)
     _check_count(sys, m)
-    mu, vecs = _largest(op, m, "the solution operator", start)
+    if start is None:
+        mu, vecs = _eigsh(op, m, "the solution operator", _deterministic_start(op.shape[0]))
+        order = np.argsort(mu)[::-1]
+        mu, vecs = mu[order], vecs[:, order]
+    else:
+        mu, vecs = _lobpcg(op, start, "the solution operator")[:2]
     etas = sys.factorized().solve(sys.moments @ vecs)
     lam_cap = _wall_cap(sys)
     pairs = []

@@ -33,10 +33,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .assembly import assemble_condensed
-from .eigensolve import _columns, solve_modes, surrogate_values
-# the paper's nonlinear route and the surrogate with vectors; not called
-# here, perfbench/spans.py times them under these names
-from .eigensolve import solve_condensed_nonlinear, solve_linear_surrogate  # noqa: F401
+from .eigensolve import _columns, solve_linear_surrogate, solve_modes
+# the paper's nonlinear route, not called here; perfbench/spans.py times it
+from .eigensolve import solve_condensed_nonlinear  # noqa: F401
 from .errors import ConfigError, EigenSolveError, HdgError, UnsupportedModeError
 from .localsolve import MaterialSpec, SpaceConfig, TauSpec
 from .mesh import Mesh, build_lshape_mesh, build_square_mesh, refine
@@ -476,12 +475,12 @@ def run_convergence_study(config, progress=None):
 def solve_level(sys, m, start=None):
     """The eigensolves of one mesh level, for ``solve`` and the study:
     ``solve_modes`` for m pairs (from the block ``start``, if given), then
-    ``surrogate_values`` from those pairs, then the LU is released.
+    ``solve_linear_surrogate`` from those pairs, then the LU is released.
     Returns the pairs, the ``SurrogateValues``, the eigenfields (dim W_h,
     m) and the LU's nonzeros."""
     pairs = solve_modes(sys, m, start)
     eigenfields = _columns(pairs, "field")
-    surrogate = surrogate_values(sys, pairs)
+    surrogate = solve_linear_surrogate(sys, pairs)
     lu_nnz = sys.factorized().nnz
     sys.release_factorization()  # the last solve with A: recovery needs none
     return pairs, surrogate, eigenfields, lu_nnz
@@ -566,7 +565,8 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse, coarse_me
         lap("error")
     detail = ("LU nnz %d, modes %d operator applications in %d block solves (%s), surrogate "
               "%d in %d (block start, %s stop, relative residual %.1e), seconds: %s"
-              % (lu_nnz, pairs[0].iterations, pairs[0].solves, started, *surrogate[1:],
+              % (lu_nnz, pairs[0].iterations, pairs[0].solves, started, surrogate.applications,
+                 surrogate.solves, surrogate.stop, surrogate.residual,
                  ", ".join("%s %.3f" % item for item in seconds.items())))
     return eigenfields, detail
 

@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from hdgeig.assembly import assemble_condensed
 from hdgeig.eigensolve import (
+    EigenPair,
     search_space,
     solve_condensed_nonlinear,
     solve_linear_surrogate,
@@ -33,11 +34,22 @@ def element_ops(vertices, spaces, tau, mat=None, element=0):
                       reference_tables(spaces), element_hint=element)
 
 
+def surrogate_seeds(sys, m):
+    """The seeds of ``oracle-check`` and the m pairs of the modes run they
+    come from: the surrogate run from those pairs gives the values, and
+    one block solve the traces A^-1 U^T x of its Ritz vectors x."""
+    pairs = solve_modes(sys, m)
+    surrogate = solve_linear_surrogate(sys, pairs)
+    traces = sys.factorized().solve(sys.moments @ surrogate.ritz)
+    return [EigenPair(value, trace, index) for index, (value, trace)
+            in enumerate(zip(surrogate.values, traces.T), 1)], pairs
+
+
 def newton_pairs(sys, m):
     """The paper's route as ``oracle-check`` runs it: the surrogate's m
-    lowest pairs seed the nonlinear eigensolve of modes 1..m, in order, on
+    lowest seeds start the nonlinear eigensolve of modes 1..m, in order, on
     one shared search space; the pairs in index order."""
-    seeds = solve_linear_surrogate(sys, m)
+    seeds, _ = surrogate_seeds(sys, m)
     space = search_space(sys, seeds)
     return [solve_condensed_nonlinear(sys, seeds, i, space) for i in range(1, m + 1)]
 
@@ -84,17 +96,18 @@ def systems(meshes):
 
 @pytest.fixture(scope="session")
 def eigenpairs(systems):
-    """Cache of (surrogates, ascending eigenpairs) per configuration and
-    mode count m: the first pairs of a larger run differ from an m-mode
-    run in the last digits, so each m gets its own run and a test sees
-    the same pairs whatever ran before it."""
+    """Cache of (surrogate seeds, ascending eigenpairs), as
+    ``surrogate_seeds`` gives them, per configuration and mode count m: the
+    first pairs of a larger run differ from an m-mode run in the last
+    digits, so each m gets its own run and a test sees the same pairs
+    whatever ran before it."""
     cache = {}
 
     def get(domain="square", level=1, k=1, tau="one", case="equal", m=1):
         key = (domain, level, k, tau, case, m)
         if key not in cache:
             sys = systems(domain, level, k, tau, case)
-            cache[key] = (solve_linear_surrogate(sys, m), solve_modes(sys, m))
+            cache[key] = surrogate_seeds(sys, m)
         return cache[key]
 
     return get

@@ -10,13 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from conftest import newton_pairs
 from hdgeig import cli
 from hdgeig.cli import main, parse_levels, parse_modes, parse_tau
-from hdgeig.eigensolve import _SPACE_MAX, solve_linear_surrogate, solve_modes
+from hdgeig.eigensolve import _SPACE_MAX, solve_modes
 from hdgeig.errors import ConfigError
 from hdgeig.localsolve import TauSpec
 from hdgeig.recovery import postprocess, recover_fields
+from test_eigensolve import reference_surrogate_values
 
 
 class TestParsers:
@@ -65,8 +68,8 @@ class TestSolveCommand:
     ])
     def test_pipeline_matches_the_separate_routes(self, capsys, systems, domain, k, level,
                                                   tau):
-        # lambda~ comes from the modes' eigenfields, within 1e-12 of the cold
-        # surrogate run; lambda, lambda* and the counts are the modes run's.
+        # lambda~ comes from the modes' Ritz block, within 1e-12 of a cold
+        # Lanczos run on T0; lambda, lambda* and the counts are the modes run's.
         # Not through the eigenpairs cache: six modes there would replace the
         # one-mode pairs that other tests read
         spelling = tau if isinstance(tau, str) else "const:%r" % tau
@@ -74,9 +77,9 @@ class TestSolveCommand:
                      "--tau", spelling, "--modes", "6", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         system = systems(domain, level, k, tau)
-        surrogates, pairs = solve_linear_surrogate(system, 6), solve_modes(system, 6)
-        for row, surrogate, pair in zip(rows, surrogates, pairs, strict=True):
-            assert row["lambda_tilde"] == pytest.approx(surrogate.value, rel=1e-12, abs=0)
+        lam_tildes, pairs = reference_surrogate_values(system, 6), solve_modes(system, 6)
+        for row, lam_tilde, pair in zip(rows, lam_tildes, pairs, strict=True):
+            assert row["lambda_tilde"] == pytest.approx(lam_tilde, rel=1e-12, abs=0)
             assert row["lambda"] == pair.value and row["iterations"] == pair.iterations
             fields = recover_fields(system, pair)
             assert row["lambda_star"] == postprocess(system, fields).value_star
@@ -160,7 +163,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("command,solver", [
         (["solve", "--level", "0", "--modes", "2"], "hdgeig.cli.solve_level"),
         (["study", "--levels", "0:1", "--modes", "1"], "hdgeig.cli.run_convergence_study"),
-        (["oracle-check", "--level", "0", "--modes", "2"], "hdgeig.cli.solve_linear_surrogate"),
+        (["oracle-check", "--level", "0", "--modes", "2"], "hdgeig.cli.solve_modes"),
     ])
     def test_missing_output_directory_refused_before_solving(self, tmp_path, capsys,
                                                              monkeypatch, command, solver):
@@ -350,6 +353,21 @@ class TestOracleCommand:
             before = int(space)
         assert int(found[0][3]) == 3 + 1 + int(found[0][4])
 
+    def test_one_lanczos_run_gives_the_oracle_column(self, capsys, monkeypatch, systems):
+        # the modes run is oracle-check's only Lanczos run: its values are the
+        # oracle column, and its Ritz block starts the surrogate run whose
+        # seeds give the condensed column
+        runs, eigsh = [], scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            lambda *args, **kwargs: runs.append(1) or eigsh(*args, **kwargs))
+        assert main(["oracle-check", "--level", "1", "--k", "1", "--format", "json"]) == 0
+        assert len(runs) == 1
+        rows = json.loads(capsys.readouterr().out)
+        sys = systems("square", 1, 1)
+        assert [r["oracle"] for r in rows] == [p.value for p in solve_modes(sys, 6)]
+        assert [r["condensed"] for r in rows] == pytest.approx(
+            sorted(p.value for p in newton_pairs(sys, 6)), rel=1e-13)
+
     def test_tau_h_level1(self):
         assert main(["oracle-check", "--level", "1", "--k", "1", "--tau", "h",
                      "--modes", "4"]) == 0
@@ -462,7 +480,10 @@ class TestBenchHooks:
         layers = out["layers"]
         assert all(layers[name + ".failed"] == 0 for name in
                    ("mesh", "assembly", "eigensolve", "recovery", "study", "cli"))
-        assert layers["eigensolve.oracle_columns"] > 0
+        # the study's surrogate run and oracle-check's are timed, and each
+        # command makes one Lanczos run, its modes run
+        assert layers["eigensolve.surrogate_s"] > 0 and layers["eigensolve.nonlinear_s"] > 0
+        assert layers["eigensolve.eigsh_calls"] == 2
         # the level-0 oracle-check: 20 Newton iterations (34 with the old
         # secant update)
         assert 0 < layers["eigensolve.nonlinear_iters"] <= 24

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from conftest import newton_pairs
+from conftest import newton_pairs, surrogate_seeds
 from hdgeig import eigensolve
 from hdgeig.assembly import assemble_condensed, resolvent_lift
 from hdgeig.eigensolve import (
@@ -18,7 +18,6 @@ from hdgeig.eigensolve import (
     solve_condensed_nonlinear,
     solve_linear_surrogate,
     solve_modes,
-    surrogate_values,
 )
 from hdgeig.errors import EigenSolveError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
@@ -199,20 +198,21 @@ def frozen_solves(sys, kappa, count, tol=1e-12):
     """theta_i(kappa) and their slopes, i = 1..count, from the Newton
     route's frozen solve on a search space started from the surrogate's
     traces."""
-    traces = np.column_stack([p.vector for p in solve_linear_surrogate(sys, count)])
+    traces = np.column_stack([p.vector for p in surrogate_seeds(sys, count)[0]])
     space = eigensolve._SearchSpace(sys, traces, kappa)
     return np.array([space.frozen(kappa, i, tol)[:2] for i in range(1, count + 1)]).T
 
 
-def reference_mode_values(sys, m):
-    """Lowest m eigenvalues from Lanczos on T applied with class loops."""
+def reference_mode_values(sys, m, load=True):
+    """Lowest m eigenvalues from Lanczos on T applied with class loops
+    (without ``load``: on T0, the surrogate pencil's)."""
     shape = (len(sys.mesh.triangles), sys.n_w)
     lu = sys.factorized()
 
     def matvec(f):
         fmom = np.reshape(f, shape)
         u = reference_lift(sys, lu.solve(reference_moment_rhs(sys, fmom)))
-        for ops, members in sys.class_groups:
+        for ops, members in sys.class_groups if load else ():
             u[members] += fmom[members] @ ops.uwmat.T
         return u.ravel()
 
@@ -221,26 +221,42 @@ def reference_mode_values(sys, m):
                                                    v0=_start(sys.dim_w))[0])
 
 
+def reference_surrogate_values(sys, m):
+    """Lowest m surrogate eigenvalues from Lanczos on T0 applied with class
+    loops, cold."""
+    return reference_mode_values(sys, m, load=False)
+
+
 class TestLinearSurrogate:
     def test_first_value_near_two(self, systems):
         # triangle inequality from the benchmark tables: the surrogate
         # value sits within (gap + eigenvalue error) of the exact 2
         sys = systems("square", 2, 1)
-        pair = solve_linear_surrogate(sys, 1)[0]
-        assert abs(pair.value - 2.0) < 1.25 * (3.37e-3 + 1.10e-4)
+        value = solve_linear_surrogate(sys, solve_modes(sys, 1)).values[0]
+        assert abs(value - 2.0) < 1.25 * (3.37e-3 + 1.10e-4)
 
     def test_single_mode_request(self, systems):
-        pairs = solve_linear_surrogate(systems("square", 0, 1), 1)
-        assert len(pairs) == 1 and pairs[0].value > 0
-
-    def test_gram_normalized_with_residual(self, systems):
         sys = systems("square", 0, 1)
-        for pair in solve_linear_surrogate(sys, 4):
-            g_vec = sys.moments @ (sys.lift @ pair.vector)  # G = U^T U
-            assert pair.vector @ g_vec == pytest.approx(1.0, rel=1e-10)
-            res = np.linalg.norm(sys.A @ pair.vector - pair.value * g_vec)
-            assert res <= 1e-9 * np.linalg.norm(sys.A @ pair.vector)
-            assert pair.defect <= 1e-9
+        got = solve_linear_surrogate(sys, solve_modes(sys, 1))
+        assert got.values.shape == (1,) and got.values[0] > 0
+        assert got.ritz.shape == (sys.dim_w, 1)
+
+    def test_ritz_block_with_residual(self, systems):
+        # the Ritz block is orthonormal, its columns are eigenvectors x of T0
+        # in the values' order to the run's residual, and their traces
+        # A^-1 U^T x those of the surrogate pencil A v = theta G v, to about
+        # the value stop's sqrt(eps) (at most 5.6e-9 here)
+        sys = systems("square", 0, 1)
+        got = solve_linear_surrogate(sys, solve_modes(sys, 4))
+        np.testing.assert_allclose(got.ritz.T @ got.ritz, np.eye(4), atol=1e-12)
+        traces = sys.factorized().solve(sys.moments @ got.ritz)
+        t0x = sys.lift @ traces
+        res = np.linalg.norm(t0x - got.ritz / got.values, axis=0) * got.values
+        assert res.max() <= 1.01 * got.residual + 1e-14
+        for value, v in zip(got.values, traces.T):
+            g_v = sys.moments @ (sys.lift @ v)  # G = U^T U
+            av = sys.A @ v
+            assert np.linalg.norm(av - value * g_v) <= 1e-7 * np.linalg.norm(av)
 
     def test_scaling_by_coefficients(self, meshes):
         mesh = meshes("square", 0)
@@ -250,16 +266,18 @@ class TestLinearSurrogate:
         scaled = assemble_condensed(
             mesh, spaces, TauSpec.constant(s), MaterialSpec(s, 0.0, s)
         )
-        v1 = [p.value for p in solve_linear_surrogate(base, 4)]
-        v2 = [p.value for p in solve_linear_surrogate(scaled, 4)]
+        v1, v2 = (solve_linear_surrogate(sys, solve_modes(sys, 4)).values
+                  for sys in (base, scaled))
         assert np.allclose(v2, s * np.array(v1), rtol=1e-10)
 
     def test_kernel_detection_k0(self, systems):
-        # at lowest order the lift Gram matrix has a genuine kernel: the
-        # full mode count cannot be resolved
+        # at lowest order the lift Gram matrix has a genuine kernel (rank 31
+        # here, with ndof = 40): the surrogate refuses the full mode count
+        # before any solve
         sys = systems("square", 0, 0)
-        with pytest.raises(EigenSolveError):
-            solve_linear_surrogate(sys, sys.ndof)
+        pairs = solve_modes(sys, 2)
+        with pytest.raises(EigenSolveError, match="kernel of the lift Gram matrix"):
+            solve_linear_surrogate(sys, pairs * (sys.ndof // 2))
 
 
 class TestCondensedNonlinear:
@@ -303,7 +321,7 @@ class TestCondensedNonlinear:
 
     def test_rejects_nonpositive_seed(self, systems):
         sys = systems("square", 0, 1)
-        seeds = solve_linear_surrogate(sys, 2)
+        seeds, _ = surrogate_seeds(sys, 2)
         negative = copy.copy(seeds[1])
         negative.value = -1.0
         with pytest.raises(EigenSolveError, match="must be positive"):
@@ -355,7 +373,7 @@ class TestNewtonStep:
     def test_lu_solves_on_the_criterion_1_grid(self, systems):
         # oracle-check solves the six modes on one search space, made with
         # one LU solve for its generic direction and grown by one per new
-        # direction: 653 solves on the grid, where a space per mode took
+        # direction: 652 solves on the grid, where a space per mode took
         # 857 and a Lanczos run per pencil 8,306.  At k = 0 the surrogate's
         # traces already hold every frozen eigenvector: no mode grows it
         class CountingLU:
@@ -369,7 +387,7 @@ class TestNewtonStep:
         total = 0
         for domain, level, k, tau in CRITERION_1_GRID:
             sys = systems(domain, level, k, tau)
-            seeds = solve_linear_surrogate(sys, 6)
+            seeds, _ = surrogate_seeds(sys, 6)
             counted, lu = copy.copy(sys), CountingLU(sys.factorized())
             counted.factorized = lambda: lu
             space = search_space(counted, seeds)
@@ -436,7 +454,7 @@ class TestHardCells:
         sys = systems(domain, level, k, tau)
         _, pairs = eigenpairs(domain, level, k, tau, m=6)
         for m in range(1, 7):
-            seeds = solve_linear_surrogate(sys, m)
+            seeds, _ = surrogate_seeds(sys, m)
             modes = range(1, m + 1)
             for mode, got in zip(modes, nonlinear_values(sys, seeds, modes, shared)):
                 assert abs(got - pairs[mode - 1].value) <= 1e-10 * got, (m, mode)
@@ -467,7 +485,7 @@ class TestHardCells:
 
     def test_fewer_independent_traces_than_the_index(self, systems):
         sys = systems("square", 0, 1)
-        seeds = solve_linear_surrogate(sys, 3)
+        seeds, _ = surrogate_seeds(sys, 3)
         with pytest.raises(EigenSolveError, match="3 independent seed traces; the 2 seeds "):
             solve_condensed_nonlinear(sys, seeds[:2], 3, search_space(sys, seeds[:2]))
         seeds[2] = seeds[1]
@@ -523,8 +541,7 @@ class TestStartVector:
         # the cold Lanczos run and the search space read the shared vector:
         # a write to it would raise, and its values are the seeded draw
         sys = systems("square", 0, 1)
-        solve_modes(sys, 2)
-        traces = np.column_stack([p.vector for p in solve_linear_surrogate(sys, 2)])
+        traces = np.column_stack([p.vector for p in surrogate_seeds(sys, 2)[0]])
         eigensolve._SearchSpace(sys, traces, 1.0)
         for n in (sys.dim_w, sys.ndof):
             v = eigensolve._deterministic_start(n)
@@ -586,14 +603,14 @@ class TestSolveModes:
         assert np.abs(lams - secant).max() <= 1e-10 * secant.max()
 
     def test_too_many_modes(self, systems):
-        # Lanczos on T serves fewer than dim W_h modes; the surrogate pencil
-        # at most rank G <= min(ndof, dim W_h) (here ndof = 80 < dim W_h = 96)
+        # Lanczos on T serves fewer than dim W_h modes, and the modes run
+        # asks for at most the surrogate pencil's rank G <= min(ndof, dim W_h)
+        # (here ndof = 80 < dim W_h = 96)
         sys = systems("square", 0, 1)
-        for solve, m, match in ((solve_modes, sys.dim_w, "modes of"),
-                                (solve_modes, sys.dim_w + 1, "modes of"),
-                                (solve_linear_surrogate, sys.ndof + 1, "kernel")):
+        for m, match in ((sys.dim_w, "modes of"), (sys.dim_w + 1, "modes of"),
+                         (sys.ndof + 1, "kernel")):
             with pytest.raises(EigenSolveError, match=match):
-                solve(sys, m)
+                solve_modes(sys, m)
 
     def test_block_start_on_a_small_space(self, systems):
         # 3 m > dim W_h = 32: the LOBPCG basis [X, R, P] cannot stay
@@ -634,8 +651,9 @@ class TestSolveModes:
 
     @pytest.mark.parametrize("route", ["solve_modes", "surrogate", "secant"])
     def test_arpack_no_convergence(self, systems, monkeypatch, capsys, route):
-        # the Lanczos runs with ARPACK stalled, and the Newton route's frozen
-        # solve with every new search direction taken for round-off
+        # the modes' Lanczos run with ARPACK stalled, the surrogate's LOBPCG
+        # run out of iterations, and the Newton route's frozen solve with
+        # every new search direction taken for round-off
         from hdgeig.cli import main
 
         def stalled(op, k, **kwargs):
@@ -643,14 +661,16 @@ class TestSolveModes:
                                                           np.ones((op.shape[0], 0)))
 
         sys = systems("square", 0, 1)
-        seeds = solve_linear_surrogate(sys, 2)
+        seeds, pairs = surrogate_seeds(sys, 2)
         run = {"solve_modes": lambda: solve_modes(sys, 2),
-               "surrogate": lambda: solve_linear_surrogate(sys, 2),
+               "surrogate": lambda: solve_linear_surrogate(sys, pairs),
                "secant": lambda: solve_condensed_nonlinear(sys, seeds, 2,
                                                            search_space(sys, seeds))}[route]
         command = "oracle-check" if route == "secant" else "solve"
         if route == "secant":
             monkeypatch.setattr(eigensolve, "_STALL_TOL", np.inf)
+        elif route == "surrogate":
+            monkeypatch.setattr(eigensolve, "_LOBPCG_MAX_ITER", 1)
         else:
             monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
         with pytest.raises(EigenSolveError, match="did not converge"):
@@ -748,9 +768,9 @@ class TestLobpcgWorkspace:
 
 
 class TestSurrogateValues:
-    """``surrogate_values``, the study's surrogate run without vectors from
-    the modes run's Ritz block, against the LOBPCG run with the vector
-    stop from the same block."""
+    """``solve_linear_surrogate``, every command's surrogate run from the
+    modes run's Ritz block, stopped on its values, against the LOBPCG run
+    with the vector stop from the same block."""
 
     TAUS = {"one": TauSpec.one(), "h": TauSpec.global_h(), "0.1": TauSpec.constant(0.1),
             "1e4": TauSpec.constant(1e4)}
@@ -787,7 +807,7 @@ class TestSurrogateValues:
         # with its image; each once more on a copy of its operator (same LU,
         # own counters) applying T0 to that block itself takes one solve and
         # m = 6 applications more for the same values.  lam~ lies within
-        # 1e-14 of a cold Lanczos run
+        # 1e-14 of a cold Lanczos run on T0
         config = StudyConfig(k=2, levels=(0, 1, 2, 3, 4), modes=(1, 2, 4, 6),
                              postprocess=False)
         runs, lobpcg = [], eigensolve._lobpcg
@@ -811,7 +831,7 @@ class TestSurrogateValues:
         assert runs == [(6, 1)] * 5
         for level in config.levels:
             sys = assemble_condensed(build_square_mesh(level), SpaceConfig(2), TauSpec.one())
-            lanczos = [p.value for p in solve_linear_surrogate(sys, 6)]
+            lanczos = reference_surrogate_values(sys, 6)
             for mode in config.modes:
                 assert report.cell(mode, level).lam_tilde == pytest.approx(lanczos[mode - 1],
                                                                            rel=1e-14)
@@ -822,7 +842,7 @@ class TestSurrogateValues:
         # column left lam~_6 4.8e-10 off the vector stop's value
         sys = systems("lshape", 0, 1, 1e4)
         _, pairs = eigenpairs("lshape", 0, 1, 1e4, m=6)
-        got = surrogate_values(sys, pairs)
+        got = solve_linear_surrogate(sys, pairs)
         block = np.column_stack([p.ritz for p in pairs])
         ref = 1.0 / eigensolve._lobpcg(eigensolve._Operator(sys), block, "T0")[0]
         assert got.stop == "values" and got.values[5] > 1000 * got.values[0]
@@ -864,7 +884,7 @@ class TestSurrogateValues:
         sys = systems("square", 2, 1)
         _, pairs = eigenpairs("square", 2, 1, m=6)
         with pytest.raises(EigenSolveError, match="surrogate value 6 .* outside its enclosure"):
-            surrogate_values(sys, pairs)
+            solve_linear_surrogate(sys, pairs)
         # the enclosure of lam~_6 narrows as the wall recedes: [8.23, 15.64]
         # on level 0 holds lam~_7 = 15.62, [9.76, 13.58] on level 1 barely
         # misses 13.60, [9.97, 11.64] on level 2 clearly misses 13.14
@@ -880,7 +900,7 @@ class TestSurrogateValues:
             sys = systems("square", 1, k, tau)
             _, pairs = eigenpairs("square", 1, k, tau, m=6)
             lams = np.array([p.value for p in pairs])
-            got = surrogate_values(sys, pairs).values
+            got = solve_linear_surrogate(sys, pairs).values
             assert np.all(lams <= got * (1 + 1e-12))
             assert np.all(got <= lams / (1 - lams / sys.wall) * (1 + 1e-9))
             if k == 0:
@@ -888,11 +908,11 @@ class TestSurrogateValues:
 
     def test_refuses_pairs_without_ritz_vectors(self, systems):
         # only solve_modes' pairs carry the Ritz block that the run starts
-        # from; the nonlinear eigensolve's and the surrogate's do not
+        # from; the nonlinear eigensolve's and the surrogate seeds do not
         sys = systems("square", 1, 1)
-        for pairs in (newton_pairs(sys, 2), solve_linear_surrogate(sys, 2)):
+        for pairs in (newton_pairs(sys, 2), surrogate_seeds(sys, 2)[0]):
             with pytest.raises(ValueError, match="pair 1 carries no Ritz vector"):
-                surrogate_values(sys, pairs)
+                solve_linear_surrogate(sys, pairs)
 
 
 class TestOperatorLifetime:
@@ -903,8 +923,10 @@ class TestOperatorLifetime:
     RUNS = {
         "modes": lambda sys, block, pairs: solve_modes(sys, 4),
         "modes_block": lambda sys, block, pairs: solve_modes(sys, 4, block),
-        "surrogate": lambda sys, block, pairs: solve_linear_surrogate(sys, 4),
-        "surrogate_block": lambda sys, block, pairs: surrogate_values(sys, pairs),
+        # oracle-check's seeds: the modes run, the surrogate run and the
+        # seeds' block solve
+        "surrogate": lambda sys, block, pairs: surrogate_seeds(sys, 4),
+        "surrogate_block": lambda sys, block, pairs: solve_linear_surrogate(sys, pairs),
         "nonlinear": lambda sys, block, pairs: solve_condensed_nonlinear(
             sys, pairs, 2, search_space(sys, pairs)),
         # the result, which holds an operator, is dropped at once

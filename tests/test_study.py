@@ -7,7 +7,7 @@ import pytest
 from hdgeig import assembly, eigensolve, study
 from hdgeig.assembly import RUN_LENGTH, load_moments, resolvent_lift
 from hdgeig.basis import triangle_quadrature
-from hdgeig.eigensolve import solve_modes, surrogate_values
+from hdgeig.eigensolve import solve_linear_surrogate, solve_modes
 from hdgeig.errors import ConfigError, EigenSolveError, UnsupportedModeError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec, reference_tables
 from hdgeig.mesh import Mesh, build_square_mesh, refine
@@ -26,6 +26,7 @@ from hdgeig.study import (
     run_convergence_study,
 )
 from hdgeig.recovery import postprocess, recover_fields
+from test_eigensolve import reference_surrogate_values
 
 
 def square_quadrature(level, order=12):
@@ -514,7 +515,8 @@ class TestWarmStarts:
     @staticmethod
     def check_cold_numbers(studies, systems, eigenpairs, domain, k, levels):
         # modes 1-6 hold the square's double eigenvalues 5 and 10; the
-        # study's values against cold Lanczos runs on each level.  err_u is
+        # study's values against cold Lanczos runs on each level, on T0 for
+        # the surrogate's.  err_u is
         # a distance between unit fields, moved by at most the eigenvector
         # difference, so it is compared absolutely
         modes = (1, 2, 3, 4, 5, 6)
@@ -522,13 +524,13 @@ class TestWarmStarts:
         exact = domain_modes(domain, len(modes))
         for level in rep.levels:
             sys = systems(domain, level, k, "one")
-            surrogates, pairs = eigenpairs(domain, level, k, "one", m=len(modes))
-            for pair, surrogate in zip(pairs, surrogates):
+            _, pairs = eigenpairs(domain, level, k, "one", m=len(modes))
+            for pair, lam_tilde in zip(pairs, reference_surrogate_values(sys, len(modes))):
                 cell = rep.cell(pair.index, level)
                 fields = recover_fields(sys, pair)
                 assert cell.note == ""
                 assert cell.lam == pytest.approx(pair.value, rel=1e-12)
-                assert cell.lam_tilde == pytest.approx(surrogate.value, rel=1e-12)
+                assert cell.lam_tilde == pytest.approx(lam_tilde, rel=1e-12)
                 assert cell.lam_star == pytest.approx(postprocess(sys, fields).value_star,
                                                       rel=1e-12)
                 if exact[pair.index - 1].evaluator is not None:
@@ -587,7 +589,7 @@ class TestWarmStarts:
         with pytest.raises(EigenSolveError, match="LOBPCG .* did not converge"):
             solve_modes(sys, 4, start)
         with pytest.raises(EigenSolveError, match="LOBPCG .* did not converge"):
-            surrogate_values(sys, pairs)
+            solve_linear_surrogate(sys, pairs)
         # in a study every level's surrogate run stalls: notes, no numbers
         rep = run_convergence_study(StudyConfig(k=1, levels=(0, 1), modes=(1, 2)))
         for cell in rep.cells:
