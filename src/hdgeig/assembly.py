@@ -8,11 +8,11 @@ boundary edges carry none.  One signed gather maps a
 global trace vector to the element-local face slots: the sign reconciles
 each element's edge parametrization with the global one fixed by
 ascending vertex index.  From the per-class matrices and the gather each
-system compiles, once, sparse matrices: the condensed stiffness A, the
+system compiles, once, sparse matrices: the condensed stiffness A and the
 scalar trace lift U (its transpose maps a load to the condensed
-right-hand side), the block-diagonal load lift W, and on request the
-resolvent (I - kappa W)^-1 and the spectral lift, both from one
-eigendecomposition of Uw per class.
+right-hand side).  On request it builds the block-diagonal load lift W,
+the resolvent (I - kappa W)^-1 and the spectral lift, the last two from
+one eigendecomposition of Uw per class.
 """
 
 from functools import cached_property
@@ -153,9 +153,11 @@ class CondensedSystem:
         side (a transposed view of ``lift``, sharing its arrays)."""
         return self.lift.T
 
-    @cached_property
+    @property
     def load_lift(self):
-        """W: block-diagonal scalar load lift Uw, (dim W_h, dim W_h)."""
+        """W: block-diagonal scalar load lift Uw, (dim W_h, dim W_h), built
+        on each access and not kept: only the modes run's operator and
+        ``solve_source`` apply it, and each holds it no longer than it runs."""
         return self._block_diagonal([ops.uwmat for ops in self.classes])
 
     @cached_property

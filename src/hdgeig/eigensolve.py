@@ -17,10 +17,11 @@ vector.  From a block of approximate eigenvectors (the study's nested
 levels provide one) it is LOBPCG, which needs fewer solves when the block
 is close; from a random block it is slower and stalls on clusters.  An
 eigenvector y gives the trace A^-1 U^T y.  The surrogate run is LOBPCG on
-T0 from the modes run's Ritz block, whose image the modes' trace solve
-already gives, until the values, not the vectors, have converged; it
-checks each value against the enclosure that the nonlinear eigenvalues
-give it, and returns its Ritz block, whose traces seed the paper's route.
+T0 from the modes run's Ritz block, which it takes over from the pairs,
+and whose image the modes' trace solve already gives, until the values,
+not the vectors, have converged; it checks each value against the
+enclosure that the nonlinear eigenvalues give it, and returns its Ritz
+block, whose traces seed the paper's route.
 The kernel of G becomes zero eigenvalues of T0 (theta infinite), which
 never reach the lowest modes.
 
@@ -106,8 +107,9 @@ class EigenPair:
     applications (Lanczos matvecs, or LOBPCG block columns), ``solves``
     the solves that made them, ``defect`` is |A eta - lam M(lam) eta|
     / |A eta|, and ``ritz`` is the run's unit Ritz vector x of T whose
-    trace A^-1 U^T x is ``vector``, the start of ``solve_linear_surrogate``
-    (None elsewhere).  From the nonlinear eigensolve: an
+    trace A^-1 U^T x is ``vector``, the start of ``solve_linear_surrogate``,
+    whose run takes it over and leaves None (None elsewhere).  From the
+    nonlinear eigensolve: an
     A-normalized trace (v.A v = 1), its frozen-pencil solves (Newton
     iterations), the last relative update |theta - kappa| / theta as
     ``defect``, the nonlinear residual |A v - lam M(lam) v| / |A v| as
@@ -196,11 +198,15 @@ def _orthonormalize(v, against, image=None):
     return k
 
 
-def _lobpcg(op, block, what, stop="vectors", image=None):
+def _lobpcg(op, start, what, stop="vectors", image=None):
     """Largest eigenpairs of ``op``, mu descending, by LOBPCG (Knyazev,
-    SISC 23 (2001)) from the m columns of ``block``, with the largest
-    relative residual |op x - mu x| / mu of the returned pairs.  Given
-    ``image``, op applied to ``block``, the run makes no solve for it.
+    SISC 23 (2001)) from the m columns of the block that ``start()``
+    returns, with the largest relative residual |op x - mu x| / mu of the
+    returned pairs.  Given ``image``, ``image()`` returns op applied to
+    that block, and the run makes no solve for it.  Each is called once,
+    and the run copies what it returns into its workspace and keeps no
+    other reference: a block the caller does not hold lives only until
+    then.
 
     Each iteration applies ``op`` to the residuals R of the columns not
     yet converged (one solve) and takes the Rayleigh-Ritz pairs on the
@@ -210,17 +216,23 @@ def _lobpcg(op, block, what, stop="vectors", image=None):
     orthonormalized against the big blocks.  A column has converged when
     |op x - mu x| is at most ``_LOBPCG_RTOL`` times the largest Ritz value
     of the start block (``stop="vectors"``), or ``_VALUE_RTOL`` times its
-    own Ritz value (``stop="values"``); a run still short of that after
-    ``_LOBPCG_MAX_ITER`` iterations raises ``EigenSolveError``.
+    own Ritz value (``stop="values"``).  A run still short of that after
+    ``_LOBPCG_MAX_ITER`` iterations, or whose residuals lie in span [X, P]
+    to round-off, raises ``EigenSolveError`` naming that stop.
 
     The basis and its image live in two preallocated column-major (n, 3m)
     arrays (Duersch, Shao, Yang & Gu, SISC 40 (2018)): the Rayleigh-Ritz
     matrix is one product, R is built and orthonormalized in its own slot,
     and the update is one product per array, in place by rows.  The run
-    peaks at about 8.5 blocks of n x m (``scipy.sparse.linalg.lobpcg``: 14).
+    peaks at about 8.5 blocks of n x m, a start block that ``start`` makes
+    included (``scipy.sparse.linalg.lobpcg``: 14, its start block not
+    included).
     """
+    block = start()
     n, m = block.shape
     s = np.empty((n, 3 * m), order="F")  # [X | P | R]
+    s[:, :m] = block
+    del block
     a = np.empty_like(s)  # op [X | P | R]
 
     def apply(lo, hi):
@@ -230,9 +242,8 @@ def _lobpcg(op, block, what, stop="vectors", image=None):
         rows[...] = s[:, lo:hi]
         a[:, lo:hi] = op.matmat(rows)
 
-    s[:, :m] = block
     if image is not None:
-        a[:, :m] = image
+        a[:, :m] = image()
     if _orthonormalize(s[:, :m], s[:, :0], None if image is None else a[:, :m]) < m:
         raise EigenSolveError("the start block of the LOBPCG run on %s has dependent "
                               "columns" % what)
@@ -251,8 +262,6 @@ def _lobpcg(op, block, what, stop="vectors", image=None):
             tol = _LOBPCG_RTOL * abs(theta[0])
         _times(s[:, :width], y)
         _times(a[:, :width], y)
-        if iteration == _LOBPCG_MAX_ITER:
-            break
         r = s[:, m + p:2 * m + p]
         np.subtract(a[:, :m], np.multiply(s[:, :m], theta, out=r), out=r)
         norms = np.sqrt(np.einsum("ij,ij->j", r, r))
@@ -260,17 +269,21 @@ def _lobpcg(op, block, what, stop="vectors", image=None):
             tol = _VALUE_RTOL * np.abs(theta)
         if (norms <= tol).all():
             return theta, s[:, :m].copy(order="F"), (norms / np.abs(theta)).max()
+        if iteration == _LOBPCG_MAX_ITER:
+            ended = "did not converge within %d iterations" % _LOBPCG_MAX_ITER
+            break
         live = np.flatnonzero(norms > tol)
         for j, c in enumerate(live):  # converged columns leave R
             r[:, j] = r[:, c]
         k = _orthonormalize(r[:, :live.size], s[:, :m + p])
         if not k:
-            break  # the residuals lie in span [X, P] to round-off: no progress left
+            ended = ("stalled after %d iterations: its residuals lie in span [X, P] to "
+                     "round-off" % iteration)
+            break
         width = m + p + k
         apply(m + p, width)
-    raise EigenSolveError("LOBPCG run on %s did not converge within %d iterations "
-                          "(largest residual %.1e of the operator's scale)"
-                          % (what, _LOBPCG_MAX_ITER, norms.max() / abs(theta[0])))
+    raise EigenSolveError("LOBPCG run on %s %s (largest residual %.1e of the operator's "
+                          "scale)" % (what, ended, norms.max() / abs(theta[0])))
 
 
 class _Operator(scipy.sparse.linalg.LinearOperator):
@@ -322,9 +335,9 @@ SurrogateValues = collections.namedtuple("SurrogateValues",
 
 def _columns(pairs, attr):
     """The pairs' arrays ``attr`` (``field``, the eigenfields (I - lam W)^-1
-    U eta, or ``vector`` or ``ritz``), the columns of a column-major (n, m)
-    block; each pair's array becomes a view of its column, so the block
-    takes no memory beside the arrays (and what held them before is freed)."""
+    U eta, or ``vector``), the columns of a column-major (n, m) block; each
+    pair's array becomes a view of its column, so the block takes no
+    memory beside the arrays (and what held them before is freed)."""
     shape = getattr(pairs[0], attr).shape
     block = np.empty((getattr(pairs[0], attr).size, len(pairs)), order="F")
     for column, pair in zip(block.T, pairs):
@@ -338,7 +351,10 @@ def solve_linear_surrogate(sys, pairs):
     Ritz block of T0 they come from, for the ascending pairs of
     ``solve_modes``, by LOBPCG on T0 from their Ritz block X, whose image
     T0 X = U A^-1 U^T X is U applied to their traces: the start costs no
-    solve.  A pair without ``ritz`` (not from ``solve_modes``) raises
+    solve.  The run takes the Ritz block over, and each pair's ``ritz``
+    becomes None, so that neither the block nor its image outlives its
+    copy in the run's workspace.  A pair without ``ritz`` (not from
+    ``solve_modes``, or already read by this function) raises
     ``ValueError``.
 
     The run takes the value stop, unless the modes lie near the wall
@@ -357,8 +373,15 @@ def solve_linear_surrogate(sys, pairs):
     _check_count(sys, len(lams))
     stop = "vectors" if lams[-1] > 0.5 * sys.wall else "values"
     op = _Operator(sys)
-    mu, ritz, residual = _lobpcg(op, _columns(pairs, "ritz"), "the surrogate pencil", stop,
-                                 sys.lift @ _columns(pairs, "vector"))
+
+    def ritz_block():  # the run takes the block over: the pairs let it go
+        block = np.column_stack([pair.ritz for pair in pairs])
+        for pair in pairs:
+            pair.ritz = None
+        return block
+
+    mu, ritz, residual = _lobpcg(op, ritz_block, "the surrogate pencil", stop,
+                                 lambda: sys.lift @ _columns(pairs, "vector"))
     values, upper = 1.0 / mu, lams / (1.0 - lams / sys.wall)
     outside = np.flatnonzero((values < lams * (1.0 - _ENCLOSURE_SLACK))
                              | (values > upper * (1.0 + _ENCLOSURE_SLACK)))
@@ -659,13 +682,16 @@ def solve_modes(sys, m, start=None):
 
     The largest eigenvalues mu of T give lam = 1/mu.  An eigenvector u of
     T is a scalar field with source lam u, so its trace is A^-1 U^T u up
-    to scale.  Without ``start`` one Lanczos run finds them; a block
-    ``start`` (dim W_h, m) of approximate eigenfields, such as the
-    previous level's injected into this one, starts LOBPCG instead, which
-    pays only when the block is close.  ``iterations`` counts the operator
-    applications (block columns for LOBPCG), ``solves`` the solves.  A pair
-    at or beyond the resolvent wall, or failing the nonlinear residual
-    check, raises ``EigenSolveError``.
+    to scale.  Without ``start`` one Lanczos run finds them; with it,
+    LOBPCG from the block (dim W_h, m) of approximate eigenfields that
+    ``start()`` returns, such as the previous level's injected into this
+    one, which pays only when the block is close.  The run copies the
+    block into its workspace, so a block made by ``start`` lives no longer
+    than that.  W (``sys.load_lift``) is built for this call's operator and
+    freed with it.  ``iterations`` counts the operator applications (block
+    columns for LOBPCG), ``solves`` the solves.  A pair at or beyond the
+    resolvent wall, or failing the nonlinear residual check, raises
+    ``EigenSolveError``.
     """
     m, op = int(m), _Operator(sys, load=sys.load_lift)
     _check_count(sys, m)

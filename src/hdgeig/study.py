@@ -474,10 +474,11 @@ def run_convergence_study(config, progress=None):
 
 def solve_level(sys, m, start=None):
     """The eigensolves of one mesh level, for ``solve`` and the study:
-    ``solve_modes`` for m pairs (from the block ``start``, if given), then
-    ``solve_linear_surrogate`` from those pairs, then the LU is released.
-    Returns the pairs, the ``SurrogateValues``, the eigenfields (dim W_h,
-    m) and the LU's nonzeros."""
+    ``solve_modes`` for m pairs (from the block that ``start()`` returns,
+    if given), then ``solve_linear_surrogate`` from those pairs, then the
+    LU is released.  Returns the pairs, the ``SurrogateValues``, the
+    eigenfields (dim W_h, m) and the LU's nonzeros; the pairs no longer
+    carry the Ritz vectors the surrogate run took over."""
     pairs = solve_modes(sys, m, start)
     eigenfields = _columns(pairs, "field")
     surrogate = solve_linear_surrogate(sys, pairs)
@@ -487,10 +488,11 @@ def solve_level(sys, m, start=None):
 
 
 def _coarse_start(config, spaces, coarse_mesh, level, m):
-    """The eigenfields of a cold modes run on ``coarse_mesh``, the mesh of
-    level max(0, level - ``_COARSE_OFFSET``), injected up to ``level``,
-    and the start's label; None and "cold" where that run raises
-    ``HdgError``."""
+    """A start for ``solve_modes``, a function that returns the
+    eigenfields of a cold modes run on ``coarse_mesh``, the mesh of level
+    max(0, level - ``_COARSE_OFFSET``), injected up to ``level``, and the
+    start's label; None and "cold" where that run raises ``HdgError``.
+    The function holds them injected up to the level below."""
     coarse_level = coarse_mesh.level
     try:
         sys = assemble_condensed(coarse_mesh, spaces, config.tau, config.material)
@@ -498,10 +500,11 @@ def _coarse_start(config, spaces, coarse_mesh, level, m):
         block = _columns(pairs, "field")
     except HdgError:
         return None, "cold"
-    for _ in range(level - coarse_level):
+    for _ in range(level - coarse_level - 1):
         block = inject_fields(sys.ref, block)
-    return block, ("block start from level %d, %d operator applications in %d solves"
-                   % (coarse_level, pairs[0].iterations, pairs[0].solves))
+    return (functools.partial(inject_fields, sys.ref, block),
+            "block start from level %d, %d operator applications in %d solves"
+            % (coarse_level, pairs[0].iterations, pairs[0].solves))
 
 
 def _run_level(config, spaces, mesh, level, modes_ref, report, coarse, coarse_mesh):
@@ -527,8 +530,10 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse, coarse_me
     sys.factorized()
     lap("factorization")
     m = max(config.modes)
+    # the start injects the block only when the run copies it in: no
+    # caller holds it beside the run's workspace
     if coarse is not None:
-        start, started = inject_fields(sys.ref, coarse), "block start"
+        start, started = functools.partial(inject_fields, sys.ref, coarse), "block start"
     elif level > 0 and level == config.levels[0]:
         start, started = _coarse_start(config, spaces, coarse_mesh, level, m)
     else:

@@ -37,7 +37,8 @@ def element_ops(vertices, spaces, tau, mat=None, element=0):
 def surrogate_seeds(sys, m):
     """The seeds of ``oracle-check`` and the m pairs of the modes run they
     come from: the surrogate run from those pairs gives the values, and
-    one block solve the traces A^-1 U^T x of its Ritz vectors x."""
+    one block solve the traces A^-1 U^T x of its Ritz vectors x.  The
+    surrogate run took the pairs' Ritz vectors over: their ``ritz`` is None."""
     pairs = solve_modes(sys, m)
     surrogate = solve_linear_surrogate(sys, pairs)
     traces = sys.factorized().solve(sys.moments @ surrogate.ritz)

@@ -23,7 +23,7 @@ from hdgeig.errors import EigenSolveError
 from hdgeig.localsolve import MaterialSpec, SpaceConfig, TauSpec
 from hdgeig.mesh import Mesh, build_square_mesh
 from hdgeig.recovery import eig_residuals, recover_fields
-from hdgeig.study import StudyConfig, inject_fields, run_convergence_study
+from hdgeig.study import StudyConfig, inject_fields, run_convergence_study, solve_level
 from test_assembly import (
     reference_class_cores,
     reference_lift,
@@ -618,7 +618,7 @@ class TestSolveModes:
         sys = systems("square", 0, 0)
         start = np.random.default_rng(1).standard_normal((sys.dim_w, 12))
         cold = [p.value for p in solve_modes(sys, 12)]
-        warm = [p.value for p in solve_modes(sys, 12, start)]
+        warm = [p.value for p in solve_modes(sys, 12, lambda: start)]
         np.testing.assert_allclose(warm, cold, rtol=1e-12)
 
     @pytest.mark.parametrize("domain,level,k,tau", ROUTE_GRID)
@@ -661,9 +661,10 @@ class TestSolveModes:
                                                           np.ones((op.shape[0], 0)))
 
         sys = systems("square", 0, 1)
-        seeds, pairs = surrogate_seeds(sys, 2)
+        seeds, _ = surrogate_seeds(sys, 2)
         run = {"solve_modes": lambda: solve_modes(sys, 2),
-               "surrogate": lambda: solve_linear_surrogate(sys, pairs),
+               # fresh pairs: the seeds' surrogate run took over their Ritz vectors
+               "surrogate": lambda: solve_linear_surrogate(sys, solve_modes(sys, 2)),
                "secant": lambda: solve_condensed_nonlinear(sys, seeds, 2,
                                                            search_space(sys, seeds))}[route]
         command = "oracle-check" if route == "secant" else "solve"
@@ -711,10 +712,10 @@ class TestLobpcgWorkspace:
         block = injected_start(systems, eigenpairs, domain, level, k, tau)
         for load, stop in ((sys.load_lift, "vectors"), (None, "vectors"), (None, "values")):
             runs = []
-            for lobpcg in (reference_lobpcg, eigensolve._lobpcg):
+            for lobpcg, start in ((reference_lobpcg, block), (eigensolve._lobpcg, lambda: block)):
                 op = eigensolve._Operator(sys, load)
                 try:
-                    runs.append(lobpcg(op, block, "T", stop)[0])
+                    runs.append(lobpcg(op, start, "T", stop)[0])
                 except EigenSolveError:
                     runs.append(None)
             ref, new = runs
@@ -730,10 +731,11 @@ class TestLobpcgWorkspace:
         # its image, where the reference applies the operator to the block
         counts, lobpcg = [], eigensolve._lobpcg
 
-        def both(op, block, what, stop="vectors", image=None):
+        def both(op, start, what, stop="vectors", image=None):
+            block, ax = start(), None if image is None else image()
             ref = copy.copy(op)
             reference_lobpcg(ref, block, what, stop)
-            out = lobpcg(op, block, what, stop, image)
+            out = lobpcg(op, lambda: block, what, stop, None if ax is None else lambda: ax)
             given = (0, 0) if image is None else (block.shape[1], 1)
             counts.append(((ref.applications - given[0], ref.solves - given[1]),
                            (op.applications, op.solves)))
@@ -755,12 +757,12 @@ class TestLobpcgWorkspace:
         sys = systems("square", 3, 2)
         block = injected_start(systems, eigenpairs, "square", 3, 2, "one")
         peaks = []
-        for lobpcg in (reference_lobpcg, eigensolve._lobpcg):
+        for lobpcg, start in ((reference_lobpcg, block), (eigensolve._lobpcg, lambda: block)):
             op = eigensolve._Operator(sys, sys.load_lift)
-            lobpcg(op, block, "T")
+            lobpcg(op, start, "T")
             tracemalloc.start()
             try:
-                lobpcg(op, block, "T")
+                lobpcg(op, start, "T")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -786,10 +788,13 @@ class TestSurrogateValues:
         # takes a Lanczos run of 28,552 (h) or 10,914 (0.1) applications, 17 s
         runs, lobpcg = [], eigensolve._lobpcg
 
-        def both(op, block, what, stop="vectors", image=None):
-            out = lobpcg(op, block, what, stop, image)
-            if what == "the surrogate pencil":
-                runs.append((stop, out[0], lobpcg(copy.copy(op), block, what, image=image)[0]))
+        def both(op, start, what, stop="vectors", image=None):
+            if what != "the surrogate pencil":
+                return lobpcg(op, start, what, stop, image)
+            block, ax = start(), image()
+            out = lobpcg(op, lambda: block, what, stop, lambda: ax)
+            runs.append((stop, out[0],
+                         lobpcg(copy.copy(op), lambda: block, what, image=lambda: ax)[0]))
             return out
 
         monkeypatch.setattr(eigensolve, "_lobpcg", both)
@@ -812,14 +817,16 @@ class TestSurrogateValues:
                              postprocess=False)
         runs, lobpcg = [], eigensolve._lobpcg
 
-        def both(op, block, what, stop="vectors", image=None):
+        def both(op, start, what, stop="vectors", image=None):
+            if what != "the surrogate pencil":
+                return lobpcg(op, start, what, stop, image)
+            assert image is not None
+            block, ax = start(), image()
             ref = copy.copy(op)
-            out = lobpcg(op, block, what, stop, image)
-            if what == "the surrogate pencil":
-                assert image is not None
-                mu = lobpcg(ref, block, what, stop)[0]
-                runs.append((ref.applications - op.applications, ref.solves - op.solves))
-                np.testing.assert_allclose(mu, out[0], rtol=1e-12)
+            out = lobpcg(op, lambda: block, what, stop, lambda: ax)
+            mu = lobpcg(ref, lambda: block, what, stop)[0]
+            runs.append((ref.applications - op.applications, ref.solves - op.solves))
+            np.testing.assert_allclose(mu, out[0], rtol=1e-12)
             return out
 
         monkeypatch.setattr(eigensolve, "_lobpcg", both)
@@ -836,15 +843,15 @@ class TestSurrogateValues:
                 assert report.cell(mode, level).lam_tilde == pytest.approx(lanczos[mode - 1],
                                                                            rel=1e-14)
 
-    def test_per_column_stop_on_a_wide_spectrum(self, systems, eigenpairs):
+    def test_per_column_stop_on_a_wide_spectrum(self, systems):
         # L-shape, k = 1, tau = 1e4, level 0: lam~_6 is about 1,400 lam~_1,
         # and a stop relative to the largest Ritz value 1 / lam~_1 for every
         # column left lam~_6 4.8e-10 off the vector stop's value
         sys = systems("lshape", 0, 1, 1e4)
-        _, pairs = eigenpairs("lshape", 0, 1, 1e4, m=6)
-        got = solve_linear_surrogate(sys, pairs)
+        pairs = solve_modes(sys, 6)  # the surrogate run takes their Ritz block over
         block = np.column_stack([p.ritz for p in pairs])
-        ref = 1.0 / eigensolve._lobpcg(eigensolve._Operator(sys), block, "T0")[0]
+        got = solve_linear_surrogate(sys, pairs)
+        ref = 1.0 / eigensolve._lobpcg(eigensolve._Operator(sys), lambda: block, "T0")[0]
         assert got.stop == "values" and got.values[5] > 1000 * got.values[0]
         assert got.residual <= eigensolve._VALUE_RTOL
         np.testing.assert_allclose(got.values, ref, rtol=1e-12)
@@ -868,21 +875,21 @@ class TestSurrogateValues:
         assert rep.cell(5, 0).lam_tilde == pytest.approx(10.855199, rel=1e-7)
         assert rep.cell(6, 0).lam_tilde == pytest.approx(10.855238, rel=1e-7)
 
-    def test_a_value_outside_its_enclosure_raises(self, monkeypatch, systems, eigenpairs):
+    def test_a_value_outside_its_enclosure_raises(self, monkeypatch, systems):
         # a run that settles on the next eigenvalue up in its last column:
         # LOBPCG on one more column, whose value takes slot m
         lobpcg = eigensolve._lobpcg
 
-        def skipping(op, block, what, stop="vectors", image=None):
+        def skipping(op, start, what, stop="vectors", image=None):
             if what != "the surrogate pencil":
-                return lobpcg(op, block, what, stop, image)
-            extra = np.random.default_rng(0).standard_normal((len(block), 1))
-            mu, x, residual = lobpcg(op, np.hstack([block, extra]), what, stop)
+                return lobpcg(op, start, what, stop, image)
+            extra = np.random.default_rng(0).standard_normal((op.shape[0], 1))
+            mu, x, residual = lobpcg(op, lambda: np.hstack([start(), extra]), what, stop)
             return np.r_[mu[:-2], mu[-1:]], x[:, :-1], residual
 
         monkeypatch.setattr(eigensolve, "_lobpcg", skipping)
         sys = systems("square", 2, 1)
-        _, pairs = eigenpairs("square", 2, 1, m=6)
+        pairs = solve_modes(sys, 6)  # carrying the Ritz block the surrogate run takes over
         with pytest.raises(EigenSolveError, match="surrogate value 6 .* outside its enclosure"):
             solve_linear_surrogate(sys, pairs)
         # the enclosure of lam~_6 narrows as the wall recedes: [8.23, 15.64]
@@ -893,12 +900,12 @@ class TestSurrogateValues:
         for cell in rep.cells:
             assert cell.lam is None and "outside its enclosure" in cell.note
 
-    def test_values_lie_in_their_enclosure(self, systems, eigenpairs):
+    def test_values_lie_in_their_enclosure(self, systems):
         # lam_i <= lam~_i <= lam_i / (1 - lam_i / wall); at k = 0 on the
         # uniform square the upper bound is an equality
         for k, tau in ((0, "one"), (1, "one"), (2, "h"), (1, 1e4)):
             sys = systems("square", 1, k, tau)
-            _, pairs = eigenpairs("square", 1, k, tau, m=6)
+            pairs = solve_modes(sys, 6)  # carrying the Ritz block the surrogate run takes over
             lams = np.array([p.value for p in pairs])
             got = solve_linear_surrogate(sys, pairs).values
             assert np.all(lams <= got * (1 + 1e-12))
@@ -922,7 +929,7 @@ class TestOperatorLifetime:
 
     RUNS = {
         "modes": lambda sys, block, pairs: solve_modes(sys, 4),
-        "modes_block": lambda sys, block, pairs: solve_modes(sys, 4, block),
+        "modes_block": lambda sys, block, pairs: solve_modes(sys, 4, lambda: block),
         # oracle-check's seeds: the modes run, the surrogate run and the
         # seeds' block solve
         "surrogate": lambda sys, block, pairs: surrogate_seeds(sys, 4),
@@ -934,9 +941,9 @@ class TestOperatorLifetime:
     }
 
     @pytest.mark.parametrize("run", sorted(RUNS))
-    def test_run_gives_back_the_factorization(self, systems, eigenpairs, run):
+    def test_run_gives_back_the_factorization(self, systems, run):
         sys = systems("square", 1, 1)
-        _, pairs = eigenpairs("square", 1, 1, m=4)
+        pairs = solve_modes(sys, 4)  # carrying the Ritz block the surrogate run takes over
         block = eigenfields(sys, pairs)
         gc.disable()
         try:
@@ -957,6 +964,101 @@ class TestOperatorLifetime:
             assert alive() is None
         finally:
             gc.enable()
+
+
+class TestBlockOwnership:
+    """A level's eigensolves (``solve_level``, square, k = 2, level 3, from
+    level 2's eigenfields injected into it) hold no block that none of
+    them reads any more: the start block and the surrogate image pass
+    into the LOBPCG workspace, the surrogate run takes the modes run's
+    Ritz block over, and W lives only for the modes run."""
+
+    @staticmethod
+    def level(systems, eigenpairs):
+        """The level's system and its start, a function that injects level
+        2's eigenfields into it, as the study's is."""
+        coarse, sys = systems("square", 2, 2), systems("square", 3, 2)
+        fields = eigenfields(coarse, eigenpairs("square", 2, 2, m=6)[1])
+        return sys, lambda: inject_fields(sys.ref, fields)
+
+    def test_blocks_die_before_the_surrogate_solves(self, monkeypatch, systems, eigenpairs):
+        sys, inject = self.level(systems, eigenpairs)
+        refs, seen = {}, []
+        lobpcg, matmat = eigensolve._lobpcg, eigensolve._Operator._matmat
+
+        def held(name, make):
+            def spy():
+                block = make()
+                refs[name] = weakref.ref(block)
+                return block
+            return spy
+
+        def spied(op, start, what, stop="vectors", image=None):
+            if what == "the surrogate pencil":
+                return lobpcg(op, held("surrogate start", start), what, stop,
+                              held("surrogate image", image))
+            out = lobpcg(op, start, what, stop, image)
+            refs["modes Ritz block"] = weakref.ref(out[1])
+            return out
+
+        def solve(op, y):
+            if op.load is None and not seen:  # the surrogate's first solve
+                seen.append({name: ref() is None for name, ref in refs.items()})
+            return matmat(op, y)
+
+        monkeypatch.setattr(eigensolve, "_lobpcg", spied)
+        monkeypatch.setattr(eigensolve._Operator, "_matmat", solve)
+        pairs, surrogate, _, _ = solve_level(sys, 6, held("injected start", inject))
+        names = ("injected start", "modes Ritz block", "surrogate start", "surrogate image")
+        assert seen == [dict.fromkeys(names, True)]
+        assert "load_lift" not in vars(sys)
+        assert all(pair.ritz is None for pair in pairs) and surrogate.ritz.shape == (sys.dim_w, 6)
+
+    def test_peak_memory_of_a_level(self, systems, eigenpairs):
+        # tracemalloc counts numpy's arrays, not SuperLU's factors: the
+        # level's peak, start block and W included, in blocks of n x m.
+        # 10.2 blocks here; 12.2 when the start block, W, the Ritz block
+        # and the surrogate image were held to the end, not counting the
+        # start block made before the call
+        sys, inject = self.level(systems, eigenpairs)
+        solve_level(sys, 6, inject)  # once untraced, so that no lazy set-up is counted
+        sys.factorized()
+        tracemalloc.start()
+        try:
+            solve_level(sys, 6, inject)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * sys.dim_w * 6 * 8
+
+
+class TestLobpcgStops:
+    """A LOBPCG run that ends without converging raises
+    ``EigenSolveError`` naming the stop that ended it."""
+
+    def test_out_of_iterations_before_any_expansion(self, monkeypatch, capsys):
+        # no iteration allowed: the residuals of the start block's
+        # Rayleigh-Ritz pairs still give the message its largest residual.
+        # ``solve`` exits 3; the study records the error on every cell
+        from hdgeig.cli import main
+
+        monkeypatch.setattr(eigensolve, "_LOBPCG_MAX_ITER", 0)
+        message = "LOBPCG run on the surrogate pencil did not converge within 0 iterations"
+        assert main(["solve", "--level", "1", "--k", "1", "--modes", "3"]) == 3
+        assert message in capsys.readouterr().err
+        rep = run_convergence_study(StudyConfig(k=1, levels=(0, 1), modes=(1,)))
+        for cell in rep.cells:
+            assert cell.lam is None and message in cell.note
+
+    def test_residuals_inside_the_basis(self, monkeypatch):
+        # a start block spanning an invariant subspace exactly leaves zero
+        # residuals, which no column meets under a negative tolerance: the
+        # run stops on them, not on its iteration count
+        monkeypatch.setattr(eigensolve, "_LOBPCG_RTOL", -1.0)
+        op = scipy.sparse.linalg.aslinearoperator(np.diag(np.arange(1.0, 9.0)))
+        with pytest.raises(EigenSolveError, match=r"LOBPCG run on T stalled after 0 "
+                                                  r"iterations: its residuals lie in span"):
+            eigensolve._lobpcg(op, lambda: np.eye(8)[:, 5:], "T")
 
 
 class TestTauSweep:

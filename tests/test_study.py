@@ -587,7 +587,7 @@ class TestWarmStarts:
         pairs = solve_modes(sys, 4)
         monkeypatch.setattr(eigensolve, "_LOBPCG_MAX_ITER", 1)
         with pytest.raises(EigenSolveError, match="LOBPCG .* did not converge"):
-            solve_modes(sys, 4, start)
+            solve_modes(sys, 4, lambda: start)
         with pytest.raises(EigenSolveError, match="LOBPCG .* did not converge"):
             solve_linear_surrogate(sys, pairs)
         # in a study every level's surrogate run stalls: notes, no numbers
