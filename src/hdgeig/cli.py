@@ -267,14 +267,14 @@ def cmd_solve(args):
     if args.postprocess:
         SpaceConfig(args.k, args.case).validate_postprocess()
     sys = _assemble(args)
-    pairs, surrogate, _, lu_nnz = solve_level(sys, args.modes)
+    modes, surrogate, lu_nnz = solve_level(sys, args.modes)
     log.info("surrogate %d operator applications in %d block solves (block start, %s stop, "
              "relative residual %.1e)", surrogate.applications, surrogate.solves,
              surrogate.stop, surrogate.residual)
     star = ["lambda_star"] if args.postprocess else []
     header = ["mode", "lambda", "lambda_tilde", *star, "iterations"]
     rows = []
-    for pair, lam_tilde in zip(pairs, surrogate.values.tolist()):
+    for pair, lam_tilde in zip(modes, surrogate.values.tolist()):
         post = [postprocess(sys, recover_fields(sys, pair)).value_star] if star else []
         rows.append([pair.index, pair.value, lam_tilde, *post, pair.iterations])
         log.info("mode %d: lambda=%.12g (%d operator applications, residual %.1e), "
@@ -311,9 +311,9 @@ def cmd_oracle_check(args):
     surrogate run from its Ritz block the seed values, and one block
     solve the seed traces A^-1 U^T x of the surrogate's Ritz vectors x."""
     sys = _assemble(args)
-    pairs = solve_modes(sys, args.modes)
-    oracle = np.array([p.value for p in pairs])
-    surrogate = solve_linear_surrogate(sys, pairs)
+    modes = solve_modes(sys, args.modes)
+    oracle = np.array([p.value for p in modes])
+    surrogate = solve_linear_surrogate(sys, modes)
     traces = sys.factorized().solve(sys.moments @ surrogate.ritz)
     seeds = [EigenPair(value, trace, index) for index, (value, trace)
              in enumerate(zip(surrogate.values, traces.T), 1)]

@@ -17,8 +17,8 @@ vector.  From a block of approximate eigenvectors (the study's nested
 levels provide one) it is LOBPCG, which needs fewer solves when the block
 is close; from a random block it is slower and stalls on clusters.  An
 eigenvector y gives the trace A^-1 U^T y.  The surrogate run is LOBPCG on
-T0 from the modes run's Ritz block, which it takes over from the pairs,
-and whose image the modes' trace solve already gives, until the values,
+T0 from the modes run's Ritz block, which it takes over from its
+``Modes``, and whose image their traces already give, until the values,
 not the vectors, have converged; it checks each value against the
 enclosure that the nonlinear eigenvalues give it, and returns its Ritz
 block, whose traces seed the paper's route.
@@ -53,6 +53,7 @@ from .errors import ConvergenceError, EigenSolveError, LocalSolveError
 
 __all__ = [
     "EigenPair",
+    "Modes",
     "OracleSpectrum",
     "SurrogateValues",
     "solve_linear_surrogate",
@@ -69,7 +70,8 @@ _SECANT_MAX_ITER = 50
 #: search space stops growing it at every Newton iteration
 _FROZEN_TOL = 1e-12
 #: a search-space direction keeping at most this fraction of its A-norm
-#: after the projection out of V is round-off
+#: after the projection out of V, or a LOBPCG direction of its norm after
+#: the projection out of the basis, is round-off
 _STALL_TOL = 1e-8
 #: the search space's bound and the margin of its thick restart, which
 #: keeps the top index + _SPACE_MARGIN Ritz vectors.  Six modes on one
@@ -106,10 +108,8 @@ class EigenPair:
     From ``solve_modes``: ``iterations`` counts the run's operator
     applications (Lanczos matvecs, or LOBPCG block columns), ``solves``
     the solves that made them, ``defect`` is |A eta - lam M(lam) eta|
-    / |A eta|, and ``ritz`` is the run's unit Ritz vector x of T whose
-    trace A^-1 U^T x is ``vector``, the start of ``solve_linear_surrogate``,
-    whose run takes it over and leaves None (None elsewhere).  From the
-    nonlinear eigensolve: an
+    / |A eta|, and ``vector`` and ``field`` are views of columns of the
+    run's ``Modes`` blocks.  From the nonlinear eigensolve: an
     A-normalized trace (v.A v = 1), its frozen-pencil solves (Newton
     iterations), the last relative update |theta - kappa| / theta as
     ``defect``, the nonlinear residual |A v - lam M(lam) v| / |A v| as
@@ -124,7 +124,7 @@ class EigenPair:
     """
 
     def __init__(self, value, vector, index, iterations=0, defect=0.0, history=(),
-                 residual=None, solves=0, space=0, field=None, ritz=None):
+                 residual=None, solves=0, space=0, field=None):
         self.value = float(value)
         self.vector = np.asarray(vector, dtype=float)
         self.index = int(index)
@@ -135,7 +135,17 @@ class EigenPair:
         self.solves = int(solves)
         self.space = int(space)
         self.field = field
-        self.ritz = ritz
+
+
+class Modes(list):
+    """The ascending pairs of ``solve_modes`` and the column-major blocks
+    their ``vector``s and ``field``s are views of: ``traces`` (ndof, m) and
+    ``fields`` (dim W_h, m), with ``ritz``, the run's unit Ritz vectors x
+    of T, which ``solve_linear_surrogate`` takes over, leaving None."""
+
+    def __init__(self, pairs, traces, fields, ritz):
+        super().__init__(pairs)
+        self.traces, self.fields, self.ritz = traces, fields, ritz
 
 
 #: ascending eigenvalues of the full problem and the solution operator
@@ -177,17 +187,21 @@ def _orthonormalize(v, against, image=None):
     """Make the columns of ``v`` orthonormal and orthogonal to the
     orthonormal columns of ``against``, in place, in two passes of a block
     Gram-Schmidt step and an eigendecomposition of the Gram matrix that
-    drops directions dependent to round-off; returns how many lead ``v``.
-    With ``against`` empty each pass is a product with a small matrix, and
-    ``image``, an operator applied to ``v``, takes the same products."""
+    drops directions dependent to round-off (and columns keeping at most
+    ``_STALL_TOL`` of their norm after the projection); returns how many
+    lead ``v``.  With ``against`` empty each pass is a product with a
+    small matrix, and ``image``, an operator applied to ``v``, takes the
+    same products."""
     k = v.shape[1]
     for _ in range(2):
         if not k:
             break
         u = v[:, :k]
+        before = np.einsum("ij,ij->j", u, u)
         u -= ((u.T @ against) @ against.T).T  # column-major, as u
         gram = u.T @ u
         d = 1.0 / np.sqrt(np.maximum(np.diag(gram), np.finfo(float).tiny))
+        d[np.diag(gram) <= _STALL_TOL**2 * before] = 0.0
         w, q = np.linalg.eigh(d[:, None] * gram * d)
         keep = w > 1e-12 * w[-1]
         c = d[:, None] * q[:, keep] / np.sqrt(w[keep])
@@ -333,29 +347,15 @@ SurrogateValues = collections.namedtuple("SurrogateValues",
                                          "values applications solves stop residual ritz")
 
 
-def _columns(pairs, attr):
-    """The pairs' arrays ``attr`` (``field``, the eigenfields (I - lam W)^-1
-    U eta, or ``vector``), the columns of a column-major (n, m) block; each
-    pair's array becomes a view of its column, so the block takes no
-    memory beside the arrays (and what held them before is freed)."""
-    shape = getattr(pairs[0], attr).shape
-    block = np.empty((getattr(pairs[0], attr).size, len(pairs)), order="F")
-    for column, pair in zip(block.T, pairs):
-        column[:] = getattr(pair, attr).ravel()
-        setattr(pair, attr, column.reshape(shape))
-    return block
-
-
-def solve_linear_surrogate(sys, pairs):
-    """The lowest len(pairs) eigenvalues of the surrogate pencil, with the
-    Ritz block of T0 they come from, for the ascending pairs of
-    ``solve_modes``, by LOBPCG on T0 from their Ritz block X, whose image
-    T0 X = U A^-1 U^T X is U applied to their traces: the start costs no
-    solve.  The run takes the Ritz block over, and each pair's ``ritz``
-    becomes None, so that neither the block nor its image outlives its
-    copy in the run's workspace.  A pair without ``ritz`` (not from
-    ``solve_modes``, or already read by this function) raises
-    ``ValueError``.
+def solve_linear_surrogate(sys, modes):
+    """The lowest len(modes) eigenvalues of the surrogate pencil, with the
+    Ritz block of T0 they come from, for the ``Modes`` of ``solve_modes``,
+    by LOBPCG on T0 from their Ritz block X, whose image T0 X = U A^-1
+    U^T X is U applied to their traces: the start costs no solve.  The
+    run takes the Ritz block over, and ``modes.ritz`` becomes None, so
+    that neither the block nor its image outlives its copy in the run's
+    workspace.  Modes without ``ritz`` (pairs that are not a ``Modes``, or
+    whose block a surrogate run already took) raise ``ValueError``.
 
     The run takes the value stop, unless the modes lie near the wall
     (lam_m > wall / 2): there the eigenfields of spurious modes need not
@@ -366,22 +366,20 @@ def solve_linear_surrogate(sys, pairs):
     ``_ENCLOSURE_SLACK`` relative (a mode in the kernel of G among them)
     raises ``EigenSolveError``.
     """
-    for pair in pairs:
-        if pair.ritz is None:
-            raise ValueError("pair %d carries no Ritz vector" % pair.index)
-    lams = np.array([p.value for p in pairs])
+    if getattr(modes, "ritz", None) is None:
+        raise ValueError("the surrogate run starts from the Ritz block of solve_modes' Modes, "
+                         "and these pairs carry none")
+    lams = np.array([p.value for p in modes])
     _check_count(sys, len(lams))
     stop = "vectors" if lams[-1] > 0.5 * sys.wall else "values"
     op = _Operator(sys)
 
-    def ritz_block():  # the run takes the block over: the pairs let it go
-        block = np.column_stack([pair.ritz for pair in pairs])
-        for pair in pairs:
-            pair.ritz = None
+    def ritz_block():  # the run takes the block over: the modes let it go
+        block, modes.ritz = modes.ritz, None
         return block
 
     mu, ritz, residual = _lobpcg(op, ritz_block, "the surrogate pencil", stop,
-                                 lambda: sys.lift @ _columns(pairs, "vector"))
+                                 lambda: sys.lift @ modes.traces)
     values, upper = 1.0 / mu, lams / (1.0 - lams / sys.wall)
     outside = np.flatnonzero((values < lams * (1.0 - _ENCLOSURE_SLACK))
                              | (values > upper * (1.0 + _ENCLOSURE_SLACK)))
@@ -678,7 +676,7 @@ def solve_condensed_nonlinear(sys, seeds, index, space):
 
 
 def solve_modes(sys, m, start=None):
-    """Lowest m eigenpairs, ascending, from the largest eigenpairs of T.
+    """Lowest m eigenpairs, ascending (``Modes``), from the largest of T.
 
     The largest eigenvalues mu of T give lam = 1/mu.  An eigenvector u of
     T is a scalar field with source lam u, so its trace is A^-1 U^T u up
@@ -691,29 +689,31 @@ def solve_modes(sys, m, start=None):
     freed with it.  ``iterations`` counts the operator applications (block
     columns for LOBPCG), ``solves`` the solves.  A pair at or beyond the
     resolvent wall, or failing the nonlinear residual check, raises
-    ``EigenSolveError``.
+    ``EigenSolveError``; the check writes its eigenfield into ``fields``.
     """
     m, op = int(m), _Operator(sys, load=sys.load_lift)
     _check_count(sys, m)
     if start is None:
-        mu, vecs = _eigsh(op, m, "the solution operator", _deterministic_start(op.shape[0]))
+        mu, ritz = _eigsh(op, m, "the solution operator", _deterministic_start(op.shape[0]))
         order = np.argsort(mu)[::-1]
-        mu, vecs = mu[order], vecs[:, order]
+        mu, ritz = mu[order], np.asfortranarray(ritz[:, order])
     else:
-        mu, vecs = _lobpcg(op, start, "the solution operator")[:2]
-    etas = sys.factorized().solve(sys.moments @ vecs)
+        mu, ritz = _lobpcg(op, start, "the solution operator")[:2]
+    traces = np.asfortranarray(sys.factorized().solve(sys.moments @ ritz))
+    fields = np.empty((sys.dim_w, m), order="F")
     lam_cap = _wall_cap(sys)
     pairs = []
-    for index, (eta, x, mu_i) in enumerate(zip(etas.T, vecs.T, mu), 1):
+    for index, (eta, column, mu_i) in enumerate(zip(traces.T, fields.T, mu), 1):
         lam = 1.0 / mu_i if mu_i > 0 else -np.inf
         if not 0.0 < lam < lam_cap:
             raise EigenSolveError("eigenvalue %d (%.6g) is not inside (0, %.6g), the resonance-"
                                   "free interval of the resolvent on this mesh"
                                   % (index, lam, lam_cap))
         defect, field = _checked_defect(sys, lam, eta)
+        column[:] = field.ravel()
         pairs.append(EigenPair(lam, eta, index, op.applications, defect, solves=op.solves,
-                               field=field, ritz=x))
-    return pairs
+                               field=column.reshape(field.shape)))
+    return Modes(pairs, traces, fields, ritz)
 
 
 def oracle_full_eig(sys, m=6):

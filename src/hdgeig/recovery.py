@@ -80,7 +80,7 @@ def recover_fields(sys, pair):
     """
     lam, u = pair.value, pair.field
     if u is None:
-        raise ValueError("pair %d carries no eigenfield (surrogate pairs have none)" % pair.index)
+        raise ValueError("pair %d carries no eigenfield (seeds have none)" % pair.index)
     q = flux_field(sys, pair.vector, lam * u)
 
     norm = np.sqrt(np.sum(u**2))

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .assembly import assemble_condensed
-from .eigensolve import _columns, solve_linear_surrogate, solve_modes
+from .eigensolve import solve_linear_surrogate, solve_modes
 # the paper's nonlinear route, not called here; perfbench/spans.py times it
 from .eigensolve import solve_condensed_nonlinear  # noqa: F401
 from .errors import ConfigError, EigenSolveError, HdgError, UnsupportedModeError
@@ -431,7 +431,6 @@ def run_convergence_study(config, progress=None):
     surrogate run ("values" or "vectors") with its largest relative
     residual.
     """
-    spaces = config.spaces
     max_mode = max(config.modes)
     modes_ref = domain_modes(config.domain, max_mode, config.material)
     cells = [
@@ -460,8 +459,8 @@ def run_convergence_study(config, progress=None):
         else:
             mesh, coarse_mesh = refine(mesh), None
         try:
-            eigenfields, detail = _run_level(config, spaces, mesh, level, modes_ref, report,
-                                             eigenfields, coarse_mesh)
+            eigenfields, detail = _run_level(config, mesh, modes_ref, report, eigenfields,
+                                             coarse_mesh)
         except HdgError as exc:
             for m in config.modes:
                 report.cell(m, level).note = str(exc)
@@ -475,19 +474,18 @@ def run_convergence_study(config, progress=None):
 def solve_level(sys, m, start=None):
     """The eigensolves of one mesh level, for ``solve`` and the study:
     ``solve_modes`` for m pairs (from the block that ``start()`` returns,
-    if given), then ``solve_linear_surrogate`` from those pairs, then the
-    LU is released.  Returns the pairs, the ``SurrogateValues``, the
-    eigenfields (dim W_h, m) and the LU's nonzeros; the pairs no longer
-    carry the Ritz vectors the surrogate run took over."""
-    pairs = solve_modes(sys, m, start)
-    eigenfields = _columns(pairs, "field")
-    surrogate = solve_linear_surrogate(sys, pairs)
+    if given), then ``solve_linear_surrogate`` from their ``Modes``, then
+    the LU is released.  Returns the ``Modes``, whose Ritz block the
+    surrogate run took over, the ``SurrogateValues`` and the LU's
+    nonzeros."""
+    modes = solve_modes(sys, m, start)
+    surrogate = solve_linear_surrogate(sys, modes)
     lu_nnz = sys.factorized().nnz
     sys.release_factorization()  # the last solve with A: recovery needs none
-    return pairs, surrogate, eigenfields, lu_nnz
+    return modes, surrogate, lu_nnz
 
 
-def _coarse_start(config, spaces, coarse_mesh, level, m):
+def _coarse_start(config, coarse_mesh, level, m):
     """A start for ``solve_modes``, a function that returns the
     eigenfields of a cold modes run on ``coarse_mesh``, the mesh of level
     max(0, level - ``_COARSE_OFFSET``), injected up to ``level``, and the
@@ -495,19 +493,19 @@ def _coarse_start(config, spaces, coarse_mesh, level, m):
     The function holds them injected up to the level below."""
     coarse_level = coarse_mesh.level
     try:
-        sys = assemble_condensed(coarse_mesh, spaces, config.tau, config.material)
-        pairs = solve_modes(sys, m)
-        block = _columns(pairs, "field")
+        sys = assemble_condensed(coarse_mesh, config.spaces, config.tau, config.material)
+        modes = solve_modes(sys, m)
     except HdgError:
         return None, "cold"
+    block = modes.fields
     for _ in range(level - coarse_level - 1):
         block = inject_fields(sys.ref, block)
     return (functools.partial(inject_fields, sys.ref, block),
             "block start from level %d, %d operator applications in %d solves"
-            % (coarse_level, pairs[0].iterations, pairs[0].solves))
+            % (coarse_level, modes[0].iterations, modes[0].solves))
 
 
-def _run_level(config, spaces, mesh, level, modes_ref, report, coarse, coarse_mesh):
+def _run_level(config, mesh, modes_ref, report, coarse, coarse_mesh):
     """Fill the level's cells, starting the modes run from the previous
     level's eigenfields ``coarse``; without them, from those of
     ``coarse_mesh`` (``_coarse_start``) on a first level above 0 (cold if
@@ -522,7 +520,8 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse, coarse_me
         clock, before = time.perf_counter(), clock
         seconds[stage] += clock - before
 
-    sys = assemble_condensed(mesh, spaces, config.tau, config.material)
+    level = mesh.level
+    sys = assemble_condensed(mesh, config.spaces, config.tau, config.material)
     lap("assembly")
     # factor first, also before a first level's coarse run: run before the
     # level's assembly, that run raised the level-6, k = 0 study's median
@@ -535,21 +534,21 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse, coarse_me
     if coarse is not None:
         start, started = functools.partial(inject_fields, sys.ref, coarse), "block start"
     elif level > 0 and level == config.levels[0]:
-        start, started = _coarse_start(config, spaces, coarse_mesh, level, m)
+        start, started = _coarse_start(config, coarse_mesh, level, m)
     else:
         start, started = None, "cold"
     try:
-        pairs, surrogate, eigenfields, lu_nnz = solve_level(sys, m, start)
+        modes, surrogate, lu_nnz = solve_level(sys, m, start)
     except EigenSolveError:
         if coarse is not None or start is None:
             raise
         # a stalled coarse start: run once cold, on the LU left cached
-        pairs, surrogate, eigenfields, lu_nnz = solve_level(sys, m)
+        modes, surrogate, lu_nnz = solve_level(sys, m)
         started = "cold after a stalled " + started
     lap("eigensolves")
     for mode_idx in config.modes:
         cell = report.cell(mode_idx, level)
-        pair = pairs[mode_idx - 1]
+        pair = modes[mode_idx - 1]
         exact = modes_ref[mode_idx - 1]
         cell.lam, cell.lam_tilde = pair.value, float(surrogate.values[mode_idx - 1])
         cell.gap = abs(cell.lam - cell.lam_tilde)
@@ -570,10 +569,10 @@ def _run_level(config, spaces, mesh, level, modes_ref, report, coarse, coarse_me
         lap("error")
     detail = ("LU nnz %d, modes %d operator applications in %d block solves (%s), surrogate "
               "%d in %d (block start, %s stop, relative residual %.1e), seconds: %s"
-              % (lu_nnz, pairs[0].iterations, pairs[0].solves, started, surrogate.applications,
+              % (lu_nnz, modes[0].iterations, modes[0].solves, started, surrogate.applications,
                  surrogate.solves, surrogate.stop, surrogate.residual,
                  ", ".join("%s %.3f" % item for item in seconds.items())))
-    return eigenfields, detail
+    return modes.fields, detail
 
 
 # --- table rendering -------------------------------------------------------
@@ -642,7 +641,7 @@ def _emit_markdown(report):
 
 def _emit_csv(report):
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     metrics = _metrics_present(report)
     header = ["domain", "case", "tau", "k", "level"]
     for metric in metrics:

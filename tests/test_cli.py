@@ -176,6 +176,20 @@ class TestSolveCommand:
         assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--level", "0", "--modes", "2"],
+    ["study", "--levels", "0:1", "--modes", "1"],
+    ["oracle-check", "--level", "0", "--modes", "2"],
+])
+def test_csv_lines_end_in_newline(tmp_path, command):
+    # every command's CSV ends its lines with "\n" alone; csv.writer's
+    # default is "\r\n"
+    out = tmp_path / "table.csv"
+    assert main(command + ["--format", "csv", "--output", str(out)]) == 0
+    data = out.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n") and data.count(b"\n") >= 2
+
+
 @pytest.mark.parametrize("command,lifts", [
     (["solve", "--level", "1", "--k", "2", "--modes", "6"], 6),
     (["study", "--k", "2", "--levels", "0:1", "--modes", "1,2,4,6"], 12),

@@ -272,12 +272,14 @@ class TestLinearSurrogate:
 
     def test_kernel_detection_k0(self, systems):
         # at lowest order the lift Gram matrix has a genuine kernel (rank 31
-        # here, with ndof = 40): the surrogate refuses the full mode count
-        # before any solve
-        sys = systems("square", 0, 0)
-        pairs = solve_modes(sys, 2)
+        # here, with ndof = 40): the surrogate refuses more modes than
+        # min(ndof, dim W_h) = 32, here the 33 of level 1, before any solve,
+        # and leaves their Ritz block where it was
+        sys, fine = systems("square", 0, 0), systems("square", 1, 0)
+        modes = solve_modes(fine, 33)
         with pytest.raises(EigenSolveError, match="kernel of the lift Gram matrix"):
-            solve_linear_surrogate(sys, pairs * (sys.ndof // 2))
+            solve_linear_surrogate(sys, modes)
+        assert modes.ritz.shape == (fine.dim_w, 33)
 
 
 class TestCondensedNonlinear:
@@ -663,13 +665,14 @@ class TestSolveModes:
         sys = systems("square", 0, 1)
         seeds, _ = surrogate_seeds(sys, 2)
         run = {"solve_modes": lambda: solve_modes(sys, 2),
-               # fresh pairs: the seeds' surrogate run took over their Ritz vectors
+               # fresh modes: the seeds' surrogate run took over their Ritz block
                "surrogate": lambda: solve_linear_surrogate(sys, solve_modes(sys, 2)),
                "secant": lambda: solve_condensed_nonlinear(sys, seeds, 2,
                                                            search_space(sys, seeds))}[route]
         command = "oracle-check" if route == "secant" else "solve"
         if route == "secant":
-            monkeypatch.setattr(eigensolve, "_STALL_TOL", np.inf)
+            # the search space's alone: _STALL_TOL also drops LOBPCG directions
+            monkeypatch.setattr(eigensolve._SearchSpace, "_expand", lambda self, t, rhs: False)
         elif route == "surrogate":
             monkeypatch.setattr(eigensolve, "_LOBPCG_MAX_ITER", 1)
         else:
@@ -848,9 +851,9 @@ class TestSurrogateValues:
         # and a stop relative to the largest Ritz value 1 / lam~_1 for every
         # column left lam~_6 4.8e-10 off the vector stop's value
         sys = systems("lshape", 0, 1, 1e4)
-        pairs = solve_modes(sys, 6)  # the surrogate run takes their Ritz block over
-        block = np.column_stack([p.ritz for p in pairs])
-        got = solve_linear_surrogate(sys, pairs)
+        modes = solve_modes(sys, 6)
+        block = modes.ritz  # held here: the surrogate run takes it over from the modes
+        got = solve_linear_surrogate(sys, modes)
         ref = 1.0 / eigensolve._lobpcg(eigensolve._Operator(sys), lambda: block, "T0")[0]
         assert got.stop == "values" and got.values[5] > 1000 * got.values[0]
         assert got.residual <= eigensolve._VALUE_RTOL
@@ -914,11 +917,16 @@ class TestSurrogateValues:
                 np.testing.assert_allclose(got, lams / (1 - lams / sys.wall), rtol=1e-12)
 
     def test_refuses_pairs_without_ritz_vectors(self, systems):
-        # only solve_modes' pairs carry the Ritz block that the run starts
-        # from; the nonlinear eigensolve's and the surrogate seeds do not
+        # only solve_modes' Modes carry the Ritz block that the run starts
+        # from: not the nonlinear eigensolve's pairs, the surrogate seeds,
+        # a plain list of solve_modes' pairs, nor Modes whose block an
+        # earlier surrogate run took over
         sys = systems("square", 1, 1)
-        for pairs in (newton_pairs(sys, 2), surrogate_seeds(sys, 2)[0]):
-            with pytest.raises(ValueError, match="pair 1 carries no Ritz vector"):
+        modes = solve_modes(sys, 2)
+        solve_linear_surrogate(sys, modes)
+        for pairs in (newton_pairs(sys, 2), surrogate_seeds(sys, 2)[0],
+                      list(solve_modes(sys, 2)), modes):
+            with pytest.raises(ValueError, match="these pairs carry none"):
                 solve_linear_surrogate(sys, pairs)
 
 
@@ -966,6 +974,31 @@ class TestOperatorLifetime:
             gc.enable()
 
 
+class TestModes:
+    """``solve_modes`` returns its ascending pairs as ``Modes``, which own
+    the run's three column-major blocks; each pair's arrays are views of
+    their columns."""
+
+    @pytest.mark.parametrize("started", [False, True])
+    def test_pairs_are_views_of_the_blocks(self, systems, started):
+        # the Lanczos run, and LOBPCG from the level's own eigenfields
+        sys = systems("square", 1, 2)
+        start = (lambda: solve_modes(sys, 4).fields) if started else None
+        modes = solve_modes(sys, 4, start)
+        assert [pair.index for pair in modes] == [1, 2, 3, 4]
+        shapes = {"traces": (sys.ndof, 4), "fields": (sys.dim_w, 4), "ritz": (sys.dim_w, 4)}
+        for name, shape in shapes.items():
+            block = getattr(modes, name)
+            assert block.shape == shape and block.flags.f_contiguous
+        for pair, trace, field in zip(modes, modes.traces.T, modes.fields.T):
+            assert np.shares_memory(pair.vector, trace) and pair.vector.shape == trace.shape
+            assert np.shares_memory(pair.field, field)
+            assert pair.field.shape == (sys.mesh.num_triangles, sys.ref.n_w)
+            np.testing.assert_array_equal(pair.field.ravel(), field)
+        traces = sys.factorized().solve(sys.moments @ modes.ritz)
+        np.testing.assert_array_equal(modes.traces, traces)
+
+
 class TestBlockOwnership:
     """A level's eigensolves (``solve_level``, square, k = 2, level 3, from
     level 2's eigenfields injected into it) hold no block that none of
@@ -1008,11 +1041,11 @@ class TestBlockOwnership:
 
         monkeypatch.setattr(eigensolve, "_lobpcg", spied)
         monkeypatch.setattr(eigensolve._Operator, "_matmat", solve)
-        pairs, surrogate, _, _ = solve_level(sys, 6, held("injected start", inject))
+        modes, surrogate, _ = solve_level(sys, 6, held("injected start", inject))
         names = ("injected start", "modes Ritz block", "surrogate start", "surrogate image")
         assert seen == [dict.fromkeys(names, True)]
         assert "load_lift" not in vars(sys)
-        assert all(pair.ritz is None for pair in pairs) and surrogate.ritz.shape == (sys.dim_w, 6)
+        assert modes.ritz is None and surrogate.ritz.shape == (sys.dim_w, 6)
 
     def test_peak_memory_of_a_level(self, systems, eigenpairs):
         # tracemalloc counts numpy's arrays, not SuperLU's factors: the
@@ -1051,14 +1084,30 @@ class TestLobpcgStops:
             assert cell.lam is None and message in cell.note
 
     def test_residuals_inside_the_basis(self, monkeypatch):
-        # a start block spanning an invariant subspace exactly leaves zero
-        # residuals, which no column meets under a negative tolerance: the
-        # run stops on them, not on its iteration count
-        monkeypatch.setattr(eigensolve, "_LOBPCG_RTOL", -1.0)
+        # a start block spanning an invariant subspace, rotated in it, leaves
+        # residuals of round-off inside that subspace, which no column meets
+        # under a zero tolerance: the run stops on them, not on its
+        # iteration count
+        monkeypatch.setattr(eigensolve, "_LOBPCG_RTOL", 0.0)
         op = scipy.sparse.linalg.aslinearoperator(np.diag(np.arange(1.0, 9.0)))
+        rotation = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
         with pytest.raises(EigenSolveError, match=r"LOBPCG run on T stalled after 0 "
                                                   r"iterations: its residuals lie in span"):
-            eigensolve._lobpcg(op, lambda: np.eye(8)[:, 5:], "T")
+            eigensolve._lobpcg(op, lambda: np.eye(8)[:, 5:] @ rotation, "T")
+
+    def test_round_off_residuals_leave_the_basis(self, monkeypatch):
+        # 3m > n: after one iteration [X, P, R] spans the space, and the
+        # residuals left are round-off in span [X, P].  Scaled to unit length
+        # before the rank test they entered the basis as noise, and the run
+        # ended after 100 iterations with a residual of 9.9 times the
+        # operator's scale
+        monkeypatch.setattr(eigensolve, "_LOBPCG_RTOL", 0.0)
+        op = scipy.sparse.linalg.aslinearoperator(np.diag(np.arange(1.0, 11.0)))
+        block = np.random.default_rng(0).standard_normal((10, 5))
+        with pytest.raises(EigenSolveError, match=r"stalled after 1 iterations") as info:
+            eigensolve._lobpcg(op, lambda: block, "T")
+        residual = float(re.search(r"largest residual (\S+) of", str(info.value)).group(1))
+        assert residual < 1e-13
 
 
 class TestTauSweep:

@@ -51,7 +51,7 @@ def readme_python_block(heading):
 def test_readme_library_example():
     scope = {}
     exec(readme_python_block("Library entry points"), scope)
-    lam = scope["pairs"][0].value
+    lam = scope["modes"][0].value
     assert 2.0 < lam < 2.0 + 2e-4  # "lambda_1 ~ 2 + 1.1e-4"
     assert abs(scope["pair"].value - lam) <= 1e-12 * lam  # "same lambda_1"
 
