@@ -19,8 +19,8 @@ from .basis import QuadratureRule, edge_quadrature, triangle_quadrature
 from .eigensolve import (
     EigenPair,
     OracleSpectrum,
+    SearchSpace,
     oracle_full_eig,
-    search_space,
     solve_condensed_nonlinear,
     solve_linear_surrogate,
     solve_modes,

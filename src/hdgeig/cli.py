@@ -7,7 +7,6 @@ Exit codes form a stable contract for CI: 0 success, 1 check failure,
 import argparse
 import errno
 import functools
-import json
 import logging
 import os
 import resource
@@ -17,8 +16,7 @@ import numpy as np
 
 from .assembly import assemble_condensed
 from .eigensolve import (
-    EigenPair,
-    search_space,
+    SearchSpace,
     solve_condensed_nonlinear,
     solve_linear_surrogate,
     solve_modes,
@@ -30,6 +28,7 @@ from .localsolve import MaterialSpec, SpaceConfig, TauSpec
 from .recovery import postprocess, recover_fields
 from .study import (
     StudyConfig,
+    _table,
     build_domain_mesh,
     emit_table,
     run_convergence_study,
@@ -211,10 +210,14 @@ def _with_config_file(argv):
 
 
 def _check_output(args):
-    """Refuse an ``--output`` in a missing directory before any work; the
-    file itself is written only at the end, so a failed run leaves an
-    existing one as it was."""
-    if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+    """Refuse an ``--output`` that is a directory, or lies in a missing one,
+    before any work; the file itself is written only at the end, so a
+    failed run leaves an existing one as it was."""
+    if not args.output:
+        return
+    if os.path.isdir(args.output):
+        raise ConfigError("cannot write %s: %s" % (args.output, os.strerror(errno.EISDIR)))
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
         raise ConfigError("cannot write %s: %s" % (args.output, os.strerror(errno.ENOENT)))
 
 
@@ -227,24 +230,6 @@ def _write_output(text, args):
             raise ConfigError("cannot write %s: %s" % (args.output, exc.strerror))
     else:
         _sys.stdout.write(text)
-
-
-def _table(header, rows, fmt):
-    """Rows as a JSON list of objects, CSV, or a padded markdown table."""
-    if fmt == "json":
-        return json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n"
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in r)
-                  for r in rows]
-        return "\n".join(lines) + "\n"
-    widths = [max(len(h), 18) for h in header]
-    out = ["| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |"]
-    out.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-    for r in rows:
-        cells = ["%.12g" % v if isinstance(v, float) else str(v) for v in r]
-        out.append("| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |")
-    return "\n".join(out) + "\n"
 
 
 def _peak_rss_mb():
@@ -279,7 +264,7 @@ def cmd_solve(args):
         rows.append([pair.index, pair.value, lam_tilde, *post, pair.iterations])
         log.info("mode %d: lambda=%.12g (%d operator applications, residual %.1e), "
                  "peak RSS %.0f MB, LU nnz %d", pair.index, pair.value, pair.iterations,
-                 pair.defect, _peak_rss_mb(), lu_nnz)
+                 pair.residual, _peak_rss_mb(), lu_nnz)
     _write_output(_table(header, rows, args.format), args)
     return EXIT_OK
 
@@ -314,13 +299,11 @@ def cmd_oracle_check(args):
     modes = solve_modes(sys, args.modes)
     oracle = np.array([p.value for p in modes])
     surrogate = solve_linear_surrogate(sys, modes)
-    traces = sys.factorized().solve(sys.moments @ surrogate.ritz)
-    seeds = [EigenPair(value, trace, index) for index, (value, trace)
-             in enumerate(zip(surrogate.values, traces.T), 1)]
-    space = search_space(sys, seeds)
+    space = SearchSpace(sys, surrogate.values,
+                        sys.factorized().solve(sys.moments @ surrogate.ritz))
     condensed = []
     for index in range(1, args.modes + 1):
-        pair = solve_condensed_nonlinear(sys, seeds, index, space=space)
+        pair = solve_condensed_nonlinear(sys, space, index)
         condensed.append(pair.value)
         log.info("mode %d: lambda=%.12g (%d Newton iterations, search space %d, %d LU "
                  "solves, residual %.1e), peak RSS %.0f MB", index, pair.value,

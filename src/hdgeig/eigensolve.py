@@ -32,8 +32,8 @@ condensed nonlinear eigenvalues of the frozen pencils A x = theta
 M(kappa) x, M(kappa) = U^T (I - kappa W)^-1 U, whose eigenvector gives
 the slope theta_i' (Hellmann-Feynman; Ruhe, SIAM J. Numer. Anal. 10
 (1973)), solved by Rayleigh-Ritz on a bounded search space
-(``_SearchSpace``, made by ``search_space``) that the modes of one set
-of seeds share, restarted thick with the converged modes locked.
+(``SearchSpace``) that owns the seeds and that their modes share,
+restarted thick with the converged modes locked.
 M(kappa) grows with kappa, so the i-th eigenvalue is the fixed point of
 theta_i(kappa) = kappa: every pair carries its spectral index.  Residual
 checks apply M(lam) through the resolvent lift.
@@ -58,7 +58,7 @@ __all__ = [
     "SurrogateValues",
     "solve_linear_surrogate",
     "solve_condensed_nonlinear",
-    "search_space",
+    "SearchSpace",
     "solve_modes",
     "oracle_full_eig",
 ]
@@ -102,39 +102,36 @@ _ENCLOSURE_SLACK = 1e-9
 
 
 class EigenPair:
-    """Trace eigenpair; ``index`` is its 1-based position in the ascending
-    spectrum.
+    """A trace eigenpair that ``solve_modes`` or ``solve_condensed_nonlinear``
+    returns: ``index`` is its 1-based position in the ascending spectrum,
+    ``residual`` the nonlinear residual |A eta - lam M(lam) eta| / |A eta|
+    that the eigensolve checked, and ``field`` the eigenfield (I - lam
+    W)^-1 U eta (T, n_w) that the check lifted.
 
     From ``solve_modes``: ``iterations`` counts the run's operator
     applications (Lanczos matvecs, or LOBPCG block columns), ``solves``
-    the solves that made them, ``defect`` is |A eta - lam M(lam) eta|
-    / |A eta|, and ``vector`` and ``field`` are views of columns of the
-    run's ``Modes`` blocks.  From the nonlinear eigensolve: an
-    A-normalized trace (v.A v = 1), its frozen-pencil solves (Newton
-    iterations), the last relative update |theta - kappa| / theta as
-    ``defect``, the nonlinear residual |A v - lam M(lam) v| / |A v| as
-    ``residual``, ``history``, the first frozen kappa (the predictor's)
-    followed by each solve's theta, so that ``len(history) == iterations
-    + 1``, the LU solves its call made on the search space (``solves``)
-    and the space's dimension when it returned (``space``).  The modes
-    run leaves ``residual`` equal to ``defect`` and ``space`` 0.
-    ``field`` is the eigenfield (I - lam W)^-1 U eta (T, n_w) that the
-    nonlinear residual check lifted.  A seed that ``oracle-check`` makes
-    from the surrogate's Ritz block carries its value, trace and index.
+    the solves that made them, and ``vector`` and ``field`` are views of
+    columns of the run's ``Modes`` blocks.  From the nonlinear eigensolve:
+    an A-normalized trace (v.A v = 1), its frozen-pencil solves (Newton
+    iterations), the LU solves its call made on the search space
+    (``solves``), the space's dimension when it returned (``space``) and
+    ``history``, each frozen kappa (the first the predictor's) followed by
+    the last solve's theta, so that ``len(history) == iterations + 1`` and
+    the last relative update is |theta - kappa| / theta of its last two.
+    The modes run leaves ``history`` empty and ``space`` 0.
     """
 
-    def __init__(self, value, vector, index, iterations=0, defect=0.0, history=(),
-                 residual=None, solves=0, space=0, field=None):
+    def __init__(self, value, vector, index, iterations, residual, solves, field, history=(),
+                 space=0):
         self.value = float(value)
         self.vector = np.asarray(vector, dtype=float)
         self.index = int(index)
         self.iterations = int(iterations)
-        self.defect = float(defect)
-        self.history = list(history)
-        self.residual = defect if residual is None else float(residual)
+        self.residual = float(residual)
         self.solves = int(solves)
-        self.space = int(space)
         self.field = field
+        self.history = list(history)
+        self.space = int(space)
 
 
 class Modes(list):
@@ -395,16 +392,16 @@ def _wall_cap(sys):
     return (1.0 - 1e-3) * sys.wall
 
 
-def _checked_defect(sys, lam, vec):
+def _checked_residual(sys, lam, vec):
     """Relative residual |A v - lam M(lam) v| / |A v|, checked against the
     tolerance, and the eigenfield (I - lam W)^-1 U v (T, n_w) it lifts."""
     field, av = resolvent_lift(sys, lam, vec), sys.A @ vec
     res = np.linalg.norm(av - lam * (sys.moments @ field.ravel()))
-    defect = res / np.linalg.norm(av)
-    if defect > _RESIDUAL_TOL:
+    residual = res / np.linalg.norm(av)
+    if residual > _RESIDUAL_TOL:
         raise EigenSolveError("eigenpair at %.6g fails the nonlinear residual check "
-                              "(relative %.2e vs %.2e)" % (lam, defect, _RESIDUAL_TOL))
-    return defect, field
+                              "(relative %.2e vs %.2e)" % (lam, residual, _RESIDUAL_TOL))
+    return residual, field
 
 
 def _resolvent_diagonal(w, classes, kappa):
@@ -440,11 +437,14 @@ def _ritz_pairs(h, lo, hi):
     return mu[:count], y
 
 
-class _SearchSpace:
+class SearchSpace:
     """Rayleigh-Ritz for the frozen pencils A x = theta M(kappa) x of the
     nonlinear eigensolves, on an A-orthonormal basis V of traces (V^T A V
     = I) kept across the pencils (Voss, BIT 44 (2004)) and, when shared,
-    across the modes.
+    across the modes.  The space owns the seeds of its modes: their
+    ascending ``values`` and the block ``traces`` (ndof, m), such as the
+    surrogate's values and the traces A^-1 U^T x of its Ritz vectors x,
+    of which ``span`` are independent.
 
     With the spectral lift (Z, w) of the system, M(kappa) = Z^T diag(d) Z
     for d = 1 / (1 - kappa w), so the projected pencil is the symmetric
@@ -453,11 +453,12 @@ class _SearchSpace:
     space keeps V, AV, ZV and H, which is rebuilt per kappa and bordered
     as V grows, by one solve with the cached LU per direction.
 
-    V starts from the seed traces and one generic direction.  The seeds
-    are close to eigenvectors of the surrogate pencil, so they carry
-    next to nothing of a frozen eigenvector that none of them
-    approximates: the partner of a near-double whose order the resolvent
-    swaps, or a near-wall mode that no surrogate mode resembles.
+    V starts from the seed traces and one generic direction at mode 1's
+    predicted kappa.  The seeds are close to eigenvectors of the surrogate
+    pencil, so they carry next to nothing of a frozen eigenvector that
+    none of them approximates: the partner of a near-double whose order
+    the resolvent swaps, or a near-wall mode that no surrogate mode
+    resembles.
     Rayleigh-Ritz cannot find what the space lacks, and its index-th
     value would then converge to the next eigenvalue up.  The generic
     direction A^-1 M(kappa) g of a fixed vector g gives every eigenvector
@@ -470,11 +471,15 @@ class _SearchSpace:
     already converged on the space (``locked``), with no solve.
     """
 
-    def __init__(self, sys, traces, kappa):
+    def __init__(self, sys, values, traces):
+        self.values, self.traces = values, traces
         self.A, self.lu, self.classes = sys.A, sys.factorized(), sys.classes
         self.z, self.w = sys.spectral_lift
         self.zT = self.z.T
-        v, av = traces, sys.A @ traces
+        # the block row-major here, and each seed a column of ``traces`` as
+        # given in _predicted: the layouts set the values' last bits
+        v = np.ascontiguousarray(traces)
+        av = sys.A @ v
         for _ in range(2):  # A-orthonormal columns, dependent ones dropped
             gram = v.T @ av
             s = 1.0 / np.sqrt(np.maximum(np.diag(gram), np.finfo(float).tiny))
@@ -484,10 +489,10 @@ class _SearchSpace:
             v, av = v @ c, av @ c
         # V, AV and ZV are kept as the leading rows of row-major buffers
         # that double when full, so that a new direction copies no old one
-        self.size = self.seeds = v.shape[1]
+        self.size = self.span = v.shape[1]
         self._rows = [v.T.copy(), av.T.copy(), (self.z @ v).T.copy()]
         self.kappa, self.solves, self.locked = None, 0, []
-        self._freeze(kappa)
+        self._freeze(_predicted(sys, values[0], traces[:, 0]))
         mg = self.zT @ (self.d * (self.z @ _deterministic_start(sys.ndof)))
         self._expand(self._solve(mg), mg)
 
@@ -580,38 +585,28 @@ class _SearchSpace:
         return True
 
 
-def _predicted(sys, seed):
-    """The first kappa of the nonlinear eigensolve from ``seed``: one
-    Newton step on the seed trace's Rayleigh quotient x.A x / x.M(kappa) x
-    at the seed value (capped at the wall), kept where it lies in (0, wall
-    cap)."""
-    lam = float(seed.value)
+def _predicted(sys, lam, trace):
+    """The first kappa of the nonlinear eigensolve from the seed value
+    ``lam`` and its ``trace``: one Newton step on the trace's Rayleigh
+    quotient x.A x / x.M(kappa) x at the seed value (capped at the wall),
+    kept where it lies in (0, wall cap)."""
     if lam <= 0:
         raise EigenSolveError("seed eigenvalue must be positive")
     lam_cap = _wall_cap(sys)
     kappa = min(lam, lam_cap)
-    rho, slope = _quotient(sys, kappa, seed.vector)
+    rho, slope = _quotient(sys, kappa, trace)
     predicted = kappa - (rho - kappa) / (slope - 1.0)
     return predicted if 0.0 < predicted < lam_cap else kappa
 
 
-def search_space(sys, seeds):
-    """The search space (``_SearchSpace``) that the
-    ``solve_condensed_nonlinear`` calls on the seed pairs ``seeds`` share:
-    their traces and the generic direction, at mode 1's predicted kappa."""
-    return _SearchSpace(sys, np.column_stack([s.vector for s in seeds]),
-                        _predicted(sys, seeds[0]))
-
-
-def solve_condensed_nonlinear(sys, seeds, index, space):
+def solve_condensed_nonlinear(sys, space, index):
     """The condensed nonlinear eigenpair at ``index`` (1-based), refined
-    from the seed pairs ``seeds`` (the surrogate's, or any pairs carrying
-    traces, ascending) on ``space``, which ``search_space`` made from them.
+    from seed ``index`` of ``space``, a ``SearchSpace``.
 
-    The value of ``seeds[index - 1]`` starts the iteration.  The modes'
-    calls share the space: each starts from what the earlier ones added and
-    locks its converged trace in it.  Fewer than ``index`` independent
-    traces raise ``EigenSolveError``.  Each iteration freezes the resolvent
+    The seed's value starts the iteration.  The modes' calls share the
+    space: each starts from what the earlier ones added and locks its
+    converged trace in it.  Fewer than ``index`` independent seed traces
+    raise ``EigenSolveError``.  Each iteration freezes the resolvent
     Gram matrix at the current iterate kappa and solves the resulting
     linear pencil for its ``index``-th eigenvalue theta and its slope
     theta' by Rayleigh-Ritz on the space, grown until the pencil's relative
@@ -631,27 +626,27 @@ def solve_condensed_nonlinear(sys, seeds, index, space):
     it returned.
     """
     index = int(index)
-    if not 1 <= index <= space.seeds:
+    if not 1 <= index <= space.span:
         raise EigenSolveError("mode %d needs at least %d independent seed traces; the %d "
-                              "seeds span %d" % (index, index, len(seeds), space.seeds))
-    lam = float(seeds[index - 1].value)
-    kappa, lam_cap = _predicted(sys, seeds[index - 1]), _wall_cap(sys)
+                              "seeds span %d" % (index, index, len(space.values), space.span))
+    lam = float(space.values[index - 1])
+    kappa, lam_cap = _predicted(sys, lam, space.traces[:, index - 1]), _wall_cap(sys)
     solves = space.solves
     lo, hi = 0.0, None  # F(0) = surrogate value > 0
-    history = [kappa]
+    history = []
     update = abs(kappa - lam) / kappa
 
     for iteration in range(1, _SECANT_MAX_ITER + 1):
+        history.append(kappa)
         theta, slope, vec, _ = space.frozen(kappa, index,
                                             max(_FROZEN_TOL, 1e-2 * update**2))
         resid = theta - kappa
         update = abs(resid) / abs(theta)
-        history.append(theta)
         if update <= _SECANT_TOL:
-            residual, field = _checked_defect(sys, theta, vec)
+            residual, field = _checked_residual(sys, theta, vec)
             space.locked.append(vec)
-            return EigenPair(theta, vec, index, iteration, update, history, residual=residual,
-                             solves=space.solves - solves, space=space.size, field=field)
+            return EigenPair(theta, vec, index, iteration, residual, space.solves - solves,
+                             field, history + [theta], space.size)
 
         # bracket update: F decreasing, so F > 0 puts the root above kappa
         if resid > 0:
@@ -709,10 +704,10 @@ def solve_modes(sys, m, start=None):
             raise EigenSolveError("eigenvalue %d (%.6g) is not inside (0, %.6g), the resonance-"
                                   "free interval of the resolvent on this mesh"
                                   % (index, lam, lam_cap))
-        defect, field = _checked_defect(sys, lam, eta)
+        residual, field = _checked_residual(sys, lam, eta)
         column[:] = field.ravel()
-        pairs.append(EigenPair(lam, eta, index, op.applications, defect, solves=op.solves,
-                               field=column.reshape(field.shape)))
+        pairs.append(EigenPair(lam, eta, index, op.applications, residual, op.solves,
+                               column.reshape(field.shape)))
     return Modes(pairs, traces, fields, ritz)
 
 

@@ -74,13 +74,14 @@ def recover_fields(sys, pair):
 
     u is the pair's ``field``, the resolvent-corrected trace lift of eta,
     which every pair from ``solve_modes`` or ``solve_condensed_nonlinear``
-    carries; q adds the scaled load lift of u to the flux lift of eta.
-    All three are rescaled so that u has unit L2 norm, with the sign fixed
-    by the element mean at the domain's anchor point.
+    carries (one without it raises ``ValueError``); q adds the scaled load
+    lift of u to the flux lift of eta.  All three are rescaled so that u
+    has unit L2 norm, with the sign fixed by the element mean at the
+    domain's anchor point.
     """
     lam, u = pair.value, pair.field
     if u is None:
-        raise ValueError("pair %d carries no eigenfield (seeds have none)" % pair.index)
+        raise ValueError("pair %d carries no eigenfield" % pair.index)
     q = flux_field(sys, pair.vector, lam * u)
 
     norm = np.sqrt(np.sum(u**2))

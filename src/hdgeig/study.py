@@ -22,9 +22,7 @@ resolvent wall).  Every level still solves its own discrete problem to
 the same tolerances.
 """
 
-import csv
 import functools
-import io
 import json
 import math
 import time
@@ -586,6 +584,25 @@ def _fmt_order(value):
     return "--" if value is None else "%.2f" % value
 
 
+def _table(header, rows, fmt):
+    """Rows as a JSON list of objects, CSV (None an empty field), or a
+    padded markdown table."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
+                           for v in r) for r in rows]
+        return "\n".join(lines) + "\n"
+    widths = [max(len(h), 18) for h in header]
+    out = ["| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |"]
+    out.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
+    for r in rows:
+        cells = ["%.12g" % v if isinstance(v, float) else str(v) for v in r]
+        out.append("| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |")
+    return "\n".join(out) + "\n"
+
+
 def _metrics_present(report):
     out = []
     for metric, (attr, _) in _METRICS.items():
@@ -640,26 +657,11 @@ def _emit_markdown(report):
 
 
 def _emit_csv(report):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    metrics = _metrics_present(report)
-    header = ["domain", "case", "tau", "k", "level"]
-    for metric in metrics:
+    header, columns = ["domain", "case", "tau", "k", "level"], []
+    for metric in _metrics_present(report):
         for m in report.modes:
             header += ["%s_mode%d_error" % (metric, m), "%s_mode%d_order" % (metric, m)]
-    writer.writerow(header)
-    table = {
-        metric: {m: (report.errors(metric, m), report.orders(metric, m)) for m in report.modes}
-        for metric in metrics
-    }
-    for i, level in enumerate(report.levels):
-        row = [report.domain, report.case, report.tau_label, report.k, level]
-        for metric in metrics:
-            for m in report.modes:
-                errs,ords = table[metric][m]
-                row += [
-                    "" if errs[i] is None else repr(errs[i]),
-                    "" if ords[i] is None else repr(ords[i]),
-                ]
-        writer.writerow(row)
-    return buf.getvalue()
+            columns += [report.errors(metric, m), report.orders(metric, m)]
+    rows = [[report.domain, report.case, report.tau_label, report.k, level]
+            + [column[i] for column in columns] for i, level in enumerate(report.levels)]
+    return _table(header, rows, "csv")

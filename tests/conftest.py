@@ -8,8 +8,7 @@ from hypothesis import settings
 
 from hdgeig.assembly import assemble_condensed
 from hdgeig.eigensolve import (
-    EigenPair,
-    search_space,
+    SearchSpace,
     solve_condensed_nonlinear,
     solve_linear_surrogate,
     solve_modes,
@@ -35,24 +34,22 @@ def element_ops(vertices, spaces, tau, mat=None, element=0):
 
 
 def surrogate_seeds(sys, m):
-    """The seeds of ``oracle-check`` and the m pairs of the modes run they
-    come from: the surrogate run from those pairs gives the values, and
-    one block solve the traces A^-1 U^T x of its Ritz vectors x.  The
-    surrogate run took their Ritz block over: the modes' ``ritz`` is None."""
+    """The seeds of ``oracle-check``, (values, traces), and the m pairs of
+    the modes run they come from: the surrogate run from those pairs gives
+    the ascending values, and one block solve the traces A^-1 U^T x (ndof,
+    m) of its Ritz vectors x.  The surrogate run took their Ritz block
+    over: the modes' ``ritz`` is None."""
     pairs = solve_modes(sys, m)
     surrogate = solve_linear_surrogate(sys, pairs)
-    traces = sys.factorized().solve(sys.moments @ surrogate.ritz)
-    return [EigenPair(value, trace, index) for index, (value, trace)
-            in enumerate(zip(surrogate.values, traces.T), 1)], pairs
+    return (surrogate.values, sys.factorized().solve(sys.moments @ surrogate.ritz)), pairs
 
 
 def newton_pairs(sys, m):
     """The paper's route as ``oracle-check`` runs it: the surrogate's m
     lowest seeds start the nonlinear eigensolve of modes 1..m, in order, on
     one shared search space; the pairs in index order."""
-    seeds, _ = surrogate_seeds(sys, m)
-    space = search_space(sys, seeds)
-    return [solve_condensed_nonlinear(sys, seeds, i, space) for i in range(1, m + 1)]
+    space = SearchSpace(sys, *surrogate_seeds(sys, m)[0])
+    return [solve_condensed_nonlinear(sys, space, i) for i in range(1, m + 1)]
 
 
 def _tau_from_key(key):
@@ -97,7 +94,7 @@ def systems(meshes):
 
 @pytest.fixture(scope="session")
 def eigenpairs(systems):
-    """Cache of (surrogate seeds, ascending eigenpairs), as
+    """Cache of ((surrogate values, seed traces), ascending eigenpairs), as
     ``surrogate_seeds`` gives them, per configuration and mode count m: the
     first pairs of a larger run differ from an m-mode run in the last
     digits, so each m gets its own run and a test sees the same pairs

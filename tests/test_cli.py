@@ -167,13 +167,18 @@ class TestSolveCommand:
     ])
     def test_missing_output_directory_refused_before_solving(self, tmp_path, capsys,
                                                              monkeypatch, command, solver):
-        out = tmp_path / "missing" / "x.md"
+        # a file in a missing directory, and an existing directory
+        missing, directory = tmp_path / "missing" / "x.md", tmp_path / "dir"
+        directory.mkdir()
         monkeypatch.setattr(solver, lambda *args, **kwargs: pytest.fail("solved first"))
-        assert main(command + ["--output", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "configuration error: cannot write %s" % out in captured.err
-        assert not out.parent.exists()
+        for out, reason in ((missing, "No such file or directory"),
+                            (directory, "Is a directory")):
+            assert main(command + ["--output", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "configuration error: cannot write %s: %s" % (out, reason) in captured.err
+        assert not missing.parent.exists()
+        assert not any(directory.iterdir())
 
 
 @pytest.mark.parametrize("command", [

@@ -13,8 +13,8 @@ from conftest import newton_pairs, surrogate_seeds
 from hdgeig import eigensolve
 from hdgeig.assembly import assemble_condensed, resolvent_lift
 from hdgeig.eigensolve import (
+    SearchSpace,
     oracle_full_eig,
-    search_space,
     solve_condensed_nonlinear,
     solve_linear_surrogate,
     solve_modes,
@@ -87,13 +87,13 @@ def reference_pencil(sys, kappa, count, start=None):
     return thetas, slopes, vecs
 
 
-def reference_newton(sys, seed):
-    """The nonlinear eigensolve as it was before its search space: the
-    same predictor, bracket and stopping rule, with each frozen pencil
-    solved afresh for all ``seed.index`` lowest pairs by
-    ``reference_pencil``, started from the last trace, and the predictor's
-    Rayleigh quotient taken through ``resolvent_lift``."""
-    index, lam, vec = seed.index, seed.value, seed.vector
+def reference_newton(sys, index, lam, vec):
+    """The nonlinear eigensolve of mode ``index`` from the seed value
+    ``lam`` and trace ``vec`` as it was before its search space: the same
+    predictor, bracket and stopping rule, with each frozen pencil solved
+    afresh for all ``index`` lowest pairs by ``reference_pencil``, started
+    from the last trace, and the predictor's Rayleigh quotient taken
+    through ``resolvent_lift``."""
     lam_cap = (1.0 - 1e-3) * sys.wall
     kappa = min(lam, lam_cap)
     ru = resolvent_lift(sys, kappa, vec).ravel()
@@ -198,8 +198,7 @@ def frozen_solves(sys, kappa, count, tol=1e-12):
     """theta_i(kappa) and their slopes, i = 1..count, from the Newton
     route's frozen solve on a search space started from the surrogate's
     traces."""
-    traces = np.column_stack([p.vector for p in surrogate_seeds(sys, count)[0]])
-    space = eigensolve._SearchSpace(sys, traces, kappa)
+    space = SearchSpace(sys, *surrogate_seeds(sys, count)[0])
     return np.array([space.frozen(kappa, i, tol)[:2] for i in range(1, count + 1)]).T
 
 
@@ -303,39 +302,44 @@ class TestCondensedNonlinear:
             _, pairs = eigenpairs(*case, m=max(modes))
             converged = newton_pairs(sys, max(modes))
             for block in (converged, pairs):
-                space = search_space(sys, block)
+                space = SearchSpace(sys, [p.value for p in block],
+                                    np.column_stack([p.vector for p in block]))
                 for mode in modes:
                     pair = block[mode - 1]
-                    again = solve_condensed_nonlinear(sys, block, mode, space)
+                    again = solve_condensed_nonlinear(sys, space, mode)
                     assert again.index == pair.index == mode
                     assert again.iterations == 1
                     assert abs(again.value - pair.value) <= 1e-12 * pair.value
 
     def test_nonlinear_residual_invariant(self, systems, eigenpairs):
+        # the pairs of both eigensolves, each with the residual that an
+        # independent assembly of M(lam) gives it, to round-off
         from hdgeig.assembly import assemble_m_of_lambda
 
         sys = systems("square", 1, 1)
         _, pairs = eigenpairs("square", 1, 1, m=3)
-        for p in pairs:
+        for p in [*pairs, *newton_pairs(sys, 3)]:
             m = assemble_m_of_lambda(sys, p.value)
             res = np.linalg.norm(sys.A @ p.vector - p.value * (m @ p.vector))
             assert res <= 1e-9 * np.linalg.norm(sys.A @ p.vector)
+            assert abs(p.residual - res / np.linalg.norm(sys.A @ p.vector)) <= 1e-15
 
     def test_rejects_nonpositive_seed(self, systems):
         sys = systems("square", 0, 1)
-        seeds, _ = surrogate_seeds(sys, 2)
-        negative = copy.copy(seeds[1])
-        negative.value = -1.0
+        (values, traces), _ = surrogate_seeds(sys, 2)
         with pytest.raises(EigenSolveError, match="must be positive"):
-            search_space(sys, [negative])
-        seeds[1] = negative
+            SearchSpace(sys, [-1.0], traces[:, 1:])
+        values = values.copy()
+        values[1] = -1.0
         with pytest.raises(EigenSolveError, match="must be positive"):
-            solve_condensed_nonlinear(sys, seeds, 2, search_space(sys, seeds))
+            solve_condensed_nonlinear(sys, SearchSpace(sys, values, traces), 2)
 
     def test_iteration_history_recorded(self, systems):
+        # each frozen kappa, then the last theta: the last relative update
+        # is the last relative step of the history
         pair = newton_pairs(systems("square", 1, 1), 1)[0]
         assert len(pair.history) == pair.iterations + 1
-        assert pair.defect <= 1e-12
+        assert abs(pair.history[-1] - pair.history[-2]) / pair.history[-1] <= 1e-12
 
 
 #: acceptance criterion 1: the coarse grid that oracle-check covers
@@ -392,9 +396,8 @@ class TestNewtonStep:
             seeds, _ = surrogate_seeds(sys, 6)
             counted, lu = copy.copy(sys), CountingLU(sys.factorized())
             counted.factorized = lambda: lu
-            space = search_space(counted, seeds)
-            pairs = [solve_condensed_nonlinear(counted, seeds, i, space=space)
-                     for i in range(1, 7)]
+            space = SearchSpace(counted, *seeds)
+            pairs = [solve_condensed_nonlinear(counted, space, i) for i in range(1, 7)]
             assert 1 + sum(p.solves for p in pairs) == lu.solves == space.solves
             assert pairs[0].space == 6 + 1 + pairs[0].solves
             assert max(p.space for p in pairs) <= eigensolve._SPACE_MAX
@@ -416,14 +419,14 @@ def alone_and_shared(rows, ids):
 
 
 def nonlinear_values(sys, seeds, modes, shared):
-    """The nonlinear eigenvalues of ``modes`` from ``seeds``: each mode
-    alone on a space of its own, or (``shared``) every mode up to the last
-    in order on one space."""
+    """The nonlinear eigenvalues of ``modes`` from ``seeds``, (values,
+    traces): each mode alone on a space of its own, or (``shared``) every
+    mode up to the last in order on one space."""
     if not shared:
-        return [solve_condensed_nonlinear(sys, seeds, i, search_space(sys, seeds)).value
+        return [solve_condensed_nonlinear(sys, SearchSpace(sys, *seeds), i).value
                 for i in modes]
-    space = search_space(sys, seeds)
-    values = [solve_condensed_nonlinear(sys, seeds, i, space).value
+    space = SearchSpace(sys, *seeds)
+    values = [solve_condensed_nonlinear(sys, space, i).value
               for i in range(1, max(modes) + 1)]
     return [values[i - 1] for i in modes]
 
@@ -473,10 +476,10 @@ class TestHardCells:
         # only the top index Ritz vectors loses the square's mode 4
         sys = systems(domain, level, k, tau)
         seeds, pairs = eigenpairs(domain, level, k, tau, m=6)
-        space = search_space(sys, seeds)
+        space = SearchSpace(sys, *seeds)
         sizes, expand = [], space._expand
         space._expand = lambda t, rhs: (expand(t, rhs), sizes.append(space.size))[0]
-        got = [solve_condensed_nonlinear(sys, seeds, i, space=space) for i in range(1, 7)]
+        got = [solve_condensed_nonlinear(sys, space, i) for i in range(1, 7)]
         assert [p.index for p in got] == list(range(1, 7))
         for pair, ref in zip(got, pairs):
             assert abs(pair.value - ref.value) <= 1e-12 * ref.value, pair.index
@@ -487,13 +490,13 @@ class TestHardCells:
 
     def test_fewer_independent_traces_than_the_index(self, systems):
         sys = systems("square", 0, 1)
-        seeds, _ = surrogate_seeds(sys, 3)
+        (values, traces), _ = surrogate_seeds(sys, 3)
         with pytest.raises(EigenSolveError, match="3 independent seed traces; the 2 seeds "):
-            solve_condensed_nonlinear(sys, seeds[:2], 3, search_space(sys, seeds[:2]))
-        seeds[2] = seeds[1]
+            solve_condensed_nonlinear(sys, SearchSpace(sys, values[:2], traces[:, :2]), 3)
+        values[2], traces[:, 2] = values[1], traces[:, 1]
         with pytest.raises(EigenSolveError, match="3 independent seed traces; the 3 seeds "
                                                   "span 2"):
-            solve_condensed_nonlinear(sys, seeds, 3, search_space(sys, seeds))
+            solve_condensed_nonlinear(sys, SearchSpace(sys, values, traces), 3)
 
 
 class TestOracle:
@@ -543,8 +546,7 @@ class TestStartVector:
         # the cold Lanczos run and the search space read the shared vector:
         # a write to it would raise, and its values are the seeded draw
         sys = systems("square", 0, 1)
-        traces = np.column_stack([p.vector for p in surrogate_seeds(sys, 2)[0]])
-        eigensolve._SearchSpace(sys, traces, 1.0)
+        SearchSpace(sys, *surrogate_seeds(sys, 2)[0])
         for n in (sys.dim_w, sys.ndof):
             v = eigensolve._deterministic_start(n)
             assert v is eigensolve._deterministic_start(n) and not v.flags.writeable
@@ -631,12 +633,13 @@ class TestSolveModes:
         # form, and the Newton loop with a Lanczos run per frozen pencil on
         # the assembled resolvent forms
         sys = systems(domain, level, k, tau)
-        surrogates, pairs = eigenpairs(domain, level, k, tau, m=6)
-        new = {"surrogate": [p.value for p in surrogates],
+        (values, traces), pairs = eigenpairs(domain, level, k, tau, m=6)
+        new = {"surrogate": values,
                "secant": [p.value for p in secants(domain, level, k, tau)],
                "modes": [p.value for p in pairs]}
         old = {"surrogate": reference_pencil(sys, 0.0, 6)[0],
-               "secant": sorted(reference_newton(sys, s) for s in surrogates),
+               "secant": sorted(reference_newton(sys, i, lam, vec) for i, (lam, vec)
+                                in enumerate(zip(values, traces.T), 1)),
                "modes": reference_mode_values(sys, 6)}
         for route in new:
             np.testing.assert_allclose(new[route], old[route], rtol=1e-12, err_msg=route)
@@ -667,12 +670,12 @@ class TestSolveModes:
         run = {"solve_modes": lambda: solve_modes(sys, 2),
                # fresh modes: the seeds' surrogate run took over their Ritz block
                "surrogate": lambda: solve_linear_surrogate(sys, solve_modes(sys, 2)),
-               "secant": lambda: solve_condensed_nonlinear(sys, seeds, 2,
-                                                           search_space(sys, seeds))}[route]
+               "secant": lambda: solve_condensed_nonlinear(sys, SearchSpace(sys, *seeds),
+                                                           2)}[route]
         command = "oracle-check" if route == "secant" else "solve"
         if route == "secant":
             # the search space's alone: _STALL_TOL also drops LOBPCG directions
-            monkeypatch.setattr(eigensolve._SearchSpace, "_expand", lambda self, t, rhs: False)
+            monkeypatch.setattr(eigensolve.SearchSpace, "_expand", lambda self, t, rhs: False)
         elif route == "surrogate":
             monkeypatch.setattr(eigensolve, "_LOBPCG_MAX_ITER", 1)
         else:
@@ -865,16 +868,15 @@ class TestSurrogateValues:
         # span the surrogate's lowest subspace: the value stop settled on
         # 14.495 for lam~_6 = 10.855238
         sys = systems("square", 0, 2, 0.1)
-        surrogates, pairs = eigenpairs("square", 0, 2, 0.1, m=6)
+        (surrogates, _), pairs = eigenpairs("square", 0, 2, 0.1, m=6)
         assert 2.5 < pairs[1].value < pairs[5].value < sys.wall < 2.6
         details = []
         rep = run_convergence_study(StudyConfig(k=2, tau=TauSpec.constant(0.1), levels=(0,),
                                                 modes=(1, 2, 3, 4, 5, 6), postprocess=False),
                                     lambda level, seconds, detail: details.append(detail))
         assert "vectors stop" in details[0]
-        for surrogate in surrogates:
-            assert rep.cell(surrogate.index, 0).lam_tilde == pytest.approx(surrogate.value,
-                                                                           rel=1e-12)
+        for index, surrogate in enumerate(surrogates, 1):
+            assert rep.cell(index, 0).lam_tilde == pytest.approx(surrogate, rel=1e-12)
         assert rep.cell(5, 0).lam_tilde == pytest.approx(10.855199, rel=1e-7)
         assert rep.cell(6, 0).lam_tilde == pytest.approx(10.855238, rel=1e-7)
 
@@ -943,7 +945,7 @@ class TestOperatorLifetime:
         "surrogate": lambda sys, block, pairs: surrogate_seeds(sys, 4),
         "surrogate_block": lambda sys, block, pairs: solve_linear_surrogate(sys, pairs),
         "nonlinear": lambda sys, block, pairs: solve_condensed_nonlinear(
-            sys, pairs, 2, search_space(sys, pairs)),
+            sys, SearchSpace(sys, [p.value for p in pairs], pairs.traces), 2),
         # the result, which holds an operator, is dropped at once
         "oracle": lambda sys, block, pairs: oracle_full_eig(sys, 4),
     }
@@ -1160,7 +1162,7 @@ class TestSpectrumProperties:
     def test_surrogate_gap_shrinks(self, eigenpairs):
         gaps = []
         for level in (1, 2, 3):
-            surr, pairs = eigenpairs("square", level, 1, m=1)
-            gaps.append(abs(pairs[0].value - surr[0].value))
+            (surr, _), pairs = eigenpairs("square", level, 1, m=1)
+            gaps.append(abs(pairs[0].value - surr[0]))
         orders = np.log2(np.array(gaps[:-1]) / gaps[1:])
         assert np.all(orders > 1.7)

@@ -179,10 +179,15 @@ class TestRecoverFields:
             recover_fields(sys, Fake())
 
     def test_surrogate_pair_is_refused(self, systems, eigenpairs):
-        # a surrogate pair carries no eigenfield of the nonlinear problem
-        surrogates, _ = eigenpairs("square", 0, 1)
+        # a surrogate value with its seed trace carries no eigenfield of
+        # the nonlinear problem
+        (values, traces), _ = eigenpairs("square", 0, 1)
+
+        class Surrogate:
+            value, vector, index, field = values[0], traces[:, 0], 1, None
+
         with pytest.raises(ValueError, match="carries no eigenfield"):
-            recover_fields(systems("square", 0, 1), surrogates[0])
+            recover_fields(systems("square", 0, 1), Surrogate())
 
 
 class TestPostprocessU:
